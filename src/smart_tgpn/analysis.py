@@ -26,13 +26,13 @@ from .builder import SmartNet
 from .guards import (
     GuardExpr,
     HeldFor,
-    Marked,
     Sig,
-    UndeclaredSignal,
-    eval_with_assignment,
+    check_no_nested_held,
+    eval_guard,
     held_terms,
     place_names,
     signal_names,
+    substitute,
 )
 from .kernel import (
     DEFAULT_ZENO_LIMIT,
@@ -44,6 +44,7 @@ from .kernel import (
     refresh_timers,
 )
 from .net import INF, Marking, Net, STRONG
+from .signals import ConstantSignals
 
 # --- incidence matrix and P-invariants ---------------------------------------
 
@@ -132,26 +133,6 @@ class ExplorationConfig:
     state_cap: int = 1_000_000
     zeno_limit: int = DEFAULT_ZENO_LIMIT
     fixed_signals: dict[str, bool | float] = field(default_factory=dict)
-
-
-class _VectorSignals:
-    """Constant-in-time signal view over a mutable value map, letting the
-    kernel run inside a single tick of the exploration."""
-
-    def __init__(self, values: dict[str, bool | float]):
-        self.values = values
-
-    def value_at(self, name: str, time: int):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise UndeclaredSignal(f"signal {name!r} is not declared") from None
-
-    def next_change_after(self, time: int):
-        return None
-
-    def change_points(self, names, start, end):
-        return []
 
 
 @dataclass(frozen=True)
@@ -312,24 +293,20 @@ class _Explorer:
         self.memo: dict[tuple[int, int, int], list[EvolveResult]] = {}
         self.max_held_delta = max((h.duration for h, _ in self.held_specs), default=0)
 
-        if self.smart is not None:
-            self.residence_specs = [
-                (agent.suffix, agent.mode_places, agent.config.budget_m, agent.config.budget_a)
-                for agent in self.smart.agents
-            ]
-        else:
-            self.residence_specs = []
+        self.agents = self.smart.agents if self.smart is not None else []
 
     # -- net transformation ----------------------------------------------
 
     def _strip_held(self, net: Net) -> tuple[Net, list[tuple[HeldFor, str]]]:
         """Replace held_for terms with virtual boolean signals whose truth
         the explorer maintains as exact run-length counters."""
-        from .guards import check_no_nested_held
-
         specs: list[tuple[HeldFor, str]] = []
         mapping: dict[HeldFor, str] = {}
         records = []
+
+        def virtual(node: GuardExpr) -> GuardExpr | None:
+            return Sig(mapping[node]) if isinstance(node, HeldFor) else None
+
         for tid in net.transition_ids():
             record = net.transitions[tid]
             check_no_nested_held(record.guard)
@@ -345,21 +322,8 @@ class _Explorer:
                     name = f"held.{len(specs)}"
                     mapping[term] = name
                     specs.append((term, name))
-            records.append(record.with_guard(self._replace_held(record.guard, mapping)))
+            records.append(record.with_guard(substitute(record.guard, virtual)))
         return (net.with_transitions(records) if records else net), specs
-
-    def _replace_held(self, expr: GuardExpr, mapping: dict[HeldFor, str]) -> GuardExpr:
-        from .guards import And, Not, Or
-
-        if isinstance(expr, HeldFor):
-            return Sig(mapping[expr])
-        if isinstance(expr, Not):
-            return Not(self._replace_held(expr.child, mapping))
-        if isinstance(expr, And):
-            return And(tuple(self._replace_held(c, mapping) for c in expr.children))
-        if isinstance(expr, Or):
-            return Or(tuple(self._replace_held(c, mapping) for c in expr.children))
-        return expr
 
     def _base_values(self, declared: set[str]) -> dict[str, bool | float]:
         values: dict[str, bool | float] = {}
@@ -391,24 +355,17 @@ class _Explorer:
         return StateKey(
             marking=tuple(sorted(marking.items())),
             timers=(),
-            residence=tuple((s, 0) for s, _, _, _ in self.residence_specs),
+            residence=tuple((agent.suffix, 0) for agent in self.agents),
             held_runs=tuple(-1 for _ in self.held_specs),
         )
-
-    @staticmethod
-    def _current_mode(marking: Mapping[str, int], mode_places: dict[str, str]) -> str | None:
-        for key, place in mode_places.items():
-            if marking.get(place, 0) >= 1:
-                return key
-        return None
 
     def vector_to_signals(self, vector: int) -> dict[str, bool]:
         """Driver-level view of a vector (for display and witnesses)."""
         return {name: bool(vector >> i & 1) for i, (name, _) in enumerate(self.drivers)}
 
-    def vector_values(self, vector: int) -> dict[str, bool]:
-        """Signal-level assignment a vector induces."""
-        values: dict[str, bool] = {}
+    def vector_values(self, vector: int) -> dict[str, bool | float]:
+        """Signal-level assignment a vector induces over the base values."""
+        values = dict(self.base_values)
         for i, (_, targets) in enumerate(self.drivers):
             bit = bool(vector >> i & 1)
             for target in targets:
@@ -447,13 +404,14 @@ class _Explorer:
         return results
 
     def _evolve_uncached(self, key: StateKey, vector: int, tick_cap: int) -> list[EvolveResult]:
-        values = dict(self.base_values)
-        values.update(self.vector_values(vector))
+        values = self.vector_values(vector)
+        sigma = ConstantSignals(values)
 
-        # advance held-for run lengths under the new assignment
+        # advance held-for run lengths under the new assignment; held
+        # bodies read no places (_strip_held rejects them)
         held_runs = []
         for (term, name), prev in zip(self.held_specs, key.held_runs):
-            body_true = self._eval_static(term.child, values)
+            body_true = eval_guard(term.child, sigma, {}, 0)
             if body_true:
                 run = 0 if prev < 0 else min(prev + 1, term.duration)
             else:
@@ -472,12 +430,11 @@ class _Explorer:
         state = KernelState(marking=marking, now=0)
         state.marking_history = [(0, dict(marking))]
         state.timers = {tid: -elapsed for tid, elapsed in key.timers}
-        sigma = _VectorSignals(values)
 
         if self.cfg.weak_branching == BRANCH_ALL:
-            outcomes = self._cascade_all(state, sigma, values, residence)
+            outcomes = self._cascade_all(state, sigma, residence)
         else:
-            outcomes = [self._cascade_earliest(state, sigma, values, residence)]
+            outcomes = [self._cascade_earliest(state, sigma, residence)]
 
         results = []
         for end_state, end_residence, firings, touched in outcomes:
@@ -485,22 +442,22 @@ class _Explorer:
         return results
 
     def _set_derived(self, values: dict, marking: Marking, residence: dict[str, int]) -> None:
-        for suffix, mode_places, budget_m, budget_a in self.residence_specs:
-            mode = self._current_mode(marking, mode_places)
-            elapsed = residence.get(suffix, 0)
-            values["timeout_M" + suffix] = mode == "M" and elapsed >= budget_m
-            values["timeout_A" + suffix] = mode == "A" and elapsed >= budget_a
+        for agent in self.agents:
+            mode = agent.mode_in(marking)
+            elapsed = residence.get(agent.suffix, 0)
+            values["timeout_M" + agent.suffix] = mode == "M" and elapsed >= agent.config.budget_m
+            values["timeout_A" + agent.suffix] = mode == "A" and elapsed >= agent.config.budget_a
 
     def _track_residence(self, residence: dict[str, int], before: Marking, after: Marking) -> None:
-        for suffix, mode_places, _, _ in self.residence_specs:
-            if self._current_mode(before, mode_places) != self._current_mode(after, mode_places):
-                residence[suffix] = 0
+        for agent in self.agents:
+            if agent.mode_in(before) != agent.mode_in(after):
+                residence[agent.suffix] = 0
 
-    def _cascade_earliest(self, state: KernelState, sigma: _VectorSignals, values: dict, residence: dict[str, int]):
+    def _cascade_earliest(self, state: KernelState, sigma: ConstantSignals, residence: dict[str, int]):
         firings: list[str] = []
         touched: set[str] = set()
         while True:
-            self._set_derived(values, state.marking, residence)
+            self._set_derived(sigma.values, state.marking, residence)
             refresh_timers(self.net, state, sigma)
             due = _due_transition(self.net, state, sigma, self.policy)
             if due is None:
@@ -514,7 +471,7 @@ class _Explorer:
             self._track_residence(residence, before, state.marking)
         return state, residence, tuple(firings), frozenset(touched)
 
-    def _cascade_all(self, state: KernelState, sigma: _VectorSignals, values: dict, residence: dict[str, int]):
+    def _cascade_all(self, state: KernelState, sigma: ConstantSignals, residence: dict[str, int]):
         """Branch over every admissible firing choice within the instant."""
         outcomes = []
         seen: set[tuple] = set()
@@ -523,8 +480,7 @@ class _Explorer:
             return (tuple(sorted(st.marking.items())), tuple(sorted(st.timers.items())), tuple(sorted(res.items())))
 
         def recurse(st: KernelState, res: dict[str, int], firings: tuple[str, ...], touched: frozenset[str]):
-            vals = sigma.values
-            self._set_derived(vals, st.marking, res)
+            self._set_derived(sigma.values, st.marking, res)
             refresh_timers(self.net, st, sigma)
             choices = []
             forced_pending = False
@@ -539,6 +495,8 @@ class _Explorer:
             if not forced_pending:
                 outcomes.append((st.clone(), dict(res), firings, touched))
             for tid in choices:
+                # a sibling's recursion rewrote the derived timeouts
+                self._set_derived(sigma.values, st.marking, res)
                 nxt = st.clone()
                 nxt_res = dict(res)
                 before = dict(nxt.marking)
@@ -575,8 +533,8 @@ class _Explorer:
                         breaches.append(tid)
 
         next_residence = tuple(
-            (suffix, min(residence.get(suffix, 0) + 1, max(budget_m, budget_a)))
-            for suffix, _, budget_m, budget_a in self.residence_specs
+            (a.suffix, min(residence.get(a.suffix, 0) + 1, max(a.config.budget_m, a.config.budget_a)))
+            for a in self.agents
         )
         next_timers = []
         for tid, since in sorted(state.timers.items()):
@@ -595,19 +553,6 @@ class _Explorer:
             held_runs=tuple(held_runs),
         )
         return EvolveResult(key, firings, touched, tuple(violations), tuple(breaches))
-
-    def _eval_static(self, expr: GuardExpr, values: Mapping[str, bool | float]) -> bool:
-        def assign(atom) -> bool:
-            if isinstance(atom, Sig):
-                if atom.name not in values:
-                    raise UndeclaredSignal(atom.name)
-                return bool(values[atom.name])
-            if isinstance(atom, Marked):
-                raise UndeclaredSignal("marking atom in signal-only context")
-            value = float(values.get(atom.name, 0.0))
-            return value >= atom.threshold if atom.op == ">=" else value <= atom.threshold
-
-        return eval_with_assignment(expr, assign)
 
     def evolve_from_parent(self, tick, key_id, vector, parent) -> tuple[str, ...]:
         if parent is None:
@@ -754,44 +699,34 @@ class FormulaVerdict:
 
 def _condition_holds(graph: ReachGraph, condition: GuardExpr, key_id: int, vector: int) -> bool:
     explorer = graph._explorer
-    values = dict(explorer.base_values)
-    values.update(explorer.vector_values(vector))
+    values = explorer.vector_values(vector)
     key = explorer.key_table[key_id]
     marking = dict(key.marking)
     residence = {suffix: elapsed for suffix, elapsed in key.residence}
     explorer._set_derived(values, marking, residence)
-
-    def assign(atom) -> bool:
-        if isinstance(atom, Marked):
-            return marking.get(atom.place, 0) >= atom.count
-        if isinstance(atom, Sig):
-            if atom.name not in values:
-                raise UndeclaredSignal(atom.name)
-            return bool(values[atom.name])
-        if isinstance(atom, HeldFor):
-            raise ValueError("held_for in formula conditions is not supported")
-        value = float(values.get(atom.name, 0.0))
-        return value >= atom.threshold if atom.op == ">=" else value <= atom.threshold
-
-    return eval_with_assignment(condition, assign)
+    return eval_guard(condition, ConstantSignals(values), marking, 0)
 
 
-def _forbidden_ids(graph: ReachGraph, formula: Formula) -> set[str]:
-    explorer = graph._explorer
+def resolve_forbidden(entries: Iterable[str], net: Net, smart: SmartNet | None = None) -> set[str]:
+    """Transition ids a safety formula forbids. Each entry is a transition
+    id, ``"output"`` (every output transition of a SMART net), or a role
+    class."""
     ids: set[str] = set()
-    for entry in formula.forbidden:
-        if entry in explorer.net.transitions:
+    for entry in entries:
+        if entry in net.transitions:
             ids.add(entry)
-        elif explorer.smart is not None and entry == "output":
-            ids.update(explorer.smart.output_transitions)
+        elif smart is not None and entry == "output":
+            ids.update(smart.output_transitions)
         else:
-            ids.update(
-                tid for tid, rec in explorer.net.transitions.items() if rec.role == entry
-            )
+            ids.update(tid for tid, rec in net.transitions.items() if rec.role == entry)
     return ids
 
 
 def check_formula(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
+    # explorer states carry no signal history, so a held_for term would
+    # read one tick's assignment as a whole window
+    if held_terms(formula.condition):
+        raise ValueError("held_for in formula conditions is not supported")
     if formula.kind == "safety":
         return _check_safety(graph, formula)
     if formula.kind in ("bounded-response", "reach"):
@@ -806,7 +741,7 @@ def _check_safety(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
     condition holds. The condition is read against the signal assignment
     governing the instant of the firing and the marking at its entry."""
     explorer = graph._explorer
-    forbidden = _forbidden_ids(graph, formula)
+    forbidden = resolve_forbidden(formula.forbidden, explorer.net, explorer.smart)
     premise_seen = False
 
     def edge_violation(source_id: int, vector: int, tick: int):

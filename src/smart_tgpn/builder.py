@@ -19,6 +19,7 @@ signals maintained by the run loop from residence budgets B_M / B_A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .guards import (
     And,
@@ -31,7 +32,9 @@ from .guards import (
     PredicateLibrary,
     Sig,
     TRUE,
+    eval_guard,
     eval_with_assignment,
+    signal_names,
 )
 from .hierarchy import InterfaceSpec, Subnet
 from .net import (
@@ -46,6 +49,7 @@ from .net import (
     TransitionRecord,
     WEAK,
 )
+from .signals import ConstantSignals
 
 GATING_GUARDED = "structural+guarded"
 GATING_STRUCTURAL = "structural-only"
@@ -147,6 +151,13 @@ class AgentView:
 
     def switch(self, key: str) -> str:
         return self.mode_switches[key]
+
+    def mode_in(self, marking: Mapping[str, int]) -> str | None:
+        """Key of the first marked mode place (S, M, A, R), None if none is."""
+        for key, place in self.mode_places.items():
+            if marking.get(place, 0) >= 1:
+                return key
+        return None
 
     def bool_signals(self) -> list[str]:
         return [s + self.suffix for s in AGENT_BOOL_SIGNALS + AGENT_DERIVED_SIGNALS]
@@ -635,25 +646,6 @@ def _guard_satisfiable(guard: GuardExpr, fixed: dict[str, bool]) -> bool:
     return False
 
 
-def _true_under(guard: GuardExpr, signal_values: dict[str, bool], marking_places: set[str]) -> bool:
-    """Evaluate a guard under an explicit boolean assignment; threshold
-    atoms read 0.0 for their signal, marking atoms read the given set."""
-
-    def assign(atom) -> bool:
-        if isinstance(atom, Sig):
-            return signal_values.get(atom.name, False)
-        if isinstance(atom, Cmp):
-            value = 0.0
-            return value >= atom.threshold if atom.op == ">=" else value <= atom.threshold
-        if isinstance(atom, Marked):
-            return atom.place in marking_places
-        if isinstance(atom, HeldFor):
-            return False
-        raise TypeError(atom)
-
-    return eval_with_assignment(guard, assign)
-
-
 def validate_smart(smart: SmartNet) -> SmartStructureReport:
     """SMART-specific structural checks over a built or loaded net."""
     net = smart.net
@@ -683,10 +675,13 @@ def validate_smart(smart: SmartNet) -> SmartStructureReport:
             found = False
             for tid in net.transition_ids():
                 if net.pre(tid).get(place, 0) >= 1 and net.post(tid).get(agent.place("R"), 0) >= 1:
-                    values = dict.fromkeys(smart.bool_signals(), False)
+                    guard = net.transitions[tid].guard
+                    # every other signal reads False, so reals read 0.0
+                    values = dict.fromkeys(signal_names(guard), False)
                     values.update({agent.signal("evidence"): True, agent.signal("safe"): True})
                     values.update(unsafe)
-                    if _true_under(net.transitions[tid].guard, values, {place}):
+                    marking = {p: int(p == place) for p in net.places}
+                    if eval_guard(guard, ConstantSignals(values), marking, 0):
                         found = True
                         break
             if not found:

@@ -431,39 +431,47 @@ class PredicateLibrary:
     def expand(self, expr: GuardExpr | str, _seen: frozenset[str] = frozenset()) -> GuardExpr:
         if isinstance(expr, str):
             expr = parse_guard(expr)
-        if isinstance(expr, Sig) and expr.name in self.definitions:
-            if expr.name in _seen:
-                raise GuardError(f"cyclic predicate definition {expr.name!r}")
-            return self.expand(self.definitions[expr.name], _seen | {expr.name})
-        if isinstance(expr, Not):
-            return Not(self.expand(expr.child, _seen))
-        if isinstance(expr, And):
-            return And(tuple(self.expand(c, _seen) for c in expr.children))
-        if isinstance(expr, Or):
-            return Or(tuple(self.expand(c, _seen) for c in expr.children))
-        if isinstance(expr, HeldFor):
-            return HeldFor(self.expand(expr.child, _seen), expr.duration)
-        return expr
+
+        def inline(node: GuardExpr) -> GuardExpr | None:
+            if not (isinstance(node, Sig) and node.name in self.definitions):
+                return None
+            if node.name in _seen:
+                raise GuardError(f"cyclic predicate definition {node.name!r}")
+            return self.expand(self.definitions[node.name], _seen | {node.name})
+
+        return substitute(expr, inline)
+
+
+def substitute(expr: GuardExpr, fn: Callable[[GuardExpr], GuardExpr | None]) -> GuardExpr:
+    """Rewrite ``expr`` top-down. Where ``fn(node)`` returns an expression
+    it replaces the node, and is not descended into; where it returns None
+    the node is rebuilt from its rewritten children."""
+    replaced = fn(expr)
+    if replaced is not None:
+        return replaced
+    if isinstance(expr, Not):
+        return Not(substitute(expr.child, fn))
+    if isinstance(expr, (And, Or)):
+        return type(expr)(tuple(substitute(c, fn) for c in expr.children))
+    if isinstance(expr, HeldFor):
+        return HeldFor(substitute(expr.child, fn), expr.duration)
+    return expr
 
 
 def rename_atoms(expr: GuardExpr, signal_map: Mapping[str, str], place_map: Mapping[str, str] | None = None) -> GuardExpr:
     """Rewrite signal and place names (used for per-agent namespacing)."""
     place_map = place_map or {}
-    if isinstance(expr, Sig):
-        return Sig(signal_map.get(expr.name, expr.name))
-    if isinstance(expr, Cmp):
-        return Cmp(signal_map.get(expr.name, expr.name), expr.op, expr.threshold)
-    if isinstance(expr, Marked):
-        return Marked(place_map.get(expr.place, expr.place), expr.count)
-    if isinstance(expr, Not):
-        return Not(rename_atoms(expr.child, signal_map, place_map))
-    if isinstance(expr, And):
-        return And(tuple(rename_atoms(c, signal_map, place_map) for c in expr.children))
-    if isinstance(expr, Or):
-        return Or(tuple(rename_atoms(c, signal_map, place_map) for c in expr.children))
-    if isinstance(expr, HeldFor):
-        return HeldFor(rename_atoms(expr.child, signal_map, place_map), expr.duration)
-    return expr
+
+    def rename(node: GuardExpr) -> GuardExpr | None:
+        if isinstance(node, Sig):
+            return Sig(signal_map.get(node.name, node.name))
+        if isinstance(node, Cmp):
+            return Cmp(signal_map.get(node.name, node.name), node.op, node.threshold)
+        if isinstance(node, Marked):
+            return Marked(place_map.get(node.place, node.place), node.count)
+        return None
+
+    return substitute(expr, rename)
 
 
 def atoms_of(expr: GuardExpr) -> list[GuardExpr]:

@@ -540,20 +540,9 @@ def check_formula_on_trace(trace: Trace, formula) -> "FormulaVerdict":
     (one path; the explorer covers the branching case). Verdicts use the
     same statuses as graph checking: holds / violated / vacuous /
     inconclusive."""
-    from .analysis import FormulaVerdict, HOLDS, INCONCLUSIVE, VACUOUS, VIOLATED
+    from .analysis import FormulaVerdict, HOLDS, INCONCLUSIVE, VACUOUS, VIOLATED, resolve_forbidden
 
     smart = _require_smart(trace)
-
-    def forbidden_ids() -> set[str]:
-        ids: set[str] = set()
-        for entry in formula.forbidden:
-            if entry in smart.net.transitions:
-                ids.add(entry)
-            elif entry == "output":
-                ids.update(smart.output_transitions)
-            else:
-                ids.update(t for t, r in smart.net.transitions.items() if r.role == entry)
-        return ids
 
     def marked_within(place: str, start: int, deadline: int) -> bool:
         if trace.marking_at(start).get(place, 0) >= 1:
@@ -570,8 +559,7 @@ def check_formula_on_trace(trace: Trace, formula) -> "FormulaVerdict":
         return FormulaVerdict(formula, VACUOUS, detail="condition never held on this trace")
 
     if formula.kind == "safety":
-        ids = forbidden_ids()
-        for event in trace.firings(ids):
+        for event in trace.firings(resolve_forbidden(formula.forbidden, smart.net, smart)):
             if any(s <= event.time < e for s, e, _ in intervals):
                 return FormulaVerdict(
                     formula, VIOLATED,

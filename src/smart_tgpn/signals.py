@@ -5,7 +5,9 @@ boolean and real signal. Histories start at time 0 and change-points are
 strictly increasing per signal; a query at time ``t`` returns the value
 set by the latest change-point at or before ``t``. Histories may extend
 past "now" (a scenario script is preloaded), which is how the kernel
-learns when the environment next changes.
+learns when the environment next changes. ConstantSignals is the
+constant-in-time view the explorer and the static structure checks read
+one fixed assignment through.
 """
 
 from __future__ import annotations
@@ -138,6 +140,30 @@ class SignalState:
         copy = SignalState(dict(self.declarations), {})
         copy.histories = {name: list(h) for name, h in self.histories.items()}
         return copy
+
+
+class ConstantSignals:
+    """Constant-in-time signal view over a mutable name -> value map.
+
+    Every query reads the map's current value whatever the instant, and
+    nothing ever changes, so the kernel and the guard evaluator can run
+    inside one tick of the bounded explorer or over one fixed assignment.
+    """
+
+    def __init__(self, values: dict[str, SignalValue]):
+        self.values = values
+
+    def value_at(self, name: str, time: int) -> SignalValue:
+        try:
+            return self.values[name]
+        except KeyError:
+            raise UndeclaredSignal(f"signal {name!r} is not declared") from None
+
+    def next_change_after(self, time: int) -> int | None:
+        return None
+
+    def change_points(self, names: Iterable[str], start: int, end: int) -> list[int]:
+        return []
 
 
 def record_signal(sigma: SignalState, name: str, value: SignalValue, time: int) -> SignalState:

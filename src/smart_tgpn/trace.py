@@ -102,17 +102,11 @@ class Trace:
     def mode_timeline(self, agent) -> list[tuple[int, str | None]]:
         """Per-agent sequence of (time, mode key) changes, end-of-instant
         semantics; starts with the initial mode at time 0."""
-        def mode_of(marking: Marking) -> str | None:
-            for key, place in agent.mode_places.items():
-                if marking.get(place, 0) >= 1:
-                    return key
-            return None
-
-        timeline = [(0, mode_of(self.initial_marking))]
+        timeline = [(0, agent.mode_in(self.initial_marking))]
         for e in self.events:
             if e.post_marking is None:
                 continue
-            mode = mode_of(e.post_marking)
+            mode = agent.mode_in(e.post_marking)
             if mode != timeline[-1][1]:
                 timeline.append((e.time, mode))
         return timeline

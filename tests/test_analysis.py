@@ -10,11 +10,13 @@ from smart_tgpn.analysis import (
     incidence_matrix,
     mode_indicator,
     replay_witness,
+    resolve_forbidden,
     structural_output_safety,
 )
 from smart_tgpn.builder import AgentSpec, SmartConfig, SmartNet, build_multi_agent, build_single_agent
-from smart_tgpn.guards import And, Marked, Not, Sig
+from smart_tgpn.guards import And, Marked, Not, Sig, parse_guard
 from smart_tgpn.net import Arc, Net, TransitionRecord, drop_transition
+from smart_tgpn.signals import UndeclaredSignal
 
 ALPHABET4 = ["anom", "evidence", "safe", "hardware_fault"]
 
@@ -196,3 +198,43 @@ def test_worker_free_determinism():
     a, b = explore(smart, cfg), explore(smart, cfg)
     assert a.state_count == b.state_count
     assert [sorted(layer.items()) for layer in a.layers] == [sorted(layer.items()) for layer in b.layers]
+
+
+def test_all_branching_siblings_read_their_own_timeouts():
+    """Each sibling firing of an all-branching cascade reads the derived
+    timeouts of its own marking and residence, not the values its previous
+    sibling's branch left behind (that leak made t_MR_a2 fire unenabled)."""
+    smart = build_multi_agent(
+        [AgentSpec("a1"), AgentSpec("a2")], base_config=SmartConfig(budget_m=1, budget_a=1)
+    )
+    graph = explore(smart, ExplorationConfig(horizon=2, alphabet=ALPHABET4, weak_branching=BRANCH_ALL))
+    assert (graph.state_count, graph.violations, graph.incomplete) == (425, [], False)
+
+
+class TestFormulaConditions:
+    """Formula conditions go through the guard evaluator over one tick's
+    constant assignment, with the errors that implies."""
+
+    def check(self, condition):
+        graph = explore(single(), ExplorationConfig(horizon=2, alphabet=ALPHABET4))
+        return check_formula(graph, Formula("safety", parse_guard(condition), forbidden=("output",)))
+
+    def test_held_for_is_rejected_before_evaluation(self):
+        # the false conjunct short-circuits, so only an up-front check sees it
+        with pytest.raises(ValueError, match="held_for in formula conditions is not supported"):
+            self.check("false and held_for(anom, 1)")
+
+    def test_threshold_on_undeclared_signal_raises(self):
+        with pytest.raises(UndeclaredSignal):
+            self.check("nosuch >= 0.5")
+
+    def test_marking_atom_on_unknown_place_raises(self):
+        with pytest.raises(UndeclaredSignal):
+            self.check("marked(P_nosuch)")
+
+
+def test_resolve_forbidden_reads_ids_output_and_role_classes():
+    smart = single()
+    assert resolve_forbidden(["t_SR"], smart.net, smart) == {"t_SR"}
+    assert resolve_forbidden(["output"], smart.net, smart) == {"t_out"}
+    assert resolve_forbidden(["mode-switch"], smart.net, smart) == set(smart.mode_switch_transitions)

@@ -218,3 +218,9 @@ def test_missing_governance_exit_flagged():
     result = report.check("governance-exits")
     assert not result.passed
     assert any("P_S" in w for w in result.witnesses)
+
+
+def test_mode_in_reads_the_agents_own_mode_place():
+    agent = build_multi_agent([AgentSpec("a1"), AgentSpec("a2")]).agent("a2")
+    assert agent.mode_in({"P_S_a1": 1, "P_M_a2": 1}) == "M"
+    assert agent.mode_in({"P_S_a1": 1, "P_M_a2": 0}) is None

@@ -16,6 +16,7 @@ from smart_tgpn.guards import (
     guard_to_string,
     held_for,
     parse_guard,
+    substitute,
 )
 from smart_tgpn.signals import SignalState, UndeclaredSignal
 
@@ -161,3 +162,11 @@ class TestPredicateLibrary:
         library.define("b", "a")
         with pytest.raises(GuardError):
             library.expand("a")
+
+
+def test_substitute_replaces_a_node_without_descending_into_it():
+    expr = parse_guard("anom and not held_for(anom, 2)")
+    virtual = substitute(expr, lambda node: Sig("h") if isinstance(node, HeldFor) else None)
+    assert virtual == And((Sig("anom"), Not(Sig("h"))))
+    renamed = substitute(expr, lambda node: Sig("x") if node == Sig("anom") else None)
+    assert renamed == parse_guard("x and not held_for(x, 2)")

@@ -1,5 +1,6 @@
 from smart_tgpn.analysis import Formula
 from smart_tgpn.builder import SmartNet, default_trigger_set
+from smart_tgpn.guards import parse_guard
 from smart_tgpn.monitor import (
     check_bounded_autonomy,
     check_distributed_soundness,
@@ -256,3 +257,10 @@ class TestTraceFormulas:
             from_places=("P_A_a1",),
         )
         assert check_formula_on_trace(trace, formula).status == "holds"
+
+
+def test_trace_formulas_accept_held_for():
+    # a trace carries signal history, so held_for keeps its meaning here
+    trace, _ = run_doc(base_doc("held", script=[[2, "anom", 1], [8, "anom", 0]]))
+    formula = Formula("reach", parse_guard("held_for(anom, 2)"), place="P_M", within=2)
+    assert check_formula_on_trace(trace, formula).status == "holds"

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from smart_tgpn.signals import SignalState, SignalError, UndeclaredSignal, record_signal
+from smart_tgpn.signals import ConstantSignals, SignalState, SignalError, UndeclaredSignal, record_signal
 
 
 def make_state():
@@ -88,3 +88,14 @@ def test_piecewise_constant_between_change_points(changes, gaps, probe):
             history.append((time, value))
     expected = [v for t, v in history if t <= probe][-1]
     assert sigma.value_at("x", probe) == expected
+
+
+def test_constant_view_reads_the_current_value_at_every_instant():
+    values = {"anom": False}
+    view = ConstantSignals(values)
+    values["anom"] = True
+    assert view.value_at("anom", 0) is True and view.value_at("anom", 99) is True
+    assert view.next_change_after(0) is None
+    assert view.change_points(["anom"], 0, 9) == []
+    with pytest.raises(UndeclaredSignal):
+        view.value_at("nosuch", 0)
