@@ -175,6 +175,7 @@ class ReachGraph:
         self.violations: list[Violation] = []
         self.incomplete = False
         self.state_count = 0
+        self.stats: dict[str, int] = {}  # the exploration's evolve counters, see _Explorer.evolve
 
     @property
     def horizon(self) -> int:
@@ -186,9 +187,6 @@ class ReachGraph:
 
     def key_of(self, key_id: int) -> StateKey:
         return self._explorer.key_table[key_id]
-
-    def vector_signals(self, vector: int) -> dict[str, bool]:
-        return self._explorer.vector_to_signals(vector)
 
     def states(self) -> Iterable[tuple[int, int, int]]:
         for tick, layer in enumerate(self.layers):
@@ -291,6 +289,12 @@ class _Explorer:
         self.key_ids: dict[StateKey, int] = {}
         self.key_table: list[StateKey] = []
         self.memo: dict[tuple[int, int, int], list[EvolveResult]] = {}
+        # (key id, tick cap) -> one (read mask, vector & mask, results) per evaluation
+        self.read_memo: dict[tuple[int, int], list[tuple[int, int, list[EvolveResult]]]] = {}
+        self.driver_bits = {
+            target: 1 << i for i, (_, targets) in enumerate(self.drivers) for target in targets
+        }
+        self.counts = {"evolve_calls": 0, "memo_hits": 0, "read_set_hits": 0, "evaluations": 0}
         self.max_held_delta = max((h.duration for h, _ in self.held_specs), default=0)
 
         self.agents = self.smart.agents if self.smart is not None else []
@@ -394,18 +398,38 @@ class _Explorer:
     # -- one tick ------------------------------------------------------------
 
     def evolve(self, key_id: int, vector: int, tick: int) -> list[EvolveResult]:
+        """Successors of a state under one signal vector. The cascade and the
+        derived held-for and timeout values depend on the vector only through
+        the signals read, so one evaluation answers every vector that agrees
+        with it on the driver bits it read."""
+        self.counts["evolve_calls"] += 1
         tick_cap = min(tick, self.max_held_delta)
         memo_key = (key_id, vector, tick_cap)
         cached = self.memo.get(memo_key)
         if cached is not None:
+            self.counts["memo_hits"] += 1
             return cached
-        results = self._evolve_uncached(self.key_table[key_id], vector, tick_cap)
+        classes = self.read_memo.setdefault((key_id, tick_cap), [])
+        for mask, bits, results in classes:
+            if vector & mask == bits:
+                self.counts["read_set_hits"] += 1
+                break
+        else:
+            self.counts["evaluations"] += 1
+            reads: set[str] = set()
+            results = self._evolve_uncached(self.key_table[key_id], vector, tick_cap, reads)
+            mask = 0
+            for name in reads:
+                mask |= self.driver_bits.get(name, 0)
+            classes.append((mask, vector & mask, results))
         self.memo[memo_key] = results
         return results
 
-    def _evolve_uncached(self, key: StateKey, vector: int, tick_cap: int) -> list[EvolveResult]:
+    def _evolve_uncached(self, key: StateKey, vector: int, tick_cap: int,
+                         reads: set[str] | None = None) -> list[EvolveResult]:
+        """Evaluate one tick; adds the name of every signal read to ``reads``."""
         values = self.vector_values(vector)
-        sigma = ConstantSignals(values)
+        sigma = ConstantSignals(values, reads)
 
         # advance held-for run lengths under the new assignment; held
         # bodies read no places (_strip_held rejects them)
@@ -629,6 +653,7 @@ def explore(subject: Net | SmartNet, cfg: ExplorationConfig) -> ReachGraph:
             break
         frontier = layer
 
+    graph.stats = dict(explorer.counts)
     return graph
 
 

@@ -144,23 +144,26 @@ def cmd_explore(args) -> int:
         section["cap"] = args.cap
     if "horizon" not in section:
         raise ScenarioError("explore needs an exploration section or --horizon")
-    cfg = ExplorationConfig(
-        horizon=int(section["horizon"]),
-        alphabet=list(section.get("alphabet", [])),
-        flip_budget=section.get("flip_budget"),
-        weak_branching=section.get("branching", "earliest-only"),
-        state_cap=int(section.get("cap", 1_000_000)),
-    )
-    graph = explore(scenario.smart, cfg)
+    try:
+        cfg = ExplorationConfig(
+            horizon=int(section["horizon"]),
+            alphabet=list(section.get("alphabet", [])),
+            flip_budget=section.get("flip_budget"),
+            weak_branching=section.get("branching", "earliest-only"),
+            state_cap=int(section.get("cap", 1_000_000)),
+        )
+        graph = explore(scenario.smart, cfg)
+        verdicts = [check_formula(graph, formula) for formula in scenario.formulas]
+    except ValueError as exc:  # an undeclared alphabet signal, branching mode or formula condition
+        raise ScenarioError(f"explore: {exc}") from exc
     print(f"states: {graph.state_count}  violations: {len(graph.violations)}"
           f"{'  (incomplete: state cap hit)' if graph.incomplete else ''}")
     for violation in graph.violations[:10]:
         print(f"  invariant violation at tick {violation.tick}: {violation.description}")
 
     worst = EXIT_PASS
-    for formula in scenario.formulas:
-        verdict = check_formula(graph, formula)
-        print(f"  formula {formula.label():<30} {verdict.status}  {verdict.detail}")
+    for verdict in verdicts:
+        print(f"  formula {verdict.formula.label():<30} {verdict.status}  {verdict.detail}")
         if verdict.status == "violated":
             worst = max(worst, EXIT_VIOLATION)
         elif verdict.status == "inconclusive":

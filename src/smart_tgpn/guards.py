@@ -458,22 +458,6 @@ def substitute(expr: GuardExpr, fn: Callable[[GuardExpr], GuardExpr | None]) -> 
     return expr
 
 
-def rename_atoms(expr: GuardExpr, signal_map: Mapping[str, str], place_map: Mapping[str, str] | None = None) -> GuardExpr:
-    """Rewrite signal and place names (used for per-agent namespacing)."""
-    place_map = place_map or {}
-
-    def rename(node: GuardExpr) -> GuardExpr | None:
-        if isinstance(node, Sig):
-            return Sig(signal_map.get(node.name, node.name))
-        if isinstance(node, Cmp):
-            return Cmp(signal_map.get(node.name, node.name), node.op, node.threshold)
-        if isinstance(node, Marked):
-            return Marked(place_map.get(node.place, node.place), node.count)
-        return None
-
-    return substitute(expr, rename)
-
-
 def atoms_of(expr: GuardExpr) -> list[GuardExpr]:
     return [n for n in walk(expr) if isinstance(n, (Sig, Cmp, Marked, HeldFor))]
 

@@ -605,17 +605,3 @@ def check_formula_on_trace(trace: Trace, formula) -> "FormulaVerdict":
         return FormulaVerdict(formula, HOLDS)
 
     raise ValueError(f"unknown formula kind {formula.kind!r}")
-
-
-# --- reporting ---------------------------------------------------------------
-
-
-def render_verdicts(verdicts: list[Verdict]) -> str:
-    lines = []
-    for verdict in verdicts:
-        lines.append(f"{verdict.name:<32} {verdict.status}")
-        for violation in verdict.violations:
-            lines.append(f"    violation: {violation}")
-        for note in verdict.notes:
-            lines.append(f"    note: {note}")
-    return "\n".join(lines)

@@ -73,9 +73,6 @@ class SignalState:
             raise SignalError(f"real signal {name!r} given boolean value {value!r}")
         return float(value)
 
-    def is_declared(self, name: str) -> bool:
-        return name in self.declarations
-
     def kind(self, name: str) -> str:
         if name not in self.declarations:
             raise UndeclaredSignal(f"signal {name!r} is not declared")
@@ -148,12 +145,17 @@ class ConstantSignals:
     Every query reads the map's current value whatever the instant, and
     nothing ever changes, so the kernel and the guard evaluator can run
     inside one tick of the bounded explorer or over one fixed assignment.
+    ``reads`` (a given set, or a fresh one) collects the name of every
+    signal queried, which tells the explorer which parts of an assignment
+    a computation depended on.
     """
 
-    def __init__(self, values: dict[str, SignalValue]):
+    def __init__(self, values: dict[str, SignalValue], reads: set[str] | None = None):
         self.values = values
+        self.reads = set() if reads is None else reads
 
     def value_at(self, name: str, time: int) -> SignalValue:
+        self.reads.add(name)
         try:
             return self.values[name]
         except KeyError:

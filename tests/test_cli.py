@@ -154,3 +154,31 @@ def test_multi_agent_net_file_round_trip(tmp_path):
     assert [a.agent_id for a in loaded.agents] == ["a1", "a2"]
     assert set(loaded.net.transitions) == set(smart.net.transitions)
     assert loaded.agent("a2").mode_places["A"] == "P_A_a2"
+
+
+@pytest.mark.parametrize(
+    "exploration, formulas",
+    [
+        ({"horizon": 2, "alphabet": ["nope"]}, []),
+        ({"horizon": 2, "alphabet": ["anom"], "branching": "bogus"}, []),
+        (
+            {"horizon": 2, "alphabet": ["anom"]},
+            [{"kind": "safety", "condition": "held_for(anom, 1)", "forbidden": ["output"]}],
+        ),
+    ],
+    ids=["undeclared-alphabet-signal", "unknown-branching", "held-for-formula-condition"],
+)
+def test_explore_bad_exploration_input_is_input_error(tmp_path, capsys, exploration, formulas):
+    scenario = {
+        "name": "bad-explore",
+        "net": {"builder": {"config": {}}},
+        "horizon": 10,
+        "formulas": formulas,
+        "exploration": exploration,
+    }
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["explore", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: explore: ") and err.count("\n") == 1

@@ -1,0 +1,99 @@
+"""The explorer's read-set memo is exact, and its engine counters are pinned.
+
+One `evolve` evaluation answers every signal vector that agrees with it on
+the driver bits the cascade read. These tests re-evaluate every memoised
+(state, vector, tick cap) entry from scratch and compare, so the check
+needs no second, unmemoised exploration path.
+"""
+
+import pytest
+
+from smart_tgpn.analysis import BRANCH_ALL, ExplorationConfig, explore
+from smart_tgpn.builder import AgentSpec, Hysteresis, SmartConfig, build_multi_agent, build_single_agent
+
+ALPHABET8 = ["anom", "evidence", "safe", "hardware_fault", "assist", "ext_auth", "disagree", "agree"]
+
+
+def single(**config):
+    return build_single_agent(SmartConfig(**config))
+
+
+def double(**config):
+    return build_multi_agent([AgentSpec("a1", SmartConfig(**config)), AgentSpec("a2", SmartConfig(**config))])
+
+
+# name -> (net factory, exploration config, states per tick); the state
+# counts are those of the explorer before the read-set memo existed
+CASES = {
+    "wide": (single, ExplorationConfig(horizon=4, alphabet=ALPHABET8), [256, 544, 832, 1120, 1408]),
+    "two-agent": (double, ExplorationConfig(horizon=3, alphabet=ALPHABET8), [256, 544, 832, 1120]),
+    "all-branching": (
+        single,
+        ExplorationConfig(horizon=4, alphabet=ALPHABET8[:7], weak_branching=BRANCH_ALL),
+        [248, 548, 956, 1364, 1772],
+    ),
+    "flip-budget": (
+        single,
+        ExplorationConfig(horizon=5, alphabet=ALPHABET8[:6], flip_budget=1),
+        [7, 40, 124, 234, 329, 343],
+    ),
+    "want-output": (
+        single,
+        ExplorationConfig(horizon=5, alphabet=ALPHABET8[:4] + ["want_output"]),
+        [16, 36, 56, 76, 96, 99],
+    ),
+    "two-agent-branching": (
+        lambda: double(budget_m=1, budget_a=1),
+        ExplorationConfig(horizon=2, alphabet=ALPHABET8[:4], weak_branching=BRANCH_ALL),
+        [61, 178, 186],
+    ),
+    "hysteresis": (
+        lambda: single(hysteresis=Hysteresis(enabled=True)),
+        ExplorationConfig(horizon=5, alphabet=ALPHABET8[:6]),
+        [64, 256, 582, 802, 1038, 1084],
+    ),
+    "hysteresis-debounce-3": (
+        lambda: single(hysteresis=Hysteresis(enabled=True, debounce_up=3)),
+        ExplorationConfig(horizon=5, alphabet=ALPHABET8[:6]),
+        [64, 256, 600, 990, 1264, 1296],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_memo_entry_matches_a_fresh_evaluation(name):
+    factory, cfg, layer_states = CASES[name]
+    graph = explore(factory(), cfg)
+    explorer = graph._explorer
+    assert [sum(len(v) for v in layer.values()) for layer in graph.layers] == layer_states
+    assert not graph.violations and not graph.incomplete
+    # the read-set memo must have answered something, or this checks nothing
+    assert graph.stats["read_set_hits"] > 0
+    for (key_id, vector, tick_cap), results in explorer.memo.items():
+        fresh = explorer._evolve_uncached(explorer.key_table[key_id], vector, tick_cap)
+        assert [
+            (r.key, r.firings, r.touched, r.violations, r.output_breaches) for r in results
+        ] == [
+            (r.key, r.firings, r.touched, r.violations, r.output_breaches) for r in fresh
+        ], (key_id, vector, tick_cap)
+
+
+@pytest.mark.parametrize(
+    "build, counts",
+    [
+        (single, {"evolve_calls": 22528, "memo_hits": 16128, "read_set_hits": 6064, "evaluations": 336}),
+        (double, {"evolve_calls": 22016, "memo_hits": 15872, "read_set_hits": 5778, "evaluations": 366}),
+    ],
+    ids=["single-agent", "two-agent"],
+)
+def test_engine_counters_on_c01_nets_at_horizon_7(build, counts):
+    graph = explore(build(), ExplorationConfig(horizon=7, alphabet=ALPHABET8))
+    assert graph.stats == counts
+    assert counts["evolve_calls"] == counts["memo_hits"] + counts["read_set_hits"] + counts["evaluations"]
+
+
+def test_stats_describe_the_exploration_only():
+    graph = explore(single(), ExplorationConfig(horizon=2, alphabet=ALPHABET8[:4]))
+    before = dict(graph.stats)
+    graph.successor(0, 0, 3)
+    assert graph.stats == before
