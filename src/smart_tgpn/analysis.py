@@ -383,6 +383,11 @@ class _Explorer:
                 vector |= 1 << i
         return vector
 
+    def initial_vector(self) -> int:
+        return self.signals_to_vector(
+            {k: bool(v) for k, v in self.base_values.items() if isinstance(v, bool)}
+        )
+
     def branch_vectors(self, vector: int) -> list[int]:
         if self.cfg.flip_budget is None:
             return list(range(1 << len(self.drivers)))
@@ -595,9 +600,7 @@ def explore(subject: Net | SmartNet, cfg: ExplorationConfig) -> ReachGraph:
     graph = ReachGraph(explorer)
 
     init_id = explorer.intern(explorer.initial_key())
-    init_vector = explorer.signals_to_vector(
-        {k: bool(v) for k, v in explorer.base_values.items() if isinstance(v, bool)}
-    )
+    init_vector = explorer.initial_vector()
 
     frontier: dict[int, set[int]] = {}
     layer0: dict[int, set[int]] = {}
@@ -780,7 +783,7 @@ def _check_safety(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
 
     init_id = explorer.intern(explorer.initial_key())
     edges: list[tuple[int, int, int, int | None]] = []
-    for vector in explorer.branch_vectors(0):
+    for vector in explorer.branch_vectors(explorer.initial_vector()):
         edges.append((init_id, vector, 0, None))
     for tick, layer in enumerate(graph.layers[:-1] if graph.layers else []):
         for key_id, vectors in layer.items():
@@ -816,9 +819,11 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
         raise ValueError(f"{formula.kind} needs place and within")
     explorer = graph._explorer
     delta = formula.within
-    memo: dict[tuple[int, int, int], str] = {}
+    # under a flip budget the next vectors depend on the current one
+    budgeted = graph.config.flip_budget is not None
+    memo: dict[tuple[int, int | None, int, int], str] = {}
 
-    def search(key_id: int, depth_left: int, ticks_left: int, tick: int) -> str:
+    def search(key_id: int, vector: int, depth_left: int, ticks_left: int, tick: int) -> str:
         """HOLDS if along every condition-persistent extension the place is
         marked within depth_left ticks."""
         if dict(explorer.key_table[key_id].marking).get(formula.place, 0) >= 1:
@@ -827,21 +832,21 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
             return VIOLATED
         if ticks_left == 0:
             return INCONCLUSIVE
-        memo_key = (key_id, depth_left, min(ticks_left, depth_left))
+        memo_key = (key_id, vector if budgeted else None, depth_left, min(ticks_left, depth_left))
         cached = memo.get(memo_key)
         if cached is not None:
             return cached
         outcome = HOLDS
         found_persistent = False
-        for vector in explorer.branch_vectors(0):
-            for result in explorer.evolve(key_id, vector, tick + 1):
+        for nxt in explorer.branch_vectors(vector):
+            for result in explorer.evolve(key_id, nxt, tick + 1):
                 target = explorer.intern(result.key)
-                if not _condition_holds(graph, formula.condition, target, vector):
+                if not _condition_holds(graph, formula.condition, target, nxt):
                     continue
                 found_persistent = True
                 if formula.place in result.touched:
                     continue
-                sub = search(target, depth_left - 1, ticks_left - 1, tick + 1)
+                sub = search(target, nxt, depth_left - 1, ticks_left - 1, tick + 1)
                 if sub == VIOLATED:
                     outcome = VIOLATED
                     break
@@ -854,31 +859,31 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
         memo[memo_key] = outcome
         return outcome
 
-    def failing_suffix(key_id: int, depth_left: int, ticks_left: int, tick: int) -> list[dict]:
+    def failing_suffix(key_id: int, vector: int, depth_left: int, ticks_left: int, tick: int) -> list[dict]:
         """Greedy descent along a persistent branch whose verdict is
         VIOLATED, for counterexample replay."""
         steps: list[dict] = []
         while depth_left > 0 and ticks_left > 0:
             advanced = False
-            for vector in explorer.branch_vectors(0):
-                for result in explorer.evolve(key_id, vector, tick + 1):
+            for nxt in explorer.branch_vectors(vector):
+                for result in explorer.evolve(key_id, nxt, tick + 1):
                     target = explorer.intern(result.key)
-                    if not _condition_holds(graph, formula.condition, target, vector):
+                    if not _condition_holds(graph, formula.condition, target, nxt):
                         continue
                     if formula.place in result.touched:
                         continue
                     if dict(result.key.marking).get(formula.place, 0) >= 1:
                         continue
-                    sub = search(target, depth_left - 1, ticks_left - 1, tick + 1)
+                    sub = search(target, nxt, depth_left - 1, ticks_left - 1, tick + 1)
                     if sub == VIOLATED or depth_left == 1:
                         steps.append(
                             {
                                 "tick": tick + 1,
-                                "signals": graph.vector_to_named(vector),
+                                "signals": graph.vector_to_named(nxt),
                                 "firings": list(result.firings),
                             }
                         )
-                        key_id, tick = target, tick + 1
+                        key_id, vector, tick = target, nxt, tick + 1
                         depth_left -= 1
                         ticks_left -= 1
                         advanced = True
@@ -893,11 +898,11 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
     # anchor configuration is judged at its occurrence with the most
     # remaining horizon; tail occurrences of the same configuration share
     # that verdict instead of reporting a spurious inconclusive.
-    anchors: dict[tuple[int, int], tuple[int, int, int]] = {}
+    anchors: dict[tuple[int, int, int | None], tuple[int, int, int]] = {}
     for tick, key_id, vector in graph.states():
         if not _condition_holds(graph, formula.condition, key_id, vector):
             continue
-        group = (key_id, min(tick, explorer.max_held_delta))
+        group = (key_id, min(tick, explorer.max_held_delta), vector if budgeted else None)
         slack = graph.horizon - tick
         best = anchors.get(group)
         if best is None or slack > best[0]:
@@ -906,11 +911,11 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
     if not anchors:
         return FormulaVerdict(formula, VACUOUS, detail="premise never held")
     worst = HOLDS
-    for (key_id, _), (slack, tick, vector) in sorted(anchors.items()):
-        verdict = search(key_id, delta, slack, tick)
+    for (key_id, _, _), (slack, tick, vector) in sorted(anchors.items()):
+        verdict = search(key_id, vector, delta, slack, tick)
         if verdict == VIOLATED:
             witness = graph.witness_path(tick, key_id, vector)
-            witness += failing_suffix(key_id, delta, slack, tick)
+            witness += failing_suffix(key_id, vector, delta, slack, tick)
             return FormulaVerdict(
                 formula,
                 VIOLATED,
@@ -929,25 +934,27 @@ def _check_never_while(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
         raise ValueError("never-while needs a place")
     explorer = graph._explorer
     sources = formula.from_places or ()
-    memo: dict[tuple[int, int], bool] = {}
+    # under a flip budget the next vectors depend on the current one
+    budgeted = graph.config.flip_budget is not None
+    memo: dict[tuple[int, int | None, int], bool] = {}
 
-    def reaches(key_id: int, ticks_left: int, tick: int) -> bool:
+    def reaches(key_id: int, vector: int, ticks_left: int, tick: int) -> bool:
         if ticks_left == 0:
             return False
-        memo_key = (key_id, ticks_left)
+        memo_key = (key_id, vector if budgeted else None, ticks_left)
         cached = memo.get(memo_key)
         if cached is not None:
             return cached
         found = False
-        for vector in explorer.branch_vectors(0):
-            for result in explorer.evolve(key_id, vector, tick + 1):
+        for nxt in explorer.branch_vectors(vector):
+            for result in explorer.evolve(key_id, nxt, tick + 1):
                 target = explorer.intern(result.key)
-                if not _condition_holds(graph, formula.condition, target, vector):
+                if not _condition_holds(graph, formula.condition, target, nxt):
                     continue
                 if formula.place in result.touched or dict(result.key.marking).get(formula.place, 0) >= 1:
                     found = True
                     break
-                if reaches(target, ticks_left - 1, tick + 1):
+                if reaches(target, nxt, ticks_left - 1, tick + 1):
                     found = True
                     break
             if found:
@@ -955,7 +962,7 @@ def _check_never_while(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
         memo[memo_key] = found
         return found
 
-    anchors: dict[tuple[int, int], tuple[int, int, int]] = {}
+    anchors: dict[tuple[int, int, int | None], tuple[int, int, int]] = {}
     for tick, key_id, vector in graph.states():
         if not _condition_holds(graph, formula.condition, key_id, vector):
             continue
@@ -964,7 +971,7 @@ def _check_never_while(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
             continue
         if marking.get(formula.place, 0) >= 1:
             continue
-        group = (key_id, min(tick, explorer.max_held_delta))
+        group = (key_id, min(tick, explorer.max_held_delta), vector if budgeted else None)
         slack = graph.horizon - tick
         best = anchors.get(group)
         if best is None or slack > best[0]:
@@ -972,8 +979,8 @@ def _check_never_while(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
 
     if not anchors:
         return FormulaVerdict(formula, VACUOUS, detail="no anchored states")
-    for (key_id, _), (slack, tick, vector) in sorted(anchors.items()):
-        if reaches(key_id, slack, tick):
+    for (key_id, _, _), (slack, tick, vector) in sorted(anchors.items()):
+        if reaches(key_id, vector, slack, tick):
             return FormulaVerdict(
                 formula,
                 VIOLATED,

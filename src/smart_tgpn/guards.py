@@ -27,6 +27,7 @@ would make guard flip times depend on non-recorded instants.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -292,12 +293,8 @@ class EvalContext:
     def marking_at(self, time: int) -> Mapping[str, int]:
         if time >= self.now or not self.marking_history:
             return self.marking
-        result = self.marking_history[0][1]
-        for t, m in self.marking_history:
-            if t > time:
-                break
-            result = m
-        return result
+        index = bisect_right(self.marking_history, time, key=lambda entry: entry[0])
+        return self.marking_history[max(index - 1, 0)][1]
 
 
 def eval_guard(

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .builder import SmartNet, TriggerSet
 from .guards import And, GuardExpr, Not
-from .trace import Trace
+from .trace import FIRE, Trace
 
 PASS = "pass"
 VIOLATION = "violation"
@@ -114,12 +114,7 @@ def check_bounded_autonomy(trace: Trace, delta_s: int | None = None) -> Verdict:
             if trace.mode_before(agent, start) != "S":
                 continue
             verdict.status = _merge(verdict.status, PASS)
-            exits = [
-                t for t, mode in trace.mode_timeline(agent)
-                if start <= t <= start + bound and mode != "S"
-            ]
-            left_at = exits[0] if exits else None
-            if left_at is not None:
+            if any(mode != "S" for _, mode in trace.mode_timeline_between(agent, start, start + bound)):
                 continue
             if end <= start + bound and not truncated:
                 continue  # the premise was retracted before the deadline
@@ -189,15 +184,12 @@ def _within_pre_escalation_window(trace: Trace, agent, time: int) -> bool:
     debounced escalation the window extends by the escalate debounce."""
     debounce = agent.config.hysteresis.debounce_up if agent.config.hysteresis.enabled else 0
     window = agent.config.delta_s + debounce
-    condition = And((agent.invalid, Not(agent.unrecoverable)))
-    for start, end, _ in trace.predicate_intervals(condition):
-        if start <= time < end:
-            return time - start <= window
+    interval = trace.interval_at(And((agent.invalid, Not(agent.unrecoverable))), time)
+    if interval is not None:
+        return time - interval[0] <= window
     # invalid with UR alongside: the stable exit is the governance one
-    for start, end, _ in trace.predicate_intervals(agent.invalid):
-        if start <= time < end:
-            return time - start <= max(window, agent.config.delta_sr)
-    return False
+    interval = trace.interval_at(agent.invalid, time)
+    return interval is not None and time - interval[0] <= max(window, agent.config.delta_sr)
 
 
 # --- P3 ------------------------------------------------------------------
@@ -270,10 +262,7 @@ def check_governance_reachability(trace: Trace, delta_gov: int | None = None) ->
         bound = delta_gov if delta_gov is not None else agent.config.governance_bound
         for start, end, truncated in trace.predicate_intervals(agent.unrecoverable):
             verdict.status = _merge(verdict.status, PASS)
-            reached = [
-                t for t, mode in trace.mode_timeline(agent)
-                if mode == "R" and start <= t <= start + bound
-            ]
+            reached = any(mode == "R" for _, mode in trace.mode_timeline_between(agent, start, start + bound))
             if trace.mode_before(agent, start) == "R" or reached:
                 pass
             elif end <= start + bound and not truncated:
@@ -333,7 +322,7 @@ def check_distributed_soundness(trace: Trace, agents: list[str] | None = None) -
             span_end = exit_time if exit_time is not None else trace.horizon
             disagree_throughout = all(
                 bool(disagree.value_at("disagree", t))
-                for t in _instants(trace, entry, min(span_end, entry + bound))
+                for t in trace.instants(entry, min(span_end, entry + bound))
             )
             if disagree_throughout:
                 if exit_time is None:
@@ -357,10 +346,10 @@ def check_distributed_soundness(trace: Trace, agents: list[str] | None = None) -
                 if resolved is None:
                     continue
                 deadline = resolved + agent.config.delta_a
-                returned = any(e.time <= deadline for e in trace.firings([t_as]) if e.time >= resolved)
+                returned = any(e.kind == FIRE and e.name == t_as for e in trace.events_between(resolved, deadline))
                 still_resolved = all(
                     _return_permitted(trace, agent, t)
-                    for t in _instants(trace, resolved, min(deadline, span_end))
+                    for t in trace.instants(resolved, min(deadline, span_end))
                 )
                 if returned:
                     continue
@@ -378,17 +367,8 @@ def check_distributed_soundness(trace: Trace, agents: list[str] | None = None) -
     return verdict
 
 
-def _instants(trace: Trace, start: int, end: int) -> list[int]:
-    if start > end:
-        return []
-    points = [t for t in trace.change_points() if start <= t <= end]
-    if start not in points:
-        points.insert(0, start)
-    return points
-
-
 def _resolution_instant(trace: Trace, agent, start: int, end: int) -> int | None:
-    for t in _instants(trace, start, end):
+    for t in trace.instants(start, end):
         if _return_permitted(trace, agent, t):
             return t
     return None
@@ -449,25 +429,19 @@ def check_trigger_set(
     for index, trace in enumerate(traces):
         smart = _require_smart(trace)
         label = trace.meta.get("scenario", f"trace#{index}")
-        all_names = [t.name for t in triggers.all_triggers()]
+        all_names = {t.name for t in triggers.all_triggers()}
         rt_names = [t.name for t in triggers.t_rt]
 
         for start, end, truncated in trace.predicate_intervals(triggers.u_risk):
             if end - start < triggers.dwell:
                 continue
-            fired = [e for e in trace.firings(all_names) if start <= e.time < end]
-            if not fired:
+            if not any(e.kind == FIRE and e.name in all_names for e in trace.events_between(start, end - 1)):
                 verdict.completeness.append(
                     {"trace": label, "interval": [start, end], "truncated": truncated}
                 )
 
-        risky = trace.predicate_intervals(triggers.u_risk)
-
-        def in_risk(time: int) -> bool:
-            return any(s <= time < e for s, e, _ in risky)
-
         for event in trace.firings(rt_names):
-            if not in_risk(event.time):
+            if trace.interval_at(triggers.u_risk, event.time) is None:
                 verdict.soundness.append(
                     {"trace": label, "trigger": event.name, "time": event.time}
                 )
@@ -480,7 +454,7 @@ def check_trigger_set(
             for entry, exit_time, _ in trace.mode_residences(agent, "M"):
                 span_end = exit_time if exit_time is not None else trace.horizon
                 low = [
-                    t for t in _instants(trace, entry, span_end)
+                    t for t in trace.instants(entry, span_end)
                     if not trace.eval_at(risk_expr, t)
                 ]
                 if not low:
@@ -498,9 +472,7 @@ def check_trigger_set(
             for start, end, truncated in trace.predicate_intervals(risk_expr):
                 if end - start < triggers.dwell:
                     continue
-                timeline = [
-                    (t, m) for t, m in trace.mode_timeline(agent) if start <= t < end
-                ]
+                timeline = trace.mode_timeline_between(agent, start, end - 1)
                 swaps = sum(1 for _, m in timeline if m in ("S", "M"))
                 final_mode = trace.mode_at(agent, end - 1) if end > start else None
                 if swaps > max_alternations and final_mode not in ("A", "R"):
@@ -512,7 +484,7 @@ def check_trigger_set(
                             "alternations": swaps,
                         }
                     )
-                for t in _instants(trace, start + triggers.dwell, end - 1):
+                for t in trace.instants(start + triggers.dwell, end - 1):
                     if trace.mode_at(agent, t) == "S":
                         verdict.envelope.append(
                             {
@@ -547,12 +519,10 @@ def check_formula_on_trace(trace: Trace, formula) -> "FormulaVerdict":
     def marked_within(place: str, start: int, deadline: int) -> bool:
         if trace.marking_at(start).get(place, 0) >= 1:
             return True
-        for event in trace.events:
-            if event.post_marking is None or event.time > deadline:
-                continue
-            if event.time >= start and event.post_marking.get(place, 0) >= 1:
-                return True
-        return False
+        return any(
+            event.post_marking is not None and event.post_marking.get(place, 0) >= 1
+            for event in trace.events_between(start, deadline)
+        )
 
     intervals = trace.predicate_intervals(formula.condition)
     if not intervals:
@@ -560,7 +530,7 @@ def check_formula_on_trace(trace: Trace, formula) -> "FormulaVerdict":
 
     if formula.kind == "safety":
         for event in trace.firings(resolve_forbidden(formula.forbidden, smart.net, smart)):
-            if any(s <= event.time < e for s, e, _ in intervals):
+            if trace.interval_at(formula.condition, event.time) is not None:
                 return FormulaVerdict(
                     formula, VIOLATED,
                     [{"time": event.time, "firing": event.name}],
@@ -593,10 +563,8 @@ def check_formula_on_trace(trace: Trace, formula) -> "FormulaVerdict":
                 continue
             if marking.get(formula.place, 0) >= 1:
                 continue
-            for event in trace.events:
-                if event.post_marking is None or not (start <= event.time < end):
-                    continue
-                if event.post_marking.get(formula.place, 0) >= 1:
+            for event in trace.events_between(start, end - 1):
+                if event.post_marking is not None and event.post_marking.get(formula.place, 0) >= 1:
                     return FormulaVerdict(
                         formula, VIOLATED,
                         [{"time": event.time, "interval": [start, end]}],

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -307,7 +308,10 @@ class _DerivedClocks:
                 if marked and self.entered[slot] is None:
                     self.entered[slot] = time
                     name = f"timeout_{key}{agent.suffix}"
-                    if bool(sigma.value_at(name, time)):
+                    history = sigma.histories[name]
+                    if 0 < time == history[-1][0] and history[-1][1]:
+                        history.pop()  # re-entered in the instant it timed out
+                    elif bool(sigma.value_at(name, time)):
                         sigma.record(name, False, time)
                 elif not marked and self.entered[slot] is not None:
                     self.entered[slot] = None
@@ -356,7 +360,7 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
     sigma = scenario.signal_state()
     policy = FiringPolicy(scenario.policy, seed=scenario.seed)
     state = KernelState.initial(net)
-    deposits = scenario.deposits()
+    deposits = deque(scenario.deposits())
     clocks = _DerivedClocks(smart, state.marking)
     events: list[TraceEvent] = []
 
@@ -368,7 +372,7 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
             _derive_agreement(smart, sigma, state.now)
         progressed = clocks.flip_due(sigma, state.now)
         while deposits and deposits[0][0] == state.now:
-            _, place = deposits.pop(0)
+            _, place = deposits.popleft()
             state.marking[place] = state.marking.get(place, 0) + 1
             state.marking_history.append((state.now, dict(state.marking)))
             events.append(TraceEvent(state.now, DEPOSIT, place, post_marking=dict(state.marking)))

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .builder import SmartNet
 from .guards import GuardExpr, eval_guard
@@ -46,6 +47,11 @@ class TraceEvent:
         return record
 
 
+def _between(times: list[int], items: Sequence, start: int, end: int) -> list:
+    """The items whose (ascending) times lie in start..end."""
+    return list(items[bisect_left(times, start):bisect_right(times, end)])
+
+
 def marking_digest(marking: Marking) -> str:
     return ",".join(f"{p}:{c}" for p, c in sorted(marking.items()) if c)
 
@@ -61,7 +67,15 @@ def parse_marking_digest(digest: str) -> Marking:
 
 @dataclass
 class Trace:
-    events: list[TraceEvent]
+    """One run's events in time order, fixed once built.
+
+    Every derived view (markings, mode timelines, change points,
+    predicate intervals, firings by name set) is computed once, on first
+    use, as a time-sorted index, so queries answer by bisection or
+    lookup. Lists a view returns are copies the caller may change.
+    """
+
+    events: Sequence[TraceEvent]
     sigma: SignalState
     initial_marking: Marking
     horizon: int
@@ -69,85 +83,137 @@ class Trace:
     meta: dict = field(default_factory=dict)
     smart: SmartNet | None = None
 
+    def __post_init__(self) -> None:
+        self.events = tuple(self.events)
+        self._times = [e.time for e in self.events]
+        if any(a > b for a, b in zip(self._times, self._times[1:])):
+            raise ValueError("trace events are not in time order")
+        self._views: dict = {}
+
     # -- derived views -----------------------------------------------------
 
+    def _view(self, key, build):
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = build()
+        return view
+
+    def _window(self, start: int, end: int) -> range:
+        """Indices of the events at instants start..end."""
+        return range(bisect_left(self._times, start), bisect_right(self._times, end))
+
+    def _markings(self) -> list[Marking]:
+        """Entry i is the marking before event i; the last, after them all."""
+        def build():
+            markings = [self.initial_marking]
+            for e in self.events:
+                markings.append(markings[-1] if e.post_marking is None else e.post_marking)
+            return markings
+        return self._view("markings", build)
+
+    def _modes(self, agent) -> tuple[list[int], list[tuple[int, str | None]]]:
+        """The times of the agent's mode timeline, and the timeline."""
+        def build():
+            timeline = [(0, agent.mode_in(self.initial_marking))]
+            for e in self.events:
+                if e.post_marking is not None:
+                    mode = agent.mode_in(e.post_marking)
+                    if mode != timeline[-1][1]:
+                        timeline.append((e.time, mode))
+            return [t for t, _ in timeline], timeline
+        # keyed by what mode_in reads, so rebinding ``smart`` cannot go stale
+        return self._view(("modes", tuple(agent.mode_places.items())), build)
+
+    def _points(self) -> list[int]:
+        def build():
+            points = {0, self.horizon}
+            for history in self.sigma.histories.values():
+                points.update(t for t, _ in history if t <= self.horizon)
+            points.update(self._times)
+            return sorted(points)
+        return self._view("points", build)
+
+    def _intervals(self, expr: GuardExpr) -> tuple[list[tuple[int, int, bool]], list[int]]:
+        """The predicate's maximal intervals and their start instants."""
+        def build():
+            intervals, start = [], None
+            for point in self._points():
+                value = self.eval_at(expr, point)
+                if value and start is None:
+                    start = point
+                elif not value and start is not None:
+                    intervals.append((start, point, False))
+                    start = None
+            if start is not None:
+                intervals.append((start, self.horizon, True))
+            return intervals, [s for s, _, _ in intervals]
+        return self._view(("intervals", expr), build)
+
     def firings(self, names: Iterable[str] | None = None) -> list[TraceEvent]:
-        wanted = set(names) if names is not None else None
-        return [
+        wanted = frozenset(names) if names is not None else None
+        return list(self._view(("firings", wanted), lambda: [
             e for e in self.events
             if e.kind == FIRE and (wanted is None or e.name in wanted)
-        ]
+        ]))
+
+    def events_between(self, start: int, end: int) -> list[TraceEvent]:
+        """Events at instants start..end, both included, in trace order."""
+        return _between(self._times, self.events, start, end)
 
     def marking_before(self, event: TraceEvent) -> Marking:
         """Marking immediately before a firing event (end of the previous
         marking-changing event, or the initial marking)."""
-        marking = self.initial_marking
-        for e in self.events:
-            if e is event:
-                return marking
-            if e.post_marking is not None:
-                marking = e.post_marking
+        for i in self._window(event.time, event.time):
+            if self.events[i] is event:
+                return self._markings()[i]
         raise ValueError("event does not belong to this trace")
 
     def marking_at(self, time: int) -> Marking:
         """Marking at the end of the given instant."""
-        marking = self.initial_marking
-        for e in self.events:
-            if e.time > time:
-                break
-            if e.post_marking is not None:
-                marking = e.post_marking
-        return marking
+        return self._markings()[bisect_right(self._times, time)]
 
     def mode_timeline(self, agent) -> list[tuple[int, str | None]]:
         """Per-agent sequence of (time, mode key) changes, end-of-instant
         semantics; starts with the initial mode at time 0."""
-        timeline = [(0, agent.mode_in(self.initial_marking))]
-        for e in self.events:
-            if e.post_marking is None:
-                continue
-            mode = agent.mode_in(e.post_marking)
-            if mode != timeline[-1][1]:
-                timeline.append((e.time, mode))
-        return timeline
+        return list(self._modes(agent)[1])
+
+    def mode_timeline_between(self, agent, start: int, end: int) -> list[tuple[int, str | None]]:
+        """The mode timeline's entries at instants start..end."""
+        return _between(*self._modes(agent), start, end)
 
     def mode_at(self, agent, time: int) -> str | None:
-        current = None
-        for t, mode in self.mode_timeline(agent):
-            if t > time:
-                break
-            current = mode
-        return current
+        times, timeline = self._modes(agent)
+        index = bisect_right(times, time)
+        return timeline[index - 1][1] if index else None
 
     def mode_before(self, agent, time: int) -> str | None:
         """Mode in force when the given instant began (the end-of-instant
         mode of the previous tick; the initial mode for time 0)."""
         if time <= 0:
-            return self.mode_timeline(agent)[0][1]
+            return self._modes(agent)[1][0][1]
         return self.mode_at(agent, time - 1)
 
     def mode_residences(self, agent, key: str) -> list[tuple[int, int | None, str | None]]:
         """Maximal residences in one mode place: (entry, exit, exit
         transition id); exit None when the trace ends inside the mode."""
-        timeline = self.mode_timeline(agent)
+        timeline = self._modes(agent)[1]
+        markings = self._markings()
+        place = agent.mode_places[key]
         residences = []
         for index, (start, mode) in enumerate(timeline):
             if mode != key:
                 continue
-            if index + 1 < len(timeline):
-                end = timeline[index + 1][0]
-                exit_tid = None
-                for e in self.events:
-                    if e.kind == FIRE and e.time == end:
-                        before = self.marking_before(e)
-                        after = e.post_marking or {}
-                        place = agent.mode_places[key]
-                        if before.get(place, 0) >= 1 and after.get(place, 0) == 0:
-                            exit_tid = e.name
-                            break
-                residences.append((start, end, exit_tid))
-            else:
+            if index + 1 == len(timeline):
                 residences.append((start, None, None))
+                continue
+            end = timeline[index + 1][0]
+            exit_tid = next((
+                self.events[i].name for i in self._window(end, end)
+                if self.events[i].kind == FIRE
+                and markings[i].get(place, 0) >= 1
+                and (self.events[i].post_marking or {}).get(place, 0) == 0
+            ), None)
+            residences.append((start, end, exit_tid))
         return residences
 
     def eval_at(self, expr: GuardExpr, time: int) -> bool:
@@ -155,28 +221,28 @@ class Trace:
 
     def change_points(self) -> list[int]:
         """All instants at which anything changed, plus 0 and the horizon."""
-        points = {0, self.horizon}
-        for history in self.sigma.histories.values():
-            points.update(t for t, _ in history if t <= self.horizon)
-        points.update(e.time for e in self.events)
-        return sorted(points)
+        return list(self._points())
+
+    def instants(self, start: int, end: int) -> list[int]:
+        """The instants start..end at which the trace may change, from
+        start itself; none when start > end."""
+        if start > end:
+            return []
+        points = _between(self._points(), self._points(), start, end)
+        return points if points[:1] == [start] else [start] + points
 
     def predicate_intervals(self, expr: GuardExpr) -> list[tuple[int, int, bool]]:
         """Maximal intervals [start, end) where the predicate holds;
         the final flag marks truncation by the horizon."""
-        points = self.change_points()
-        intervals = []
-        start = None
-        for point in points:
-            value = self.eval_at(expr, point)
-            if value and start is None:
-                start = point
-            elif not value and start is not None:
-                intervals.append((start, point, False))
-                start = None
-        if start is not None:
-            intervals.append((start, self.horizon, True))
-        return intervals
+        return list(self._intervals(expr)[0])
+
+    def interval_at(self, expr: GuardExpr, time: int) -> tuple[int, int, bool] | None:
+        """The predicate interval [start, end) holding the instant, if any."""
+        intervals, starts = self._intervals(expr)
+        index = bisect_right(starts, time) - 1
+        if index >= 0 and time < intervals[index][1]:
+            return intervals[index]
+        return None
 
     def stats(self) -> dict:
         """Mode residence totals, escalation counts, governance entries."""

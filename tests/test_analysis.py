@@ -238,3 +238,34 @@ def test_resolve_forbidden_reads_ids_output_and_role_classes():
     assert resolve_forbidden(["t_SR"], smart.net, smart) == {"t_SR"}
     assert resolve_forbidden(["output"], smart.net, smart) == {"t_out"}
     assert resolve_forbidden(["mode-switch"], smart.net, smart) == set(smart.mode_switch_transitions)
+
+
+class TestFlipBudgetSearch:
+    """Under a flip budget, formula searches step only to the vectors within
+    the budget of the vector the current state holds."""
+
+    def explore(self, horizon):
+        return explore(single(), ExplorationConfig(horizon=horizon, alphabet=ALPHABET4, flip_budget=1))
+
+    def test_tick0_safety_edges_leave_from_the_initial_vector(self):
+        # initially evidence and safe hold; one flip never clears both
+        graph = self.explore(0)
+        assert sorted({v for vectors in graph.layers[0].values() for v in vectors}) == [2, 4, 6, 7, 14]
+        formula = Formula("safety", parse_guard("not safe and not evidence"), forbidden=("t_SR",))
+        assert check_formula(graph, formula).status == "vacuous"
+
+    def test_bounded_response_steps_from_the_current_vector(self):
+        # an anomaly alone never leads to governance
+        formula = Formula("bounded-response", Sig("anom"), place="P_R", within=1)
+        graph = self.explore(5)
+        verdict = check_formula(graph, formula)
+        assert verdict.status == "violated"
+        assert [(s["tick"], s["firings"]) for s in verdict.witness] == replay_witness(graph, verdict.witness)
+
+    def test_never_while_steps_from_the_current_vector(self):
+        # escalated on lost evidence while safe; one flip restores the
+        # evidence, and the return to P_S happens under safe
+        formula = Formula("never-while", Sig("safe"), place="P_S", from_places=("P_M",))
+        verdict = check_formula(self.explore(2), formula)
+        assert verdict.status == "violated"
+        assert verdict.witness[0]["firings"] == ["t_SM"]

@@ -91,6 +91,19 @@ class TestRunLoop:
         assert {e.name for e in trace.firings(["t_AS_a1", "t_AS_a2"])} == {"t_AS_a1", "t_AS_a2"}
         assert report.status == "pass"
 
+    def test_reentry_into_recovery_at_the_timeout_instant(self):
+        # invalid, unassisted and authorized: the recovery budget expires at
+        # 7 and t_MR, t_RS and t_SM fire in that instant; re-entering P_M
+        # restarts the residence, so timeout_M is false again by the end
+        # of the instant and expires next at 12
+        doc = base_doc(horizon=14, script=[[2, "anom", 1], [3, "ext_auth", 1]], propositions=["P3"])
+        trace, _ = run(parse_scenario(doc))
+        assert [(e.time, e.name) for e in trace.firings()] == [
+            (2, "t_SM"), (7, "t_MR"), (7, "t_RS"), (7, "t_SM"),
+            (12, "t_MR"), (12, "t_RS"), (12, "t_SM"),
+        ]
+        assert trace.sigma.histories["timeout_M"] == [(0, False)]
+
 
 class TestReplayFidelity:
     def test_stored_trace_verifies_identically(self, tmp_path):

@@ -1,0 +1,243 @@
+"""Indexed trace views against naive folds over the event list.
+
+A Trace builds each derived view once, as a time-sorted index. These
+properties run random short scripts through the single- and two-agent
+reference nets and check every indexed answer against a test-local fold
+over ``trace.events``, the stored-trace round trip, and that a caller
+changing a returned list does not change the next answer.
+"""
+
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from smart_tgpn.builder import AgentView
+from smart_tgpn.guards import eval_guard
+from smart_tgpn.scenario import parse_scenario, run, verify
+from smart_tgpn.trace import FIRE, Trace, read_trace, write_trace
+
+AGENT_SIGNALS = ("anom", "evidence", "safe", "hardware_fault", "assist", "ext_auth")
+SUFFIXES = {1: [""], 2: ["_a1", "_a2"]}
+
+
+@st.composite
+def scenario_docs(draw):
+    agents = draw(st.sampled_from(sorted(SUFFIXES)))
+    horizon = draw(st.integers(4, 40))
+    names = [s + suffix for suffix in SUFFIXES[agents] for s in AGENT_SIGNALS]
+    if agents == 2:
+        names += ["disagree", "agree"]
+    script = []
+    for name in names + ["want_output" + suffix for suffix in SUFFIXES[agents]]:
+        for time in sorted(draw(st.sets(st.integers(1, horizon), max_size=4))):
+            script.append([time, name, int(draw(st.booleans()))])
+    builder = {"agents": ["a1", "a2"]} if agents == 2 else {}
+    return {
+        "name": f"views-{agents}",
+        "net": {"builder": dict(builder, config={})},
+        "horizon": horizon,
+        "policy": draw(st.sampled_from(["earliest", "latest", "random"])),
+        "seed": draw(st.integers(0, 3)),
+        "script": script,
+        "propositions": ["P1", "P2", "P3", "P4"] + (["P5"] if agents == 2 else []),
+        "triggers": "default",
+        "formulas": [
+            {"kind": "bounded-response", "condition": f"invalid{SUFFIXES[agents][0]}",
+             "place": f"P_M{SUFFIXES[agents][0]}", "within": 2},
+            {"kind": "never-while", "condition": f"UR{SUFFIXES[agents][-1]}",
+             "place": f"P_S{SUFFIXES[agents][-1]}"},
+        ],
+    }
+
+
+def naive_markings(trace):
+    """(time, marking) after every event, led by (0, initial marking)."""
+    marking, out = trace.initial_marking, [(0, trace.initial_marking)]
+    for event in trace.events:
+        if event.post_marking is not None:
+            marking = event.post_marking
+        out.append((event.time, marking))
+    return out
+
+
+def naive_marking_at(trace, time):
+    marking = trace.initial_marking
+    for t, m in naive_markings(trace)[1:]:
+        if t <= time:
+            marking = m
+    return marking
+
+
+def naive_timeline(trace, agent):
+    timeline = [(0, agent.mode_in(trace.initial_marking))]
+    for time, marking in naive_markings(trace)[1:]:
+        if agent.mode_in(marking) != timeline[-1][1]:
+            timeline.append((time, agent.mode_in(marking)))
+    return timeline
+
+
+def naive_residences(trace, agent, key):
+    place = agent.mode_places[key]
+    timeline = naive_timeline(trace, agent)
+    before = [m for _, m in naive_markings(trace)]
+    out = []
+    for (start, mode), following in zip(timeline, timeline[1:] + [None]):
+        if mode != key:
+            continue
+        if following is None:
+            out.append((start, None, None))
+            continue
+        end = following[0]
+        exits = [
+            e.name for i, e in enumerate(trace.events)
+            if e.kind == FIRE and e.time == end
+            and before[i].get(place, 0) >= 1 and e.post_marking.get(place, 0) == 0
+        ]
+        out.append((start, end, exits[0] if exits else None))
+    return out
+
+
+def naive_intervals(trace, expr):
+    """Maximal runs of ticks where the predicate holds, tick by tick."""
+    intervals, start = [], None
+    for t in range(trace.horizon + 1):
+        value = eval_guard(expr, trace.sigma, naive_marking_at(trace, t), t)
+        if value and start is None:
+            start = t
+        elif not value and start is not None:
+            intervals.append((start, t, False))
+            start = None
+    if start is not None:
+        intervals.append((start, trace.horizon, True))
+    return intervals
+
+
+def check_views(trace):
+    smart = trace.smart
+    for t in range(trace.horizon + 1):
+        assert trace.marking_at(t) == naive_marking_at(trace, t)
+    markings = naive_markings(trace)
+    for index, event in enumerate(trace.events):
+        if event.kind == FIRE:
+            assert trace.marking_before(event) == markings[index][1]
+    assert trace.firings() == [e for e in trace.events if e.kind == FIRE]
+    switches = [t for a in smart.agents for t in a.mode_switches.values()]
+    assert trace.firings(switches) == [e for e in trace.events if e.kind == FIRE and e.name in switches]
+    for agent in smart.agents:
+        assert trace.mode_timeline(agent) == naive_timeline(trace, agent)
+        for t in range(trace.horizon + 1):
+            assert trace.mode_at(agent, t) == agent.mode_in(naive_marking_at(trace, t))
+            previous = naive_marking_at(trace, t - 1) if t > 0 else trace.initial_marking
+            assert trace.mode_before(agent, t) == agent.mode_in(previous)
+        for key in agent.mode_places:
+            assert trace.mode_residences(agent, key) == naive_residences(trace, agent, key)
+        for expr in (agent.invalid, agent.unrecoverable):
+            assert trace.predicate_intervals(expr) == naive_intervals(trace, expr)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario_docs())
+def test_indexed_views_equal_naive_folds(doc):
+    trace, _ = run(parse_scenario(doc))
+    check_views(trace)
+
+
+@settings(max_examples=15, deadline=None)
+@given(scenario_docs())
+def test_stored_trace_verifies_like_the_inline_run(doc):
+    scenario = parse_scenario(doc)
+    trace, inline = run(scenario)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "views.trace.jsonl")
+        write_trace(trace, path)
+        stored = read_trace(path)
+    stored.smart = scenario.smart
+    assert verify(stored, scenario).to_record() == inline.to_record()
+    check_views(stored)
+
+
+@settings(max_examples=15, deadline=None)
+@given(scenario_docs())
+def test_changing_a_returned_list_leaves_the_view_intact(doc):
+    trace, _ = run(parse_scenario(doc))
+    agent = trace.smart.agents[0]
+    views = [
+        trace.firings,
+        trace.change_points,
+        lambda: trace.mode_timeline(agent),
+        lambda: trace.mode_residences(agent, "M"),
+        lambda: trace.predicate_intervals(agent.invalid),
+        lambda: trace.events_between(0, trace.horizon),
+        lambda: trace.instants(0, trace.horizon),
+        lambda: trace.mode_timeline_between(agent, 0, trace.horizon),
+    ]
+    for view in views:
+        first = view()
+        expected = list(first)
+        first.append(None)
+        first.reverse()
+        assert view() == expected
+
+
+def test_events_out_of_time_order_are_rejected():
+    trace, _ = run(parse_scenario({"name": "order", "net": {"builder": {"config": {}}}, "horizon": 8,
+                                   "script": [[2, "anom", 1], [5, "anom", 0]]}))
+    with pytest.raises(ValueError, match="time order"):
+        Trace(list(reversed(trace.events)), trace.sigma, trace.initial_marking, trace.horizon)
+
+
+def test_rebinding_the_net_rebuilds_the_mode_timeline():
+    doc = {"name": "rebind", "net": {"builder": {"config": {}}}, "horizon": 12,
+           "script": [[2, "anom", 1], [5, "anom", 0]]}
+    trace, _ = run(parse_scenario(doc))
+    agent = trace.smart.agents[0]
+    assert [m for _, m in trace.mode_timeline(agent)] == ["S", "M", "S"]
+    # the same net with its stable and recovery places swapped
+    places = dict(agent.mode_places, S=agent.mode_places["M"], M=agent.mode_places["S"])
+    swapped = AgentView(**dict(vars(agent), mode_places=places))
+    assert [m for _, m in trace.mode_timeline(swapped)] == ["M", "S", "M"]
+
+
+def long_doc(agents, horizon):
+    """Every 7 ticks an anomaly of 3 ticks and, a tick later, an evidence
+    loss of 3 ticks, for each agent; an output attempt every 5 ticks."""
+    suffixes = SUFFIXES[agents]
+    script = []
+    for base in range(1, horizon - 8, 7):
+        for offset, s in enumerate(suffixes):
+            t = base + offset
+            script += [[t, "anom" + s, 1], [t + 3, "anom" + s, 0],
+                       [t + 1, "evidence" + s, 0], [t + 4, "evidence" + s, 1]]
+    script += [[t, "want_output" + s, 1] for t in range(2, horizon + 1, 5) for s in suffixes]
+    return {
+        "name": f"long-{agents}",
+        "net": {"builder": {"agents": ["a1", "a2"], "config": {}} if agents == 2 else {"config": {}}},
+        "horizon": horizon,
+        "signals": {"assist" + s: 1 for s in suffixes},
+        "script": script,
+        "propositions": ["P1", "P2", "P3", "P4"] + (["P5"] if agents == 2 else []),
+        "triggers": "default",
+        "formulas": [{"kind": "bounded-response", "condition": f"invalid{suffixes[0]} and not UR{suffixes[0]}",
+                      "place": f"P_M{suffixes[0]}", "within": 2}],
+    }
+
+
+def test_verify_folds_each_marking_once_per_agent(monkeypatch, tmp_path):
+    """Linearity pin without a timing gate: verifying a stored trace reads
+    the mode of each recorded marking at most once per agent."""
+    for agents in sorted(SUFFIXES):
+        scenario = parse_scenario(long_doc(agents, 1000))
+        trace, inline = run(scenario)
+        path = str(tmp_path / f"long-{agents}.trace.jsonl")
+        write_trace(trace, path)
+        stored = read_trace(path)
+        stored.smart = scenario.smart
+        calls = []
+        mode_in = AgentView.mode_in
+        monkeypatch.setattr(AgentView, "mode_in", lambda self, marking: calls.append(1) or mode_in(self, marking))
+        audited = verify(stored, scenario)
+        monkeypatch.undo()
+        assert audited.to_record() == inline.to_record()
+        assert 0 < len(calls) <= agents * (len(stored.events) + 1)
