@@ -53,7 +53,7 @@ from .monitor import (
     check_trigger_set,
 )
 from .scenario import RunReport, Scenario, parse_scenario, run, verify
-from .signals import SignalState, record_signal
+from .signals import SignalState
 from .trace import Trace, read_trace, write_trace
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -598,32 +598,11 @@ def explore(subject: Net | SmartNet, cfg: ExplorationConfig) -> ReachGraph:
     """Breadth-first bounded exploration over environment assignments."""
     explorer = _Explorer(subject, cfg)
     graph = ReachGraph(explorer)
+    all_vectors = explorer.branch_vectors(0) if cfg.flip_budget is None else None
+    frontier = {explorer.intern(explorer.initial_key()): {explorer.initial_vector()}}
 
-    init_id = explorer.intern(explorer.initial_key())
-    init_vector = explorer.initial_vector()
-
-    frontier: dict[int, set[int]] = {}
-    layer0: dict[int, set[int]] = {}
-    for vector in explorer.branch_vectors(init_vector):
-        for result in explorer.evolve(init_id, vector, 0):
-            target = explorer.intern(result.key)
-            layer0.setdefault(target, set()).add(vector)
-            node = (0, target, vector)
-            if node not in graph.parents:
-                graph.parents[node] = (init_id, init_vector)
-                for violation in result.violations:
-                    graph.violations.append(Violation(0, (target, vector), violation))
-                for breach in result.output_breaches:
-                    graph.violations.append(
-                        Violation(0, (target, vector), f"output {breach} without stable token")
-                    )
-    graph.layers.append(layer0)
-    graph.state_count = sum(len(v) for v in layer0.values())
-    frontier = layer0
-
-    for tick in range(1, cfg.horizon + 1):
+    for tick in range(cfg.horizon + 1):
         layer: dict[int, set[int]] = {}
-        all_vectors = explorer.branch_vectors(0) if cfg.flip_budget is None else None
         for key_id in sorted(frontier):
             if all_vectors is not None:
                 pairs = [(next(iter(frontier[key_id])), v) for v in all_vectors]
@@ -636,22 +615,21 @@ def explore(subject: Net | SmartNet, cfg: ExplorationConfig) -> ReachGraph:
             for prev_vector, vector in pairs:
                 for result in explorer.evolve(key_id, vector, tick):
                     target = explorer.intern(result.key)
-                    bucket = layer.setdefault(target, set())
-                    if vector in bucket and (tick, target, vector) in graph.parents:
-                        continue
-                    bucket.add(vector)
                     node = (tick, target, vector)
-                    if node not in graph.parents:
-                        graph.parents[node] = (key_id, prev_vector)
-                        for violation in result.violations:
-                            graph.violations.append(Violation(tick, (target, vector), violation))
-                        for breach in result.output_breaches:
-                            graph.violations.append(
-                                Violation(tick, (target, vector), f"output {breach} without stable token")
-                            )
+                    if node in graph.parents:
+                        continue
+                    layer.setdefault(target, set()).add(vector)
+                    graph.parents[node] = (key_id, prev_vector)
+                    for violation in result.violations:
+                        graph.violations.append(Violation(tick, (target, vector), violation))
+                    for breach in result.output_breaches:
+                        graph.violations.append(
+                            Violation(tick, (target, vector), f"output {breach} without stable token")
+                        )
         graph.layers.append(layer)
         graph.state_count += sum(len(v) for v in layer.values())
-        if graph.state_count > cfg.state_cap:
+        # a capped graph still holds layers 0 and 1
+        if tick > 0 and graph.state_count > cfg.state_cap:
             graph.incomplete = True
             break
         frontier = layer
@@ -698,16 +676,27 @@ VIOLATED = "violated"
 VACUOUS = "vacuous"
 INCONCLUSIVE = "inconclusive"
 
+FORMULA_KINDS = ("safety", "bounded-response", "reach", "never-while")
+
 
 @dataclass(frozen=True)
 class Formula:
-    kind: str  # "safety" | "bounded-response" | "reach" | "never-while"
+    kind: str  # one of FORMULA_KINDS
     condition: GuardExpr
     place: str | None = None
     within: int | None = None
     forbidden: tuple[str, ...] = ()  # transition ids or role classes for safety
     from_places: tuple[str, ...] = ()
     name: str = ""
+
+    def __post_init__(self):
+        if self.kind not in FORMULA_KINDS:
+            raise ValueError(f"unknown formula kind {self.kind!r}")
+        if self.kind in ("bounded-response", "reach"):
+            if self.place is None or type(self.within) is not int or self.within < 0:
+                raise ValueError(f"{self.kind} needs a place and an integer within >= 0")
+        if self.kind == "never-while" and self.place is None:
+            raise ValueError("never-while needs a place")
 
     def label(self) -> str:
         return self.name or f"{self.kind}"
@@ -759,9 +748,44 @@ def check_formula(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
         return _check_safety(graph, formula)
     if formula.kind in ("bounded-response", "reach"):
         return _check_bounded(graph, formula)
-    if formula.kind == "never-while":
-        return _check_never_while(graph, formula)
-    raise ValueError(f"unknown formula kind {formula.kind!r}")
+    return _check_never_while(graph, formula)
+
+
+def _persistent_steps(graph: ReachGraph, condition: GuardExpr, key_id: int, vector: int, tick: int):
+    """Yield (target, next vector, result) for each step of a state into the
+    next tick after which the condition still holds."""
+    explorer = graph._explorer
+    for nxt in explorer.branch_vectors(vector):
+        for result in explorer.evolve(key_id, nxt, tick + 1):
+            target = explorer.intern(result.key)
+            if _condition_holds(graph, condition, target, nxt):
+                yield target, nxt, result
+
+
+def _anchors(graph: ReachGraph, formula: Formula, keep) -> list[tuple[int, int, int, int]]:
+    """(key id, vector, slack, tick) of each state where the condition holds
+    and ``keep`` accepts the marking, one per configuration, sorted.
+
+    Dynamics are translation-invariant beyond the held-for window, so an
+    anchor configuration is judged at its occurrence with the most
+    remaining horizon; tail occurrences of the same configuration share
+    that verdict instead of reporting a spurious inconclusive. Under a flip
+    budget the next vectors depend on the current one, so it is part of
+    the configuration."""
+    explorer = graph._explorer
+    budgeted = graph.config.flip_budget is not None
+    anchors: dict[tuple[int, int, int | None], tuple[int, int, int]] = {}
+    for tick, key_id, vector in graph.states():
+        if not _condition_holds(graph, formula.condition, key_id, vector):
+            continue
+        if not keep(graph.marking_of(key_id)):
+            continue
+        group = (key_id, min(tick, explorer.max_held_delta), vector if budgeted else None)
+        slack = graph.horizon - tick
+        best = anchors.get(group)
+        if best is None or slack > best[0]:
+            anchors[group] = (slack, tick, vector)
+    return [(key_id, vector, slack, tick) for (key_id, _, _), (slack, tick, vector) in sorted(anchors.items())]
 
 
 def _check_safety(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
@@ -770,63 +794,39 @@ def _check_safety(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
     governing the instant of the firing and the marking at its entry."""
     explorer = graph._explorer
     forbidden = resolve_forbidden(formula.forbidden, explorer.net, explorer.smart)
-    premise_seen = False
-
-    def edge_violation(source_id: int, vector: int, tick: int):
-        if not _condition_holds(graph, formula.condition, source_id, vector):
-            return None
-        for result in explorer.evolve(source_id, vector, tick):
-            hit = sorted(set(result.firings) & forbidden)
-            if hit:
-                return hit[0], result
-        return None
-
-    init_id = explorer.intern(explorer.initial_key())
-    edges: list[tuple[int, int, int, int | None]] = []
-    for vector in explorer.branch_vectors(explorer.initial_vector()):
-        edges.append((init_id, vector, 0, None))
-    for tick, layer in enumerate(graph.layers[:-1] if graph.layers else []):
+    all_vectors = explorer.branch_vectors(0) if graph.config.flip_budget is None else None
+    init = {explorer.intern(explorer.initial_key()): {explorer.initial_vector()}}
+    # the edges into tick t leave the initial state (t = 0) or layer t - 1
+    for tick, layer in enumerate([init] + graph.layers[:-1]):
         for key_id, vectors in layer.items():
-            if graph.config.flip_budget is None:
-                for vector in explorer.branch_vectors(0):
-                    edges.append((key_id, vector, tick + 1, None))
+            if all_vectors is None:
+                next_vectors = [v for prev in vectors for v in explorer.branch_vectors(prev)]
             else:
-                for prev in vectors:
-                    for vector in explorer.branch_vectors(prev):
-                        edges.append((key_id, vector, tick + 1, prev))
+                next_vectors = all_vectors
+            for vector in next_vectors:
+                if not _condition_holds(graph, formula.condition, key_id, vector):
+                    continue
+                for result in explorer.evolve(key_id, vector, tick):
+                    hit = sorted(set(result.firings) & forbidden)
+                    if hit:
+                        target = explorer.intern(result.key)
+                        witness = graph.witness_path(tick, target, vector)
+                        return FormulaVerdict(formula, VIOLATED, witness, f"{hit[0]} fired under the condition")
 
-    for source_id, vector, tick, _ in edges:
-        hit = edge_violation(source_id, vector, tick)
-        if hit is not None:
-            tid, result = hit
-            target = explorer.intern(result.key)
-            witness = graph.witness_path(tick, target, vector) or [
-                {"tick": tick, "signals": graph.vector_to_named(vector), "firings": list(result.firings)}
-            ]
-            return FormulaVerdict(formula, VIOLATED, witness, f"{tid} fired under the condition")
-
-    for tick, key_id, vector in graph.states():
-        if _condition_holds(graph, formula.condition, key_id, vector):
-            premise_seen = True
-            break
-    if not premise_seen:
+    if not any(_condition_holds(graph, formula.condition, k, v) for _, k, v in graph.states()):
         return FormulaVerdict(formula, VACUOUS, detail="condition never held")
     return FormulaVerdict(formula, HOLDS)
 
 
 def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
-    if formula.place is None or formula.within is None:
-        raise ValueError(f"{formula.kind} needs place and within")
-    explorer = graph._explorer
     delta = formula.within
-    # under a flip budget the next vectors depend on the current one
     budgeted = graph.config.flip_budget is not None
     memo: dict[tuple[int, int | None, int, int], str] = {}
 
     def search(key_id: int, vector: int, depth_left: int, ticks_left: int, tick: int) -> str:
         """HOLDS if along every condition-persistent extension the place is
         marked within depth_left ticks."""
-        if dict(explorer.key_table[key_id].marking).get(formula.place, 0) >= 1:
+        if graph.marking_of(key_id).get(formula.place, 0) >= 1:
             return HOLDS
         if depth_left == 0:
             return VIOLATED
@@ -837,25 +837,15 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
         if cached is not None:
             return cached
         outcome = HOLDS
-        found_persistent = False
-        for nxt in explorer.branch_vectors(vector):
-            for result in explorer.evolve(key_id, nxt, tick + 1):
-                target = explorer.intern(result.key)
-                if not _condition_holds(graph, formula.condition, target, nxt):
-                    continue
-                found_persistent = True
-                if formula.place in result.touched:
-                    continue
-                sub = search(target, nxt, depth_left - 1, ticks_left - 1, tick + 1)
-                if sub == VIOLATED:
-                    outcome = VIOLATED
-                    break
-                if sub == INCONCLUSIVE:
-                    outcome = INCONCLUSIVE
-            if outcome == VIOLATED:
+        for target, nxt, result in _persistent_steps(graph, formula.condition, key_id, vector, tick):
+            if formula.place in result.touched:
+                continue
+            sub = search(target, nxt, depth_left - 1, ticks_left - 1, tick + 1)
+            if sub == VIOLATED:
+                outcome = VIOLATED
                 break
-        if not found_persistent:
-            outcome = HOLDS
+            if sub == INCONCLUSIVE:
+                outcome = INCONCLUSIVE
         memo[memo_key] = outcome
         return outcome
 
@@ -864,54 +854,27 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
         VIOLATED, for counterexample replay."""
         steps: list[dict] = []
         while depth_left > 0 and ticks_left > 0:
-            advanced = False
-            for nxt in explorer.branch_vectors(vector):
-                for result in explorer.evolve(key_id, nxt, tick + 1):
-                    target = explorer.intern(result.key)
-                    if not _condition_holds(graph, formula.condition, target, nxt):
-                        continue
-                    if formula.place in result.touched:
-                        continue
-                    if dict(result.key.marking).get(formula.place, 0) >= 1:
-                        continue
-                    sub = search(target, nxt, depth_left - 1, ticks_left - 1, tick + 1)
-                    if sub == VIOLATED or depth_left == 1:
-                        steps.append(
-                            {
-                                "tick": tick + 1,
-                                "signals": graph.vector_to_named(nxt),
-                                "firings": list(result.firings),
-                            }
-                        )
-                        key_id, vector, tick = target, nxt, tick + 1
-                        depth_left -= 1
-                        ticks_left -= 1
-                        advanced = True
-                        break
-                if advanced:
+            for target, nxt, result in _persistent_steps(graph, formula.condition, key_id, vector, tick):
+                if formula.place in result.touched:
+                    continue
+                # a target that marks the place searches to HOLDS
+                if search(target, nxt, depth_left - 1, ticks_left - 1, tick + 1) == VIOLATED:
+                    steps.append(
+                        {"tick": tick + 1, "signals": graph.vector_to_named(nxt), "firings": list(result.firings)}
+                    )
+                    key_id, vector, tick = target, nxt, tick + 1
+                    depth_left -= 1
+                    ticks_left -= 1
                     break
-            if not advanced:
+            else:
                 break
         return steps
 
-    # Dynamics are translation-invariant beyond the held-for window, so an
-    # anchor configuration is judged at its occurrence with the most
-    # remaining horizon; tail occurrences of the same configuration share
-    # that verdict instead of reporting a spurious inconclusive.
-    anchors: dict[tuple[int, int, int | None], tuple[int, int, int]] = {}
-    for tick, key_id, vector in graph.states():
-        if not _condition_holds(graph, formula.condition, key_id, vector):
-            continue
-        group = (key_id, min(tick, explorer.max_held_delta), vector if budgeted else None)
-        slack = graph.horizon - tick
-        best = anchors.get(group)
-        if best is None or slack > best[0]:
-            anchors[group] = (slack, tick, vector)
-
+    anchors = _anchors(graph, formula, lambda marking: True)
     if not anchors:
         return FormulaVerdict(formula, VACUOUS, detail="premise never held")
     worst = HOLDS
-    for (key_id, _, _), (slack, tick, vector) in sorted(anchors.items()):
+    for key_id, vector, slack, tick in anchors:
         verdict = search(key_id, vector, delta, slack, tick)
         if verdict == VIOLATED:
             witness = graph.witness_path(tick, key_id, vector)
@@ -930,11 +893,6 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
 
 
 def _check_never_while(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
-    if formula.place is None:
-        raise ValueError("never-while needs a place")
-    explorer = graph._explorer
-    sources = formula.from_places or ()
-    # under a flip budget the next vectors depend on the current one
     budgeted = graph.config.flip_budget is not None
     memo: dict[tuple[int, int | None, int], bool] = {}
 
@@ -945,41 +903,24 @@ def _check_never_while(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
         cached = memo.get(memo_key)
         if cached is not None:
             return cached
-        found = False
-        for nxt in explorer.branch_vectors(vector):
-            for result in explorer.evolve(key_id, nxt, tick + 1):
-                target = explorer.intern(result.key)
-                if not _condition_holds(graph, formula.condition, target, nxt):
-                    continue
-                if formula.place in result.touched or dict(result.key.marking).get(formula.place, 0) >= 1:
-                    found = True
-                    break
-                if reaches(target, nxt, ticks_left - 1, tick + 1):
-                    found = True
-                    break
-            if found:
-                break
+        found = any(
+            formula.place in result.touched
+            or graph.marking_of(target).get(formula.place, 0) >= 1
+            or reaches(target, nxt, ticks_left - 1, tick + 1)
+            for target, nxt, result in _persistent_steps(graph, formula.condition, key_id, vector, tick)
+        )
         memo[memo_key] = found
         return found
 
-    anchors: dict[tuple[int, int, int | None], tuple[int, int, int]] = {}
-    for tick, key_id, vector in graph.states():
-        if not _condition_holds(graph, formula.condition, key_id, vector):
-            continue
-        marking = graph.marking_of(key_id)
-        if sources and not any(marking.get(p, 0) >= 1 for p in sources):
-            continue
-        if marking.get(formula.place, 0) >= 1:
-            continue
-        group = (key_id, min(tick, explorer.max_held_delta), vector if budgeted else None)
-        slack = graph.horizon - tick
-        best = anchors.get(group)
-        if best is None or slack > best[0]:
-            anchors[group] = (slack, tick, vector)
+    def keep(marking: Marking) -> bool:
+        if formula.from_places and not any(marking.get(p, 0) >= 1 for p in formula.from_places):
+            return False
+        return marking.get(formula.place, 0) < 1
 
+    anchors = _anchors(graph, formula, keep)
     if not anchors:
         return FormulaVerdict(formula, VACUOUS, detail="no anchored states")
-    for (key_id, _, _), (slack, tick, vector) in sorted(anchors.items()):
+    for key_id, vector, slack, tick in anchors:
         if reaches(key_id, vector, slack, tick):
             return FormulaVerdict(
                 formula,

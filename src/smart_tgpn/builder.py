@@ -381,7 +381,8 @@ def _coordination_parts(mode_a_places: list[str], consensus_guards: dict[str, Gu
     return places, transitions, arcs
 
 
-def _agent_view(cfg: SmartConfig, agent_id: str | None, suffix: str) -> AgentView:
+def agent_view(cfg: SmartConfig, agent_id: str | None, suffix: str) -> AgentView:
+    """The name bindings of one agent of a built net, given its namespace suffix."""
     return AgentView(
         agent_id=agent_id,
         suffix=suffix,
@@ -430,7 +431,7 @@ def build_single_agent(cfg: SmartConfig, triggers: "TriggerSet | None" = None) -
         initial_marking={"P_S": 1},
         refinable=set(),
     )
-    smart = SmartNet(net, cfg, [_agent_view(cfg, None, "")], c_places, cfg.gating_mode)
+    smart = SmartNet(net, cfg, [agent_view(cfg, None, "")], c_places, cfg.gating_mode)
     if cfg.hysteresis.enabled:
         smart = apply_hysteresis(smart, cfg)
     return smart
@@ -456,7 +457,7 @@ def build_macro_only(cfg: SmartConfig) -> SmartNet:
         0, cfg.delta_ar, STRONG, ROLE_MODE_SWITCH, PriorityClass.GOVERNANCE,
     )
     net = Net(places, transitions, arcs, {"P_S": 1}, refinable={"P_A"})
-    return SmartNet(net, cfg, [_agent_view(cfg, None, "")], [], cfg.gating_mode)
+    return SmartNet(net, cfg, [agent_view(cfg, None, "")], [], cfg.gating_mode)
 
 
 def build_multi_agent(agents: list[AgentSpec], shared: "TriggerSet | None" = None,
@@ -504,7 +505,7 @@ def build_multi_agent(agents: list[AgentSpec], shared: "TriggerSet | None" = Non
         all_transitions.update(transitions)
         all_arcs += arcs
         marking[f"P_S{suffix}"] = 1
-        views.append(_agent_view(cfg, spec.agent_id, suffix))
+        views.append(agent_view(cfg, spec.agent_id, suffix))
 
     mode_a = [f"P_A_{a.agent_id}" for a in agents]
     c_places, c_transitions, c_arcs = _coordination_parts(mode_a)

@@ -19,7 +19,7 @@ from .builder import validate_smart
 from .net import validate_net
 from .netio import NetDocumentError, load_net, smart_from_document
 from .scenario import ScenarioError, parse_scenario, run, verify
-from .trace import read_trace, write_trace
+from .trace import Trace, read_trace, write_trace
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -123,10 +123,20 @@ def cmd_simulate(args) -> int:
     return _status_code(report.status)
 
 
+def _read_trace(path: str) -> Trace:
+    """read_trace, with a malformed file reported as an input error."""
+    try:
+        return read_trace(path)
+    except KeyError as missing:
+        raise ScenarioError(f"malformed trace: a record lacks the field {missing}") from None
+    except ValueError as exc:  # no header, an unknown event kind, events out of time order
+        raise ScenarioError(f"malformed trace: {exc}") from None
+
+
 def cmd_verify(args) -> int:
     scenario = parse_scenario(args.scenario)
     if args.trace:
-        trace = read_trace(args.trace)
+        trace = _read_trace(args.trace)
         trace.smart = scenario.smart
         report = verify(trace, scenario)
     else:
@@ -179,7 +189,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_report(args) -> int:
-    trace = read_trace(args.trace)
+    trace = _read_trace(args.trace)
     if args.scenario:
         trace.smart = parse_scenario(args.scenario).smart
     stats = trace.stats()

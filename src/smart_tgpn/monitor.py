@@ -556,20 +556,18 @@ def check_formula_on_trace(trace: Trace, formula) -> "FormulaVerdict":
             )
         return FormulaVerdict(formula, worst)
 
-    if formula.kind == "never-while":
-        for start, end, _ in intervals:
-            marking = trace.marking_at(start)
-            if formula.from_places and not any(marking.get(p, 0) >= 1 for p in formula.from_places):
-                continue
-            if marking.get(formula.place, 0) >= 1:
-                continue
-            for event in trace.events_between(start, end - 1):
-                if event.post_marking is not None and event.post_marking.get(formula.place, 0) >= 1:
-                    return FormulaVerdict(
-                        formula, VIOLATED,
-                        [{"time": event.time, "interval": [start, end]}],
-                        f"{formula.place} marked at {event.time} inside a condition interval",
-                    )
-        return FormulaVerdict(formula, HOLDS)
-
-    raise ValueError(f"unknown formula kind {formula.kind!r}")
+    # never-while
+    for start, end, _ in intervals:
+        marking = trace.marking_at(start)
+        if formula.from_places and not any(marking.get(p, 0) >= 1 for p in formula.from_places):
+            continue
+        if marking.get(formula.place, 0) >= 1:
+            continue
+        for event in trace.events_between(start, end - 1):
+            if event.post_marking is not None and event.post_marking.get(formula.place, 0) >= 1:
+                return FormulaVerdict(
+                    formula, VIOLATED,
+                    [{"time": event.time, "interval": [start, end]}],
+                    f"{formula.place} marked at {event.time} inside a condition interval",
+                )
+    return FormulaVerdict(formula, HOLDS)

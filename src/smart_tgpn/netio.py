@@ -12,16 +12,10 @@ monitors and structure checks).
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from typing import Any
 
-from .builder import (
-    AgentView,
-    Hysteresis,
-    SmartConfig,
-    SmartNet,
-    invalid_expr,
-    unrecoverable_expr,
-)
+from .builder import Hysteresis, SmartConfig, SmartNet, agent_view
 from .guards import guard_to_string, parse_guard
 from .hierarchy import InterfaceSpec, Subnet
 from .net import Arc, INF, Net, PriorityClass, TransitionRecord
@@ -114,35 +108,9 @@ def subnet_from_document(doc: dict) -> tuple[str, Subnet, InterfaceSpec]:
     return name, sub, iface
 
 
-def _config_to_document(cfg: SmartConfig) -> dict:
-    return {
-        "delta_s": cfg.delta_s,
-        "delta_sr": cfg.delta_sr,
-        "delta_m": cfg.delta_m,
-        "delta_mr": cfg.delta_mr,
-        "delta_a": cfg.delta_a,
-        "delta_ar": cfg.delta_ar,
-        "budget_m": cfg.budget_m,
-        "budget_a": cfg.budget_a,
-        "theta": cfg.theta,
-        "gating_mode": cfg.gating_mode,
-        "hysteresis": {
-            "enabled": cfg.hysteresis.enabled,
-            "theta_up": cfg.hysteresis.theta_up,
-            "theta_down": cfg.hysteresis.theta_down,
-            "debounce_up": cfg.hysteresis.debounce_up,
-            "debounce_down": cfg.hysteresis.debounce_down,
-        },
-    }
-
-
 def config_from_document(doc: dict) -> SmartConfig:
     hyst = doc.get("hysteresis", {})
-    allowed = {
-        "delta_s", "delta_sr", "delta_m", "delta_mr", "delta_a", "delta_ar",
-        "budget_m", "budget_a", "theta", "gating_mode",
-    }
-    unknown = set(doc) - allowed - {"hysteresis"}
+    unknown = set(doc) - {f.name for f in fields(SmartConfig)}
     if unknown:
         raise NetDocumentError(f"unknown config keys: {sorted(unknown)}")
     return SmartConfig(
@@ -154,14 +122,14 @@ def config_from_document(doc: dict) -> SmartConfig:
 def smart_to_document(smart: SmartNet) -> dict:
     doc = net_to_document(smart.net)
     doc["smart"] = {
-        "config": _config_to_document(smart.config),
+        "config": asdict(smart.config),
         "gating_mode": smart.gating_mode,
         "coordination_places": list(smart.coordination_places),
         "agents": [
             {
                 "id": view.agent_id,
                 "suffix": view.suffix,
-                "config": _config_to_document(view.config),
+                "config": asdict(view.config),
             }
             for view in smart.agents
         ],
@@ -174,26 +142,10 @@ def smart_from_document(doc: dict) -> SmartNet:
     meta = doc.get("smart")
     if meta is None:
         raise NetDocumentError("net document has no smart{} annotations")
-    agents = []
-    for raw in meta["agents"]:
-        cfg = config_from_document(raw["config"])
-        suffix = raw.get("suffix", "")
-        agents.append(
-            AgentView(
-                agent_id=raw.get("id"),
-                suffix=suffix,
-                config=cfg,
-                mode_places={k: f"P_{k}{suffix}" for k in ("S", "M", "A", "R")},
-                mode_switches={
-                    key: key + suffix
-                    for key in ("t_SM", "t_SR", "t_MS", "t_MA", "t_MR", "t_AS", "t_AR", "t_RS")
-                },
-                outputs=[f"t_out{suffix}"],
-                want_place=f"P_want{suffix}",
-                invalid=invalid_expr(cfg.theta, suffix),
-                unrecoverable=unrecoverable_expr(suffix),
-            )
-        )
+    agents = [
+        agent_view(config_from_document(raw["config"]), raw.get("id"), raw.get("suffix", ""))
+        for raw in meta["agents"]
+    ]
     return SmartNet(
         net,
         config_from_document(meta["config"]),

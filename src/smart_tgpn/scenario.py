@@ -120,17 +120,22 @@ def _build_net(raw: dict, base_dir: str) -> SmartNet:
 
 
 def _parse_formula(raw: dict, smart: SmartNet) -> Formula:
+    if "kind" not in raw:
+        raise ScenarioError("formula lacks required field 'kind'")
     library = smart.predicates()
     condition: GuardExpr = library.expand(parse_guard(raw.get("condition", "true")))
-    return Formula(
-        kind=raw["kind"],
-        condition=condition,
-        place=raw.get("place"),
-        within=raw.get("within"),
-        forbidden=tuple(raw.get("forbidden", [])),
-        from_places=tuple(raw.get("from_places", [])),
-        name=raw.get("name", raw["kind"]),
-    )
+    try:
+        return Formula(
+            kind=raw["kind"],
+            condition=condition,
+            place=raw.get("place"),
+            within=raw.get("within"),
+            forbidden=tuple(raw.get("forbidden", [])),
+            from_places=tuple(raw.get("from_places", [])),
+            name=raw.get("name", raw["kind"]),
+        )
+    except ValueError as exc:  # the schema of its kind
+        raise ScenarioError(f"formula {raw.get('name', raw['kind'])!r}: {exc}") from None
 
 
 def _parse_triggers(raw, smart: SmartNet) -> TriggerSet:

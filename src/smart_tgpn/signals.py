@@ -167,7 +167,3 @@ class ConstantSignals:
     def change_points(self, names: Iterable[str], start: int, end: int) -> list[int]:
         return []
 
-
-def record_signal(sigma: SignalState, name: str, value: SignalValue, time: int) -> SignalState:
-    """Functional alias for :meth:`SignalState.record`."""
-    return sigma.record(name, value, time)

@@ -182,3 +182,55 @@ def test_explore_bad_exploration_input_is_input_error(tmp_path, capsys, explorat
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: explore: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        {"kind": "bounded-response", "condition": "invalid", "place": "P_M"},
+        {"kind": "reach", "condition": "UR", "place": "P_R", "within": "2"},
+        {"kind": "never-while", "condition": "UR"},
+        {"kind": "bogus-kind", "condition": "invalid"},
+        {"condition": "invalid", "place": "P_M", "within": 2},
+    ],
+    ids=["bounded-response-without-within", "reach-with-string-within", "never-while-without-place",
+         "unknown-kind", "no-kind"],
+)
+def test_simulate_malformed_formula_is_input_error(tmp_path, capsys, formula):
+    scenario = {
+        "name": "bad-formula",
+        "net": {"builder": {"config": {}}},
+        "horizon": 6,
+        "script": [[1, "anom", 1]],
+        "formulas": [formula],
+    }
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["simulate", str(path), "--out", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("defect", ["unknown-event-kind", "record-lacks-field", "events-out-of-order"])
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_malformed_trace_file_is_input_error(tmp_path, capsys, defect, command):
+    main(["simulate", "scenarios/robot-escalation.scenario.json", "--out", str(tmp_path)])
+    stored = tmp_path / "robot-escalation.trace.jsonl"
+    header, *records = [json.loads(line) for line in stored.read_text().splitlines()]
+    if defect == "unknown-event-kind":
+        records[0]["kind"] = "bogus"
+    elif defect == "record-lacks-field":
+        del records[0]["time"]
+    else:
+        records.reverse()
+    bad = tmp_path / "bad.trace.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in [header] + records))
+    capsys.readouterr()
+    if command == "report":
+        code = main(["report", str(bad)])
+    else:
+        code = main(["verify", "scenarios/robot-escalation.scenario.json", "--trace", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: malformed trace: ") and err.count("\n") == 1

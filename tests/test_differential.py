@@ -1,0 +1,95 @@
+"""Differential property: the simulator never leaves the explorer's graph.
+
+Random scripts drive the alphabet signals of the single- and two-agent
+nets (every other signal keeps the explorer's base value; the two agents
+read the same script, as the explorer's unnamespaced drivers do). At
+every tick, the end-of-tick marking, residence clocks and signal vector
+of the earliest-policy simulator run must be a state the explorer steps
+to from a state the run was in at the tick before: the run is a path of
+the explorer's graph, the reverse of witness replay. Scripts hold each
+assignment for up to six ticks, so recovery residences outlast
+budget_m = budget_a = 2 and the derived timeouts of the two engines are
+compared where they flip.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from smart_tgpn.analysis import ExplorationConfig, explore
+from smart_tgpn.builder import AgentSpec, SmartConfig, build_multi_agent, build_single_agent
+from smart_tgpn.scenario import Scenario, run
+
+ALPHABET = ["anom", "evidence", "safe", "assist", "ext_auth"]
+HORIZON = 12
+CONFIG = SmartConfig(budget_m=2, budget_a=2)
+NETS = {
+    "single": lambda: build_single_agent(CONFIG),
+    "two-agent": lambda: build_multi_agent([AgentSpec("a1"), AgentSpec("a2")], base_config=CONFIG),
+}
+_GRAPHS: dict = {}
+
+
+def explored(name):
+    if name not in _GRAPHS:
+        smart = NETS[name]()
+        graph = explore(smart, ExplorationConfig(horizon=HORIZON, alphabet=ALPHABET))
+        assert not graph.incomplete and not graph.violations
+        _GRAPHS[name] = smart, graph
+    return _GRAPHS[name]
+
+
+def residence_at(trace, agent, tick):
+    """The explorer's residence clock of an agent at the end of a tick: one
+    more than the ticks since its last mode change, capped at its budgets."""
+    entered = max(t for t, _ in trace.mode_timeline(agent) if t <= tick)
+    return agent.suffix, min(tick - entered + 1, max(agent.config.budget_m, agent.config.budget_a))
+
+
+segments = st.lists(
+    st.tuples(st.integers(1, 6), st.fixed_dictionaries({name: st.booleans() for name in ALPHABET})),
+    min_size=1,
+    max_size=HORIZON + 1,
+)
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_simulator_paths_are_explorer_paths(name):
+    smart, graph = explored(name)
+    explorer = graph._explorer
+    initial = explorer.intern(explorer.initial_key())
+    vectors = {tuple(sorted(graph.vector_to_named(v).items())): v for v in range(1 << len(ALPHABET))}
+    fired: list[set[str]] = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(segments)
+    def check(script_segments):
+        script, start = [], 0
+        for duration, values in script_segments:
+            if start > HORIZON:
+                break
+            script += [(start, signal + a.suffix, value) for signal, value in values.items() for a in smart.agents]
+            start += duration
+        trace, _ = run(Scenario(name="differential", smart=smart, horizon=HORIZON, script=script, quiescence=False))
+        suffix = smart.agents[0].suffix
+        keys = {initial}  # the explorer states the simulator path may be in
+        for tick in range(HORIZON + 1):
+            marking = {p: c for p, c in trace.marking_at(tick).items() if c}
+            residence = tuple(residence_at(trace, a, tick) for a in smart.agents)
+            vector = vectors[tuple(sorted((s, bool(trace.sigma.value_at(s + suffix, tick))) for s in ALPHABET))]
+            keys = {
+                explorer.key_ids[result.key]
+                for key_id in keys
+                for result in graph.successor(key_id, vector, tick)
+                if {p: c for p, c in result.key.marking if c} == marking and result.key.residence == residence
+            }
+            assert any(vector in graph.layers[tick].get(k, ()) for k in keys), (
+                tick, marking, residence, graph.vector_to_named(vector))
+        fired.append({
+            kind for kind in ("timeout_M", "timeout_A") for a in smart.agents
+            if any(value for _, value in trace.sigma.histories[kind + a.suffix])
+        })
+
+    check()
+    # the scripts must reach the derived timeouts, or the comparison skips them
+    for kind in ("timeout_M", "timeout_A"):
+        assert sum(kind in kinds for kinds in fired) >= 5, (kind, fired)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from smart_tgpn.signals import ConstantSignals, SignalState, SignalError, UndeclaredSignal, record_signal
+from smart_tgpn.signals import ConstantSignals, SignalState, SignalError, UndeclaredSignal
 
 
 def make_state():
@@ -50,7 +50,7 @@ def test_undeclared_signal_rejected():
 def test_same_value_same_time_is_idempotent():
     sigma = make_state()
     sigma.record("anom", True, 3)
-    record_signal(sigma, "anom", True, 3)
+    sigma.record("anom", True, 3)
     assert sigma.last_change("anom") == 3
 
 
