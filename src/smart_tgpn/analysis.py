@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .builder import SmartNet
+from .builder import SmartNet, validate_smart
 from .guards import (
     GuardExpr,
     HeldFor,
@@ -35,7 +35,6 @@ from .guards import (
     substitute,
 )
 from .kernel import (
-    DEFAULT_ZENO_LIMIT,
     FiringPolicy,
     KernelState,
     ZenoViolation,
@@ -59,9 +58,6 @@ class IncidenceMatrix:
 
     def entry(self, place: str, transition: str) -> int:
         return self.entries[place].get(transition, 0)
-
-    def column(self, transition: str) -> dict[str, int]:
-        return {p: self.entries[p][transition] for p in self.places if transition in self.entries[p]}
 
 
 def incidence_matrix(net: Net) -> IncidenceMatrix:
@@ -102,18 +98,9 @@ class SafetyReport:
 
 def structural_output_safety(smart: SmartNet) -> SafetyReport:
     """Every output transition must consume from its agent's P_S (weight
-    >= 1) and from no other mode place."""
-    report = SafetyReport()
-    mode_places = set(smart.mode_place_ids)
-    for agent in smart.agents:
-        stable = agent.place("S")
-        for tid in agent.outputs:
-            pre = smart.net.pre(tid)
-            if pre.get(stable, 0) < 1:
-                report.violations.append(f"{tid}: {stable} not a preplace with weight >= 1")
-            for place in sorted(set(pre) & (mode_places - {stable})):
-                report.violations.append(f"{tid}: mode place {place} is a preplace")
-    return report
+    >= 1) and from no other mode place: the witnesses of validate_smart's
+    output-gating check."""
+    return SafetyReport(validate_smart(smart).check("output-gating").witnesses)
 
 
 # --- exploration --------------------------------------------------------------
@@ -131,8 +118,6 @@ class ExplorationConfig:
     flip_budget: int | None = None  # None: any subset of the alphabet may flip per tick
     weak_branching: str = BRANCH_EARLIEST
     state_cap: int = 1_000_000
-    zeno_limit: int = DEFAULT_ZENO_LIMIT
-    fixed_signals: dict[str, bool | float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -284,7 +269,7 @@ class _Explorer:
         if cfg.horizon < 0:
             raise ValueError("horizon must be >= 0")
         self.base_values = self._base_values(declared)
-        self.policy = FiringPolicy("earliest", zeno_limit=cfg.zeno_limit)
+        self.policy = FiringPolicy("earliest")
 
         self.key_ids: dict[StateKey, int] = {}
         self.key_table: list[StateKey] = []
@@ -340,8 +325,6 @@ class _Explorer:
         else:
             for name in declared:
                 values[name] = False
-        for name, value in self.cfg.fixed_signals.items():
-            values[name] = value
         return values
 
     # -- state identity ----------------------------------------------------

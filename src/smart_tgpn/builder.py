@@ -24,6 +24,7 @@ from typing import Mapping
 from .guards import (
     And,
     Cmp,
+    Const,
     GuardExpr,
     HeldFor,
     Marked,
@@ -32,11 +33,12 @@ from .guards import (
     PredicateLibrary,
     Sig,
     TRUE,
+    atoms_of,
     eval_guard,
-    eval_with_assignment,
     signal_names,
+    substitute,
 )
-from .hierarchy import InterfaceSpec, Subnet
+from .hierarchy import CheckReport, CheckResult, InterfaceSpec, Subnet
 from .net import (
     Arc,
     INF,
@@ -250,12 +252,7 @@ class SmartNet:
             success_exit=["P_agree"],
         )
         first = self.agents[0]
-        iface = InterfaceSpec(
-            in_transition=first.switch("t_MA"),
-            out_transition=first.switch("t_AS"),
-            exit_guard=self.net.transitions[first.switch("t_AS")].guard,
-        )
-        return sub, iface
+        return sub, InterfaceSpec(in_transition=first.switch("t_MA"), out_transition=first.switch("t_AS"))
 
 
 def invalid_expr(theta: float, suffix: str = "") -> GuardExpr:
@@ -311,9 +308,7 @@ def _macro_parts(cfg: SmartConfig, suffix: str, entry: str | None):
             0, cfg.delta_mr, STRONG, ROLE_MODE_SWITCH, PriorityClass.GOVERNANCE,
         ),
         f"t_AR{suffix}": TransitionRecord(
-            f"t_AR{suffix}",
-            Or((ur, And((Marked("P_conflict"), sig("timeout_A"))))) if entry
-            else Or((ur, And((Sig("disagree"), sig("timeout_A"))))),
+            f"t_AR{suffix}", Or((ur, And((Sig("disagree"), sig("timeout_A"))))),
             0, cfg.delta_ar, STRONG, ROLE_MODE_SWITCH, PriorityClass.GOVERNANCE,
         ),
         f"t_RS{suffix}": TransitionRecord(
@@ -415,6 +410,8 @@ def build_single_agent(cfg: SmartConfig, triggers: "TriggerSet | None" = None) -
         And((Marked("P_agree"), Not(Sig("disagree")), Not(invalid), Not(ur))),
         0, cfg.delta_a, STRONG, ROLE_MODE_SWITCH, PriorityClass.RECOVERY_RETURN,
     )
+    # the abort exit reads the subnet's conflict place, not the shared signal
+    transitions["t_AR"] = transitions["t_AR"].with_guard(Or((ur, And((Marked("P_conflict"), Sig("timeout_A"))))))
     arcs += [Arc("P_A", "t_AS"), Arc("P_agree", "t_AS"), Arc("t_AS", "P_S")]
 
     c_places, c_transitions, c_arcs = _coordination_parts(
@@ -431,10 +428,7 @@ def build_single_agent(cfg: SmartConfig, triggers: "TriggerSet | None" = None) -
         initial_marking={"P_S": 1},
         refinable=set(),
     )
-    smart = SmartNet(net, cfg, [agent_view(cfg, None, "")], c_places, cfg.gating_mode)
-    if cfg.hysteresis.enabled:
-        smart = apply_hysteresis(smart, cfg)
-    return smart
+    return apply_hysteresis(SmartNet(net, cfg, [agent_view(cfg, None, "")], c_places, cfg.gating_mode))
 
 
 def build_macro_only(cfg: SmartConfig) -> SmartNet:
@@ -450,12 +444,6 @@ def build_macro_only(cfg: SmartConfig) -> SmartNet:
         0, cfg.delta_a, STRONG, ROLE_MODE_SWITCH, PriorityClass.RECOVERY_RETURN,
     )
     arcs += [Arc("P_A", "t_AS"), Arc("t_AS", "P_S")]
-    # the abort exit cannot reference coordination places at macro level
-    transitions["t_AR"] = TransitionRecord(
-        "t_AR",
-        Or((ur, And((Sig("disagree"), Sig("timeout_A"))))),
-        0, cfg.delta_ar, STRONG, ROLE_MODE_SWITCH, PriorityClass.GOVERNANCE,
-    )
     net = Net(places, transitions, arcs, {"P_S": 1}, refinable={"P_A"})
     return SmartNet(net, cfg, [agent_view(cfg, None, "")], [], cfg.gating_mode)
 
@@ -495,12 +483,6 @@ def build_multi_agent(agents: list[AgentSpec], shared: "TriggerSet | None" = Non
             0, cfg.delta_a, STRONG, ROLE_MODE_SWITCH, PriorityClass.RECOVERY_RETURN,
         )
         arcs += [Arc(f"P_A{suffix}", tid), Arc(tid, f"P_S{suffix}")]
-        tid = f"t_AR{suffix}"
-        transitions[tid] = TransitionRecord(
-            tid,
-            Or((ur, And((Sig("disagree"), Sig(f"timeout_A{suffix}"))))),
-            0, cfg.delta_ar, STRONG, ROLE_MODE_SWITCH, PriorityClass.GOVERNANCE,
-        )
         all_places += places
         all_transitions.update(transitions)
         all_arcs += arcs
@@ -512,22 +494,23 @@ def build_multi_agent(agents: list[AgentSpec], shared: "TriggerSet | None" = Non
     all_transitions.update(c_transitions)
 
     net = Net(all_places + c_places, all_transitions, all_arcs + c_arcs, marking)
-    return SmartNet(net, base, views, c_places, base.gating_mode)
+    return apply_hysteresis(SmartNet(net, base, views, c_places, base.gating_mode))
 
 
-def apply_hysteresis(smart: SmartNet, cfg: SmartConfig) -> SmartNet:
-    """Rewrite escalation and return guards with two-threshold debounce.
+def apply_hysteresis(smart: SmartNet) -> SmartNet:
+    """Rewrite escalation and return guards with two-threshold debounce,
+    for every agent whose own config enables hysteresis.
 
     Escalation requires the raised-threshold invalidity to have held for
     the escalate debounce; return requires the lowered-threshold validity
     to have held for the return debounce. Only those two guards change.
     """
-    if not cfg.hysteresis.enabled:
-        return smart
-    cfg.hysteresis.validate()
-    hyst = cfg.hysteresis
     records = []
     for agent in smart.agents:
+        hyst = agent.config.hysteresis
+        if not hyst.enabled:
+            continue
+        hyst.validate()
         up = HeldFor(invalid_expr(hyst.theta_up, agent.suffix), hyst.debounce_up)
         down = HeldFor(valid_expr(hyst.theta_down, agent.suffix), hyst.debounce_down)
         ur = unrecoverable_expr(agent.suffix)
@@ -535,6 +518,8 @@ def apply_hysteresis(smart: SmartNet, cfg: SmartConfig) -> SmartNet:
         t_ms = smart.net.transitions[agent.switch("t_MS")]
         records.append(t_sm.with_guard(And((up, Not(ur)))))
         records.append(t_ms.with_guard(And((down, Not(ur)))))
+    if not records:
+        return smart
     return SmartNet(
         smart.net.with_transitions(records),
         smart.config,
@@ -597,41 +582,10 @@ def default_trigger_set(smart: SmartNet) -> TriggerSet:
 # --- SMART structure validation ----------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    witnesses: list[str] = field(default_factory=list)
-
-
-@dataclass
-class SmartStructureReport:
-    checks: list[CheckResult]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def summary(self) -> str:
-        lines = []
-        for c in self.checks:
-            lines.append(f"{c.name}: {'pass' if c.passed else 'FAIL'}")
-            lines.extend(f"  {w}" for w in c.witnesses)
-        return "\n".join(lines)
-
-
 def _guard_satisfiable(guard: GuardExpr, fixed: dict[str, bool]) -> bool:
     """Can any assignment to the guard's atoms (with some signals pinned)
     make it true? Atoms are treated independently, which is exact for the
     builder's guards and conservative otherwise."""
-    from .guards import atoms_of
-
     atoms: list[GuardExpr] = []
     for atom in atoms_of(guard):
         if atom not in atoms:
@@ -642,12 +596,13 @@ def _guard_satisfiable(guard: GuardExpr, fixed: dict[str, bool]) -> bool:
             name = getattr(atom, "name", None)
             if name in fixed:
                 assignment[atom] = fixed[name]
-        if eval_with_assignment(guard, lambda a: assignment[a]):
+        constant = substitute(guard, lambda node: Const(assignment[node]) if node in assignment else None)
+        if eval_guard(constant, ConstantSignals({}), {}, 0):
             return True
     return False
 
 
-def validate_smart(smart: SmartNet) -> SmartStructureReport:
+def validate_smart(smart: SmartNet) -> CheckReport:
     """SMART-specific structural checks over a built or loaded net."""
     net = smart.net
     mode_places = set(smart.mode_place_ids)
@@ -731,4 +686,4 @@ def validate_smart(smart: SmartNet) -> SmartStructureReport:
                 conserve.witnesses.append(f"{tid}: consumes {consumed}, produces {produced} mode tokens")
     checks.append(conserve)
 
-    return SmartStructureReport(checks)
+    return CheckReport(checks)

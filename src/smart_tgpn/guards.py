@@ -458,19 +458,3 @@ def substitute(expr: GuardExpr, fn: Callable[[GuardExpr], GuardExpr | None]) -> 
 def atoms_of(expr: GuardExpr) -> list[GuardExpr]:
     return [n for n in walk(expr) if isinstance(n, (Sig, Cmp, Marked, HeldFor))]
 
-
-def eval_with_assignment(expr: GuardExpr, assignment: Callable[[GuardExpr], bool]) -> bool:
-    """Evaluate treating every atom (including held_for terms) as opaque,
-    with truth supplied by ``assignment``. Used for static satisfiability
-    probes over a guard's own atoms."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, (Sig, Cmp, Marked, HeldFor)):
-        return assignment(expr)
-    if isinstance(expr, Not):
-        return not eval_with_assignment(expr.child, assignment)
-    if isinstance(expr, And):
-        return all(eval_with_assignment(c, assignment) for c in expr.children)
-    if isinstance(expr, Or):
-        return any(eval_with_assignment(c, assignment) for c in expr.children)
-    raise GuardError(f"unknown expression node {expr!r}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .guards import GuardExpr, TRUE
 from .net import INF, Arc, Net, STRONG, TransitionRecord
 
 
@@ -54,33 +53,48 @@ class InterfaceSpec:
 
     in_transition: str | None = None
     out_transition: str | None = None
-    exit_guard: GuardExpr = TRUE
 
 
 @dataclass
-class HypothesisResult:
+class CheckResult:
+    """One named structural check, with a witness line per failure."""
+
     name: str
     passed: bool
     witnesses: list[str] = field(default_factory=list)
 
 
 @dataclass
-class InterfaceReport:
-    h1: HypothesisResult
-    h2: HypothesisResult
-    h3: HypothesisResult
+class CheckReport:
+    """The results of a list of structural checks (interface hypotheses
+    here, the SMART structure checks in the builder)."""
+
+    checks: list[CheckResult]
 
     @property
     def ok(self) -> bool:
-        return self.h1.passed and self.h2.passed and self.h3.passed
+        return all(c.passed for c in self.checks)
+
+    def check(self, name: str) -> CheckResult:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
 
     def summary(self) -> str:
         lines = []
-        for result in (self.h1, self.h2, self.h3):
-            status = "pass" if result.passed else "FAIL"
-            lines.append(f"{result.name}: {status}")
-            lines.extend(f"  {w}" for w in result.witnesses)
+        for c in self.checks:
+            lines.append(f"{c.name}: {'pass' if c.passed else 'FAIL'}")
+            lines.extend(f"  {w}" for w in c.witnesses)
         return "\n".join(lines)
+
+
+class InterfaceReport(CheckReport):
+    """H1, H2 and H3, in that order."""
+
+    h1 = property(lambda self: self.checks[0])
+    h2 = property(lambda self: self.checks[1])
+    h3 = property(lambda self: self.checks[2])
 
 
 def _qualified(prefix: str, name: str, taken: set[str]) -> str:
@@ -190,7 +204,7 @@ def check_interface(macro: Net | None, sub: Subnet, iface: InterfaceSpec) -> Int
     internal = [t for t in sub.net.transition_ids() if t not in (iface.in_transition, iface.out_transition)]
 
     # H1: conservation of the mode token while inside the subnet
-    h1 = HypothesisResult("H1 mode-token conservation", True)
+    h1 = CheckResult("H1 mode-token conservation", True)
     for tid in internal:
         flow = _boundary_flow(sub.net, tid, subnet_places)
         if flow != 0:
@@ -213,7 +227,7 @@ def check_interface(macro: Net | None, sub: Subnet, iface: InterfaceSpec) -> Int
 
     # H2: internal arcs stay inside the subnet (checked against the
     # composed net when available, which holds the full arc picture)
-    h2 = HypothesisResult("H2 encapsulation", True)
+    h2 = CheckResult("H2 encapsulation", True)
     for tid in internal:
         net_of = macro if (macro is not None and tid in macro.transitions) else sub.net
         touched = set(net_of.pre(tid)) | set(net_of.post(tid))
@@ -223,7 +237,7 @@ def check_interface(macro: Net | None, sub: Subnet, iface: InterfaceSpec) -> Int
             h2.witnesses.append(f"{tid}: arcs touch non-subnet places {outside}")
 
     # H3: marked success exit strongly enables the out interface
-    h3 = HypothesisResult("H3 exit determinacy", True)
+    h3 = CheckResult("H3 exit determinacy", True)
     if out_entry is None:
         h3.passed = False
         h3.witnesses.append("no out interface transition declared")
@@ -247,4 +261,4 @@ def check_interface(macro: Net | None, sub: Subnet, iface: InterfaceSpec) -> Int
                 h3.passed = False
                 h3.witnesses.append(f"{iface.out_transition}: weight on {p} must be 1")
 
-    return InterfaceReport(h1, h2, h3)
+    return InterfaceReport([h1, h2, h3])

@@ -26,6 +26,7 @@ from .net import INF, Marking, Net, STRONG, UnknownTransition, apply_firing
 from .signals import SignalState
 
 DEFAULT_ZENO_LIMIT = 10_000
+RANDOM_SPAN = 4  # width of the random policy's draw when beta is infinite
 
 EARLIEST = "earliest"
 LATEST = "latest"
@@ -61,12 +62,11 @@ class FiringPolicy:
     """How weak (and unforced strong) transitions choose a firing time
     within [alpha, beta]. ``random`` draws deterministically per
     (seed, transition, enabling time); an infinite beta is truncated to
-    alpha + random_span for the draw."""
+    alpha + RANDOM_SPAN for the draw."""
 
     kind: str = EARLIEST
     seed: int = 0
     zeno_limit: int = DEFAULT_ZENO_LIMIT
-    random_span: int = 4
 
     def chosen_offset(self, tid: str, record, enabled_since: int) -> int | None:
         if self.kind == EARLIEST:
@@ -76,7 +76,7 @@ class FiringPolicy:
                 return None
             return int(record.beta)
         if self.kind == RANDOM:
-            hi = int(record.beta) if record.beta != INF else record.alpha + self.random_span
+            hi = int(record.beta) if record.beta != INF else record.alpha + RANDOM_SPAN
             rng = random.Random(f"{self.seed}:{tid}:{enabled_since}")
             return rng.randint(record.alpha, hi)
         raise ValueError(f"unknown firing policy {self.kind!r}")
@@ -101,10 +101,6 @@ class KernelState:
     def initial(cls, net: Net) -> "KernelState":
         marking = net.marking0()
         return cls(marking=marking, marking_history=[(0, dict(marking))])
-
-    def elapsed(self, tid: str) -> int | None:
-        since = self.timers.get(tid)
-        return None if since is None else self.now - since
 
     def clone(self) -> "KernelState":
         return KernelState(

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .builder import SmartNet, TriggerSet
+from .builder import GATING_GUARDED, SmartNet, TriggerSet
 from .guards import And, GuardExpr, Not
 from .trace import FIRE, Trace
 
@@ -46,6 +46,9 @@ VACUOUS = "vacuous"
 INCONCLUSIVE = "inconclusive"
 
 _RANK = {VACUOUS: 0, PASS: 1, INCONCLUSIVE: 2, VIOLATION: 3}
+
+PROPOSITIONS = ("P1", "P2", "P3", "P4", "P5")
+MAX_ALTERNATIONS = 3  # stable/recovery swaps under persistent risk before non-Zeno fails
 
 
 @dataclass
@@ -82,13 +85,13 @@ def _require_smart(trace: Trace) -> SmartNet:
 
 @dataclass(frozen=True)
 class PropositionSpec:
-    """Which proposition to check, with its bound parameters taken from
-    the net's configuration unless overridden."""
+    """Which proposition to check; every bound comes from each agent's
+    configuration."""
 
-    prop: str  # "P1".."P5"
-    params: dict | None = None
+    prop: str  # one of PROPOSITIONS
 
     def run(self, trace: Trace) -> Verdict:
+        # built per call, so a checker rebound on this module (a tracing wrapper) is the one run
         checker = {
             "P1": check_bounded_autonomy,
             "P2": check_output_gating,
@@ -96,19 +99,19 @@ class PropositionSpec:
             "P4": check_governance_reachability,
             "P5": check_distributed_soundness,
         }[self.prop]
-        return checker(trace, **(self.params or {}))
+        return checker(trace)
 
 
 # --- P1 ------------------------------------------------------------------
 
 
-def check_bounded_autonomy(trace: Trace, delta_s: int | None = None) -> Verdict:
+def check_bounded_autonomy(trace: Trace) -> Verdict:
     """Stable-mode residence under persistent (invalid and not UR) must
     end within the escalation deadline of the condition's onset."""
     smart = _require_smart(trace)
     verdict = Verdict("P1 bounded autonomy", VACUOUS)
     for agent in smart.agents:
-        bound = delta_s if delta_s is not None else agent.config.delta_s
+        bound = agent.config.delta_s
         condition = And((agent.invalid, Not(agent.unrecoverable)))
         for start, end, truncated in trace.predicate_intervals(condition):
             if trace.mode_before(agent, start) != "S":
@@ -135,14 +138,15 @@ def check_bounded_autonomy(trace: Trace, delta_s: int | None = None) -> Verdict:
 
 
 def check_output_gating(trace: Trace) -> Verdict:
-    """Guarded builds: no output firing at an instant with invalid true.
-    All builds: no output firing without the stable token (checked from
-    the firing's own pre-marking). Structural-only builds additionally
-    classify invalid-instant outputs into the pre-escalation window."""
+    """Guarded agents: no output firing at an instant with invalid true.
+    All agents: no output firing without the stable token (checked from
+    the firing's own pre-marking). Structural-only agents additionally
+    classify invalid-instant outputs into the pre-escalation window. Each
+    agent is judged by its own config's gating mode."""
     smart = _require_smart(trace)
     verdict = Verdict("P2 output gating", VACUOUS)
-    guarded = smart.gating_mode == "structural+guarded"
     for agent in smart.agents:
+        guarded = agent.config.gating_mode == GATING_GUARDED
         outputs = trace.firings(agent.outputs)
         if outputs:
             verdict.status = _merge(verdict.status, PASS)
@@ -195,22 +199,14 @@ def _within_pre_escalation_window(trace: Trace, agent, time: int) -> bool:
 # --- P3 ------------------------------------------------------------------
 
 
-def check_mandatory_escalation(
-    trace: Trace,
-    budget_m: int | None = None,
-    delta_m: int | None = None,
-    delta_mr: int | None = None,
-) -> Verdict:
+def check_mandatory_escalation(trace: Trace) -> Verdict:
     """Every local-recovery residence ends, within budget plus deadline,
     via exactly one of the return / assisted / governance exits, and the
     exit choice matches the assist and unsafety signals at that instant."""
     smart = _require_smart(trace)
     verdict = Verdict("P3 mandatory escalation", VACUOUS)
     for agent in smart.agents:
-        b_m = budget_m if budget_m is not None else agent.config.budget_m
-        d_m = delta_m if delta_m is not None else agent.config.delta_m
-        d_mr = delta_mr if delta_mr is not None else agent.config.delta_mr
-        bound = b_m + max(d_m, d_mr)
+        bound = agent.config.budget_m + max(agent.config.delta_m, agent.config.delta_mr)
         legal = {agent.switch("t_MS"), agent.switch("t_MA"), agent.switch("t_MR")}
         for entry, exit_time, exit_tid in trace.mode_residences(agent, "M"):
             verdict.status = _merge(verdict.status, PASS)
@@ -253,13 +249,13 @@ def check_mandatory_escalation(
 # --- P4 ------------------------------------------------------------------
 
 
-def check_governance_reachability(trace: Trace, delta_gov: int | None = None) -> Verdict:
+def check_governance_reachability(trace: Trace) -> Verdict:
     """Persistent unsafety reaches the regulated place within the
     governance bound; while authorization is absent, nothing leaves it."""
     smart = _require_smart(trace)
     verdict = Verdict("P4 governance reachability", VACUOUS)
     for agent in smart.agents:
-        bound = delta_gov if delta_gov is not None else agent.config.governance_bound
+        bound = agent.config.governance_bound
         for start, end, truncated in trace.predicate_intervals(agent.unrecoverable):
             verdict.status = _merge(verdict.status, PASS)
             reached = any(mode == "R" for _, mode in trace.mode_timeline_between(agent, start, start + bound))
@@ -299,16 +295,15 @@ def check_governance_reachability(trace: Trace, delta_gov: int | None = None) ->
 # --- P5 ------------------------------------------------------------------
 
 
-def check_distributed_soundness(trace: Trace, agents: list[str] | None = None) -> Verdict:
+def check_distributed_soundness(trace: Trace) -> Verdict:
     """Per agent: no stable return at a disagreeing instant; disagreement
     through the consensus budget forces the governance exit; a resolved
     disagreement (with validity and safety) yields the legitimate return
     within its deadline."""
     smart = _require_smart(trace)
     verdict = Verdict("P5 distributed soundness", VACUOUS)
-    views = [a for a in smart.agents if agents is None or a.agent_id in agents]
     disagree = trace.sigma
-    for agent in views:
+    for agent in smart.agents:
         t_as, t_ar = agent.switch("t_AS"), agent.switch("t_AR")
         for event in trace.firings([t_as]):
             verdict.status = _merge(verdict.status, PASS)
@@ -409,11 +404,7 @@ class TriggerVerdict:
         }
 
 
-def check_trigger_set(
-    traces: list[Trace],
-    triggers: TriggerSet,
-    max_alternations: int = 3,
-) -> TriggerVerdict:
+def check_trigger_set(traces: list[Trace], triggers: TriggerSet) -> TriggerVerdict:
     """Sufficiency of a trigger set over a suite of traces.
 
     A trigger "fires" when its named transition fires in the trace.
@@ -475,7 +466,7 @@ def check_trigger_set(
                 timeline = trace.mode_timeline_between(agent, start, end - 1)
                 swaps = sum(1 for _, m in timeline if m in ("S", "M"))
                 final_mode = trace.mode_at(agent, end - 1) if end > start else None
-                if swaps > max_alternations and final_mode not in ("A", "R"):
+                if swaps > MAX_ALTERNATIONS and final_mode not in ("A", "R"):
                     verdict.non_zeno.append(
                         {
                             "trace": label,

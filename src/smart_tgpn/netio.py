@@ -103,7 +103,6 @@ def subnet_from_document(doc: dict) -> tuple[str, Subnet, InterfaceSpec]:
     iface = InterfaceSpec(
         in_transition=doc.get("in_transition"),
         out_transition=doc.get("out_transition"),
-        exit_guard=parse_guard(doc.get("exit_guard", "true")),
     )
     return name, sub, iface
 
@@ -111,6 +110,7 @@ def subnet_from_document(doc: dict) -> tuple[str, Subnet, InterfaceSpec]:
 def config_from_document(doc: dict) -> SmartConfig:
     hyst = doc.get("hysteresis", {})
     unknown = set(doc) - {f.name for f in fields(SmartConfig)}
+    unknown |= {f"hysteresis.{k}" for k in set(hyst) - {f.name for f in fields(Hysteresis)}}
     if unknown:
         raise NetDocumentError(f"unknown config keys: {sorted(unknown)}")
     return SmartConfig(

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from .analysis import Formula
+from .analysis import Formula, FormulaVerdict
 from .builder import (
     AgentSpec,
     SmartNet,
@@ -36,14 +36,15 @@ from .builder import (
     default_trigger_set,
 )
 from .guards import GuardExpr, parse_guard
-from .kernel import FiringPolicy, KernelState, advance_to_next_event
+from .kernel import EARLIEST, LATEST, RANDOM, FiringPolicy, KernelState, advance_to_next_event
 from .monitor import (
+    PROPOSITIONS,
     PropositionSpec,
     TriggerVerdict,
     Verdict,
     check_trigger_set,
 )
-from .netio import config_from_document, load_smart
+from .netio import NetDocumentError, config_from_document, load_smart
 from .signals import SignalState
 from .trace import DEPOSIT, FIRE, SIGNAL, Trace, TraceEvent, net_digest
 
@@ -156,7 +157,9 @@ def _parse_triggers(raw, smart: SmartNet) -> TriggerSet:
 
 
 def parse_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
-    """Parse and resolve a scenario document (path or already-loaded dict)."""
+    """Parse and resolve a scenario document (path or already-loaded dict).
+    A TypeError or ValueError raised while parsing (a bad value, config or
+    guard) is reported as a ScenarioError."""
     if isinstance(source, str):
         base_dir = base_dir or os.path.dirname(os.path.abspath(source))
         with open(source, encoding="utf-8") as fh:
@@ -167,7 +170,15 @@ def parse_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
     else:
         doc = source
         base_dir = base_dir or "."
+    try:
+        return _parse_document(doc, base_dir)
+    except (ScenarioError, NetDocumentError):
+        raise
+    except (TypeError, ValueError) as exc:  # SmartConfigError, GuardError and SignalError among them
+        raise ScenarioError(f"invalid scenario: {exc}") from None
 
+
+def _parse_document(doc: dict, base_dir: str) -> Scenario:
     for key in ("name", "net", "horizon"):
         if key not in doc:
             raise ScenarioError(f"scenario lacks required field {key!r}")
@@ -207,18 +218,25 @@ def parse_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
     seed = doc.get("seed")
     if seed is None:
         seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+    policy = doc.get("policy", EARLIEST)
+    if policy not in (EARLIEST, LATEST, RANDOM):
+        raise ScenarioError(f"unknown firing policy {policy!r}")
+    propositions = doc.get("propositions", [])
+    unknown = [p for p in propositions if p not in PROPOSITIONS]
+    if unknown:
+        raise ScenarioError(f"unknown propositions {unknown} (known: {list(PROPOSITIONS)})")
 
     scenario = Scenario(
         name=doc["name"],
         smart=smart,
         horizon=horizon,
-        policy=doc.get("policy", "earliest"),
+        policy=policy,
         seed=int(seed),
         script=script,
         initial_signals=initial,
         extra_booleans=extra_booleans,
         extra_reals=extra_reals,
-        propositions=[PropositionSpec(p) for p in doc.get("propositions", [])],
+        propositions=[PropositionSpec(p) for p in propositions],
         formulas=[_parse_formula(raw, smart) for raw in doc.get("formulas", [])],
         triggers=_parse_triggers(doc.get("triggers"), smart) if "triggers" in doc else None,
         quiescence=bool(doc.get("quiescence", True)),
@@ -226,6 +244,7 @@ def parse_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
         exploration=doc.get("exploration"),
         warnings=warnings,
     )
+    scenario.signal_state()  # rejects bad script values and clashing entries before any run
     return scenario
 
 
@@ -233,7 +252,7 @@ def parse_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
 class RunReport:
     scenario: str
     verdicts: list[Verdict] = field(default_factory=list)
-    formula_verdicts: list = field(default_factory=list)
+    formula_verdicts: list[FormulaVerdict] = field(default_factory=list)
     trigger_verdict: TriggerVerdict | None = None
     stats: dict = field(default_factory=dict)
     quiesced_at: int | None = None
@@ -257,11 +276,7 @@ class RunReport:
             "status": self.status,
             "verdicts": [v.to_record() for v in self.verdicts],
             "formulas": [
-                {
-                    "name": v.formula.label() if hasattr(v, "formula") else v.name,
-                    "status": v.status,
-                    "detail": getattr(v, "detail", ""),
-                }
+                {"name": v.formula.label(), "status": v.status, "detail": v.detail}
                 for v in self.formula_verdicts
             ],
             "triggers": self.trigger_verdict.to_record() if self.trigger_verdict else None,
@@ -279,8 +294,7 @@ class RunReport:
             for violation in verdict.violations:
                 lines.append(f"      {violation}")
         for verdict in self.formula_verdicts:
-            name = verdict.formula.label() if hasattr(verdict, "formula") else verdict.name
-            lines.append(f"  formula {name:<26} {verdict.status}")
+            lines.append(f"  formula {verdict.formula.label():<26} {verdict.status}")
         if self.trigger_verdict is not None:
             record = self.trigger_verdict.to_record()
             lines.append(f"  trigger-set {'pass' if self.trigger_verdict.ok else 'violation'}")
@@ -298,53 +312,42 @@ class _DerivedClocks:
     """
 
     def __init__(self, smart: SmartNet, marking):
-        self.smart = smart
-        self.entered: dict[tuple[str, str], int | None] = {}
-        for agent in smart.agents:
-            for key in ("M", "A"):
-                marked = marking.get(agent.mode_places[key], 0) >= 1
-                self.entered[(agent.suffix, key)] = 0 if marked else None
+        # one slot per agent and recovery place: (place, timeout signal, budget)
+        self.slots = [
+            (agent.mode_places[key], f"timeout_{key}{agent.suffix}", budget)
+            for agent in smart.agents
+            for key, budget in (("M", agent.config.budget_m), ("A", agent.config.budget_a))
+        ]
+        # per slot, the tick its place was entered, None while it is unmarked
+        self.entered: list[int | None] = [0 if marking.get(place, 0) >= 1 else None for place, _, _ in self.slots]
 
     def on_marking(self, marking, time: int, sigma: SignalState) -> None:
-        for agent in self.smart.agents:
-            for key in ("M", "A"):
-                slot = (agent.suffix, key)
-                marked = marking.get(agent.mode_places[key], 0) >= 1
-                if marked and self.entered[slot] is None:
-                    self.entered[slot] = time
-                    name = f"timeout_{key}{agent.suffix}"
-                    history = sigma.histories[name]
-                    if 0 < time == history[-1][0] and history[-1][1]:
-                        history.pop()  # re-entered in the instant it timed out
-                    elif bool(sigma.value_at(name, time)):
-                        sigma.record(name, False, time)
-                elif not marked and self.entered[slot] is not None:
-                    self.entered[slot] = None
+        for slot, (place, name, _) in enumerate(self.slots):
+            marked = marking.get(place, 0) >= 1
+            if marked and self.entered[slot] is None:
+                self.entered[slot] = time
+                history = sigma.histories[name]
+                if 0 < time == history[-1][0] and history[-1][1]:
+                    history.pop()  # re-entered in the instant it timed out
+                elif bool(sigma.value_at(name, time)):
+                    sigma.record(name, False, time)
+            elif not marked and self.entered[slot] is not None:
+                self.entered[slot] = None
 
     def next_flip(self, sigma: SignalState, now: int) -> int | None:
-        best = None
-        for agent in self.smart.agents:
-            for key, budget in (("M", agent.config.budget_m), ("A", agent.config.budget_a)):
-                since = self.entered[(agent.suffix, key)]
-                if since is None:
-                    continue
-                name = f"timeout_{key}{agent.suffix}"
-                if bool(sigma.value_at(name, now)):
-                    continue
-                flip = since + budget
-                if flip >= now and (best is None or flip < best):
-                    best = flip
-        return best
+        flips = [
+            since + budget
+            for (_, name, budget), since in zip(self.slots, self.entered)
+            if since is not None and not bool(sigma.value_at(name, now)) and since + budget >= now
+        ]
+        return min(flips, default=None)
 
     def flip_due(self, sigma: SignalState, now: int) -> bool:
         changed = False
-        for agent in self.smart.agents:
-            for key, budget in (("M", agent.config.budget_m), ("A", agent.config.budget_a)):
-                since = self.entered[(agent.suffix, key)]
-                name = f"timeout_{key}{agent.suffix}"
-                if since is not None and now >= since + budget and not bool(sigma.value_at(name, now)):
-                    sigma.record(name, True, now)
-                    changed = True
+        for (_, name, budget), since in zip(self.slots, self.entered):
+            if since is not None and now >= since + budget and not bool(sigma.value_at(name, now)):
+                sigma.record(name, True, now)
+                changed = True
         return changed
 
 

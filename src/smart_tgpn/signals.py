@@ -73,11 +73,6 @@ class SignalState:
             raise SignalError(f"real signal {name!r} given boolean value {value!r}")
         return float(value)
 
-    def kind(self, name: str) -> str:
-        if name not in self.declarations:
-            raise UndeclaredSignal(f"signal {name!r} is not declared")
-        return self.declarations[name]
-
     def value_at(self, name: str, time: int) -> SignalValue:
         history = self.histories.get(name)
         if history is None:

@@ -131,9 +131,21 @@ class TestHysteresis:
         with pytest.raises(SmartConfigError):
             build_single_agent(SmartConfig(hysteresis=Hysteresis(enabled=True, theta_up=0.3, theta_down=0.3)))
 
+    def test_multi_agent_build_debounces_each_agent_by_its_own_config(self):
+        smart = build_multi_agent(
+            [AgentSpec("a1"), AgentSpec("a2", SmartConfig())],
+            base_config=SmartConfig(hysteresis=Hysteresis(enabled=True)),
+        )
+        assert guard_to_string(smart.net.transitions["t_SM_a1"].guard) == (
+            "held_for(U_a1 >= 0.7 or anom_a1 or not evidence_a1, 2) and "
+            "not (not safe_a1 or hardware_fault_a1)"
+        )
+        assert held_terms(smart.net.transitions["t_MS_a1"].guard)
+        assert not held_terms(smart.net.transitions["t_SM_a2"].guard)
+
     def test_disabled_is_identity(self):
         smart = build_single_agent(SmartConfig())
-        again = apply_hysteresis(smart, smart.config)
+        again = apply_hysteresis(smart)
         assert again.net.transitions["t_SM"].guard == smart.net.transitions["t_SM"].guard
 
 

@@ -212,6 +212,38 @@ def test_simulate_malformed_formula_is_input_error(tmp_path, capsys, formula):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"script": [[1, "anom", "yes"]]},
+        {"script": [[1, "anom", 1], [1, "anom", 0]]},
+        {"net": {"builder": {"config": {"delta_s": -1}}}},
+        {"formulas": [{"kind": "safety", "condition": "(anom and safe", "forbidden": ["output"]}]},
+        {"propositions": ["P1", "P9"]},
+        {"horizon": "abc"},
+        {"net": {"builder": {"config": {"hysteresis": {"enabled": True, "bogus": 1}}}}},
+        {"policy": "bogus", "script": []},
+    ],
+    ids=["non-boolean-script-value", "two-values-at-one-tick", "negative-deadline", "unclosed-guard",
+         "unknown-proposition", "non-integer-horizon", "unknown-hysteresis-key", "unknown-policy"],
+)
+def test_simulate_malformed_scenario_is_input_error(tmp_path, capsys, change):
+    scenario = {
+        "name": "bad-scenario",
+        "net": {"builder": {"config": {}}},
+        "horizon": 6,
+        "script": [[1, "anom", 1]],
+        "propositions": ["P1"],
+        **change,
+    }
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["simulate", str(path), "--out", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("defect", ["unknown-event-kind", "record-lacks-field", "events-out-of-order"])
 @pytest.mark.parametrize("command", ["report", "verify"])
 def test_malformed_trace_file_is_input_error(tmp_path, capsys, defect, command):

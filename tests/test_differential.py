@@ -9,11 +9,14 @@ to from a state the run was in at the tick before: the run is a path of
 the explorer's graph, the reverse of witness replay. Scripts hold each
 assignment for up to six ticks, so recovery residences outlast
 budget_m = budget_a = 2 and the derived timeouts of the two engines are
-compared where they flip.
+compared where they flip. About half the segments are escalations: anom,
+assist and safe held for longer than budget_m + budget_a, which walks the
+mode token S -> M -> A and fires both timeouts by construction. The
+examples are derandomized, so a failure reproduces.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smart_tgpn.analysis import ExplorationConfig, explore
 from smart_tgpn.builder import AgentSpec, SmartConfig, build_multi_agent, build_single_agent
@@ -45,8 +48,18 @@ def residence_at(trace, agent, tick):
     return agent.suffix, min(tick - entered + 1, max(agent.config.budget_m, agent.config.budget_a))
 
 
+HOLD = CONFIG.budget_m + CONFIG.budget_a + 2
+ESCALATE = {"anom": True, "evidence": True, "safe": True, "assist": True, "ext_auth": False}
+escalation = st.tuples(
+    st.just(HOLD),
+    st.fixed_dictionaries({name: st.just(True) if name in ("anom", "safe", "assist") else st.booleans()
+                           for name in ALPHABET}),
+)
 segments = st.lists(
-    st.tuples(st.integers(1, 6), st.fixed_dictionaries({name: st.booleans() for name in ALPHABET})),
+    st.one_of(
+        st.tuples(st.integers(1, 6), st.fixed_dictionaries({name: st.booleans() for name in ALPHABET})),
+        escalation,
+    ),
     min_size=1,
     max_size=HORIZON + 1,
 )
@@ -60,8 +73,10 @@ def test_simulator_paths_are_explorer_paths(name):
     vectors = {tuple(sorted(graph.vector_to_named(v).items())): v for v in range(1 << len(ALPHABET))}
     fired: list[set[str]] = []
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(segments)
+    @example([(HOLD, ESCALATE)])  # timeout_M, then timeout_A in assisted recovery
+    @example([(HOLD, {**ESCALATE, "assist": False})])  # timeout_M, then the governance exit
     def check(script_segments):
         script, start = [], 0
         for duration, values in script_segments:

@@ -1,5 +1,5 @@
 from smart_tgpn.analysis import Formula
-from smart_tgpn.builder import SmartNet, default_trigger_set
+from smart_tgpn.builder import AgentSpec, SmartConfig, SmartNet, build_multi_agent, default_trigger_set
 from smart_tgpn.guards import parse_guard
 from smart_tgpn.monitor import (
     check_bounded_autonomy,
@@ -11,7 +11,7 @@ from smart_tgpn.monitor import (
     check_trigger_set,
 )
 from smart_tgpn.net import drop_transition
-from smart_tgpn.scenario import parse_scenario, run
+from smart_tgpn.scenario import Scenario, parse_scenario, run
 
 
 def run_doc(doc):
@@ -90,6 +90,15 @@ class TestOutputGating:
         verdict = check_output_gating(trace)
         assert verdict.status == "pass"
         assert any("window" in n for n in verdict.notes)
+
+    def test_each_agent_is_judged_by_its_own_gating_mode(self):
+        smart = build_multi_agent([AgentSpec("a1", SmartConfig(gating_mode="structural-only")), AgentSpec("a2")])
+        script = [(1, "anom_a1", 1), (1, "want_output_a1", 1), (8, "anom_a1", 0)]
+        trace, _ = run(Scenario("p2-mixed", smart, horizon=12, policy="random", seed=6, script=script))
+        assert [(e.time, e.name) for e in trace.firings(["t_out_a1"])] == [(2, "t_out_a1")]
+        verdict = check_output_gating(trace)
+        assert verdict.status == "pass", verdict.violations
+        assert any("pre-escalation window" in n for n in verdict.notes)
 
 
 class TestMandatoryEscalation:

@@ -104,6 +104,15 @@ class TestRunLoop:
         ]
         assert trace.sigma.histories["timeout_M"] == [(0, False)]
 
+    def test_two_agent_hysteresis_ignores_a_one_tick_blip(self):
+        doc = base_doc(
+            net={"builder": {"agents": 2, "config": {"hysteresis": {"enabled": True}}}},
+            script=[[3, "anom_a1", 1], [4, "anom_a1", 0]],
+        )
+        trace, report = run(parse_scenario(doc))
+        assert trace.firings(["t_SM_a1", "t_SM_a2"]) == []
+        assert report.status == "pass"
+
 
 class TestReplayFidelity:
     def test_stored_trace_verifies_identically(self, tmp_path):
