@@ -11,7 +11,6 @@ from .builder import (
     SmartNet,
     Trigger,
     TriggerSet,
-    apply_hysteresis,
     build_multi_agent,
     build_single_agent,
     default_trigger_set,

@@ -267,70 +267,62 @@ def unrecoverable_expr(suffix: str = "") -> GuardExpr:
     return Or((Not(Sig("safe" + suffix)), Sig("hardware_fault" + suffix)))
 
 
-def _macro_parts(cfg: SmartConfig, suffix: str, entry: str | None):
+# config deadline of each strongly timed mode switch; the others are weak
+_SWITCH_DEADLINES = {
+    "t_SM": "delta_s", "t_SR": "delta_sr", "t_MA": "delta_m",
+    "t_MR": "delta_mr", "t_AS": "delta_a", "t_AR": "delta_ar",
+}
+# a switch into R is governance and a switch into S a return; the rest escalate
+_TARGET_PRIORITY = {"R": PriorityClass.GOVERNANCE, "S": PriorityClass.RECOVERY_RETURN}
+
+
+def _macro_parts(view: AgentView, entry: str | None):
     """Places, transitions, and arcs of one agent's macro-level net.
 
-    ``entry`` names the coordination subnet's entry place (the assisted
-    escalation deposits the consensus token there); None leaves the
-    assisted place opaque."""
-    p_s, p_m, p_a, p_r = (f"P_{k}{suffix}" for k in MODE_KEYS)
-    p_want = f"P_want{suffix}"
-
-    invalid = invalid_expr(cfg.theta, suffix)
-    ur = unrecoverable_expr(suffix)
-    sig = lambda base: Sig(base + suffix)
-
-    out_guard = And((Not(invalid), Not(ur))) if cfg.gating_mode == GATING_GUARDED else TRUE
-
-    transitions = {
-        f"t_out{suffix}": TransitionRecord(
-            f"t_out{suffix}", out_guard, 0, INF, WEAK, ROLE_OUTPUT, PriorityClass.OUTPUT
-        ),
-        f"t_SM{suffix}": TransitionRecord(
-            f"t_SM{suffix}", And((invalid, Not(ur))), 0, cfg.delta_s, STRONG,
-            ROLE_MODE_SWITCH, PriorityClass.ESCALATION,
-        ),
-        f"t_SR{suffix}": TransitionRecord(
-            f"t_SR{suffix}", ur, 0, cfg.delta_sr, STRONG, ROLE_MODE_SWITCH, PriorityClass.GOVERNANCE
-        ),
-        f"t_MS{suffix}": TransitionRecord(
-            f"t_MS{suffix}", And((Not(invalid), Not(ur))), 0, INF, WEAK,
-            ROLE_MODE_SWITCH, PriorityClass.RECOVERY_RETURN,
-        ),
-        f"t_MA{suffix}": TransitionRecord(
-            f"t_MA{suffix}",
-            And((invalid, sig("timeout_M"), Not(ur), sig("assist"))),
-            0, cfg.delta_m, STRONG, ROLE_MODE_SWITCH, PriorityClass.ESCALATION,
-        ),
-        f"t_MR{suffix}": TransitionRecord(
-            f"t_MR{suffix}",
-            Or((ur, And((invalid, sig("timeout_M"), Not(sig("assist")))))),
-            0, cfg.delta_mr, STRONG, ROLE_MODE_SWITCH, PriorityClass.GOVERNANCE,
-        ),
-        f"t_AR{suffix}": TransitionRecord(
-            f"t_AR{suffix}", Or((ur, And((Sig("disagree"), sig("timeout_A"))))),
-            0, cfg.delta_ar, STRONG, ROLE_MODE_SWITCH, PriorityClass.GOVERNANCE,
-        ),
-        f"t_RS{suffix}": TransitionRecord(
-            f"t_RS{suffix}", And((sig("ext_auth"), Not(ur))), 0, INF, WEAK,
-            ROLE_MODE_SWITCH, PriorityClass.RECOVERY_RETURN,
-        ),
+    Switch ``t_XY`` moves the mode token from P_X to P_Y. It is strong with
+    its config deadline from _SWITCH_DEADLINES, weak without one. With
+    hysteresis enabled, escalation (t_SM) needs the raised-threshold
+    invalidity held for the escalate debounce and the return (t_MS) the
+    lowered-threshold validity held for the return debounce. ``entry``
+    names the coordination subnet's entry place (the assisted escalation
+    deposits the consensus token there); None leaves the assisted place
+    opaque. The return from A reads the shared agreement signals, and its
+    arcs come last."""
+    cfg = view.config
+    cfg.validate()
+    invalid, ur, hyst = view.invalid, view.unrecoverable, cfg.hysteresis
+    sig = lambda base: Sig(view.signal(base))
+    escalate, settle = invalid, Not(invalid)
+    if hyst.enabled:
+        escalate = HeldFor(invalid_expr(hyst.theta_up, view.suffix), hyst.debounce_up)
+        settle = HeldFor(valid_expr(hyst.theta_down, view.suffix), hyst.debounce_down)
+    guards = {
+        "t_SM": And((escalate, Not(ur))),
+        "t_SR": ur,
+        "t_MS": And((settle, Not(ur))),
+        "t_MA": And((invalid, sig("timeout_M"), Not(ur), sig("assist"))),
+        "t_MR": Or((ur, And((invalid, sig("timeout_M"), Not(sig("assist")))))),
+        "t_AS": And((Not(Sig("disagree")), Sig("agree"), Not(invalid), Not(ur))),
+        "t_AR": Or((ur, And((Sig("disagree"), sig("timeout_A"))))),
+        "t_RS": And((sig("ext_auth"), Not(ur))),
     }
 
-    arcs = [
-        Arc(p_s, f"t_out{suffix}"), Arc(p_want, f"t_out{suffix}"), Arc(f"t_out{suffix}", p_s),
-        Arc(p_s, f"t_SM{suffix}"), Arc(f"t_SM{suffix}", p_m),
-        Arc(p_s, f"t_SR{suffix}"), Arc(f"t_SR{suffix}", p_r),
-        Arc(p_m, f"t_MS{suffix}"), Arc(f"t_MS{suffix}", p_s),
-        Arc(p_m, f"t_MA{suffix}"), Arc(f"t_MA{suffix}", p_a),
-        Arc(p_m, f"t_MR{suffix}"), Arc(f"t_MR{suffix}", p_r),
-        Arc(p_a, f"t_AR{suffix}"), Arc(f"t_AR{suffix}", p_r),
-        Arc(p_r, f"t_RS{suffix}"), Arc(f"t_RS{suffix}", p_s),
-    ]
+    out, p_s = view.outputs[0], view.place("S")
+    out_guard = And((Not(invalid), Not(ur))) if cfg.gating_mode == GATING_GUARDED else TRUE
+    transitions = {out: TransitionRecord(out, out_guard, 0, INF, WEAK, ROLE_OUTPUT, PriorityClass.OUTPUT)}
+    arcs = [Arc(p_s, out), Arc(view.want_place, out), Arc(out, p_s)]
+    return_arcs = []
+    for key, tid in view.mode_switches.items():
+        deadline = _SWITCH_DEADLINES.get(key)
+        transitions[tid] = TransitionRecord(
+            tid, guards[key], 0, getattr(cfg, deadline) if deadline else INF, STRONG if deadline else WEAK,
+            ROLE_MODE_SWITCH, _TARGET_PRIORITY.get(key[3], PriorityClass.ESCALATION),
+        )
+        moves = [Arc(view.place(key[2]), tid), Arc(tid, view.place(key[3]))]
+        (return_arcs if key == "t_AS" else arcs).extend(moves)
     if entry is not None:
-        arcs.append(Arc(f"t_MA{suffix}", entry))
-    places = [p_s, p_m, p_a, p_r, p_want]
-    return places, transitions, arcs
+        arcs.append(Arc(view.switch("t_MA"), entry))
+    return [*view.mode_places.values(), view.want_place], transitions, arcs + return_arcs
 
 
 def _coordination_parts(mode_a_places: list[str], consensus_guards: dict[str, GuardExpr] | None = None):
@@ -394,25 +386,21 @@ def agent_view(cfg: SmartConfig, agent_id: str | None, suffix: str) -> AgentView
     )
 
 
-def build_single_agent(cfg: SmartConfig, triggers: "TriggerSet | None" = None) -> SmartNet:
+def build_single_agent(cfg: SmartConfig) -> SmartNet:
     """The reference single-agent SMART net, coordination subnet attached.
 
-    The return-from-A switch consumes both the mode token and the
+    The returns from A read the subnet's places instead of the shared
+    signals: the return-to-S switch consumes both the mode token and the
     consensus token in P_agree, so a legitimate return requires recorded
-    consensus; its guard restates that structurally visible condition."""
-    cfg.validate()
-    places, transitions, arcs = _macro_parts(cfg, "", entry="P_Aentry")
-    invalid = invalid_expr(cfg.theta)
-    ur = unrecoverable_expr()
-
-    transitions["t_AS"] = TransitionRecord(
-        "t_AS",
-        And((Marked("P_agree"), Not(Sig("disagree")), Not(invalid), Not(ur))),
-        0, cfg.delta_a, STRONG, ROLE_MODE_SWITCH, PriorityClass.RECOVERY_RETURN,
+    consensus, and the abort exit reads P_conflict."""
+    view = agent_view(cfg, None, "")
+    places, transitions, arcs = _macro_parts(view, entry="P_Aentry")
+    ur = view.unrecoverable
+    transitions["t_AS"] = transitions["t_AS"].with_guard(
+        And((Marked("P_agree"), Not(Sig("disagree")), Not(view.invalid), Not(ur)))
     )
-    # the abort exit reads the subnet's conflict place, not the shared signal
     transitions["t_AR"] = transitions["t_AR"].with_guard(Or((ur, And((Marked("P_conflict"), Sig("timeout_A"))))))
-    arcs += [Arc("P_A", "t_AS"), Arc("P_agree", "t_AS"), Arc("t_AS", "P_S")]
+    arcs.insert(-1, Arc("P_agree", "t_AS"))
 
     c_places, c_transitions, c_arcs = _coordination_parts(
         ["P_A"],
@@ -421,35 +409,19 @@ def build_single_agent(cfg: SmartConfig, triggers: "TriggerSet | None" = None) -
             "conflict": Not(ur),
         },
     )
-    net = Net(
-        places=places + c_places,
-        transitions={**transitions, **c_transitions},
-        arcs=arcs + c_arcs,
-        initial_marking={"P_S": 1},
-        refinable=set(),
-    )
-    return apply_hysteresis(SmartNet(net, cfg, [agent_view(cfg, None, "")], c_places, cfg.gating_mode))
+    net = Net(places + c_places, {**transitions, **c_transitions}, arcs + c_arcs, {"P_S": 1})
+    return SmartNet(net, cfg, [view], c_places, cfg.gating_mode)
 
 
 def build_macro_only(cfg: SmartConfig) -> SmartNet:
     """Single-agent macro level with P_A left refinable: the assisted
     state is opaque and its return guard is signal-only."""
-    cfg.validate()
-    places, transitions, arcs = _macro_parts(cfg, "", entry=None)
-    invalid = invalid_expr(cfg.theta)
-    ur = unrecoverable_expr()
-    transitions["t_AS"] = TransitionRecord(
-        "t_AS",
-        And((Not(Sig("disagree")), Sig("agree"), Not(invalid), Not(ur))),
-        0, cfg.delta_a, STRONG, ROLE_MODE_SWITCH, PriorityClass.RECOVERY_RETURN,
-    )
-    arcs += [Arc("P_A", "t_AS"), Arc("t_AS", "P_S")]
-    net = Net(places, transitions, arcs, {"P_S": 1}, refinable={"P_A"})
-    return SmartNet(net, cfg, [agent_view(cfg, None, "")], [], cfg.gating_mode)
+    view = agent_view(cfg, None, "")
+    net = Net(*_macro_parts(view, entry=None), {"P_S": 1}, refinable={"P_A"})
+    return SmartNet(net, cfg, [view], [], cfg.gating_mode)
 
 
-def build_multi_agent(agents: list[AgentSpec], shared: "TriggerSet | None" = None,
-                      base_config: SmartConfig | None = None) -> SmartNet:
+def build_multi_agent(agents: list[AgentSpec], base_config: SmartConfig | None = None) -> SmartNet:
     """Namespaced per-agent macro nets plus one shared coordination subnet.
 
     Agreement is a joint property: disagree / agree are shared signals and
@@ -463,70 +435,20 @@ def build_multi_agent(agents: list[AgentSpec], shared: "TriggerSet | None" = Non
         raise SmartConfigError(f"duplicate agent ids in {ids}")
 
     base = base_config or SmartConfig()
-    all_places: list[str] = []
-    all_transitions: dict[str, TransitionRecord] = {}
-    all_arcs: list[Arc] = []
-    views: list[AgentView] = []
-    marking: dict[str, int] = {}
+    views = [agent_view(spec.config or base, spec.agent_id, f"_{spec.agent_id}") for spec in agents]
+    places: list[str] = []
+    transitions: dict[str, TransitionRecord] = {}
+    arcs: list[Arc] = []
+    for view in views:
+        agent_places, agent_transitions, agent_arcs = _macro_parts(view, entry="P_Aentry")
+        places += agent_places
+        transitions.update(agent_transitions)
+        arcs += agent_arcs
 
-    for spec in agents:
-        cfg = spec.config or base
-        cfg.validate()
-        suffix = f"_{spec.agent_id}"
-        places, transitions, arcs = _macro_parts(cfg, suffix, entry="P_Aentry")
-        invalid = invalid_expr(cfg.theta, suffix)
-        ur = unrecoverable_expr(suffix)
-        tid = f"t_AS{suffix}"
-        transitions[tid] = TransitionRecord(
-            tid,
-            And((Not(Sig("disagree")), Sig("agree"), Not(invalid), Not(ur))),
-            0, cfg.delta_a, STRONG, ROLE_MODE_SWITCH, PriorityClass.RECOVERY_RETURN,
-        )
-        arcs += [Arc(f"P_A{suffix}", tid), Arc(tid, f"P_S{suffix}")]
-        all_places += places
-        all_transitions.update(transitions)
-        all_arcs += arcs
-        marking[f"P_S{suffix}"] = 1
-        views.append(agent_view(cfg, spec.agent_id, suffix))
-
-    mode_a = [f"P_A_{a.agent_id}" for a in agents]
-    c_places, c_transitions, c_arcs = _coordination_parts(mode_a)
-    all_transitions.update(c_transitions)
-
-    net = Net(all_places + c_places, all_transitions, all_arcs + c_arcs, marking)
-    return apply_hysteresis(SmartNet(net, base, views, c_places, base.gating_mode))
-
-
-def apply_hysteresis(smart: SmartNet) -> SmartNet:
-    """Rewrite escalation and return guards with two-threshold debounce,
-    for every agent whose own config enables hysteresis.
-
-    Escalation requires the raised-threshold invalidity to have held for
-    the escalate debounce; return requires the lowered-threshold validity
-    to have held for the return debounce. Only those two guards change.
-    """
-    records = []
-    for agent in smart.agents:
-        hyst = agent.config.hysteresis
-        if not hyst.enabled:
-            continue
-        hyst.validate()
-        up = HeldFor(invalid_expr(hyst.theta_up, agent.suffix), hyst.debounce_up)
-        down = HeldFor(valid_expr(hyst.theta_down, agent.suffix), hyst.debounce_down)
-        ur = unrecoverable_expr(agent.suffix)
-        t_sm = smart.net.transitions[agent.switch("t_SM")]
-        t_ms = smart.net.transitions[agent.switch("t_MS")]
-        records.append(t_sm.with_guard(And((up, Not(ur)))))
-        records.append(t_ms.with_guard(And((down, Not(ur)))))
-    if not records:
-        return smart
-    return SmartNet(
-        smart.net.with_transitions(records),
-        smart.config,
-        smart.agents,
-        smart.coordination_places,
-        smart.gating_mode,
-    )
+    c_places, c_transitions, c_arcs = _coordination_parts([view.place("A") for view in views])
+    marking = {view.place("S"): 1 for view in views}
+    net = Net(places + c_places, {**transitions, **c_transitions}, arcs + c_arcs, marking)
+    return SmartNet(net, base, views, c_places, base.gating_mode)
 
 
 # --- trigger sets ------------------------------------------------------------

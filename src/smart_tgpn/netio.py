@@ -62,27 +62,28 @@ def net_to_document(net: Net) -> dict:
 def net_from_document(doc: dict) -> Net:
     try:
         places = list(doc["places"])
-        raw_transitions = doc["transitions"]
-        raw_arcs = doc["arcs"]
-    except KeyError as missing:
+        transitions = {}
+        for raw in doc["transitions"]:
+            tid = raw["id"]
+            alpha, beta = _interval_in(raw.get("interval", [0, "inf"]), tid)
+            priority = None
+            if "priority" in raw:
+                name = raw["priority"].upper().replace("-", "_")
+                if name not in PriorityClass.__members__:
+                    raise NetDocumentError(f"{tid}: unknown priority {raw['priority']!r}")
+                priority = PriorityClass[name]
+            transitions[tid] = TransitionRecord(
+                tid,
+                parse_guard(raw.get("guard", "true")),
+                alpha,
+                beta,
+                raw.get("timing", "weak"),
+                raw.get("role", "internal"),
+                priority,
+            )
+        arcs = [Arc(raw["from"], raw["to"], int(raw.get("weight", 1))) for raw in doc["arcs"]]
+    except KeyError as missing:  # a document, transition or arc lacks a field
         raise NetDocumentError(f"net document lacks required key {missing}") from None
-    transitions = {}
-    for raw in raw_transitions:
-        tid = raw["id"]
-        alpha, beta = _interval_in(raw.get("interval", [0, "inf"]), tid)
-        priority = None
-        if "priority" in raw:
-            priority = PriorityClass[raw["priority"].upper().replace("-", "_")]
-        transitions[tid] = TransitionRecord(
-            tid,
-            parse_guard(raw.get("guard", "true")),
-            alpha,
-            beta,
-            raw.get("timing", "weak"),
-            raw.get("role", "internal"),
-            priority,
-        )
-    arcs = [Arc(raw["from"], raw["to"], int(raw.get("weight", 1))) for raw in raw_arcs]
     return Net(
         places,
         transitions,
@@ -142,13 +143,17 @@ def smart_from_document(doc: dict) -> SmartNet:
     meta = doc.get("smart")
     if meta is None:
         raise NetDocumentError("net document has no smart{} annotations")
-    agents = [
-        agent_view(config_from_document(raw["config"]), raw.get("id"), raw.get("suffix", ""))
-        for raw in meta["agents"]
-    ]
+    try:
+        agents = [
+            agent_view(config_from_document(raw["config"]), raw.get("id"), raw.get("suffix", ""))
+            for raw in meta["agents"]
+        ]
+        config = config_from_document(meta["config"])
+    except KeyError as missing:
+        raise NetDocumentError(f"smart section lacks required key {missing}") from None
     return SmartNet(
         net,
-        config_from_document(meta["config"]),
+        config,
         agents,
         list(meta.get("coordination_places", [])),
         meta.get("gating_mode", "structural+guarded"),

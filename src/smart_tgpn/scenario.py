@@ -106,12 +106,18 @@ class Scenario:
         return sorted(out)
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 def _build_net(raw: dict, base_dir: str) -> SmartNet:
     if "file" in raw:
         return load_smart(os.path.join(base_dir, raw["file"]))
     if "builder" not in raw:
         raise ScenarioError("net section needs either 'builder' or 'file'")
-    spec = raw["builder"]
+    spec = _object(raw["builder"], "net.builder")
     cfg = config_from_document(spec.get("config", {}))
     agents = spec.get("agents", 1)
     if agents in (1, None):
@@ -142,6 +148,7 @@ def _parse_formula(raw: dict, smart: SmartNet) -> Formula:
 def _parse_triggers(raw, smart: SmartNet) -> TriggerSet:
     if raw in (None, "default"):
         return default_trigger_set(smart)
+    raw = _object(raw, "triggers")
     library = smart.predicates()
 
     def tier(entries) -> list[Trigger]:
@@ -159,7 +166,8 @@ def _parse_triggers(raw, smart: SmartNet) -> TriggerSet:
 def parse_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
     """Parse and resolve a scenario document (path or already-loaded dict).
     A TypeError or ValueError raised while parsing (a bad value, config or
-    guard) is reported as a ScenarioError."""
+    guard), or a KeyError (a section lacking a field), is reported as a
+    ScenarioError."""
     if isinstance(source, str):
         base_dir = base_dir or os.path.dirname(os.path.abspath(source))
         with open(source, encoding="utf-8") as fh:
@@ -176,6 +184,8 @@ def parse_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
         raise
     except (TypeError, ValueError) as exc:  # SmartConfigError, GuardError and SignalError among them
         raise ScenarioError(f"invalid scenario: {exc}") from None
+    except KeyError as missing:  # a trigger without name, triggers without u_risk
+        raise ScenarioError(f"invalid scenario: a section lacks required field {missing}") from None
 
 
 def _parse_document(doc: dict, base_dir: str) -> Scenario:
@@ -188,7 +198,7 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
         raise ScenarioError("horizon must be >= 0")
 
     warnings: list[str] = []
-    declare = doc.get("declare", {})
+    declare = _object(doc.get("declare", {}), "declare")
     extra_booleans = list(declare.get("booleans", []))
     extra_reals = list(declare.get("reals", []))
     known = set(smart.bool_signals()) | set(smart.real_signals()) | set(extra_booleans) | set(extra_reals)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .builder import SmartNet
-from .guards import GuardExpr, eval_guard
+from .guards import GuardExpr, eval_guard, held_terms
 from .net import Marking
 from .signals import BOOL, SignalState
 
@@ -111,6 +111,10 @@ class Trace:
             return markings
         return self._view("markings", build)
 
+    def _history(self) -> list[tuple[int, Marking]]:
+        """(time, marking after it) pairs, the marking history held_for reads."""
+        return self._view("history", lambda: list(zip([0, *self._times], self._markings())))
+
     def _modes(self, agent) -> tuple[list[int], list[tuple[int, str | None]]]:
         """The times of the agent's mode timeline, and the timeline."""
         def build():
@@ -134,10 +138,16 @@ class Trace:
         return self._view("points", build)
 
     def _intervals(self, expr: GuardExpr) -> tuple[list[tuple[int, int, bool]], list[int]]:
-        """The predicate's maximal intervals and their start instants."""
+        """The predicate's maximal intervals and their start instants. A
+        held_for(e, d) term can turn true d ticks after any change point,
+        so those instants are evaluated too."""
         def build():
+            points = self._points()
+            durations = {term.duration for term in held_terms(expr)}
+            if durations:
+                points = sorted({p + d for p in points for d in durations if p + d <= self.horizon}.union(points))
             intervals, start = [], None
-            for point in self._points():
+            for point in points:
                 value = self.eval_at(expr, point)
                 if value and start is None:
                     start = point
@@ -217,7 +227,7 @@ class Trace:
         return residences
 
     def eval_at(self, expr: GuardExpr, time: int) -> bool:
-        return eval_guard(expr, self.sigma, self.marking_at(time), time)
+        return eval_guard(expr, self.sigma, self.marking_at(time), time, self._history())
 
     def change_points(self) -> list[int]:
         """All instants at which anything changed, plus 0 and the horizon."""

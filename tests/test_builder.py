@@ -6,7 +6,7 @@ from smart_tgpn.builder import (
     Hysteresis,
     SmartConfig,
     SmartConfigError,
-    apply_hysteresis,
+    build_macro_only,
     build_multi_agent,
     build_single_agent,
     default_trigger_set,
@@ -143,10 +143,20 @@ class TestHysteresis:
         assert held_terms(smart.net.transitions["t_MS_a1"].guard)
         assert not held_terms(smart.net.transitions["t_SM_a2"].guard)
 
-    def test_disabled_is_identity(self):
-        smart = build_single_agent(SmartConfig())
-        again = apply_hysteresis(smart)
-        assert again.net.transitions["t_SM"].guard == smart.net.transitions["t_SM"].guard
+
+    def test_macro_only_build_debounces_too(self):
+        plain = build_macro_only(SmartConfig())
+        smart = build_macro_only(SmartConfig(hysteresis=Hysteresis(enabled=True)))
+        assert guard_to_string(smart.net.transitions["t_SM"].guard) == (
+            "held_for(U >= 0.7 or anom or not evidence, 2) and "
+            "not (not safe or hardware_fault)"
+        )
+        assert held_terms(smart.net.transitions["t_MS"].guard)
+        changed = {
+            tid for tid in plain.net.transitions
+            if plain.net.transitions[tid].guard != smart.net.transitions[tid].guard
+        }
+        assert changed == {"t_SM", "t_MS"}
 
 
 class TestValidateSmart:

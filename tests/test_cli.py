@@ -4,7 +4,7 @@ import pytest
 
 from smart_tgpn.builder import SmartConfig, build_single_agent
 from smart_tgpn.cli import main
-from smart_tgpn.netio import load_smart, save_net, save_smart
+from smart_tgpn.netio import load_smart, save_net, save_smart, smart_to_document
 from smart_tgpn.net import Arc, Net, TransitionRecord
 
 
@@ -266,3 +266,56 @@ def test_malformed_trace_file_is_input_error(tmp_path, capsys, defect, command):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: malformed trace: ") and err.count("\n") == 1
+
+
+PROBE_SCENARIO = {"name": "p", "net": {"builder": {"agents": 1, "config": {}}}, "horizon": 5}
+
+
+def _assert_one_line_input_error(code, capsys, names):
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
+
+
+@pytest.mark.parametrize(
+    "change, names",
+    [
+        ({"triggers": {"t_m": [{"name": "t_SM"}]}}, "'u_risk'"),
+        ({"triggers": {"t_m": [{"expr": "anom"}], "u_risk": "anom"}}, "'name'"),
+        ({"triggers": 5}, "triggers"),
+        ({"net": {"builder": 3}}, "builder"),
+        ({"declare": 3}, "declare"),
+    ],
+    ids=["triggers-without-u_risk", "trigger-without-name", "non-object-triggers", "non-object-builder",
+         "non-object-declare"],
+)
+def test_simulate_malformed_section_is_input_error(tmp_path, capsys, change, names):
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps({**PROBE_SCENARIO, **change}))
+    code = main(["simulate", str(path), "--out", str(tmp_path / "runs")])
+    _assert_one_line_input_error(code, capsys, names)
+
+
+NET_DEFECTS = {
+    "transition-without-id": (lambda doc: doc["transitions"][0].pop("id"), "'id'"),
+    "unknown-priority": (lambda doc: doc["transitions"][0].update(priority="urgent"), "'urgent'"),
+    "arc-without-from": (lambda doc: doc["arcs"][0].pop("from"), "'from'"),
+    "smart-without-agents": (lambda doc: doc["smart"].pop("agents"), "'agents'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(NET_DEFECTS))
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_malformed_net_file_is_input_error(tmp_path, capsys, defect, command):
+    spoil, names = NET_DEFECTS[defect]
+    doc = smart_to_document(build_single_agent(SmartConfig()))
+    spoil(doc)
+    (tmp_path / "bad.net.json").write_text(json.dumps(doc))
+    if command == "validate":
+        code = main(["validate", str(tmp_path / "bad.net.json")])
+    else:
+        scenario = tmp_path / "x.scenario.json"
+        scenario.write_text(json.dumps({**PROBE_SCENARIO, "net": {"file": "bad.net.json"}}))
+        code = main(["simulate", str(scenario), "--out", str(tmp_path / "runs")])
+    _assert_one_line_input_error(code, capsys, names)

@@ -2,7 +2,8 @@
 
 Random scripts drive the alphabet signals of the single- and two-agent
 nets (every other signal keeps the explorer's base value; the two agents
-read the same script, as the explorer's unnamespaced drivers do). At
+read the same script, as the explorer's unnamespaced drivers do, and the
+shared disagree signal is scripted once). At
 every tick, the end-of-tick marking, residence clocks and signal vector
 of the earliest-policy simulator run must be a state the explorer steps
 to from a state the run was in at the tick before: the run is a path of
@@ -11,7 +12,8 @@ assignment for up to six ticks, so recovery residences outlast
 budget_m = budget_a = 2 and the derived timeouts of the two engines are
 compared where they flip. About half the segments are escalations: anom,
 assist and safe held for longer than budget_m + budget_a, which walks the
-mode token S -> M -> A and fires both timeouts by construction. The
+mode token S -> M -> A and fires both timeouts by construction; one
+example holds disagree through A, so t_AR fires on timeout_A. The
 examples are derandomized, so a failure reproduces.
 """
 
@@ -19,10 +21,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smart_tgpn.analysis import ExplorationConfig, explore
-from smart_tgpn.builder import AgentSpec, SmartConfig, build_multi_agent, build_single_agent
+from smart_tgpn.builder import SHARED_BOOL_SIGNALS, AgentSpec, SmartConfig, build_multi_agent, build_single_agent
 from smart_tgpn.scenario import Scenario, run
 
-ALPHABET = ["anom", "evidence", "safe", "assist", "ext_auth"]
+ALPHABET = ["anom", "evidence", "safe", "assist", "ext_auth", "disagree"]
 HORIZON = 12
 CONFIG = SmartConfig(budget_m=2, budget_a=2)
 NETS = {
@@ -41,6 +43,11 @@ def explored(name):
     return _GRAPHS[name]
 
 
+def signal_name(signal, agent):
+    """The net's name of an alphabet signal: shared signals have no suffix."""
+    return signal if signal in SHARED_BOOL_SIGNALS else signal + agent.suffix
+
+
 def residence_at(trace, agent, tick):
     """The explorer's residence clock of an agent at the end of a tick: one
     more than the ticks since its last mode change, capped at its budgets."""
@@ -49,7 +56,7 @@ def residence_at(trace, agent, tick):
 
 
 HOLD = CONFIG.budget_m + CONFIG.budget_a + 2
-ESCALATE = {"anom": True, "evidence": True, "safe": True, "assist": True, "ext_auth": False}
+ESCALATE = {"anom": True, "evidence": True, "safe": True, "assist": True, "ext_auth": False, "disagree": False}
 escalation = st.tuples(
     st.just(HOLD),
     st.fixed_dictionaries({name: st.just(True) if name in ("anom", "safe", "assist") else st.booleans()
@@ -77,20 +84,23 @@ def test_simulator_paths_are_explorer_paths(name):
     @given(segments)
     @example([(HOLD, ESCALATE)])  # timeout_M, then timeout_A in assisted recovery
     @example([(HOLD, {**ESCALATE, "assist": False})])  # timeout_M, then the governance exit
+    @example([(HOLD, {**ESCALATE, "disagree": True})])  # timeout_A under disagreement: t_AR
     def check(script_segments):
         script, start = [], 0
         for duration, values in script_segments:
             if start > HORIZON:
                 break
-            script += [(start, signal + a.suffix, value) for signal, value in values.items() for a in smart.agents]
+            script += sorted({(start, signal_name(signal, a), value)
+                              for signal, value in values.items() for a in smart.agents})
             start += duration
         trace, _ = run(Scenario(name="differential", smart=smart, horizon=HORIZON, script=script, quiescence=False))
-        suffix = smart.agents[0].suffix
+        agent = smart.agents[0]
         keys = {initial}  # the explorer states the simulator path may be in
         for tick in range(HORIZON + 1):
             marking = {p: c for p, c in trace.marking_at(tick).items() if c}
             residence = tuple(residence_at(trace, a, tick) for a in smart.agents)
-            vector = vectors[tuple(sorted((s, bool(trace.sigma.value_at(s + suffix, tick))) for s in ALPHABET))]
+            values = {s: bool(trace.sigma.value_at(signal_name(s, agent), tick)) for s in ALPHABET}
+            vector = vectors[tuple(sorted(values.items()))]
             keys = {
                 explorer.key_ids[result.key]
                 for key_id in keys

@@ -13,8 +13,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smart_tgpn.analysis import Formula
 from smart_tgpn.builder import AgentView
-from smart_tgpn.guards import eval_guard
+from smart_tgpn.guards import HeldFor, eval_guard, parse_guard
+from smart_tgpn.monitor import check_formula_on_trace
 from smart_tgpn.scenario import parse_scenario, run, verify
 from smart_tgpn.trace import FIRE, Trace, read_trace, write_trace
 
@@ -179,6 +181,44 @@ def test_changing_a_returned_list_leaves_the_view_intact(doc):
         first.append(None)
         first.reverse()
         assert view() == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(scenario_docs(), st.integers(1, 4))
+def test_held_for_intervals_equal_a_tick_by_tick_fold(doc, duration):
+    trace, _ = run(parse_scenario(doc))
+    for agent in trace.smart.agents:
+        expr = HeldFor(agent.invalid, duration)
+        assert trace.predicate_intervals(expr) == naive_intervals(trace, expr)
+
+
+class TestHeldForWindows:
+    """held_for(e, d) turns true d ticks after the change that started e's
+    run, usually at an instant where nothing changes, and held_for over
+    marked() reads the marking history, not the current marking. Here
+    t_SM fires at 2 and t_MR at 7."""
+
+    DOC = {"name": "held", "net": {"builder": {"agents": 1, "config": {}}}, "horizon": 30,
+           "script": [[2, "anom", 1], [8, "anom", 0]]}
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return run(parse_scenario(self.DOC))[0]
+
+    def test_an_interval_starts_where_the_window_completes(self, trace):
+        expr = parse_guard("held_for(anom, 2)")
+        assert [t for t in range(trace.horizon + 1) if trace.eval_at(expr, t)] == [4, 5, 6, 7]
+        assert trace.predicate_intervals(expr) == [(4, 8, False)]
+
+    def test_a_late_response_to_a_held_premise_is_a_violation(self, trace):
+        formula = Formula("bounded-response", parse_guard("held_for(anom, 3)"), place="P_R", within=1)
+        verdict = check_formula_on_trace(trace, formula)
+        assert verdict.status == "violated", verdict.detail
+
+    def test_held_marking_reads_the_marking_history(self, trace):
+        expr = parse_guard("held_for(marked(P_M), 3)")
+        assert [t for t in range(trace.horizon + 1) if trace.eval_at(expr, t)] == [5, 6]
+        assert trace.predicate_intervals(expr) == [(5, 7, False)]
 
 
 def test_events_out_of_time_order_are_rejected():
