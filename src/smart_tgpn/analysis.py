@@ -20,7 +20,7 @@ obligation yields "inconclusive", never a silent pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .builder import SmartNet, validate_smart
 from .guards import (
@@ -44,6 +44,8 @@ from .kernel import (
 )
 from .net import INF, Marking, Net, STRONG
 from .signals import ConstantSignals
+
+T = TypeVar("T")
 
 # --- incidence matrix and P-invariants ---------------------------------------
 
@@ -161,6 +163,8 @@ class ReachGraph:
         self.incomplete = False
         self.state_count = 0
         self.stats: dict[str, int] = {}  # the exploration's evolve counters, see _Explorer.evolve
+        # formula condition -> key id -> read classes of its truth, see _condition_test
+        self.condition_memo: dict[GuardExpr, dict[int, list[tuple[int, int, bool]]]] = {}
 
     @property
     def horizon(self) -> int:
@@ -397,21 +401,32 @@ class _Explorer:
         if cached is not None:
             self.counts["memo_hits"] += 1
             return cached
-        classes = self.read_memo.setdefault((key_id, tick_cap), [])
-        for mask, bits, results in classes:
-            if vector & mask == bits:
-                self.counts["read_set_hits"] += 1
-                break
-        else:
-            self.counts["evaluations"] += 1
-            reads: set[str] = set()
-            results = self._evolve_uncached(self.key_table[key_id], vector, tick_cap, reads)
-            mask = 0
-            for name in reads:
-                mask |= self.driver_bits.get(name, 0)
-            classes.append((mask, vector & mask, results))
+        results, hit = self.read_class(
+            self.read_memo.setdefault((key_id, tick_cap), []), vector,
+            self._evolve_uncached, self.key_table[key_id], vector, tick_cap,
+        )
+        self.counts["read_set_hits" if hit else "evaluations"] += 1
         self.memo[memo_key] = results
         return results
+
+    def read_class(self, classes: list[tuple[int, int, T]], vector: int,
+                   evaluate: Callable[..., T], *args) -> tuple[T, bool]:
+        """The answer for ``vector`` from its read class, and whether one of
+        ``classes`` (read mask, vector & mask, answer) already held it. On a
+        miss, ``evaluate(*args, reads)`` answers for the vector and adds the
+        name of every signal it read to ``reads``; every vector that agrees
+        with it on the driver bits read gets the same answer, so that class
+        is added."""
+        for mask, bits, answer in classes:
+            if vector & mask == bits:
+                return answer, True
+        reads: set[str] = set()
+        answer = evaluate(*args, reads)
+        mask = 0
+        for name in reads:
+            mask |= self.driver_bits.get(name, 0)
+        classes.append((mask, vector & mask, answer))
+        return answer, False
 
     def _evolve_uncached(self, key: StateKey, vector: int, tick_cap: int,
                          reads: set[str] | None = None) -> list[EvolveResult]:
@@ -697,14 +712,27 @@ class FormulaVerdict:
         return self.status in (HOLDS, VACUOUS)
 
 
-def _condition_holds(graph: ReachGraph, condition: GuardExpr, key_id: int, vector: int) -> bool:
+def _condition_test(graph: ReachGraph, condition: GuardExpr) -> Callable[[int, int], bool]:
+    """``holds(key id, vector)``: whether the condition holds in that state.
+
+    The condition reads driver bits, base values, and what the key fixes
+    (the marking and the derived timeouts), so it is evaluated once per
+    (key id, read class) of vectors. The classes live on the graph: every
+    check of an equal condition on it reuses them."""
     explorer = graph._explorer
-    values = explorer.vector_values(vector)
-    key = explorer.key_table[key_id]
-    marking = dict(key.marking)
-    residence = {suffix: elapsed for suffix, elapsed in key.residence}
-    explorer._set_derived(values, marking, residence)
-    return eval_guard(condition, ConstantSignals(values), marking, 0)
+    by_key = graph.condition_memo.setdefault(condition, {})
+
+    def evaluate(key_id: int, vector: int, reads: set[str]) -> bool:
+        values = explorer.vector_values(vector)
+        key = explorer.key_table[key_id]
+        marking = dict(key.marking)
+        explorer._set_derived(values, marking, dict(key.residence))
+        return eval_guard(condition, ConstantSignals(values, reads), marking, 0)
+
+    def holds(key_id: int, vector: int) -> bool:
+        return explorer.read_class(by_key.setdefault(key_id, []), vector, evaluate, key_id, vector)[0]
+
+    return holds
 
 
 def resolve_forbidden(entries: Iterable[str], net: Net, smart: SmartNet | None = None) -> set[str]:
@@ -727,27 +755,29 @@ def check_formula(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
     # read one tick's assignment as a whole window
     if held_terms(formula.condition):
         raise ValueError("held_for in formula conditions is not supported")
+    holds = _condition_test(graph, formula.condition)
     if formula.kind == "safety":
-        return _check_safety(graph, formula)
+        return _check_safety(graph, formula, holds)
     if formula.kind in ("bounded-response", "reach"):
-        return _check_bounded(graph, formula)
-    return _check_never_while(graph, formula)
+        return _check_bounded(graph, formula, holds)
+    return _check_never_while(graph, formula, holds)
 
 
-def _persistent_steps(graph: ReachGraph, condition: GuardExpr, key_id: int, vector: int, tick: int):
+def _persistent_steps(graph: ReachGraph, holds: Callable[[int, int], bool], key_id: int, vector: int, tick: int):
     """Yield (target, next vector, result) for each step of a state into the
-    next tick after which the condition still holds."""
+    next tick after which the condition (``holds``) still holds."""
     explorer = graph._explorer
     for nxt in explorer.branch_vectors(vector):
         for result in explorer.evolve(key_id, nxt, tick + 1):
             target = explorer.intern(result.key)
-            if _condition_holds(graph, condition, target, nxt):
+            if holds(target, nxt):
                 yield target, nxt, result
 
 
-def _anchors(graph: ReachGraph, formula: Formula, keep) -> list[tuple[int, int, int, int]]:
-    """(key id, vector, slack, tick) of each state where the condition holds
-    and ``keep`` accepts the marking, one per configuration, sorted.
+def _anchors(graph: ReachGraph, holds: Callable[[int, int], bool], keep) -> list[tuple[int, int, int, int]]:
+    """(key id, vector, slack, tick) of each state where the condition
+    (``holds``) holds and ``keep`` accepts the marking, one per
+    configuration, sorted.
 
     Dynamics are translation-invariant beyond the held-for window, so an
     anchor configuration is judged at its occurrence with the most
@@ -759,7 +789,7 @@ def _anchors(graph: ReachGraph, formula: Formula, keep) -> list[tuple[int, int, 
     budgeted = graph.config.flip_budget is not None
     anchors: dict[tuple[int, int, int | None], tuple[int, int, int]] = {}
     for tick, key_id, vector in graph.states():
-        if not _condition_holds(graph, formula.condition, key_id, vector):
+        if not holds(key_id, vector):
             continue
         if not keep(graph.marking_of(key_id)):
             continue
@@ -771,7 +801,7 @@ def _anchors(graph: ReachGraph, formula: Formula, keep) -> list[tuple[int, int, 
     return [(key_id, vector, slack, tick) for (key_id, _, _), (slack, tick, vector) in sorted(anchors.items())]
 
 
-def _check_safety(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
+def _check_safety(graph: ReachGraph, formula: Formula, holds: Callable[[int, int], bool]) -> FormulaVerdict:
     """No firing of a forbidden transition at an instant where the
     condition holds. The condition is read against the signal assignment
     governing the instant of the firing and the marking at its entry."""
@@ -787,7 +817,7 @@ def _check_safety(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
             else:
                 next_vectors = all_vectors
             for vector in next_vectors:
-                if not _condition_holds(graph, formula.condition, key_id, vector):
+                if not holds(key_id, vector):
                     continue
                 for result in explorer.evolve(key_id, vector, tick):
                     hit = sorted(set(result.firings) & forbidden)
@@ -796,12 +826,12 @@ def _check_safety(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
                         witness = graph.witness_path(tick, target, vector)
                         return FormulaVerdict(formula, VIOLATED, witness, f"{hit[0]} fired under the condition")
 
-    if not any(_condition_holds(graph, formula.condition, k, v) for _, k, v in graph.states()):
+    if not any(holds(k, v) for _, k, v in graph.states()):
         return FormulaVerdict(formula, VACUOUS, detail="condition never held")
     return FormulaVerdict(formula, HOLDS)
 
 
-def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
+def _check_bounded(graph: ReachGraph, formula: Formula, holds: Callable[[int, int], bool]) -> FormulaVerdict:
     delta = formula.within
     budgeted = graph.config.flip_budget is not None
     memo: dict[tuple[int, int | None, int, int], str] = {}
@@ -820,7 +850,7 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
         if cached is not None:
             return cached
         outcome = HOLDS
-        for target, nxt, result in _persistent_steps(graph, formula.condition, key_id, vector, tick):
+        for target, nxt, result in _persistent_steps(graph, holds, key_id, vector, tick):
             if formula.place in result.touched:
                 continue
             sub = search(target, nxt, depth_left - 1, ticks_left - 1, tick + 1)
@@ -837,7 +867,7 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
         VIOLATED, for counterexample replay."""
         steps: list[dict] = []
         while depth_left > 0 and ticks_left > 0:
-            for target, nxt, result in _persistent_steps(graph, formula.condition, key_id, vector, tick):
+            for target, nxt, result in _persistent_steps(graph, holds, key_id, vector, tick):
                 if formula.place in result.touched:
                     continue
                 # a target that marks the place searches to HOLDS
@@ -853,7 +883,7 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
                 break
         return steps
 
-    anchors = _anchors(graph, formula, lambda marking: True)
+    anchors = _anchors(graph, holds, lambda marking: True)
     if not anchors:
         return FormulaVerdict(formula, VACUOUS, detail="premise never held")
     worst = HOLDS
@@ -875,7 +905,7 @@ def _check_bounded(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
     return FormulaVerdict(formula, HOLDS)
 
 
-def _check_never_while(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
+def _check_never_while(graph: ReachGraph, formula: Formula, holds: Callable[[int, int], bool]) -> FormulaVerdict:
     budgeted = graph.config.flip_budget is not None
     memo: dict[tuple[int, int | None, int], bool] = {}
 
@@ -890,7 +920,7 @@ def _check_never_while(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
             formula.place in result.touched
             or graph.marking_of(target).get(formula.place, 0) >= 1
             or reaches(target, nxt, ticks_left - 1, tick + 1)
-            for target, nxt, result in _persistent_steps(graph, formula.condition, key_id, vector, tick)
+            for target, nxt, result in _persistent_steps(graph, holds, key_id, vector, tick)
         )
         memo[memo_key] = found
         return found
@@ -900,7 +930,7 @@ def _check_never_while(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
             return False
         return marking.get(formula.place, 0) < 1
 
-    anchors = _anchors(graph, formula, keep)
+    anchors = _anchors(graph, holds, keep)
     if not anchors:
         return FormulaVerdict(formula, VACUOUS, detail="no anchored states")
     for key_id, vector, slack, tick in anchors:

@@ -60,6 +60,8 @@ def net_to_document(net: Net) -> dict:
 
 
 def net_from_document(doc: dict) -> Net:
+    """The net a document describes. A missing field or a field of the
+    wrong type raises NetDocumentError."""
     try:
         places = list(doc["places"])
         transitions = {}
@@ -82,15 +84,19 @@ def net_from_document(doc: dict) -> Net:
                 priority,
             )
         arcs = [Arc(raw["from"], raw["to"], int(raw.get("weight", 1))) for raw in doc["arcs"]]
+        return Net(
+            places,
+            transitions,
+            arcs,
+            {p: int(c) for p, c in doc.get("initial_marking", {}).items()},
+            set(doc.get("refinable", [])),
+        )
+    except NetDocumentError:
+        raise
     except KeyError as missing:  # a document, transition or arc lacks a field
         raise NetDocumentError(f"net document lacks required key {missing}") from None
-    return Net(
-        places,
-        transitions,
-        arcs,
-        {p: int(c) for p, c in doc.get("initial_marking", {}).items()},
-        set(doc.get("refinable", [])),
-    )
+    except (TypeError, AttributeError, ValueError) as exc:  # a field of the wrong type
+        raise NetDocumentError(f"malformed net document: {exc}") from None
 
 
 def subnet_from_document(doc: dict) -> tuple[str, Subnet, InterfaceSpec]:
@@ -139,6 +145,8 @@ def smart_to_document(smart: SmartNet) -> dict:
 
 
 def smart_from_document(doc: dict) -> SmartNet:
+    """The SMART net a document describes. A missing or wrong-typed
+    field, in the net or in its smart{} section, raises NetDocumentError."""
     net = net_from_document(doc)
     meta = doc.get("smart")
     if meta is None:
@@ -149,15 +157,19 @@ def smart_from_document(doc: dict) -> SmartNet:
             for raw in meta["agents"]
         ]
         config = config_from_document(meta["config"])
+        return SmartNet(
+            net,
+            config,
+            agents,
+            list(meta.get("coordination_places", [])),
+            meta.get("gating_mode", "structural+guarded"),
+        )
+    except NetDocumentError:
+        raise
     except KeyError as missing:
         raise NetDocumentError(f"smart section lacks required key {missing}") from None
-    return SmartNet(
-        net,
-        config,
-        agents,
-        list(meta.get("coordination_places", [])),
-        meta.get("gating_mode", "structural+guarded"),
-    )
+    except (TypeError, AttributeError, ValueError) as exc:  # a field of the wrong type
+        raise NetDocumentError(f"malformed smart section: {exc}") from None
 
 
 def load_net(path: str) -> Net:

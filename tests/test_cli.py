@@ -302,6 +302,11 @@ NET_DEFECTS = {
     "unknown-priority": (lambda doc: doc["transitions"][0].update(priority="urgent"), "'urgent'"),
     "arc-without-from": (lambda doc: doc["arcs"][0].pop("from"), "'from'"),
     "smart-without-agents": (lambda doc: doc["smart"].pop("agents"), "'agents'"),
+    "transition-not-an-object": (lambda doc: doc["transitions"].__setitem__(0, 5), "not subscriptable"),
+    "agent-not-an-object": (lambda doc: doc["smart"].update(agents=[5]), "not subscriptable"),
+    "numeric-priority": (lambda doc: doc["transitions"][0].update(priority=3), "'upper'"),
+    "places-not-a-list": (lambda doc: doc.update(places=5), "not iterable"),
+    "non-numeric-weight": (lambda doc: doc["arcs"][0].update(weight="x"), "'x'"),
 }
 
 

@@ -8,8 +8,10 @@ needs no second, unmemoised exploration path.
 
 import pytest
 
-from smart_tgpn.analysis import BRANCH_ALL, ExplorationConfig, explore
+from smart_tgpn.analysis import BRANCH_ALL, ExplorationConfig, Formula, _Explorer, check_formula, explore
 from smart_tgpn.builder import AgentSpec, Hysteresis, SmartConfig, build_multi_agent, build_single_agent
+from smart_tgpn.guards import Cmp, Marked, Not, Sig, eval_guard
+from smart_tgpn.signals import ConstantSignals
 
 ALPHABET8 = ["anom", "evidence", "safe", "hardware_fault", "assist", "ext_auth", "disagree", "agree"]
 
@@ -97,3 +99,47 @@ def test_stats_describe_the_exploration_only():
     before = dict(graph.stats)
     graph.successor(0, 0, 3)
     assert graph.stats == before
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_condition_memo_entry_matches_a_fresh_evaluation(name, monkeypatch):
+    factory, cfg, _ = CASES[name]
+    smart = factory()
+    graph = explore(smart, cfg)
+    explorer = graph._explorer
+    lookups = []  # (class list, answered by a class) of every read-class lookup
+    read_class = _Explorer.read_class
+
+    def recording(self, classes, vector, evaluate, *args):
+        answer, hit = read_class(self, classes, vector, evaluate, *args)
+        lookups.append((classes, hit))
+        return answer, hit
+
+    monkeypatch.setattr(_Explorer, "read_class", recording)
+    agent = smart.agents[0]
+    conditions = [
+        Not(Sig(agent.signal("ext_auth"))),  # a driver bit
+        Marked(agent.place("S")),  # fixed by the key
+        Sig(agent.signal("timeout_M")),  # derived from the key
+        Cmp(agent.signal("U"), ">=", agent.config.theta),  # a base value
+    ]
+    for condition in conditions:
+        check_formula(graph, Formula("safety", condition, forbidden=("output",)))
+        check_formula(graph, Formula("bounded-response", condition, place=agent.place("R"), within=2))
+        check_formula(graph, Formula("never-while", condition, place=agent.place("R")))
+    assert sorted(graph.condition_memo, key=repr) == sorted(conditions, key=repr)
+    every_bit = (1 << len(explorer.drivers)) - 1
+    for condition, by_key in graph.condition_memo.items():
+        for key_id, classes in by_key.items():
+            key = explorer.key_table[key_id]
+            for mask, bits, answer in classes:
+                # the two members farthest apart: every free bit clear, every one set
+                for vector in (bits, bits | (every_bit & ~mask)):
+                    values = explorer.vector_values(vector)
+                    marking = dict(key.marking)
+                    explorer._set_derived(values, marking, dict(key.residence))
+                    fresh = eval_guard(condition, ConstantSignals(values), marking, 0)
+                    assert fresh == answer, (condition, key_id, vector)
+    condition_lists = {id(classes) for by_key in graph.condition_memo.values() for classes in by_key.values()}
+    # a class must have answered some lookup, or this checks nothing
+    assert any(hit for classes, hit in lookups if id(classes) in condition_lists)
