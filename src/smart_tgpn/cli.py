@@ -74,7 +74,7 @@ def _status_code(status: str) -> int:
 
 def cmd_validate(args) -> int:
     from .hierarchy import check_interface
-    from .netio import subnet_from_document
+    from .netio import subnets_from_document
 
     with open(args.net_file, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -90,8 +90,7 @@ def cmd_validate(args) -> int:
         print(structure.summary())
         if not structure.ok:
             status = EXIT_VIOLATION
-    for raw in doc.get("subnets", []):
-        name, sub, iface = subnet_from_document(raw)
+    for name, sub, iface in subnets_from_document(doc):
         interface = check_interface(net, sub, iface)
         print(f"subnet {name}:")
         print(interface.summary())

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 from .signals import SignalState, UndeclaredSignal
@@ -45,6 +46,28 @@ class GuardError(ValueError):
 
 @dataclass(frozen=True)
 class GuardExpr:
+    """An immutable guard expression node.
+
+    A node is compiled once, on first use, into the closure ``holds``; the
+    closure and the other per-node caches live in the instance ``__dict__``
+    outside the dataclass fields, so equality, hashing, ``repr`` and
+    ``asdict`` see only the fields, and a rebuilt equal node compiles to
+    the same test.
+    """
+
+    @cached_property
+    def holds(self) -> "Compiled":
+        """``(ctx, time) -> bool``: the truth of this expression at ``time``."""
+        return _compile(self)
+
+    @cached_property
+    def _held_terms(self) -> tuple["HeldFor", ...]:
+        return tuple(held_terms(self))
+
+    def __getstate__(self) -> dict:
+        # the caches hold closures; an unpickled node rebuilds them on use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def __and__(self, other: "GuardExpr") -> "GuardExpr":
         return And((self, other))
 
@@ -102,9 +125,16 @@ class HeldFor(GuardExpr):
         if self.duration < 0:
             raise GuardError("held_for duration must be >= 0")
 
+    @cached_property
+    def _window_reads(self) -> tuple[set[str], bool]:
+        """The body's signal names, and whether it reads the marking."""
+        return signal_names(self.child), bool(place_names(self.child))
+
 
 TRUE = Const(True)
 FALSE = Const(False)
+
+Compiled = Callable[["EvalContext", int], bool]
 
 
 def walk(expr: GuardExpr) -> Iterator[GuardExpr]:
@@ -305,54 +335,86 @@ def eval_guard(
     marking_history: list[tuple[int, Mapping[str, int]]] | None = None,
 ) -> bool:
     """Truth value of ``expr`` at instant ``now``."""
-    ctx = EvalContext(sigma, marking, now, marking_history)
-    return _eval(expr, ctx, now)
+    return expr.holds(EvalContext(sigma, marking, now, marking_history), now)
 
 
-def _eval(expr: GuardExpr, ctx: EvalContext, time: int) -> bool:
+def _compile(expr: GuardExpr) -> Compiled:
+    """The closure that decides ``expr``; children are compiled (once) by
+    reading their own ``holds``. ``and`` / ``or`` stop at the first child
+    that decides them, left to right, so a signal view sees the same reads
+    as a tree walk would."""
     if isinstance(expr, Const):
-        return expr.value
+        value = expr.value
+        return lambda ctx, time: value
     if isinstance(expr, Sig):
-        return bool(ctx.sigma.value_at(expr.name, time))
+        name = expr.name
+        return lambda ctx, time: bool(ctx.sigma.value_at(name, time))
     if isinstance(expr, Cmp):
-        value = float(ctx.sigma.value_at(expr.name, time))
-        return value >= expr.threshold if expr.op == ">=" else value <= expr.threshold
+        name, threshold = expr.name, expr.threshold
+        if expr.op == ">=":
+            return lambda ctx, time: float(ctx.sigma.value_at(name, time)) >= threshold
+        return lambda ctx, time: float(ctx.sigma.value_at(name, time)) <= threshold
     if isinstance(expr, Marked):
-        marking = ctx.marking if time >= ctx.now else ctx.marking_at(time)
-        if expr.place not in marking:
-            raise UndeclaredSignal(f"marking atom references unknown place {expr.place!r}")
-        return marking[expr.place] >= expr.count
+        place, count = expr.place, expr.count
+
+        def marked(ctx: EvalContext, time: int) -> bool:
+            marking = ctx.marking if time >= ctx.now else ctx.marking_at(time)
+            if place not in marking:
+                raise UndeclaredSignal(f"marking atom references unknown place {place!r}")
+            return marking[place] >= count
+
+        return marked
     if isinstance(expr, Not):
-        return not _eval(expr.child, ctx, time)
+        child = expr.child.holds
+        return lambda ctx, time: not child(ctx, time)
     if isinstance(expr, And):
-        return all(_eval(c, ctx, time) for c in expr.children)
+        children = tuple(c.holds for c in expr.children)
+
+        def conjunction(ctx: EvalContext, time: int) -> bool:
+            for child in children:
+                if not child(ctx, time):
+                    return False
+            return True
+
+        return conjunction
     if isinstance(expr, Or):
-        return any(_eval(c, ctx, time) for c in expr.children)
+        children = tuple(c.holds for c in expr.children)
+
+        def disjunction(ctx: EvalContext, time: int) -> bool:
+            for child in children:
+                if child(ctx, time):
+                    return True
+            return False
+
+        return disjunction
     if isinstance(expr, HeldFor):
-        return _eval_held(expr, ctx, time)
+        body, duration, reads = expr.child.holds, expr.duration, expr._window_reads
+
+        def held(ctx: EvalContext, time: int) -> bool:
+            # An incomplete window cannot witness "held continuously".
+            if time < duration:
+                return False
+            start = time - duration
+            if not body(ctx, start):
+                return False
+            for point in _held_change_points(reads, ctx, start, time):
+                if not body(ctx, point):
+                    return False
+            return True
+
+        return held
     raise GuardError(f"unknown expression node {expr!r}")
 
 
-def _held_change_points(expr: HeldFor, ctx: EvalContext, start: int, end: int) -> list[int]:
-    points = set(ctx.sigma.change_points(signal_names(expr.child), start, end))
-    if place_names(expr.child) and ctx.marking_history:
+def _held_change_points(reads: tuple[set[str], bool], ctx: EvalContext, start: int, end: int) -> list[int]:
+    """Change-points within (start, end] of what a held_for body reads."""
+    names, reads_marking = reads
+    points = set(ctx.sigma.change_points(names, start, end))
+    if reads_marking and ctx.marking_history:
         for t, _ in ctx.marking_history:
             if start < t <= end:
                 points.add(t)
     return sorted(points)
-
-
-def _eval_held(expr: HeldFor, ctx: EvalContext, time: int) -> bool:
-    # An incomplete window cannot witness "held continuously".
-    if time < expr.duration:
-        return False
-    start = time - expr.duration
-    if not _eval(expr.child, ctx, start):
-        return False
-    for point in _held_change_points(expr, ctx, start, time):
-        if not _eval(expr.child, ctx, point):
-            return False
-    return True
 
 
 def held_for(
@@ -375,10 +437,10 @@ def next_held_flip(expr: GuardExpr, ctx: EvalContext) -> int | None:
     currently false cannot flip without one.
     """
     candidates: list[int] = []
-    for term in held_terms(expr):
-        if not _eval(term.child, ctx, ctx.now):
+    for term in expr._held_terms:
+        if not term.child.holds(ctx, ctx.now):
             continue
-        if _eval_held(term, ctx, ctx.now):
+        if term.holds(ctx, ctx.now):
             continue  # already true; flips back only on an atom change
         start = _true_run_start(term, ctx)
         flip = max(start + term.duration, term.duration)
@@ -394,10 +456,11 @@ def _true_run_start(term: HeldFor, ctx: EvalContext) -> int:
     change-point from which every later change-point up to now evaluates
     true. Assumes the body is true at now.
     """
-    points = [0] + _held_change_points(term, ctx, 0, ctx.now)
+    body = term.child.holds
+    points = [0] + _held_change_points(term._window_reads, ctx, 0, ctx.now)
     start = ctx.now
     for point in reversed(points):
-        if _eval(term.child, ctx, point):
+        if body(ctx, point):
             start = point
         else:
             break

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from .guards import EvalContext, eval_guard, next_held_flip
+from .guards import EvalContext, next_held_flip
 from .net import INF, Marking, Net, STRONG, UnknownTransition, apply_firing
 from .signals import SignalState
 
@@ -115,31 +115,45 @@ class KernelState:
         return EvalContext(sigma, self.marking, self.now, self.marking_history)
 
 
+def _covers(marking: Marking, pre: dict[str, int]) -> bool:
+    for place, weight in pre.items():
+        if marking.get(place, 0) < weight:
+            return False
+    return True
+
+
+def _enabled_in(net: Net, ctx: EvalContext, tid: str) -> bool:
+    """The enabling test of a known transition: ``ctx.marking`` covers its
+    pre-set, then its compiled guard holds at ``ctx.now``. The record is
+    read from ``net.transitions`` on every call, so a replaced record
+    takes effect at once."""
+    return _covers(ctx.marking, net.pre_sets[tid]) and net.transitions[tid].guard.holds(ctx, ctx.now)
+
+
 def struct_enabled(net: Net, marking: Marking, tid: str) -> bool:
     """True iff every input place holds at least the arc weight."""
-    if tid not in net.transitions:
-        raise UnknownTransition(tid)
-    return all(marking.get(place, 0) >= weight for place, weight in net.pre(tid).items())
+    return _covers(marking, net.pre(tid))
 
 
 def enabled(net: Net, state: KernelState, sigma: SignalState, tid: str) -> bool:
     """Structural enabling conjoined with guard truth at the current instant."""
-    if not struct_enabled(net, state.marking, tid):
-        return False
-    record = net.transitions[tid]
-    return eval_guard(record.guard, sigma, state.marking, state.now, state.marking_history)
+    if tid not in net.transitions:
+        raise UnknownTransition(tid)
+    return _enabled_in(net, state.eval_context(sigma), tid)
 
 
 def refresh_timers(net: Net, state: KernelState, sigma: SignalState) -> None:
     """Reconcile clocks with current enabledness: start clocks for newly
     enabled transitions, drop clocks of disabled ones, keep the rest."""
+    ctx = state.eval_context(sigma)
+    timers = state.timers
     for tid in net.transition_ids():
-        is_enabled = enabled(net, state, sigma, tid)
-        if is_enabled and tid not in state.timers:
-            state.timers[tid] = state.now
-        elif not is_enabled and tid in state.timers:
-            del state.timers[tid]
-    for tid, since in state.timers.items():
+        if _enabled_in(net, ctx, tid):
+            if tid not in timers:
+                timers[tid] = state.now
+        elif tid in timers:
+            del timers[tid]
+    for tid, since in timers.items():
         record = net.transitions[tid]
         if record.timing == STRONG and state.now - since > record.beta:
             raise DeadlineViolation(
@@ -237,7 +251,7 @@ def _next_candidate(net: Net, state: KernelState, sigma: SignalState, policy: Fi
             chosen = policy.chosen_offset(tid, record, since)
             if chosen is not None:
                 candidates.append(max(state.now, since + chosen))
-        if struct_enabled(net, state.marking, tid):
+        if _covers(state.marking, net.pre_sets[tid]):
             flip = next_held_flip(record.guard, ctx)
             if flip is not None:
                 candidates.append(flip)

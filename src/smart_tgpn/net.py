@@ -106,12 +106,13 @@ class Net:
     def __post_init__(self) -> None:
         self.places = sorted(dict.fromkeys(self.places))
         self.initial_marking = {p: self.initial_marking.get(p, 0) for p in self.places}
-        self._pre: dict[str, dict[str, int]] = {t: {} for t in self.transitions}
+        # transition id -> input place -> consumed weight, read by the kernel's enabling test
+        self.pre_sets: dict[str, dict[str, int]] = {t: {} for t in self.transitions}
         self._post: dict[str, dict[str, int]] = {t: {} for t in self.transitions}
         place_set = set(self.places)
         for arc in self.arcs:
             if arc.source in place_set and arc.target in self.transitions:
-                self._pre[arc.target][arc.source] = self._pre[arc.target].get(arc.source, 0) + arc.weight
+                self.pre_sets[arc.target][arc.source] = self.pre_sets[arc.target].get(arc.source, 0) + arc.weight
             elif arc.source in self.transitions and arc.target in place_set:
                 self._post[arc.source][arc.target] = self._post[arc.source].get(arc.target, 0) + arc.weight
             # dangling arcs are tolerated here and reported by validate_net
@@ -120,7 +121,7 @@ class Net:
         """Input places of a transition with consumed weights."""
         if tid not in self.transitions:
             raise UnknownTransition(tid)
-        return self._pre[tid]
+        return self.pre_sets[tid]
 
     def post(self, tid: str) -> dict[str, int]:
         """Output places of a transition with produced weights."""

@@ -99,6 +99,17 @@ def net_from_document(doc: dict) -> Net:
         raise NetDocumentError(f"malformed net document: {exc}") from None
 
 
+def subnets_from_document(doc: dict) -> list[tuple[str, Subnet, InterfaceSpec]]:
+    """(name, fragment, interface) of each subnets[] entry. A section or an
+    entry of the wrong type raises NetDocumentError."""
+    try:
+        return [subnet_from_document(raw) for raw in doc.get("subnets", [])]
+    except NetDocumentError:
+        raise
+    except (TypeError, AttributeError, ValueError) as exc:  # a field of the wrong type
+        raise NetDocumentError(f"malformed subnets section: {exc}") from None
+
+
 def subnet_from_document(doc: dict) -> tuple[str, Subnet, InterfaceSpec]:
     name = doc.get("name", "subnet")
     sub = Subnet(

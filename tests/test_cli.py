@@ -324,3 +324,12 @@ def test_malformed_net_file_is_input_error(tmp_path, capsys, defect, command):
         scenario.write_text(json.dumps({**PROBE_SCENARIO, "net": {"file": "bad.net.json"}}))
         code = main(["simulate", str(scenario), "--out", str(tmp_path / "runs")])
     _assert_one_line_input_error(code, capsys, names)
+
+
+@pytest.mark.parametrize("subnets", [5, [5]], ids=["section-not-a-list", "entry-not-an-object"])
+def test_validate_malformed_subnets_is_input_error(tmp_path, capsys, subnets):
+    doc = smart_to_document(build_single_agent(SmartConfig()))
+    doc["subnets"] = subnets
+    (tmp_path / "bad.net.json").write_text(json.dumps(doc))
+    code = main(["validate", str(tmp_path / "bad.net.json")])
+    _assert_one_line_input_error(code, capsys, "malformed subnets section")

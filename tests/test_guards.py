@@ -1,9 +1,14 @@
+import dataclasses
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from smart_tgpn.guards import (
     And,
     Cmp,
+    Const,
+    EvalContext,
     GuardError,
     HeldFor,
     Marked,
@@ -16,9 +21,11 @@ from smart_tgpn.guards import (
     guard_to_string,
     held_for,
     parse_guard,
+    place_names,
+    signal_names,
     substitute,
 )
-from smart_tgpn.signals import SignalState, UndeclaredSignal
+from smart_tgpn.signals import ConstantSignals, SignalState, UndeclaredSignal
 
 
 def sigma_with(**initial):
@@ -170,3 +177,155 @@ def test_substitute_replaces_a_node_without_descending_into_it():
     assert virtual == And((Sig("anom"), Not(Sig("h"))))
     renamed = substitute(expr, lambda node: Sig("x") if node == Sig("anom") else None)
     assert renamed == parse_guard("x and not held_for(x, 2)")
+
+
+# --- the compiled evaluator against a tree-walking interpreter -------------
+
+
+def reference_eval(expr, ctx, time):
+    """A tree-walking interpreter of the guard language: the oracle the
+    compiled closures are checked against."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Sig):
+        return bool(ctx.sigma.value_at(expr.name, time))
+    if isinstance(expr, Cmp):
+        value = float(ctx.sigma.value_at(expr.name, time))
+        return value >= expr.threshold if expr.op == ">=" else value <= expr.threshold
+    if isinstance(expr, Marked):
+        marking = ctx.marking if time >= ctx.now else ctx.marking_at(time)
+        if expr.place not in marking:
+            raise UndeclaredSignal(f"marking atom references unknown place {expr.place!r}")
+        return marking[expr.place] >= expr.count
+    if isinstance(expr, Not):
+        return not reference_eval(expr.child, ctx, time)
+    if isinstance(expr, And):
+        return all(reference_eval(c, ctx, time) for c in expr.children)
+    if isinstance(expr, Or):
+        return any(reference_eval(c, ctx, time) for c in expr.children)
+    if isinstance(expr, HeldFor):
+        return reference_held(expr, ctx, time)
+    raise GuardError(f"unknown expression node {expr!r}")
+
+
+def reference_held(expr, ctx, time):
+    if time < expr.duration:
+        return False
+    start = time - expr.duration
+    if not reference_eval(expr.child, ctx, start):
+        return False
+    points = set(ctx.sigma.change_points(signal_names(expr.child), start, time))
+    if place_names(expr.child) and ctx.marking_history:
+        points.update(t for t, _ in ctx.marking_history if start < t <= time)
+    return all(reference_eval(expr.child, ctx, point) for point in sorted(points))
+
+
+BOOLS, REALS, PLACES = ["b0", "b1", "b2"], ["r0"], ["p0", "p1"]
+ATOMS = st.one_of(
+    st.booleans().map(Const),
+    st.sampled_from(BOOLS + REALS).map(Sig),
+    st.builds(Cmp, st.sampled_from(REALS + BOOLS[:1]), st.sampled_from([">=", "<="]),
+              st.sampled_from([0.0, 0.5, 1.0])),
+    st.builds(Marked, st.sampled_from(PLACES), st.integers(0, 2)),
+    # declared nowhere: reading one must raise
+    st.sampled_from([Sig("ghost"), Cmp("ghost", ">=", 0.5), Marked("nowhere")]),
+)
+
+
+def _combine(children):
+    return st.one_of(
+        children.map(Not),
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: And(tuple(cs))),
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: Or(tuple(cs))),
+    )
+
+
+BODIES = st.recursive(ATOMS, _combine, max_leaves=6)
+HELD = st.builds(HeldFor, BODIES, st.integers(0, 4))
+GUARDS = st.recursive(st.one_of(ATOMS, HELD), _combine, max_leaves=6)
+MARKINGS = st.fixed_dictionaries({p: st.integers(0, 2) for p in PLACES})
+
+
+def outcome(evaluate, *args):
+    """The truth value, or the message of the UndeclaredSignal raised."""
+    try:
+        return evaluate(*args)
+    except UndeclaredSignal as exc:
+        return ("UndeclaredSignal", str(exc))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    expr=GUARDS,
+    bools=st.fixed_dictionaries({b: st.booleans() for b in BOOLS}),
+    real=st.sampled_from([0.0, 0.5, 0.7, 1.0]),
+    marking=MARKINGS,
+)
+def test_compiled_guard_matches_the_tree_walk_on_constant_signals(expr, bools, real, marking):
+    """Same truth value and same signals read, in the explorer's view."""
+    values = {**bools, "r0": real}
+    compiled, walked = ConstantSignals(values), ConstantSignals(values)
+    got = outcome(eval_guard, expr, compiled, marking, 0)
+    want = outcome(reference_eval, expr, EvalContext(walked, marking, 0), 0)
+    assert got == want
+    assert compiled.reads == walked.reads
+
+
+@st.composite
+def histories(draw):
+    """A SignalState with change points, and a marking history."""
+    sigma = SignalState.declare(booleans=BOOLS, reals=REALS)
+    for name in BOOLS + REALS:
+        values = st.booleans() if name in BOOLS else st.sampled_from([0.0, 0.5, 1.0])
+        for t in sorted(draw(st.sets(st.integers(0, 10), max_size=4))):
+            sigma.record(name, draw(values), t)
+    times = sorted(draw(st.lists(st.integers(1, 10), min_size=1, max_size=5)))
+    return sigma, [(t, draw(MARKINGS)) for t in [0] + times]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expr=st.one_of(HELD, GUARDS), state=histories())
+def test_compiled_guard_matches_the_tree_walk_over_histories(expr, state):
+    """At every instant, as the kernel asks: held_for windows read signal
+    change points and the marking history recorded so far."""
+    sigma, history = state
+    for now in range(12):
+        so_far = [entry for entry in history if entry[0] <= now]
+        marking = so_far[-1][1]
+        got = outcome(eval_guard, expr, sigma, marking, now, so_far)
+        want = outcome(reference_eval, expr, EvalContext(sigma, marking, now, so_far), now)
+        assert got == want, now
+
+
+# --- the compiled form is invisible from outside ----------------------------
+
+
+CACHED_TEXT = "held_for(U >= 0.7 or anom, 2) and marked(P_M) and not safe"
+
+
+def test_a_compiled_node_equals_and_hashes_as_a_fresh_one():
+    used = parse_guard(CACHED_TEXT)
+    eval_guard(used, sigma_with(U=0.9), {"P_M": 1}, 3)
+    fresh = parse_guard(CACHED_TEXT)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert guard_to_string(used) == guard_to_string(fresh)
+    assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
+    assert pickle.loads(pickle.dumps(used)) == fresh
+
+
+@pytest.mark.parametrize("rebuild", [
+    lambda expr: substitute(expr, lambda node: None),
+    lambda expr: dataclasses.replace(expr),
+    lambda expr: substitute(expr, lambda node: Sig("evidence") if node == Sig("safe") else None),
+], ids=["substitute-identity", "replace", "substitute-renaming"])
+def test_a_rebuilt_node_evaluates_as_a_fresh_one(rebuild):
+    used = parse_guard(CACHED_TEXT)
+    sigma = sigma_with(U=0.9, safe=True)
+    sigma.record("safe", False, 2)
+    eval_guard(used, sigma, {"P_M": 1}, 4)
+    rebuilt = rebuild(used)
+    fresh = rebuild(parse_guard(CACHED_TEXT))
+    for now in range(6):
+        for marking in ({"P_M": 0}, {"P_M": 1}):
+            assert eval_guard(rebuilt, sigma, marking, now) == eval_guard(fresh, sigma, marking, now)

@@ -11,6 +11,7 @@ from smart_tgpn.kernel import (
     enabled,
     fire,
     next_forced_deadline,
+    refresh_timers,
     struct_enabled,
 )
 from smart_tgpn.net import Arc, Net, TransitionRecord
@@ -278,3 +279,24 @@ class TestDeterminism:
         copy, fired = advance_to_next_event(net, copy, sigma, FiringPolicy(), 5)
         assert state.now == 0 and state.marking["P_S"] == 1
         assert copy.marking["P_M"] == 1 or copy.now > 0
+
+
+class TestReplacedRecord:
+    """Guards are compiled per expression node, not per net: a record
+    replaced after the net is built is enabled by its own guard."""
+
+    def test_refresh_and_advance_read_the_replaced_guard(self):
+        net = escalation_net()
+        sigma = escalation_sigma(invalid_at=0)
+        state = KernelState.initial(net)
+        refresh_timers(net, state, sigma)
+        assert state.timers == {"t_SM": 0}
+        record = net.transitions["t_SM"]
+        net.transitions["t_SM"] = record.with_guard(parse_guard("ur_flag"))
+        refresh_timers(net, state, sigma)
+        assert state.timers == {}
+        state, fired = advance_to_next_event(net, state, sigma, FiringPolicy(), 5)
+        assert fired == [] and state.now == 5
+        net.transitions["t_SM"] = record
+        state, fired = advance_to_next_event(net, state, sigma, FiringPolicy(), 10)
+        assert [e.transition for e in fired] == ["t_SM"] and state.marking["P_M"] == 1
