@@ -280,6 +280,8 @@ class _Explorer:
         self.memo: dict[tuple[int, int, int], list[EvolveResult]] = {}
         # (key id, tick cap) -> one (read mask, vector & mask, results) per evaluation
         self.read_memo: dict[tuple[int, int], list[tuple[int, int, list[EvolveResult]]]] = {}
+        # (key id, tick cap) -> one (vectors, results, target ids) per read class, see step_table
+        self.step_tables: dict[tuple[int, int], list[tuple[list[int], list[EvolveResult], list[int]]]] = {}
         self.driver_bits = {
             target: 1 << i for i, (_, targets) in enumerate(self.drivers) for target in targets
         }
@@ -408,6 +410,23 @@ class _Explorer:
         self.counts["read_set_hits" if hit else "evaluations"] += 1
         self.memo[memo_key] = results
         return results
+
+    def step_table(self, key_id: int, tick: int) -> list[tuple[list[int], list[EvolveResult], list[int]]]:
+        """The key's successors under every vector: one (vectors, results,
+        target ids) entry per read class, in the order of the classes' first
+        vectors. The first request at a tick cap steps each vector through
+        ``evolve`` in ascending order; later ones reuse the table."""
+        table_key = (key_id, min(tick, self.max_held_delta))
+        table = self.step_tables.get(table_key)
+        if table is None:
+            classes: dict[int, tuple[list[EvolveResult], list[int]]] = {}
+            for vector in range(1 << len(self.drivers)):
+                results = self.evolve(key_id, vector, tick)  # its read class's answer
+                classes.setdefault(id(results), (results, []))[1].append(vector)
+            table = [(vectors, results, [self.intern(r.key) for r in results])
+                     for results, vectors in classes.values()]
+            self.step_tables[table_key] = table
+        return table
 
     def read_class(self, classes: list[tuple[int, int, T]], vector: int,
                    evaluate: Callable[..., T], *args) -> tuple[T, bool]:
@@ -596,34 +615,20 @@ def explore(subject: Net | SmartNet, cfg: ExplorationConfig) -> ReachGraph:
     """Breadth-first bounded exploration over environment assignments."""
     explorer = _Explorer(subject, cfg)
     graph = ReachGraph(explorer)
-    all_vectors = explorer.branch_vectors(0) if cfg.flip_budget is None else None
     frontier = {explorer.intern(explorer.initial_key()): {explorer.initial_vector()}}
 
     for tick in range(cfg.horizon + 1):
         layer: dict[int, set[int]] = {}
         for key_id in sorted(frontier):
-            if all_vectors is not None:
-                pairs = [(next(iter(frontier[key_id])), v) for v in all_vectors]
-            else:
-                pairs = [
-                    (prev, v)
-                    for prev in sorted(frontier[key_id])
-                    for v in explorer.branch_vectors(prev)
-                ]
-            for prev_vector, vector in pairs:
-                for result in explorer.evolve(key_id, vector, tick):
-                    target = explorer.intern(result.key)
-                    node = (tick, target, vector)
-                    if node in graph.parents:
-                        continue
-                    layer.setdefault(target, set()).add(vector)
-                    graph.parents[node] = (key_id, prev_vector)
-                    for violation in result.violations:
-                        graph.violations.append(Violation(tick, (target, vector), violation))
-                    for breach in result.output_breaches:
-                        graph.violations.append(
-                            Violation(tick, (target, vector), f"output {breach} without stable token")
-                        )
+            if cfg.flip_budget is None:
+                _step_every_vector(graph, layer, tick, key_id, next(iter(frontier[key_id])))
+                continue
+            for prev_vector in sorted(frontier[key_id]):
+                for vector in explorer.branch_vectors(prev_vector):
+                    for result in explorer.evolve(key_id, vector, tick):
+                        target = explorer.intern(result.key)
+                        if _add_states(graph, layer, tick, target, (vector,), (key_id, prev_vector)):
+                            _add_violations(graph, tick, target, vector, result)
         graph.layers.append(layer)
         graph.state_count += sum(len(v) for v in layer.values())
         # a capped graph still holds layers 0 and 1
@@ -634,6 +639,62 @@ def explore(subject: Net | SmartNet, cfg: ExplorationConfig) -> ReachGraph:
 
     graph.stats = dict(explorer.counts)
     return graph
+
+
+def _step_every_vector(graph: ReachGraph, layer: dict[int, set[int]], tick: int, key_id: int,
+                       prev_vector: int) -> None:
+    """Step a key under every vector through its step table. The states
+    reached, their order and the violations are those of one ``evolve``
+    call per vector in ascending order."""
+    explorer = graph._explorer
+    if (key_id, min(tick, explorer.max_held_delta)) in explorer.step_tables:
+        # a reused table stands for one exact-memo hit per vector
+        explorer.counts["evolve_calls"] += 1 << len(explorer.drivers)
+        explorer.counts["memo_hits"] += 1 << len(explorer.drivers)
+    # target -> (class vectors, result index, result) of each class reaching
+    # it, through the class's first result with that target
+    by_target: dict[int, list[tuple[list[int], int, EvolveResult]]] = {}
+    for vectors, results, targets in explorer.step_table(key_id, tick):
+        for index, target in enumerate(targets):
+            groups = by_target.setdefault(target, [])
+            if not groups or groups[-1][0] is not vectors:
+                groups.append((vectors, index, results[index]))
+    flagged = []  # (vector, result index, target, result) of each new state with a violation
+    for target, groups in by_target.items():
+        vectors = groups[0][0] if len(groups) == 1 else sorted(v for group in groups for v in group[0])
+        added = _add_states(graph, layer, tick, target, vectors, (key_id, prev_vector))
+        if added and any(result.violations or result.output_breaches for _, _, result in groups):
+            fresh = set(added)
+            flagged += [
+                (v, index, target, result)
+                for class_vectors, index, result in groups
+                if result.violations or result.output_breaches
+                for v in class_vectors
+                if v in fresh
+            ]
+    # in the order of one evolve call per vector
+    for vector, _, target, result in sorted(flagged, key=lambda f: f[:2]):
+        _add_violations(graph, tick, target, vector, result)
+
+
+def _add_states(graph: ReachGraph, layer: dict[int, set[int]], tick: int, target: int,
+                vectors: Iterable[int], parent: tuple[int, int]) -> list[int]:
+    """Add each state (tick, target, vector) not yet in the layer, in the
+    given order, with its parent (source key, previous vector); return the
+    vectors added."""
+    reached = layer.setdefault(target, set())
+    added = [v for v in vectors if v not in reached]
+    reached.update(added)
+    for vector in added:
+        graph.parents[(tick, target, vector)] = parent
+    return added
+
+
+def _add_violations(graph: ReachGraph, tick: int, target: int, vector: int, result: EvolveResult) -> None:
+    for violation in result.violations:
+        graph.violations.append(Violation(tick, (target, vector), violation))
+    for breach in result.output_breaches:
+        graph.violations.append(Violation(tick, (target, vector), f"output {breach} without stable token"))
 
 
 def replay_witness(graph: ReachGraph, witness: list[dict]) -> list[tuple[int, list[str]]]:
@@ -807,19 +868,27 @@ def _check_safety(graph: ReachGraph, formula: Formula, holds: Callable[[int, int
     governing the instant of the firing and the marking at its entry."""
     explorer = graph._explorer
     forbidden = resolve_forbidden(formula.forbidden, explorer.net, explorer.smart)
-    all_vectors = explorer.branch_vectors(0) if graph.config.flip_budget is None else None
+    budgeted = graph.config.flip_budget is not None
     init = {explorer.intern(explorer.initial_key()): {explorer.initial_vector()}}
     # the edges into tick t leave the initial state (t = 0) or layer t - 1
     for tick, layer in enumerate([init] + graph.layers[:-1]):
         for key_id, vectors in layer.items():
-            if all_vectors is None:
-                next_vectors = [v for prev in vectors for v in explorer.branch_vectors(prev)]
+            if budgeted:
+                steps = (
+                    (v, explorer.evolve(key_id, v, tick)) for prev in vectors for v in explorer.branch_vectors(prev)
+                )
             else:
-                next_vectors = all_vectors
-            for vector in next_vectors:
+                # only the read classes with a result that fires a forbidden transition
+                steps = sorted(
+                    (v, results)
+                    for class_vectors, results, _ in explorer.step_table(key_id, tick)
+                    if any(forbidden.intersection(r.firings) for r in results)
+                    for v in class_vectors
+                )
+            for vector, results in steps:
                 if not holds(key_id, vector):
                     continue
-                for result in explorer.evolve(key_id, vector, tick):
+                for result in results:
                     hit = sorted(set(result.firings) & forbidden)
                     if hit:
                         target = explorer.intern(result.key)

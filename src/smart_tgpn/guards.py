@@ -268,6 +268,8 @@ class _Parser:
 
 def parse_guard(text: str) -> GuardExpr:
     """Parse a guard expression string into an AST."""
+    if not isinstance(text, str):
+        raise GuardError(f"a guard expression must be a string, got {text!r}")
     text = text.strip()
     if not text:
         return TRUE

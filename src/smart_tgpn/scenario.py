@@ -192,6 +192,9 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
     for key in ("name", "net", "horizon"):
         if key not in doc:
             raise ScenarioError(f"scenario lacks required field {key!r}")
+    # the name is the file name stem of the run's trace and reports
+    if not isinstance(doc["name"], str) or "/" in doc["name"] or "\\" in doc["name"]:
+        raise ScenarioError(f"scenario name must be a string without a path separator, got {doc['name']!r}")
     smart = _build_net(doc["net"], base_dir)
     horizon = int(doc["horizon"])
     if horizon < 0:

@@ -223,9 +223,16 @@ def test_simulate_malformed_formula_is_input_error(tmp_path, capsys, formula):
         {"horizon": "abc"},
         {"net": {"builder": {"config": {"hysteresis": {"enabled": True, "bogus": 1}}}}},
         {"policy": "bogus", "script": []},
+        {"name": 5},
+        {"name": "../escaped"},
+        {"formulas": [{"kind": "safety", "condition": 5, "forbidden": ["output"]}]},
+        {"triggers": {"u_risk": 5}},
+        {"triggers": {"u_risk": "UR", "t_m": [{"name": "m", "expr": 5}]}},
     ],
     ids=["non-boolean-script-value", "two-values-at-one-tick", "negative-deadline", "unclosed-guard",
-         "unknown-proposition", "non-integer-horizon", "unknown-hysteresis-key", "unknown-policy"],
+         "unknown-proposition", "non-integer-horizon", "unknown-hysteresis-key", "unknown-policy",
+         "non-string-name", "name-with-path-separator", "non-string-condition", "non-string-u_risk",
+         "non-string-trigger-expr"],
 )
 def test_simulate_malformed_scenario_is_input_error(tmp_path, capsys, change):
     scenario = {

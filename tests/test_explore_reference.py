@@ -1,0 +1,188 @@
+"""`explore` builds the graph that stepping one vector at a time builds.
+
+Without a flip budget, `explore` steps each key once per read class through
+its step table. `reference_explore` below is the explorer's earlier loop,
+one `evolve` call per (key, vector) edge. Both must agree on key ids, the
+order of every layer and of its vector sets (`export_lines` prints sets in
+iteration order), parents, violations in order, the exact memo and the
+engine counters. The safety search reads the same step tables;
+`reference_safety` is its earlier per-edge loop, and both must give the
+same verdict and witness.
+"""
+
+import pytest
+
+from smart_tgpn.analysis import (
+    BRANCH_ALL,
+    HOLDS,
+    VACUOUS,
+    VIOLATED,
+    ExplorationConfig,
+    Formula,
+    FormulaVerdict,
+    ReachGraph,
+    Violation,
+    _condition_test,
+    _Explorer,
+    check_formula,
+    explore,
+    resolve_forbidden,
+)
+from smart_tgpn.guards import Marked, Not, Or, Sig
+from smart_tgpn.builder import SmartNet
+from smart_tgpn.net import Arc, Net
+from test_explore_memo import ALPHABET8, CASES, double, single
+
+
+def reference_explore(subject, cfg):
+    """One `evolve` call per (key, vector) edge, in ascending vector order."""
+    explorer = _Explorer(subject, cfg)
+    graph = ReachGraph(explorer)
+    all_vectors = explorer.branch_vectors(0) if cfg.flip_budget is None else None
+    frontier = {explorer.intern(explorer.initial_key()): {explorer.initial_vector()}}
+
+    for tick in range(cfg.horizon + 1):
+        layer = {}
+        for key_id in sorted(frontier):
+            if all_vectors is not None:
+                pairs = [(next(iter(frontier[key_id])), v) for v in all_vectors]
+            else:
+                pairs = [(prev, v) for prev in sorted(frontier[key_id]) for v in explorer.branch_vectors(prev)]
+            for prev_vector, vector in pairs:
+                for result in explorer.evolve(key_id, vector, tick):
+                    target = explorer.intern(result.key)
+                    node = (tick, target, vector)
+                    if node in graph.parents:
+                        continue
+                    layer.setdefault(target, set()).add(vector)
+                    graph.parents[node] = (key_id, prev_vector)
+                    for violation in result.violations:
+                        graph.violations.append(Violation(tick, (target, vector), violation))
+                    for breach in result.output_breaches:
+                        graph.violations.append(
+                            Violation(tick, (target, vector), f"output {breach} without stable token")
+                        )
+        graph.layers.append(layer)
+        graph.state_count += sum(len(v) for v in layer.values())
+        if tick > 0 and graph.state_count > cfg.state_cap:
+            graph.incomplete = True
+            break
+        frontier = layer
+
+    graph.stats = dict(explorer.counts)
+    return graph
+
+
+def reference_safety(graph, formula):
+    """The safety search with one condition lookup per (key, vector) edge."""
+    holds = _condition_test(graph, formula.condition)
+    explorer = graph._explorer
+    forbidden = resolve_forbidden(formula.forbidden, explorer.net, explorer.smart)
+    all_vectors = explorer.branch_vectors(0) if graph.config.flip_budget is None else None
+    init = {explorer.intern(explorer.initial_key()): {explorer.initial_vector()}}
+    for tick, layer in enumerate([init] + graph.layers[:-1]):
+        for key_id, vectors in layer.items():
+            if all_vectors is None:
+                next_vectors = [v for prev in vectors for v in explorer.branch_vectors(prev)]
+            else:
+                next_vectors = all_vectors
+            for vector in next_vectors:
+                if not holds(key_id, vector):
+                    continue
+                for result in explorer.evolve(key_id, vector, tick):
+                    hit = sorted(set(result.firings) & forbidden)
+                    if hit:
+                        target = explorer.intern(result.key)
+                        witness = graph.witness_path(tick, target, vector)
+                        return FormulaVerdict(formula, VIOLATED, witness, f"{hit[0]} fired under the condition")
+    if not any(holds(k, v) for _, k, v in graph.states()):
+        return FormulaVerdict(formula, VACUOUS, detail="condition never held")
+    return FormulaVerdict(formula, HOLDS)
+
+
+def defective(weak_branching, output_loop=False):
+    """The single-agent net with an ungated output (it fires outside P_S)
+    and a t_SM that also marks P_A (two mode tokens). With ``output_loop``
+    the output puts its want token back, so under all-branching firing it
+    and not firing it reach one key, and only the first result counts."""
+    smart = single()
+    net = smart.net
+    arcs = [a for a in net.arcs if (a.source, a.target) not in (("P_S", "t_out"), ("t_out", "P_S"))]
+    arcs.append(Arc("t_SM", "P_A"))
+    if output_loop:
+        arcs.append(Arc("t_out", "P_want"))
+    broken = Net(list(net.places), dict(net.transitions), arcs, dict(net.initial_marking), set(net.refinable))
+    subject = SmartNet(broken, smart.config, smart.agents, smart.coordination_places, smart.gating_mode)
+    cfg = ExplorationConfig(horizon=4, alphabet=ALPHABET8[:3] + ["want_output"], weak_branching=weak_branching)
+    return subject, cfg
+
+
+SUBJECTS = {
+    **{name: (lambda f=factory, c=cfg: (f(), c)) for name, (factory, cfg, _) in CASES.items()},
+    "c01-single-h7": lambda: (single(), ExplorationConfig(horizon=7, alphabet=ALPHABET8)),
+    "c01-two-agent-h7": lambda: (double(), ExplorationConfig(horizon=7, alphabet=ALPHABET8)),
+    "defective-earliest": lambda: defective("earliest-only"),
+    "defective-all-branching": lambda: defective(BRANCH_ALL),
+    "defective-output-loop": lambda: defective(BRANCH_ALL, output_loop=True),
+}
+
+
+def _violations(graph):
+    return [(v.tick, v.state, v.description) for v in graph.violations]
+
+
+@pytest.mark.parametrize("name", sorted(SUBJECTS))
+def test_explore_matches_the_per_vector_reference(name):
+    subject, cfg = SUBJECTS[name]()
+    graph = explore(subject, cfg)
+    subject, cfg = SUBJECTS[name]()
+    expected = reference_explore(subject, cfg)
+    assert graph._explorer.key_table == expected._explorer.key_table
+    assert [[(key_id, list(vectors)) for key_id, vectors in layer.items()] for layer in graph.layers] == [
+        [(key_id, list(vectors)) for key_id, vectors in layer.items()] for layer in expected.layers
+    ]
+    assert graph.parents == expected.parents
+    assert _violations(graph) == _violations(expected)
+    assert list(graph._explorer.memo) == list(expected._explorer.memo)
+    assert graph.stats == expected.stats
+    assert (graph.state_count, graph.incomplete) == (expected.state_count, expected.incomplete)
+
+
+@pytest.mark.parametrize("weak_branching", ["earliest-only", BRANCH_ALL])
+def test_defective_net_reaches_both_kinds_of_violation(weak_branching):
+    graph = explore(*defective(weak_branching))
+    descriptions = {v.description for v in graph.violations}
+    assert any(d.startswith("mode-token sum 2") for d in descriptions)
+    assert "output t_out without stable token" in descriptions
+
+
+def test_output_loop_gives_a_class_two_results_with_one_target():
+    graph = explore(*defective(BRANCH_ALL, output_loop=True))
+    tables = graph._explorer.step_tables.values()
+    assert any(len(set(targets)) < len(targets) for table in tables for _, _, targets in table)
+
+
+def safety_formulas(smart):
+    agent = smart.agents[0]
+    return [
+        Formula("safety", Sig(agent.signal("anom")), forbidden=(agent.switch("t_SM"),)),
+        # holds on vectors of a later read class below the first ones of an earlier class
+        Formula("safety", Or((Sig(agent.signal("anom")), Sig(agent.signal("assist")))),
+                forbidden=(agent.switch("t_SM"),)),
+        Formula("safety", Not(Sig(agent.signal("ext_auth"))), forbidden=("mode-switch",)),
+        Formula("safety", Not(Marked(agent.place("S"))), forbidden=("output",)),
+        Formula("safety", Sig(agent.signal("timeout_M")), forbidden=(agent.switch("t_MR"), agent.switch("t_MA"))),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SUBJECTS))
+def test_safety_matches_the_per_edge_reference(name):
+    subject, cfg = SUBJECTS[name]()
+    graph = explore(subject, cfg)
+    verdicts = [check_formula(graph, formula) for formula in safety_formulas(subject)]
+    subject, cfg = SUBJECTS[name]()
+    expected = reference_explore(subject, cfg)
+    expected_verdicts = [reference_safety(expected, formula) for formula in safety_formulas(subject)]
+    assert [(v.status, v.detail, v.witness) for v in verdicts] == [
+        (v.status, v.detail, v.witness) for v in expected_verdicts
+    ]
