@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .builder import SmartNet, validate_smart
+from .builder import ResidenceClock, SmartNet, validate_smart
 from .guards import (
     GuardExpr,
     HeldFor,
@@ -38,8 +38,8 @@ from .kernel import (
     FiringPolicy,
     KernelState,
     ZenoViolation,
-    _due_transition,
     fire,
+    fire_due,
     refresh_timers,
 )
 from .net import INF, Marking, Net, STRONG
@@ -466,7 +466,7 @@ class _Explorer:
             values[name] = body_true and run >= term.duration and tick_cap >= term.duration
 
         marking = dict(key.marking)
-        residence = {suffix: elapsed for suffix, elapsed in key.residence}
+        clock = self.clock_of(key)
         if self.deposit_driver and self.smart is not None:
             # at most one pending output attempt per agent
             for agent in self.smart.agents:
@@ -478,56 +478,47 @@ class _Explorer:
         state.timers = {tid: -elapsed for tid, elapsed in key.timers}
 
         if self.cfg.weak_branching == BRANCH_ALL:
-            outcomes = self._cascade_all(state, sigma, residence)
+            outcomes = self._cascade_all(state, sigma, clock)
         else:
-            outcomes = [self._cascade_earliest(state, sigma, residence)]
+            outcomes = [self._cascade_earliest(state, sigma, clock)]
 
         results = []
-        for end_state, end_residence, firings, touched in outcomes:
-            results.append(self._finish(end_state, end_residence, held_runs, firings, touched))
+        for end_state, end_clock, firings, touched in outcomes:
+            results.append(self._finish(end_state, end_clock, held_runs, firings, touched))
         return results
 
-    def _set_derived(self, values: dict, marking: Marking, residence: dict[str, int]) -> None:
-        for agent in self.agents:
-            mode = agent.mode_in(marking)
-            elapsed = residence.get(agent.suffix, 0)
-            values["timeout_M" + agent.suffix] = mode == "M" and elapsed >= agent.config.budget_m
-            values["timeout_A" + agent.suffix] = mode == "A" and elapsed >= agent.config.budget_a
+    def clock_of(self, key: StateKey) -> ResidenceClock:
+        """The key's residence clock at tick 0 of its next step."""
+        return ResidenceClock.at(self.agents, dict(key.marking), [-elapsed for _, elapsed in key.residence])
 
-    def _track_residence(self, residence: dict[str, int], before: Marking, after: Marking) -> None:
-        for agent in self.agents:
-            if agent.mode_in(before) != agent.mode_in(after):
-                residence[agent.suffix] = 0
-
-    def _cascade_earliest(self, state: KernelState, sigma: ConstantSignals, residence: dict[str, int]):
+    def _cascade_earliest(self, state: KernelState, sigma: ConstantSignals, clock: ResidenceClock):
         firings: list[str] = []
         touched: set[str] = set()
         while True:
-            self._set_derived(sigma.values, state.marking, residence)
-            refresh_timers(self.net, state, sigma)
-            due = _due_transition(self.net, state, sigma, self.policy)
-            if due is None:
+            sigma.values.update(clock.timeouts(state.now))
+            event = fire_due(self.net, state, sigma, self.policy)
+            if event is None:
                 break
-            before = dict(state.marking)
-            state, event = fire(self.net, state, due, sigma)
-            if state.events_at_now > self.policy.zeno_limit:
-                raise ZenoViolation(f"cascade exceeded {self.policy.zeno_limit} firings in one tick")
-            firings.append(due)
+            firings.append(event.transition)
             touched.update(p for p, c in state.marking.items() if c > 0)
-            self._track_residence(residence, before, state.marking)
-        return state, residence, tuple(firings), frozenset(touched)
+            clock.observe(state.marking, state.now)
+        return state, clock, tuple(firings), frozenset(touched)
 
-    def _cascade_all(self, state: KernelState, sigma: ConstantSignals, residence: dict[str, int]):
-        """Branch over every admissible firing choice within the instant."""
+    def _cascade_all(self, state: KernelState, sigma: ConstantSignals, clock: ResidenceClock):
+        """Branch over every admissible firing choice within the instant,
+        once per distinct state a branch reaches: its marking, its clocks
+        once refreshed, and its residence clock."""
         outcomes = []
         seen: set[tuple] = set()
 
-        def snapshot(st: KernelState, res: dict[str, int]) -> tuple:
-            return (tuple(sorted(st.marking.items())), tuple(sorted(st.timers.items())), tuple(sorted(res.items())))
-
-        def recurse(st: KernelState, res: dict[str, int], firings: tuple[str, ...], touched: frozenset[str]):
-            self._set_derived(sigma.values, st.marking, res)
+        def recurse(st: KernelState, clk: ResidenceClock, firings: tuple[str, ...], touched: frozenset[str]):
+            sigma.values.update(clk.timeouts(st.now))
             refresh_timers(self.net, st, sigma)
+            if firings:  # a branch; the instant's entry state is never deduplicated
+                mark = (tuple(sorted(st.marking.items())), tuple(sorted(st.timers.items())), tuple(clk.entered))
+                if mark in seen:
+                    return
+                seen.add(mark)
             choices = []
             forced_pending = False
             for tid, since in sorted(st.timers.items()):
@@ -539,27 +530,21 @@ class _Explorer:
                     forced_pending = True
                 choices.append(tid)
             if not forced_pending:
-                outcomes.append((st.clone(), dict(res), firings, touched))
+                outcomes.append((st, clk, firings, touched))  # the branches below fire on copies
             for tid in choices:
                 # a sibling's recursion rewrote the derived timeouts
-                self._set_derived(sigma.values, st.marking, res)
-                nxt = st.clone()
-                nxt_res = dict(res)
-                before = dict(nxt.marking)
-                nxt, _ = fire(self.net, nxt, tid, sigma)
+                sigma.values.update(clk.timeouts(st.now))
+                nxt, _ = fire(self.net, st.clone(), tid, sigma)
                 if nxt.events_at_now > self.policy.zeno_limit:
                     raise ZenoViolation("cascade branching exceeded the zeno limit")
-                self._track_residence(nxt_res, before, nxt.marking)
-                mark = snapshot(nxt, nxt_res)
-                if mark in seen:
-                    continue
-                seen.add(mark)
-                recurse(nxt, nxt_res, firings + (tid,), touched | {p for p, c in nxt.marking.items() if c > 0})
+                nxt_clk = clk.copy()
+                nxt_clk.observe(nxt.marking, nxt.now)
+                recurse(nxt, nxt_clk, firings + (tid,), touched | {p for p, c in nxt.marking.items() if c > 0})
 
-        recurse(state, residence, (), frozenset(p for p, c in state.marking.items() if c > 0))
+        recurse(state, clock, (), frozenset(p for p, c in state.marking.items() if c > 0))
         return outcomes
 
-    def _finish(self, state: KernelState, residence: dict[str, int], held_runs: list[int],
+    def _finish(self, state: KernelState, clock: ResidenceClock, held_runs: list[int],
                 firings: tuple[str, ...], touched: frozenset[str]) -> EvolveResult:
         violations = []
         breaches = []
@@ -578,10 +563,6 @@ class _Explorer:
                     if pre.get(agent.place("S"), 0) < 1:
                         breaches.append(tid)
 
-        next_residence = tuple(
-            (a.suffix, min(residence.get(a.suffix, 0) + 1, max(a.config.budget_m, a.config.budget_a)))
-            for a in self.agents
-        )
         next_timers = []
         for tid, since in sorted(state.timers.items()):
             record = self.net.transitions[tid]
@@ -595,7 +576,7 @@ class _Explorer:
         key = StateKey(
             marking=tuple(sorted(state.marking.items())),
             timers=tuple(next_timers),
-            residence=next_residence,
+            residence=clock.residence(state.now + 1),
             held_runs=tuple(held_runs),
         )
         return EvolveResult(key, firings, touched, tuple(violations), tuple(breaches))
@@ -786,9 +767,8 @@ def _condition_test(graph: ReachGraph, condition: GuardExpr) -> Callable[[int, i
     def evaluate(key_id: int, vector: int, reads: set[str]) -> bool:
         values = explorer.vector_values(vector)
         key = explorer.key_table[key_id]
-        marking = dict(key.marking)
-        explorer._set_derived(values, marking, dict(key.residence))
-        return eval_guard(condition, ConstantSignals(values, reads), marking, 0)
+        values.update(explorer.clock_of(key).timeouts(0))
+        return eval_guard(condition, ConstantSignals(values, reads), dict(key.marking), 0)
 
     def holds(key_id: int, vector: int) -> bool:
         return explorer.read_class(by_key.setdefault(key_id, []), vector, evaluate, key_id, vector)[0]

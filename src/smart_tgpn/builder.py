@@ -13,7 +13,8 @@ never moves the mode token and each scripted attempt fires at most once.
 
 Escalation and governance transitions are strongly timed with finite
 deadlines; returns are weak. Timeouts (timeout_M / timeout_A) are derived
-signals maintained by the run loop from residence budgets B_M / B_A.
+signals: ``ResidenceClock`` decides them from the residence budgets
+B_M / B_A for the run loop and the explorer.
 """
 
 from __future__ import annotations
@@ -166,6 +167,58 @@ class AgentView:
 
     def real_signals(self) -> list[str]:
         return [s + self.suffix for s in AGENT_REAL_SIGNALS]
+
+
+@dataclass
+class ResidenceClock:
+    """The derived timeouts' one rule, for the simulator and the explorer:
+    ``timeout_M`` / ``timeout_A`` hold once an agent's mode token has stayed
+    ``budget_m`` / ``budget_a`` ticks in P_M / P_A. Per agent it keeps the
+    token's mode and the tick it entered that mode place. Every mode change
+    ``observe`` sees, a leave and re-entry within one instant included,
+    restarts the clock."""
+
+    agents: list[AgentView]
+    modes: list[str | None]
+    entered: list[int]
+
+    @classmethod
+    def at(cls, agents: list[AgentView], marking: Mapping[str, int], entered: list[int]) -> "ResidenceClock":
+        return cls(agents, [agent.mode_in(marking) for agent in agents], list(entered))
+
+    def copy(self) -> "ResidenceClock":
+        return ResidenceClock(self.agents, list(self.modes), list(self.entered))
+
+    def observe(self, marking: Mapping[str, int], now: int) -> list[str]:
+        """Restart the clock of each agent whose token changed mode place;
+        return the timeout signal of each restarted clock in P_M or P_A."""
+        restarted = []
+        for index, agent in enumerate(self.agents):
+            mode = agent.mode_in(marking)
+            if mode != self.modes[index]:
+                self.modes[index], self.entered[index] = mode, now
+                restarted += [f"timeout_{mode}{agent.suffix}"] if mode in ("M", "A") else []
+        return restarted
+
+    def deadlines(self) -> list[tuple[str, int]]:
+        """(timeout signal, tick it holds from) of each agent in P_M or P_A."""
+        return [
+            (f"timeout_{mode}{agent.suffix}", entered + (agent.config.budget_m if mode == "M" else agent.config.budget_a))
+            for agent, mode, entered in zip(self.agents, self.modes, self.entered)
+            if mode in ("M", "A")
+        ]
+
+    def timeouts(self, now: int) -> dict[str, bool]:
+        """Every agent's ``timeout_M`` / ``timeout_A`` at ``now``."""
+        values = {f"timeout_{key}{agent.suffix}": False for agent in self.agents for key in "MA"}
+        values.update((name, now >= due) for name, due in self.deadlines())
+        return values
+
+    def residence(self, now: int) -> tuple[tuple[str, int], ...]:
+        """(suffix, ticks in the current mode place at ``now``) per agent,
+        capped at the larger budget, past which no timeout changes."""
+        return tuple((agent.suffix, min(now - entered, max(agent.config.budget_m, agent.config.budget_a)))
+                     for agent, entered in zip(self.agents, self.entered))
 
 
 @dataclass

@@ -163,7 +163,8 @@ def refresh_timers(net: Net, state: KernelState, sigma: SignalState) -> None:
 
 def fire(net: Net, state: KernelState, tid: str, sigma: SignalState) -> tuple[KernelState, FiringEvent]:
     """Fire one transition now. Requires enabledness and alpha <= clock;
-    a strong transition past beta raises DeadlineViolation."""
+    a strong transition past beta raises DeadlineViolation. The other clocks
+    are left to the next step, which refreshes them before it reads them."""
     if not enabled(net, state, sigma, tid):
         raise NotEnabled(f"{tid} is not enabled at t={state.now}")
     if tid not in state.timers:
@@ -185,7 +186,6 @@ def fire(net: Net, state: KernelState, tid: str, sigma: SignalState) -> tuple[Ke
     state.events_at_now += 1
     # the fired transition's own clock restarts if it is still enabled
     state.timers.pop(tid, None)
-    refresh_timers(net, state, sigma)
     return state, event
 
 
@@ -234,6 +234,20 @@ def _due_transition(net: Net, state: KernelState, sigma: SignalState, policy: Fi
     return best[1] if best else None
 
 
+def fire_due(net: Net, state: KernelState, sigma: SignalState, policy: FiringPolicy) -> FiringEvent | None:
+    """One step within the current instant: reconcile the clocks, fire the
+    highest-priority transition due now under the policy, if any, and
+    check the Zeno limit. Returns the firing, None if nothing was due."""
+    refresh_timers(net, state, sigma)
+    due = _due_transition(net, state, sigma, policy)
+    if due is None:
+        return None
+    _, event = fire(net, state, due, sigma)
+    if state.events_at_now > policy.zeno_limit:
+        raise ZenoViolation(f"{state.events_at_now} events at t={state.now}")
+    return event
+
+
 def _next_candidate(net: Net, state: KernelState, sigma: SignalState, policy: FiringPolicy) -> int | None:
     """Earliest future time at which anything can happen: a scripted signal
     change, a chosen or forced firing, or a held-for window completing."""
@@ -275,30 +289,16 @@ def advance_to_next_event(
     ``limit`` and nothing fires. Returns the (mutated) state and the
     firing events produced (empty for pure wake-ups).
     """
-    refresh_timers(net, state, sigma)
-    if state.events_at_now > policy.zeno_limit:
-        raise ZenoViolation(f"{state.events_at_now} events at t={state.now}")
-
-    due = _due_transition(net, state, sigma, policy)
-    if due is not None:
-        state, event = fire(net, state, due, sigma)
-        if state.events_at_now > policy.zeno_limit:
-            raise ZenoViolation(f"{state.events_at_now} events at t={state.now}")
+    event = fire_due(net, state, sigma, policy)
+    if event is not None:
         return state, [event]
 
     target = _next_candidate(net, state, sigma, policy)
-    if target is None or (limit is not None and target >= limit):
-        if limit is not None and limit > state.now:
-            state.now = limit
-            state.events_at_now = 0
-            refresh_timers(net, state, sigma)
-        return state, []
-
-    state.now = target
-    state.events_at_now = 0
-    refresh_timers(net, state, sigma)
-    due = _due_transition(net, state, sigma, policy)
-    if due is None:
-        return state, []
-    state, event = fire(net, state, due, sigma)
-    return state, [event]
+    if target is not None and (limit is None or target < limit):
+        state.now, state.events_at_now = target, 0
+        event = fire_due(net, state, sigma, policy)
+        return state, [] if event is None else [event]
+    if limit is not None and limit > state.now:
+        state.now, state.events_at_now = limit, 0
+        refresh_timers(net, state, sigma)
+    return state, []

@@ -7,9 +7,9 @@ itself does not know about:
 
 - output attempts: script entries for the pseudo-signal ``want_output``
   deposit a token into the agent's want place;
-- derived timeouts: ``timeout_M`` / ``timeout_A`` flip true when the
-  residence clock of the matching recovery place reaches its budget, and
-  reset on the next entry to that place;
+- derived timeouts: ``timeout_M`` / ``timeout_A`` are recorded true when
+  the agent's ``ResidenceClock`` says they hold, and reset on the next
+  entry to their place;
 - derived agreement (opt-in): ``disagree`` / ``agree`` are recomputed
   from the per-agent ``claim_*`` signals after every event.
 
@@ -28,6 +28,7 @@ from typing import Any
 from .analysis import Formula, FormulaVerdict
 from .builder import (
     AgentSpec,
+    ResidenceClock,
     SmartNet,
     TriggerSet,
     Trigger,
@@ -36,7 +37,7 @@ from .builder import (
     default_trigger_set,
 )
 from .guards import GuardExpr, parse_guard
-from .kernel import EARLIEST, LATEST, RANDOM, FiringPolicy, KernelState, advance_to_next_event
+from .kernel import EARLIEST, LATEST, RANDOM, FiringPolicy, KernelState, _next_candidate, advance_to_next_event
 from .monitor import (
     PROPOSITIONS,
     PropositionSpec,
@@ -317,51 +318,9 @@ class RunReport:
         return "\n".join(lines)
 
 
-class _DerivedClocks:
-    """Residence clocks behind timeout_M / timeout_A, per agent.
-
-    A timeout flips true when continuous residence in the matching place
-    reaches its budget; it resets (lazily) at the next entry to the place.
-    """
-
-    def __init__(self, smart: SmartNet, marking):
-        # one slot per agent and recovery place: (place, timeout signal, budget)
-        self.slots = [
-            (agent.mode_places[key], f"timeout_{key}{agent.suffix}", budget)
-            for agent in smart.agents
-            for key, budget in (("M", agent.config.budget_m), ("A", agent.config.budget_a))
-        ]
-        # per slot, the tick its place was entered, None while it is unmarked
-        self.entered: list[int | None] = [0 if marking.get(place, 0) >= 1 else None for place, _, _ in self.slots]
-
-    def on_marking(self, marking, time: int, sigma: SignalState) -> None:
-        for slot, (place, name, _) in enumerate(self.slots):
-            marked = marking.get(place, 0) >= 1
-            if marked and self.entered[slot] is None:
-                self.entered[slot] = time
-                history = sigma.histories[name]
-                if 0 < time == history[-1][0] and history[-1][1]:
-                    history.pop()  # re-entered in the instant it timed out
-                elif bool(sigma.value_at(name, time)):
-                    sigma.record(name, False, time)
-            elif not marked and self.entered[slot] is not None:
-                self.entered[slot] = None
-
-    def next_flip(self, sigma: SignalState, now: int) -> int | None:
-        flips = [
-            since + budget
-            for (_, name, budget), since in zip(self.slots, self.entered)
-            if since is not None and not bool(sigma.value_at(name, now)) and since + budget >= now
-        ]
-        return min(flips, default=None)
-
-    def flip_due(self, sigma: SignalState, now: int) -> bool:
-        changed = False
-        for (_, name, budget), since in zip(self.slots, self.entered):
-            if since is not None and now >= since + budget and not bool(sigma.value_at(name, now)):
-                sigma.record(name, True, now)
-                changed = True
-        return changed
+def _next_timeout(clock: ResidenceClock, sigma: SignalState, now: int) -> int | None:
+    """The earliest tick from ``now`` on at which a timeout not yet true turns true."""
+    return min((due for name, due in clock.deadlines() if due >= now and not sigma.value_at(name, now)), default=None)
 
 
 def _derive_agreement(smart: SmartNet, sigma: SignalState, now: int) -> None:
@@ -374,24 +333,23 @@ def _derive_agreement(smart: SmartNet, sigma: SignalState, now: int) -> None:
 
 def run(scenario: Scenario) -> tuple[Trace, RunReport]:
     """Execute a scenario and evaluate its requested checks."""
-    from .kernel import _next_candidate
-
     smart = scenario.smart
     net = smart.net
     sigma = scenario.signal_state()
     policy = FiringPolicy(scenario.policy, seed=scenario.seed)
     state = KernelState.initial(net)
     deposits = deque(scenario.deposits())
-    clocks = _DerivedClocks(smart, state.marking)
+    clock = ResidenceClock.at(smart.agents, state.marking, [0] * len(smart.agents))
     events: list[TraceEvent] = []
-
-    if scenario.derive_agreement:
-        _derive_agreement(smart, sigma, 0)
 
     while state.now <= scenario.horizon:
         if scenario.derive_agreement:
             _derive_agreement(smart, sigma, state.now)
-        progressed = clocks.flip_due(sigma, state.now)
+        progressed = False
+        for name, value in clock.timeouts(state.now).items():
+            if value and not bool(sigma.value_at(name, state.now)):
+                sigma.record(name, True, state.now)
+                progressed = True
         while deposits and deposits[0][0] == state.now:
             _, place = deposits.popleft()
             state.marking[place] = state.marking.get(place, 0) + 1
@@ -399,7 +357,7 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
             events.append(TraceEvent(state.now, DEPOSIT, place, post_marking=dict(state.marking)))
             progressed = True
 
-        injections = [t for t in (clocks.next_flip(sigma, state.now),) if t is not None]
+        injections = [t for t in (_next_timeout(clock, sigma, state.now),) if t is not None]
         if deposits:
             injections.append(deposits[0][0])
         if scenario.derive_agreement:
@@ -417,12 +375,19 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
         for event in fired:
             events.append(TraceEvent(event.time, FIRE, event.transition, post_marking=dict(event.post_marking)))
         if fired or progressed:
-            clocks.on_marking(state.marking, state.now, sigma)
+            # a timeout stays true after its place is left, until the next
+            # entry; an entry in the instant it turned true cancels it
+            for name in clock.observe(state.marking, state.now):
+                history = sigma.histories[name]
+                if 0 < state.now == history[-1][0] and history[-1][1]:
+                    history.pop()
+                elif bool(sigma.value_at(name, state.now)):
+                    sigma.record(name, False, state.now)
 
     # absorbing quiescence: nothing happened after the last event and
     # nothing ever can (no kernel candidate, pending deposit, or timeout)
     quiesced_at: int | None = None
-    if scenario.quiescence and not deposits and clocks.next_flip(sigma, state.now) is None:
+    if scenario.quiescence and not deposits and _next_timeout(clock, sigma, state.now) is None:
         if _next_candidate(net, state, sigma, policy) is None:
             last_activity = max((e.time for e in events), default=0)
             if last_activity < scenario.horizon:

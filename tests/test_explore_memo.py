@@ -137,7 +137,7 @@ def test_every_condition_memo_entry_matches_a_fresh_evaluation(name, monkeypatch
                 for vector in (bits, bits | (every_bit & ~mask)):
                     values = explorer.vector_values(vector)
                     marking = dict(key.marking)
-                    explorer._set_derived(values, marking, dict(key.residence))
+                    values.update(explorer.clock_of(key).timeouts(0))
                     fresh = eval_guard(condition, ConstantSignals(values), marking, 0)
                     assert fresh == answer, (condition, key_id, vector)
     condition_lists = {id(classes) for by_key in graph.condition_memo.values() for classes in by_key.values()}
