@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from .analysis import Formula, FormulaVerdict
+from .analysis import Formula, FormulaVerdict, resolve_forbidden
 from .builder import (
     AgentSpec,
     ResidenceClock,
@@ -36,7 +36,7 @@ from .builder import (
     build_single_agent,
     default_trigger_set,
 )
-from .guards import GuardExpr, parse_guard
+from .guards import GuardExpr, parse_guard, place_names, signal_names
 from .kernel import EARLIEST, LATEST, RANDOM, FiringPolicy, KernelState, _next_candidate, advance_to_next_event
 from .monitor import (
     PROPOSITIONS,
@@ -119,7 +119,7 @@ def _build_net(raw: dict, base_dir: str) -> SmartNet:
     if "builder" not in raw:
         raise ScenarioError("net section needs either 'builder' or 'file'")
     spec = _object(raw["builder"], "net.builder")
-    cfg = config_from_document(spec.get("config", {}))
+    cfg = config_from_document(_object(spec.get("config", {}), "net.builder.config"))
     agents = spec.get("agents", 1)
     if agents in (1, None):
         return build_single_agent(cfg)
@@ -127,39 +127,87 @@ def _build_net(raw: dict, base_dir: str) -> SmartNet:
     return build_multi_agent([AgentSpec(i) for i in ids], base_config=cfg)
 
 
-def _parse_formula(raw: dict, smart: SmartNet) -> Formula:
+def _declared(expr: GuardExpr, known: set[str], smart: SmartNet, where: str) -> GuardExpr:
+    """``expr``, once every signal it reads is declared and every place it
+    reads is a place of the net."""
+    for name in sorted(signal_names(expr)):
+        if name not in known:
+            raise ScenarioError(f"{where}: undeclared signal {name!r}")
+    for place in sorted(place_names(expr)):
+        if place not in smart.net.places:
+            raise ScenarioError(f"{where}: unknown place {place!r}")
+    return expr
+
+
+def _names(raw: dict, key: str, where: str) -> list[str]:
+    value = raw.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ScenarioError(f"{where}: {key} must be a list of names, got {value!r}")
+    return value
+
+
+def _parse_formula(raw, smart: SmartNet, known: set[str]) -> Formula:
+    raw = _object(raw, "formula")
     if "kind" not in raw:
         raise ScenarioError("formula lacks required field 'kind'")
+    where = f"formula {raw.get('name', raw['kind'])!r}"
     library = smart.predicates()
-    condition: GuardExpr = library.expand(parse_guard(raw.get("condition", "true")))
+    condition = _declared(library.expand(parse_guard(raw.get("condition", "true"))), known, smart, where)
+    forbidden, from_places = _names(raw, "forbidden", where), _names(raw, "from_places", where)
+    for entry in forbidden:
+        if not resolve_forbidden([entry], smart.net, smart):
+            raise ScenarioError(f"{where}: forbidden entry {entry!r} names no transition, role or 'output'")
+    place = raw.get("place")
+    for name in from_places + ([] if place is None else [place]):
+        if not isinstance(name, str) or name not in smart.net.places:
+            raise ScenarioError(f"{where}: {name!r} is not a place of the net")
     try:
         return Formula(
             kind=raw["kind"],
             condition=condition,
-            place=raw.get("place"),
+            place=place,
             within=raw.get("within"),
-            forbidden=tuple(raw.get("forbidden", [])),
-            from_places=tuple(raw.get("from_places", [])),
+            forbidden=tuple(forbidden),
+            from_places=tuple(from_places),
             name=raw.get("name", raw["kind"]),
         )
     except ValueError as exc:  # the schema of its kind
-        raise ScenarioError(f"formula {raw.get('name', raw['kind'])!r}: {exc}") from None
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
-def _parse_triggers(raw, smart: SmartNet) -> TriggerSet:
+def _parse_exploration(raw) -> dict:
+    """The exploration section, once its fields have the types explore reads."""
+    section = _object(raw, "exploration")
+    unknown = sorted(set(section) - {"horizon", "alphabet", "flip_budget", "branching", "cap"})
+    if unknown:
+        raise ScenarioError(f"exploration: unknown fields {unknown}")
+    for key in ("horizon", "cap", "flip_budget"):
+        value = section.get(key, 0)
+        if key == "flip_budget" and value is None:
+            continue  # any subset of the alphabet may flip per tick
+        if type(value) is not int or value < 0:
+            raise ScenarioError(f"exploration.{key} must be an integer >= 0, got {value!r}")
+    _names(section, "alphabet", "exploration")
+    return section
+
+
+def _parse_triggers(raw, smart: SmartNet, known: set[str]) -> TriggerSet:
     if raw in (None, "default"):
         return default_trigger_set(smart)
     raw = _object(raw, "triggers")
     library = smart.predicates()
 
+    def condition(text, where: str) -> GuardExpr:
+        return _declared(library.expand(parse_guard(text)), known, smart, where)
+
     def tier(entries) -> list[Trigger]:
-        return [Trigger(e["name"], library.expand(parse_guard(e.get("expr", "true")))) for e in entries]
+        return [Trigger(e["name"], condition(e.get("expr", "true"), f"trigger {e['name']!r}")) for e in entries]
 
     return TriggerSet(
         t_m=tier(raw.get("t_m", [])),
         t_a=tier(raw.get("t_a", [])),
         t_rt=tier(raw.get("t_rt", [])),
-        u_risk=library.expand(parse_guard(raw["u_risk"])),
+        u_risk=condition(raw["u_risk"], "triggers.u_risk"),
         dwell=int(raw.get("dwell", 1)),
     )
 
@@ -251,11 +299,11 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
         extra_booleans=extra_booleans,
         extra_reals=extra_reals,
         propositions=[PropositionSpec(p) for p in propositions],
-        formulas=[_parse_formula(raw, smart) for raw in doc.get("formulas", [])],
-        triggers=_parse_triggers(doc.get("triggers"), smart) if "triggers" in doc else None,
+        formulas=[_parse_formula(raw, smart, known) for raw in doc.get("formulas", [])],
+        triggers=_parse_triggers(doc.get("triggers"), smart, known) if "triggers" in doc else None,
         quiescence=bool(doc.get("quiescence", True)),
         derive_agreement=bool(doc.get("derive_agreement", False)),
-        exploration=doc.get("exploration"),
+        exploration=None if doc.get("exploration") is None else _parse_exploration(doc["exploration"]),
         warnings=warnings,
     )
     scenario.signal_state()  # rejects bad script values and clashing entries before any run

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -340,3 +341,75 @@ def test_validate_malformed_subnets_is_input_error(tmp_path, capsys, subnets):
     (tmp_path / "bad.net.json").write_text(json.dumps(doc))
     code = main(["validate", str(tmp_path / "bad.net.json")])
     _assert_one_line_input_error(code, capsys, "malformed subnets section")
+
+
+ESCALATION = json.loads((Path(__file__).parent.parent / "scenarios" / "robot-escalation.scenario.json").read_text())
+EXPLORATION = {"horizon": 3, "alphabet": ["anom"]}
+
+
+def _run_escalation(tmp_path, command, change):
+    """Exit code of ``command`` on robot-escalation with ``change`` applied."""
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps({**ESCALATION, **change}))
+    if command == "simulate":
+        return main(["simulate", str(path), "--out", str(tmp_path / "runs")])
+    return main([command, str(path)])
+
+
+@pytest.mark.parametrize(
+    "exploration, names",
+    [
+        (5, "exploration must be an object"),
+        ({**EXPLORATION, "horizon": {}}, "exploration.horizon"),
+        ({**EXPLORATION, "alphabet": [5]}, "alphabet"),
+        ({**EXPLORATION, "flip_budget": "x"}, "exploration.flip_budget"),
+    ],
+    ids=["exploration-not-an-object", "horizon-not-an-integer", "alphabet-entry-not-a-name",
+         "flip-budget-not-an-integer"],
+)
+def test_explore_malformed_exploration_field_is_input_error(tmp_path, capsys, exploration, names):
+    code = _run_escalation(tmp_path, "explore", {"exploration": exploration})
+    _assert_one_line_input_error(code, capsys, names)
+
+
+@pytest.mark.parametrize(
+    "change, names",
+    [
+        ({"net": {"builder": {"config": ""}}}, "net.builder.config"),
+        ({"formulas": [{"kind": "never-while", "condition": "anom", "place": {}}]}, "not a place"),
+        ({"formulas": [{"kind": "safety", "condition": "anom and bogus", "forbidden": ["output"]}]},
+         "undeclared signal 'bogus'"),
+        ({"triggers": {"u_risk": "bogus"}}, "undeclared signal 'bogus'"),
+        ({"formulas": [{"kind": "safety", "condition": "marked(P_Z)", "forbidden": ["output"]}]},
+         "unknown place 'P_Z'"),
+    ],
+    ids=["config-not-an-object", "formula-place-not-a-name", "condition-on-undeclared-signal",
+         "trigger-on-undeclared-signal", "condition-on-unknown-place"],
+)
+def test_simulate_malformed_net_or_condition_is_input_error(tmp_path, capsys, change, names):
+    code = _run_escalation(tmp_path, "simulate", change)
+    _assert_one_line_input_error(code, capsys, names)
+
+
+@pytest.mark.parametrize(
+    "command, formula, names",
+    [
+        ("simulate", {"kind": "safety", "condition": "anom", "forbidden": ["outptu"]}, "'outptu'"),
+        ("explore", {"kind": "safety", "condition": "anom", "forbidden": ["t_SMM"]}, "'t_SMM'"),
+        ("simulate", {"kind": "never-while", "condition": "anom", "place": "P_X"}, "'P_X'"),
+        ("explore", {"kind": "reach", "condition": "anom", "place": "P_X", "within": 2}, "'P_X'"),
+        ("simulate", {"kind": "never-while", "condition": "anom", "place": "P_R", "from_places": ["P_Q"]},
+         "'P_Q'"),
+    ],
+    ids=["simulate-misspelt-output", "explore-unknown-transition", "unknown-place", "explore-unknown-place",
+         "unknown-from-place"],
+)
+def test_formula_field_naming_nothing_is_input_error(tmp_path, capsys, command, formula, names):
+    code = _run_escalation(tmp_path, command, {"formulas": [formula], "exploration": EXPLORATION})
+    _assert_one_line_input_error(code, capsys, names)
+
+
+def test_formula_naming_a_real_transition_is_still_checked(tmp_path, capsys):
+    formula = {"kind": "safety", "condition": "anom", "forbidden": ["t_SM"]}
+    code = _run_escalation(tmp_path, "explore", {"formulas": [formula], "exploration": EXPLORATION})
+    assert code == 1 and "t_SM fired under the condition" in capsys.readouterr().out

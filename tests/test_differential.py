@@ -118,3 +118,68 @@ def test_simulator_paths_are_explorer_paths(name):
     # the scripts must reach the derived timeouts, or the comparison skips them
     for kind in ("timeout_M", "timeout_A"):
         assert sum(kind in kinds for kinds in fired) >= 5, (kind, fired)
+
+
+def script_of(smart, script_segments):
+    """The run script of a list of (duration, alphabet values) segments."""
+    script, start = [], 0
+    for duration, values in script_segments:
+        if start > HORIZON:
+            break
+        script += sorted({(start, signal_name(signal, a), value)
+                          for signal, value in values.items() for a in smart.agents})
+        start += duration
+    return script
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_explorer_timeouts_equal_the_recorded_ones(name):
+    """At every tick, for every agent whose mode token begins the tick in
+    P_M / P_A, the timeout the explorer reads for the matched key of the
+    tick before (the value its cascade starts the tick with) equals the
+    simulator's recorded timeout_M / timeout_A, the one that fires the
+    exit included. An entry into P_M / P_A restarts both clocks (the key
+    carries residence 1), so the simulator records that timeout false."""
+    smart, graph = explored(name)
+    explorer = graph._explorer
+    initial = explorer.intern(explorer.initial_key())
+    vectors = {tuple(sorted(graph.vector_to_named(v).items())): v for v in range(1 << len(ALPHABET))}
+    compared = {"timeout_M": [], "timeout_A": []}  # every recorded value compared with the explorer's
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(segments)
+    @example([(HOLD, ESCALATE)])
+    @example([(HOLD, {**ESCALATE, "assist": False})])
+    @example([(HOLD, {**ESCALATE, "disagree": True})])
+    def check(script_segments):
+        script = script_of(smart, script_segments)
+        trace, _ = run(Scenario(name="differential", smart=smart, horizon=HORIZON, script=script, quiescence=False))
+        keys = {initial}  # the explorer states the run was in at the tick before
+        for tick in range(HORIZON + 1):
+            for agent in smart.agents:
+                entered = {mode for t, mode in trace.mode_timeline(agent)[1:] if t == tick}
+                for mode in ("M", "A"):
+                    signal = f"timeout_{mode}{agent.suffix}"
+                    recorded = bool(trace.sigma.value_at(signal, tick))
+                    if mode in entered:
+                        assert not recorded, (tick, signal)
+                    elif trace.mode_before(agent, tick) == mode:
+                        for key_id in keys:
+                            read = explorer.clock_of(explorer.key_table[key_id]).timeouts(0)[signal]
+                            assert read == recorded, (tick, signal, explorer.key_table[key_id].residence)
+                        compared[f"timeout_{mode}"].append(recorded)
+            marking = {p: c for p, c in trace.marking_at(tick).items() if c}
+            residence = tuple(residence_at(trace, a, tick) for a in smart.agents)
+            values = {s: bool(trace.sigma.value_at(signal_name(s, smart.agents[0]), tick)) for s in ALPHABET}
+            keys = {
+                explorer.key_ids[result.key]
+                for key_id in keys
+                for result in graph.successor(key_id, vectors[tuple(sorted(values.items()))], tick)
+                if {p: c for p, c in result.key.marking if c} == marking and result.key.residence == residence
+            }
+            assert keys, (tick, marking, residence)
+
+    check()
+    # both values of both timeouts were compared, or the check says nothing
+    for kind, seen in compared.items():
+        assert seen.count(True) >= 5 and seen.count(False) >= 5, (kind, seen.count(True), seen.count(False))
