@@ -38,8 +38,8 @@ from .kernel import (
     FiringPolicy,
     KernelState,
     ZenoViolation,
+    _fire_due,
     fire,
-    fire_due,
     refresh_timers,
 )
 from .net import INF, Marking, Net, STRONG
@@ -496,7 +496,7 @@ class _Explorer:
         touched: set[str] = set()
         while True:
             sigma.values.update(clock.timeouts(state.now))
-            event = fire_due(self.net, state, sigma, self.policy)
+            event = _fire_due(self.net, state, sigma, self.policy)
             if event is None:
                 break
             firings.append(event.transition)

@@ -234,7 +234,7 @@ def _due_transition(net: Net, state: KernelState, sigma: SignalState, policy: Fi
     return best[1] if best else None
 
 
-def fire_due(net: Net, state: KernelState, sigma: SignalState, policy: FiringPolicy) -> FiringEvent | None:
+def _fire_due(net: Net, state: KernelState, sigma: SignalState, policy: FiringPolicy) -> FiringEvent | None:
     """One step within the current instant: reconcile the clocks, fire the
     highest-priority transition due now under the policy, if any, and
     check the Zeno limit. Returns the firing, None if nothing was due."""
@@ -289,14 +289,14 @@ def advance_to_next_event(
     ``limit`` and nothing fires. Returns the (mutated) state and the
     firing events produced (empty for pure wake-ups).
     """
-    event = fire_due(net, state, sigma, policy)
+    event = _fire_due(net, state, sigma, policy)
     if event is not None:
         return state, [event]
 
     target = _next_candidate(net, state, sigma, policy)
     if target is not None and (limit is None or target < limit):
         state.now, state.events_at_now = target, 0
-        event = fire_due(net, state, sigma, policy)
+        event = _fire_due(net, state, sigma, policy)
         return state, [] if event is None else [event]
     if limit is not None and limit > state.now:
         state.now, state.events_at_now = limit, 0
