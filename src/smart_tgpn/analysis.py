@@ -142,6 +142,21 @@ class EvolveResult:
     output_breaches: tuple[str, ...]  # outputs fired from a state without the stable token
 
 
+# a read class's answer: its results and their target ids, see _Explorer.step_table
+_Step = tuple[list[EvolveResult], list[int]]
+
+
+def _cube(mask: int, bits: int, every_bit: int) -> list[int]:
+    """The vectors that agree with ``bits`` on ``mask``, ascending."""
+    free = every_bit & ~mask
+    vectors = [bits]
+    subset = (-free) & free  # the free subsets in ascending order, after 0
+    while subset:
+        vectors.append(bits | subset)
+        subset = (subset - free) & free
+    return vectors
+
+
 @dataclass
 class Violation:
     tick: int
@@ -227,7 +242,7 @@ class ReachGraph:
                 name for name, value in sorted(self.vector_to_named(vector).items()) if value
             )
             yield f"state {tick} {key_id} {vector} marking=[{marking}] timers=[{timers}] signals=[{signals}]"
-        for (key_id, vector, tick_cap), results in sorted(self._explorer.memo.items()):
+        for key_id, vector, tick_cap, results in self._explorer.known_steps():
             for result in results:
                 target = self._explorer.key_ids[result.key]
                 label = ";".join(result.firings)
@@ -277,11 +292,10 @@ class _Explorer:
 
         self.key_ids: dict[StateKey, int] = {}
         self.key_table: list[StateKey] = []
-        self.memo: dict[tuple[int, int, int], list[EvolveResult]] = {}
-        # (key id, tick cap) -> one (read mask, vector & mask, results) per evaluation
-        self.read_memo: dict[tuple[int, int], list[tuple[int, int, list[EvolveResult]]]] = {}
-        # (key id, tick cap) -> one (vectors, results, target ids) per read class, see step_table
-        self.step_tables: dict[tuple[int, int], list[tuple[list[int], list[EvolveResult], list[int]]]] = {}
+        # (key id, tick cap) -> the key's read classes, one (read mask, vector
+        # & mask, (results, target ids)) each, ordered by their lowest vector,
+        # and the class answer of every vector asked so far; see evolve
+        self.steps: dict[tuple[int, int], tuple[list[tuple[int, int, _Step]], dict[int, _Step]]] = {}
         self.driver_bits = {
             target: 1 << i for i, (_, targets) in enumerate(self.drivers) for target in targets
         }
@@ -398,54 +412,98 @@ class _Explorer:
         with it on the driver bits it read."""
         self.counts["evolve_calls"] += 1
         tick_cap = min(tick, self.max_held_delta)
-        memo_key = (key_id, vector, tick_cap)
-        cached = self.memo.get(memo_key)
-        if cached is not None:
+        classes, asked = self._entry(key_id, tick_cap)
+        answer = asked.get(vector)
+        if answer is not None:
             self.counts["memo_hits"] += 1
-            return cached
-        results, hit = self.read_class(
-            self.read_memo.setdefault((key_id, tick_cap), []), vector,
-            self._evolve_uncached, self.key_table[key_id], vector, tick_cap,
-        )
+            return answer[0]
+        answer, hit = self.read_class(classes, vector, self._answer, self.key_table[key_id], vector, tick_cap)
         self.counts["read_set_hits" if hit else "evaluations"] += 1
-        self.memo[memo_key] = results
-        return results
+        asked[vector] = answer
+        return answer[0]
 
     def step_table(self, key_id: int, tick: int) -> list[tuple[list[int], list[EvolveResult], list[int]]]:
         """The key's successors under every vector: one (vectors, results,
-        target ids) entry per read class, in the order of the classes' first
-        vectors. The first request at a tick cap steps each vector through
-        ``evolve`` in ascending order; later ones reuse the table."""
-        table_key = (key_id, min(tick, self.max_held_delta))
-        table = self.step_tables.get(table_key)
-        if table is None:
-            classes: dict[int, tuple[list[EvolveResult], list[int]]] = {}
-            for vector in range(1 << len(self.drivers)):
-                results = self.evolve(key_id, vector, tick)  # its read class's answer
-                classes.setdefault(id(results), (results, []))[1].append(vector)
-            table = [(vectors, results, [self.intern(r.key) for r in results])
-                     for results, vectors in classes.values()]
-            self.step_tables[table_key] = table
+        target ids) entry per read class, in the order of the classes'
+        lowest vectors. The lowest vector that no class covers yet is
+        evaluated, and its class covers the rest of its cube, until every
+        vector is covered. The counters are those of one ``evolve`` call per
+        vector in ascending order."""
+        tick_cap = min(tick, self.max_held_delta)
+        classes, asked = self._entry(key_id, tick_cap)
+        key = self.key_table[key_id]
+        every_bit = (1 << len(self.drivers)) - 1
+        size, known = every_bit + 1, len(asked)
+        evaluations = 0
+        if known < size:
+            for mask, bits, answer in classes:  # the classes of single evolve calls
+                asked.update(dict.fromkeys(_cube(mask, bits, every_bit), answer))
+            vector = 0
+            while len(asked) < size:
+                while vector in asked:
+                    vector += 1
+                mask, _, answer = self.add_class(classes, vector, self._answer, key, vector, tick_cap)
+                asked.update(dict.fromkeys(_cube(mask, vector, every_bit), answer))
+                evaluations += 1
+        self.counts["evolve_calls"] += size
+        self.counts["memo_hits"] += known
+        self.counts["read_set_hits"] += size - known - evaluations
+        self.counts["evaluations"] += evaluations
+        table = []
+        for mask, bits, (results, targets) in classes:
+            if not targets:
+                targets += [self.intern(r.key) for r in results]
+            table.append((_cube(mask, bits, every_bit), results, targets))
         return table
+
+    def known_steps(self) -> list[tuple[int, int, int, list[EvolveResult]]]:
+        """(key id, vector, tick cap, results) of every vector asked so far,
+        sorted."""
+        return sorted(
+            ((key_id, vector, tick_cap, answer[0])
+             for (key_id, tick_cap), (_, asked) in self.steps.items()
+             for vector, answer in asked.items()),
+            key=lambda entry: entry[:3],
+        )
+
+    def _entry(self, key_id: int, tick_cap: int) -> tuple[list[tuple[int, int, _Step]], dict[int, _Step]]:
+        entry = self.steps.get((key_id, tick_cap))
+        if entry is None:
+            entry = self.steps[(key_id, tick_cap)] = ([], {})
+        return entry
+
+    def _answer(self, key: StateKey, vector: int, tick_cap: int, reads: set[str]) -> _Step:
+        """A read class's answer: its results, and their target ids, which
+        ``step_table`` interns when it first lists the class. Key ids follow
+        the order of interning, and ``evolve``'s callers intern its results
+        in their own order."""
+        return self._evolve_uncached(key, vector, tick_cap, reads), []
 
     def read_class(self, classes: list[tuple[int, int, T]], vector: int,
                    evaluate: Callable[..., T], *args) -> tuple[T, bool]:
         """The answer for ``vector`` from its read class, and whether one of
         ``classes`` (read mask, vector & mask, answer) already held it. On a
-        miss, ``evaluate(*args, reads)`` answers for the vector and adds the
-        name of every signal it read to ``reads``; every vector that agrees
-        with it on the driver bits read gets the same answer, so that class
-        is added."""
+        miss, ``add_class`` adds the vector's class."""
         for mask, bits, answer in classes:
             if vector & mask == bits:
                 return answer, True
+        return self.add_class(classes, vector, evaluate, *args)[2], False
+
+    def add_class(self, classes: list[tuple[int, int, T]], vector: int,
+                  evaluate: Callable[..., T], *args) -> tuple[int, int, T]:
+        """``evaluate(*args, reads)`` answers for ``vector`` and adds the name
+        of every signal it read to ``reads``; every vector that agrees with
+        it on the driver bits read gets the same answer. Insert that class
+        into ``classes`` by its lowest vector and return it."""
         reads: set[str] = set()
         answer = evaluate(*args, reads)
         mask = 0
         for name in reads:
             mask |= self.driver_bits.get(name, 0)
-        classes.append((mask, vector & mask, answer))
-        return answer, False
+        entry = (mask, vector & mask, answer)
+        classes.append(entry)
+        classes.sort(key=lambda c: c[1])
+        return entry
 
     def _evolve_uncached(self, key: StateKey, vector: int, tick_cap: int,
                          reads: set[str] | None = None) -> list[EvolveResult]:
@@ -628,10 +686,6 @@ def _step_every_vector(graph: ReachGraph, layer: dict[int, set[int]], tick: int,
     reached, their order and the violations are those of one ``evolve``
     call per vector in ascending order."""
     explorer = graph._explorer
-    if (key_id, min(tick, explorer.max_held_delta)) in explorer.step_tables:
-        # a reused table stands for one exact-memo hit per vector
-        explorer.counts["evolve_calls"] += 1 << len(explorer.drivers)
-        explorer.counts["memo_hits"] += 1 << len(explorer.drivers)
     # target -> (class vectors, result index, result) of each class reaching
     # it, through the class's first result with that target
     by_target: dict[int, list[tuple[list[int], int, EvolveResult]]] = {}
@@ -825,20 +879,25 @@ def _anchors(graph: ReachGraph, holds: Callable[[int, int], bool], keep) -> list
     remaining horizon; tail occurrences of the same configuration share
     that verdict instead of reporting a spurious inconclusive. Under a flip
     budget the next vectors depend on the current one, so it is part of
-    the configuration."""
+    the configuration.
+
+    Layers are visited in ascending tick, so the first state found in a
+    configuration has its most slack, and the configuration is settled:
+    its later states are skipped, without a budget a whole key at once."""
     explorer = graph._explorer
     budgeted = graph.config.flip_budget is not None
     anchors: dict[tuple[int, int, int | None], tuple[int, int, int]] = {}
-    for tick, key_id, vector in graph.states():
-        if not holds(key_id, vector):
-            continue
-        if not keep(graph.marking_of(key_id)):
-            continue
-        group = (key_id, min(tick, explorer.max_held_delta), vector if budgeted else None)
-        slack = graph.horizon - tick
-        best = anchors.get(group)
-        if best is None or slack > best[0]:
-            anchors[group] = (slack, tick, vector)
+    for tick, layer in enumerate(graph.layers):
+        tick_cap = min(tick, explorer.max_held_delta)
+        for key_id, vectors in layer.items():
+            if (key_id, tick_cap, None) in anchors or not keep(graph.marking_of(key_id)):
+                continue
+            for vector in vectors:
+                group = (key_id, tick_cap, vector if budgeted else None)
+                if group not in anchors and holds(key_id, vector):
+                    anchors[group] = (graph.horizon - tick, tick, vector)
+                    if not budgeted:
+                        break
     return [(key_id, vector, slack, tick) for (key_id, _, _), (slack, tick, vector) in sorted(anchors.items())]
 
 

@@ -121,7 +121,7 @@ class TestExplore:
         smart = single()
         graph = explore(smart, ExplorationConfig(horizon=4, alphabet=["anom"]))
         explorer = graph._explorer
-        (key_id, vector, tick), results = next(iter(explorer.memo.items()))
+        key_id, vector, tick, results = explorer.known_steps()[0]
         again = explorer._evolve_uncached(explorer.key_table[key_id], vector, tick)
         assert [r.key for r in again] == [r.key for r in results]
 

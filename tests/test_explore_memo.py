@@ -1,12 +1,13 @@
 """The explorer's read-set memo is exact, and its engine counters are pinned.
 
 One `evolve` evaluation answers every signal vector that agrees with it on
-the driver bits the cascade read. These tests re-evaluate every memoised
-(state, vector, tick cap) entry from scratch and compare, so the check
-needs no second, unmemoised exploration path.
+the driver bits the cascade read. These tests re-evaluate every (state,
+vector, tick cap) entry the explorer's step store knows from scratch and
+compare, so the check needs no second, unmemoised exploration path.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smart_tgpn.analysis import BRANCH_ALL, ExplorationConfig, Formula, _Explorer, check_formula, explore
 from smart_tgpn.builder import AgentSpec, Hysteresis, SmartConfig, build_multi_agent, build_single_agent
@@ -71,13 +72,89 @@ def test_every_memo_entry_matches_a_fresh_evaluation(name):
     assert not graph.violations and not graph.incomplete
     # the read-set memo must have answered something, or this checks nothing
     assert graph.stats["read_set_hits"] > 0
-    for (key_id, vector, tick_cap), results in explorer.memo.items():
+    for key_id, vector, tick_cap, results in explorer.known_steps():
         fresh = explorer._evolve_uncached(explorer.key_table[key_id], vector, tick_cap)
-        assert [
-            (r.key, r.firings, r.touched, r.violations, r.output_breaches) for r in results
-        ] == [
-            (r.key, r.firings, r.touched, r.violations, r.output_breaches) for r in fresh
-        ], (key_id, vector, tick_cap)
+        assert _fields(results) == _fields(fresh), (key_id, vector, tick_cap)
+
+
+def _fields(results):
+    return [(r.key, r.firings, r.touched, r.violations, r.output_breaches) for r in results]
+
+
+class DictMemo:
+    """The explorer's earlier bookkeeping, as a reference: an exact memo
+    per (key id, vector, tick cap) in front of per-(key id, tick cap) read
+    classes, and one `evolve` call per vector for a step table."""
+
+    def __init__(self, explorer):
+        self.explorer = explorer
+        self.memo = {}
+        self.classes = {}
+        self.counts = {"evolve_calls": 0, "memo_hits": 0, "read_set_hits": 0, "evaluations": 0}
+
+    def evolve(self, key_id, vector, tick):
+        explorer = self.explorer
+        self.counts["evolve_calls"] += 1
+        tick_cap = min(tick, explorer.max_held_delta)
+        if (key_id, vector, tick_cap) in self.memo:
+            self.counts["memo_hits"] += 1
+            return self.memo[(key_id, vector, tick_cap)]
+        classes = self.classes.setdefault((key_id, tick_cap), [])
+        for mask, bits, results in classes:
+            if vector & mask == bits:
+                self.counts["read_set_hits"] += 1
+                break
+        else:
+            reads = set()
+            results = explorer._evolve_uncached(explorer.key_table[key_id], vector, tick_cap, reads)
+            mask = 0
+            for name in reads:
+                mask |= explorer.driver_bits.get(name, 0)
+            classes.append((mask, vector & mask, results))
+            self.counts["evaluations"] += 1
+        self.memo[(key_id, vector, tick_cap)] = results
+        return results
+
+    def step_table(self, key_id, tick):
+        return [self.evolve(key_id, vector, tick) for vector in range(1 << len(self.explorer.drivers))]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_step_store_agrees_with_one_evolve_per_vector(data):
+    """Single `evolve` calls, as formula searches and witnesses make them,
+    interleaved with step table builds in random order."""
+    factory, cfg, _ = CASES[data.draw(st.sampled_from(sorted(CASES)), label="case")]
+    explorer = _Explorer(factory(), cfg)
+    model = DictMemo(explorer)
+    explorer.intern(explorer.initial_key())
+    every_vector = list(range(1 << len(explorer.drivers)))
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        key_id = data.draw(st.integers(0, len(explorer.key_table) - 1), label="key id")
+        tick = data.draw(st.integers(0, cfg.horizon), label="tick")
+        tick_cap = min(tick, explorer.max_held_delta)
+        key = explorer.key_table[key_id]
+        if data.draw(st.booleans(), label="single evolve"):
+            vector = data.draw(st.sampled_from(every_vector), label="vector")
+            results = explorer.evolve(key_id, vector, tick)
+            assert _fields(results) == _fields(explorer._evolve_uncached(key, vector, tick_cap))
+            assert _fields(results) == _fields(model.evolve(key_id, vector, tick))
+            for result in results:
+                explorer.intern(result.key)
+        else:
+            table = explorer.step_table(key_id, tick)
+            expected = model.step_table(key_id, tick)
+            # the classes partition the vectors and are ordered by their lowest one
+            assert sorted(v for vectors, _, _ in table for v in vectors) == every_vector
+            assert [vectors[0] for vectors, _, _ in table] == sorted(min(vectors) for vectors, _, _ in table)
+            for vectors, results, targets in table:
+                assert targets == [explorer.key_ids[r.key] for r in results]
+                for vector in (vectors[0], vectors[-1]):
+                    assert _fields(results) == _fields(explorer._evolve_uncached(key, vector, tick_cap))
+                for vector in vectors:
+                    assert _fields(results) == _fields(expected[vector])
+        assert explorer.counts == model.counts
+        assert [entry[:3] for entry in explorer.known_steps()] == sorted(model.memo)
 
 
 @pytest.mark.parametrize(

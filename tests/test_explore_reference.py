@@ -4,8 +4,9 @@ Without a flip budget, `explore` steps each key once per read class through
 its step table. `reference_explore` below is the explorer's earlier loop,
 one `evolve` call per (key, vector) edge. Both must agree on key ids, the
 order of every layer and of its vector sets (`export_lines` prints sets in
-iteration order), parents, violations in order, the exact memo and the
-engine counters. The safety search reads the same step tables;
+iteration order), parents, violations in order, the (key, vector, tick
+cap) entries known to the step store, `export_lines` and the engine
+counters. The safety search reads the same step tables;
 `reference_safety` is its earlier per-edge loop, and both must give the
 same verdict and witness.
 """
@@ -143,7 +144,10 @@ def test_explore_matches_the_per_vector_reference(name):
     ]
     assert graph.parents == expected.parents
     assert _violations(graph) == _violations(expected)
-    assert list(graph._explorer.memo) == list(expected._explorer.memo)
+    assert [entry[:3] for entry in graph._explorer.known_steps()] == [
+        entry[:3] for entry in expected._explorer.known_steps()
+    ]
+    assert list(graph.export_lines()) == list(expected.export_lines())
     assert graph.stats == expected.stats
     assert (graph.state_count, graph.incomplete) == (expected.state_count, expected.incomplete)
 
@@ -158,8 +162,8 @@ def test_defective_net_reaches_both_kinds_of_violation(weak_branching):
 
 def test_output_loop_gives_a_class_two_results_with_one_target():
     graph = explore(*defective(BRANCH_ALL, output_loop=True))
-    tables = graph._explorer.step_tables.values()
-    assert any(len(set(targets)) < len(targets) for table in tables for _, _, targets in table)
+    classes = [step for entries, _ in graph._explorer.steps.values() for step in entries]
+    assert any(len(set(targets)) < len(targets) for _, _, (_, targets) in classes)
 
 
 def safety_formulas(smart):
