@@ -122,6 +122,16 @@ def _covers(marking: Marking, pre: dict[str, int]) -> bool:
     return True
 
 
+def _covered(net: Net, marking: Marking) -> list[str]:
+    """Ids, ascending, of the transitions whose pre-set ``marking`` covers:
+    those without input places and those consuming from a marked place."""
+    candidates = set(net.inputless)
+    for place, count in marking.items():
+        if count > 0:
+            candidates.update(net.consumers.get(place, ()))
+    return [tid for tid in sorted(candidates) if _covers(marking, net.pre_sets[tid])]
+
+
 def _enabled_in(net: Net, ctx: EvalContext, tid: str) -> bool:
     """The enabling test of a known transition: ``ctx.marking`` covers its
     pre-set, then its compiled guard holds at ``ctx.now``. The record is
@@ -144,15 +154,19 @@ def enabled(net: Net, state: KernelState, sigma: SignalState, tid: str) -> bool:
 
 def refresh_timers(net: Net, state: KernelState, sigma: SignalState) -> None:
     """Reconcile clocks with current enabledness: start clocks for newly
-    enabled transitions, drop clocks of disabled ones, keep the rest."""
+    enabled transitions, drop clocks of disabled ones, keep the rest. Only
+    the guards of covered transitions are evaluated, in ascending id."""
     ctx = state.eval_context(sigma)
     timers = state.timers
-    for tid in net.transition_ids():
-        if _enabled_in(net, ctx, tid):
+    covered = _covered(net, state.marking)
+    for tid in covered:
+        if net.transitions[tid].guard.holds(ctx, ctx.now):
             if tid not in timers:
                 timers[tid] = state.now
         elif tid in timers:
             del timers[tid]
+    for tid in timers.keys() - covered:
+        del timers[tid]
     for tid, since in timers.items():
         record = net.transitions[tid]
         if record.timing == STRONG and state.now - since > record.beta:
@@ -255,20 +269,18 @@ def _next_candidate(net: Net, state: KernelState, sigma: SignalState, policy: Fi
     change = sigma.next_change_after(state.now)
     if change is not None:
         candidates.append(change)
-    ctx = state.eval_context(sigma)
-    for tid in net.transition_ids():
+    for tid, since in state.timers.items():
         record = net.transitions[tid]
-        since = state.timers.get(tid)
-        if since is not None:
-            if record.timing == STRONG:
-                candidates.append(since + int(record.beta))
-            chosen = policy.chosen_offset(tid, record, since)
-            if chosen is not None:
-                candidates.append(max(state.now, since + chosen))
-        if _covers(state.marking, net.pre_sets[tid]):
-            flip = next_held_flip(record.guard, ctx)
-            if flip is not None:
-                candidates.append(flip)
+        if record.timing == STRONG:
+            candidates.append(since + int(record.beta))
+        chosen = policy.chosen_offset(tid, record, since)
+        if chosen is not None:
+            candidates.append(max(state.now, since + chosen))
+    ctx = state.eval_context(sigma)
+    for tid in _covered(net, state.marking):
+        flip = next_held_flip(net.transitions[tid].guard, ctx)
+        if flip is not None:
+            candidates.append(flip)
     future = [c for c in candidates if c > state.now]
     return min(future) if future else None
 

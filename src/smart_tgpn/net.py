@@ -116,6 +116,15 @@ class Net:
             elif arc.source in self.transitions and arc.target in place_set:
                 self._post[arc.source][arc.target] = self._post[arc.source].get(arc.target, 0) + arc.weight
             # dangling arcs are tolerated here and reported by validate_net
+        # the transitions consuming from each place, and those with no input
+        # place, ascending: the kernel tests only pre-sets a marking may cover
+        self.consumers: dict[str, list[str]] = {p: [] for p in self.places}
+        self.inputless: list[str] = []
+        for tid in sorted(self.transitions):
+            for place in self.pre_sets[tid]:
+                self.consumers[place].append(tid)
+            if not self.pre_sets[tid]:
+                self.inputless.append(tid)
 
     def pre(self, tid: str) -> dict[str, int]:
         """Input places of a transition with consumed weights."""

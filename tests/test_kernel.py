@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smart_tgpn.builder import SmartConfig, build_single_agent
-from smart_tgpn.guards import TRUE, parse_guard
+from smart_tgpn.builder import AgentSpec, Hysteresis, SmartConfig, build_multi_agent, build_single_agent
+from smart_tgpn.guards import TRUE, parse_guard, signal_names
 from smart_tgpn.kernel import (
+    DeadlineViolation,
     FiringPolicy,
     KernelState,
     NotEnabled,
@@ -300,3 +302,63 @@ class TestReplacedRecord:
         net.transitions["t_SM"] = record
         state, fired = advance_to_next_event(net, state, sigma, FiringPolicy(), 10)
         assert [e.transition for e in fired] == ["t_SM"] and state.marking["P_M"] == 1
+
+
+def sourced_net():
+    """A transition without input places, one with a weight-2 arc, and a
+    guarded one that consumes from two places."""
+    return Net(
+        places=["p", "q", "r"],
+        transitions={
+            "t_src": TransitionRecord("t_src", parse_guard("go")),
+            "t_two": TransitionRecord("t_two", TRUE, 0, 3, "strong"),
+            "t_pq": TransitionRecord("t_pq", parse_guard("not go")),
+        },
+        arcs=[Arc("t_src", "p"), Arc("p", "t_two", 2), Arc("t_two", "r"), Arc("p", "t_pq"), Arc("q", "t_pq")],
+    )
+
+
+REFRESH_NETS = {
+    "single": lambda: build_single_agent(SmartConfig()).net,
+    "hysteresis": lambda: build_single_agent(SmartConfig(hysteresis=Hysteresis(enabled=True))).net,
+    "two-agent": lambda: build_multi_agent([AgentSpec("a1"), AgentSpec("a2")]).net,
+    "sourced": sourced_net,
+}
+
+
+def refresh_every_transition(net, state, sigma):
+    """The clock reconciliation that tests every transition in id order."""
+    for tid in net.transition_ids():
+        if enabled(net, state, sigma, tid):
+            state.timers.setdefault(tid, state.now)
+        else:
+            state.timers.pop(tid, None)
+
+
+@st.composite
+def refresh_cases(draw):
+    name = draw(st.sampled_from(sorted(REFRESH_NETS)))
+    net = REFRESH_NETS[name]()
+    now = 6
+    marking = {p: draw(st.integers(0, 2)) for p in net.places}
+    timed = draw(st.permutations(net.transition_ids()))[: draw(st.integers(0, len(net.transitions)))]
+    timers = {tid: draw(st.integers(now - 3, now)) for tid in timed}
+    booleans = sorted({n for tid in net.transition_ids() for n in signal_names(net.transitions[tid].guard)})
+    sigma = SignalState.declare(booleans=booleans)
+    for signal in booleans:
+        for time in sorted(draw(st.sets(st.integers(0, now), max_size=3))):
+            sigma.record(signal, draw(st.booleans()), time)
+    return net, KernelState(marking, timers, now, [(0, dict(marking))]), sigma
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(refresh_cases())
+def test_refresh_tests_covered_transitions_like_the_every_transition_loop(case):
+    net, state, sigma = case
+    expected = state.clone()
+    refresh_every_transition(net, expected, sigma)
+    try:
+        refresh_timers(net, state, sigma)
+    except DeadlineViolation:
+        pass  # raised after the clocks are reconciled
+    assert list(state.timers.items()) == list(expected.timers.items())
