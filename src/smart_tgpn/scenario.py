@@ -245,9 +245,9 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
     if not isinstance(doc["name"], str) or "/" in doc["name"] or "\\" in doc["name"]:
         raise ScenarioError(f"scenario name must be a string without a path separator, got {doc['name']!r}")
     smart = _build_net(doc["net"], base_dir)
-    horizon = int(doc["horizon"])
-    if horizon < 0:
-        raise ScenarioError("horizon must be >= 0")
+    horizon = doc["horizon"]
+    if type(horizon) is not int or horizon < 0:
+        raise ScenarioError(f"horizon must be an integer >= 0, got {horizon!r}")
 
     warnings: list[str] = []
     declare = _object(doc.get("declare", {}), "declare")
@@ -269,7 +269,9 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
     for index, entry in enumerate(doc.get("script", [])):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ScenarioError(f"script[{index}]: expected [time, signal, value]")
-        time, name, value = int(entry[0]), str(entry[1]), entry[2]
+        time, name, value = entry[0], str(entry[1]), entry[2]
+        if type(time) is not int:
+            raise ScenarioError(f"script[{index}]: time must be an integer, got {time!r}")
         if time < 0 or time > horizon:
             raise ScenarioError(f"script[{index}]: time {time} outside [0, {horizon}]")
         if not name.startswith(WANT_PREFIX) and name not in known:
@@ -280,6 +282,8 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
     seed = doc.get("seed")
     if seed is None:
         seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+    elif type(seed) is not int:
+        raise ScenarioError(f"seed must be an integer, got {seed!r}")
     policy = doc.get("policy", EARLIEST)
     if policy not in (EARLIEST, LATEST, RANDOM):
         raise ScenarioError(f"unknown firing policy {policy!r}")
@@ -293,7 +297,7 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
         smart=smart,
         horizon=horizon,
         policy=policy,
-        seed=int(seed),
+        seed=seed,
         script=script,
         initial_signals=initial,
         extra_booleans=extra_booleans,

@@ -409,6 +409,21 @@ def test_formula_field_naming_nothing_is_input_error(tmp_path, capsys, command, 
     _assert_one_line_input_error(code, capsys, names)
 
 
+@pytest.mark.parametrize(
+    "change, names",
+    [
+        ({"seed": "7"}, "seed must be an integer"),
+        ({"seed": 2.5}, "seed must be an integer"),
+        ({"script": [[1.5, "anom", 1]] + ESCALATION["script"][1:]}, "script[0]: time must be an integer"),
+        ({"script": [["1", "anom", 1]] + ESCALATION["script"][1:]}, "script[0]: time must be an integer"),
+    ],
+    ids=["string-seed", "fractional-seed", "fractional-script-time", "string-script-time"],
+)
+def test_simulate_non_integer_seed_or_script_time_is_input_error(tmp_path, capsys, change, names):
+    code = _run_escalation(tmp_path, "simulate", change)
+    _assert_one_line_input_error(code, capsys, names)
+
+
 def test_formula_naming_a_real_transition_is_still_checked(tmp_path, capsys):
     formula = {"kind": "safety", "condition": "anom", "forbidden": ["t_SM"]}
     code = _run_escalation(tmp_path, "explore", {"formulas": [formula], "exploration": EXPLORATION})
