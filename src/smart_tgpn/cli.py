@@ -10,6 +10,7 @@ pass, 1 violations, 2 inconclusive, 3 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,7 +39,10 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(self, message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process on the first ``main`` call;
+    parsing keeps no state in it, so ``main`` may be called again."""
     parser = _Parser(prog="smart-tgpn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -121,9 +121,11 @@ def _build_net(raw: dict, base_dir: str) -> SmartNet:
     spec = _object(raw["builder"], "net.builder")
     cfg = config_from_document(_object(spec.get("config", {}), "net.builder.config"))
     agents = spec.get("agents", 1)
+    if not (agents is None or type(agents) is int or isinstance(agents, list)):
+        raise ScenarioError(f"net.builder.agents must be an integer or a list of agent ids, got {agents!r}")
     if agents in (1, None):
         return build_single_agent(cfg)
-    ids = agents if isinstance(agents, list) else [f"a{i + 1}" for i in range(int(agents))]
+    ids = agents if isinstance(agents, list) else [f"a{i + 1}" for i in range(agents)]
     return build_multi_agent([AgentSpec(i) for i in ids], base_config=cfg)
 
 
@@ -203,12 +205,15 @@ def _parse_triggers(raw, smart: SmartNet, known: set[str]) -> TriggerSet:
     def tier(entries) -> list[Trigger]:
         return [Trigger(e["name"], condition(e.get("expr", "true"), f"trigger {e['name']!r}")) for e in entries]
 
+    dwell = raw.get("dwell", 1)
+    if type(dwell) is not int or dwell < 0:
+        raise ScenarioError(f"triggers.dwell must be an integer >= 0, got {dwell!r}")
     return TriggerSet(
         t_m=tier(raw.get("t_m", [])),
         t_a=tier(raw.get("t_a", [])),
         t_rt=tier(raw.get("t_rt", [])),
         u_risk=condition(raw["u_risk"], "triggers.u_risk"),
-        dwell=int(raw.get("dwell", 1)),
+        dwell=dwell,
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .builder import SmartNet
-from .guards import GuardExpr, eval_guard, held_terms
+from .guards import GuardExpr, eval_guard, held_terms, place_names, signal_names
 from .net import Marking
 from .signals import BOOL, SignalState
 
@@ -137,17 +137,30 @@ class Trace:
             return sorted(points)
         return self._view("points", build)
 
+    def _marking_points(self) -> frozenset[int]:
+        """The instants of the events that set a marking, where a
+        predicate that reads a place can change."""
+        return self._view("marking points",
+                          lambda: frozenset(e.time for e in self.events if e.post_marking is not None))
+
     def _intervals(self, expr: GuardExpr) -> tuple[list[tuple[int, int, bool]], list[int]]:
         """The predicate's maximal intervals and their start instants. A
-        held_for(e, d) term can turn true d ticks after any change point,
-        so those instants are evaluated too."""
+        predicate is constant between changes of what it reads, so it is
+        evaluated at 0, the horizon, the change points of its signals and,
+        if it reads a place, the instants the marking is set. A
+        held_for(e, d) term can turn true d ticks after any of them, so
+        those instants are evaluated too."""
         def build():
-            points = self._points()
+            points = {0, self.horizon}
+            for name in signal_names(expr):
+                points.update(t for t, _ in self.sigma.histories.get(name, ()) if t <= self.horizon)
+            if place_names(expr):
+                points.update(self._marking_points())
             durations = {term.duration for term in held_terms(expr)}
             if durations:
-                points = sorted({p + d for p in points for d in durations if p + d <= self.horizon}.union(points))
+                points.update([p + d for p in points for d in durations if p + d <= self.horizon])
             intervals, start = [], None
-            for point in points:
+            for point in sorted(points):
                 value = self.eval_at(expr, point)
                 if value and start is None:
                     start = point

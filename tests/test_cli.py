@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from smart_tgpn.builder import SmartConfig, build_single_agent
-from smart_tgpn.cli import main
+from smart_tgpn.cli import _build_parser, main
 from smart_tgpn.netio import load_smart, save_net, save_smart, smart_to_document
 from smart_tgpn.net import Arc, Net, TransitionRecord
 
@@ -422,6 +422,38 @@ def test_formula_field_naming_nothing_is_input_error(tmp_path, capsys, command, 
 def test_simulate_non_integer_seed_or_script_time_is_input_error(tmp_path, capsys, change, names):
     code = _run_escalation(tmp_path, "simulate", change)
     _assert_one_line_input_error(code, capsys, names)
+
+
+@pytest.mark.parametrize(
+    "change, names",
+    [
+        ({"triggers": {"u_risk": "UR", "dwell": 1.5}}, "triggers.dwell must be an integer"),
+        ({"triggers": {"u_risk": "UR", "dwell": "2"}}, "triggers.dwell must be an integer"),
+        ({"triggers": {"u_risk": "UR", "dwell": True}}, "triggers.dwell must be an integer"),
+        ({"triggers": {"u_risk": "UR", "dwell": -1}}, "triggers.dwell must be an integer"),
+        ({"net": {"builder": {"agents": 2.0, "config": {}}}}, "net.builder.agents must be an integer"),
+        ({"net": {"builder": {"agents": True, "config": {}}}}, "net.builder.agents must be an integer"),
+    ],
+    ids=["fractional-dwell", "string-dwell", "boolean-dwell", "negative-dwell", "fractional-agents",
+         "boolean-agents"],
+)
+def test_simulate_malformed_dwell_or_agents_is_input_error(tmp_path, capsys, change, names):
+    code = _run_escalation(tmp_path, "simulate", change)
+    _assert_one_line_input_error(code, capsys, names)
+
+
+def test_the_parser_carries_no_state_between_calls(tmp_path, capsys):
+    def simulate(out, *flags):
+        code = main(["simulate", "scenarios/robot-escalation.scenario.json", *flags, "--out", str(tmp_path / out)])
+        return code, (tmp_path / out / "robot-escalation.trace.jsonl").read_bytes()
+
+    plain = simulate("plain")
+    flagged = simulate("flagged", "--seed", "5", "--policy", "latest")
+    assert flagged != plain  # so a leaked --seed or --policy would show below
+    assert simulate("again") == plain
+    assert main(["simulate", "--no-such-flag", "x"]) == 3
+    assert simulate("after-error")[0] == 0
+    assert _build_parser() is _build_parser()
 
 
 def test_formula_naming_a_real_transition_is_still_checked(tmp_path, capsys):

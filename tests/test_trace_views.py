@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from smart_tgpn.analysis import Formula
 from smart_tgpn.builder import AgentView
-from smart_tgpn.guards import HeldFor, eval_guard, parse_guard
+from smart_tgpn.guards import And, HeldFor, Marked, Not, Or, Sig, eval_guard, parse_guard
 from smart_tgpn.monitor import check_formula_on_trace
 from smart_tgpn.scenario import parse_scenario, run, verify
 from smart_tgpn.trace import FIRE, Trace, read_trace, write_trace
@@ -102,10 +102,12 @@ def naive_residences(trace, agent, key):
 
 
 def naive_intervals(trace, expr):
-    """Maximal runs of ticks where the predicate holds, tick by tick."""
+    """Maximal runs of ticks where the predicate holds, tick by tick;
+    held_for over marked() reads the naive marking history."""
+    history = naive_markings(trace)
     intervals, start = [], None
     for t in range(trace.horizon + 1):
-        value = eval_guard(expr, trace.sigma, naive_marking_at(trace, t), t)
+        value = eval_guard(expr, trace.sigma, naive_marking_at(trace, t), t, history)
         if value and start is None:
             start = t
         elif not value and start is not None:
@@ -190,6 +192,31 @@ def test_held_for_intervals_equal_a_tick_by_tick_fold(doc, duration):
     for agent in trace.smart.agents:
         expr = HeldFor(agent.invalid, duration)
         assert trace.predicate_intervals(expr) == naive_intervals(trace, expr)
+
+
+def place_predicates(smart, duration):
+    """Predicates that read places: alone, mixed with signals (of the other
+    agent, on two agents), and under held_for."""
+    first, last = smart.agents[0], smart.agents[-1]
+    in_m, in_s = Marked(first.place("M")), Marked(last.place("S"))
+    return [
+        in_m,
+        Not(in_s),
+        And((first.invalid, in_m)),
+        Or((Sig(last.signal("anom")), Marked(first.place("R")))),
+        And((last.unrecoverable, Not(Marked(first.place("A"))))),
+        HeldFor(in_m, duration),
+        HeldFor(Or((first.invalid, in_s)), duration),
+        And((HeldFor(Not(in_s), duration), Sig(first.signal("safe")))),
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(scenario_docs(), st.integers(1, 4))
+def test_place_reading_intervals_equal_a_tick_by_tick_fold(doc, duration):
+    trace, _ = run(parse_scenario(doc))
+    for expr in place_predicates(trace.smart, duration):
+        assert trace.predicate_intervals(expr) == naive_intervals(trace, expr), expr
 
 
 class TestHeldForWindows:
