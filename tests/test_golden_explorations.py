@@ -1,11 +1,12 @@
 """Golden explorations: the explorer builds the same graphs, byte for byte.
 
 Each case of `test_explore_memo.CASES` is explored, and the sha256 of its
-`export_lines()` (every state and every quotient edge, in order) and of its
-`graph.stats` counters must equal the entry in `golden_explorations.json`.
-A change that alters an exploration on purpose regenerates the file with
-`python tests/test_golden_explorations.py` and says which cases changed
-and why.
+`export_lines()` (every state and every quotient edge, in order), of the
+same lines sorted, and of its `graph.stats` counters must equal the entry
+in `golden_explorations.json`. A change that alters an exploration on
+purpose regenerates the file with `python tests/test_golden_explorations.py`
+and says which cases changed and why. A change of order alone moves only
+`export_lines`: the sorted `export_set` and `stats` stay.
 """
 
 import hashlib
@@ -29,11 +30,14 @@ def _sha256(text):
 
 
 def digests_of(name):
-    """{"export_lines": sha256, "stats": sha256} of one case's exploration."""
+    """{"export_lines": sha256, "export_set": sha256, "stats": sha256} of one
+    case's exploration."""
     factory, cfg, _ = CASES[name]
     graph = explore(factory(), cfg)
+    lines = [line + "\n" for line in graph.export_lines()]
     return {
-        "export_lines": _sha256("".join(line + "\n" for line in graph.export_lines())),
+        "export_lines": _sha256("".join(lines)),
+        "export_set": _sha256("".join(sorted(lines))),
         "stats": _sha256(json.dumps(graph.stats, sort_keys=True)),
     }
 
