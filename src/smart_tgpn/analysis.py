@@ -20,7 +20,7 @@ obligation yields "inconclusive", never a silent pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .builder import ResidenceClock, SmartNet, validate_smart
 from .guards import (
@@ -146,15 +146,29 @@ class EvolveResult:
 _Step = tuple[list[EvolveResult], list[int]]
 
 
-def _cube(mask: int, bits: int, every_bit: int) -> list[int]:
-    """The vectors that agree with ``bits`` on ``mask``, ascending."""
-    free = every_bit & ~mask
-    vectors = [bits]
-    subset = (-free) & free  # the free subsets in ascending order, after 0
-    while subset:
-        vectors.append(bits | subset)
-        subset = (subset - free) & free
-    return vectors
+def _lowest(bits: int) -> int:
+    """The lowest vector of a nonempty vector bitset."""
+    return (bits & -bits).bit_length() - 1
+
+
+@dataclass(slots=True)
+class VectorSet:
+    """A set of signal vectors as one int bitset: vector v is in the set iff
+    bit v is set. Iteration is in ascending vector order."""
+
+    bits: int = 0
+
+    def __len__(self) -> int:
+        return self.bits.bit_count()
+
+    def __iter__(self) -> Iterator[int]:
+        bits = self.bits
+        while bits:
+            yield _lowest(bits)
+            bits &= bits - 1
+
+    def __contains__(self, vector: int) -> bool:
+        return vector >= 0 and self.bits >> vector & 1 == 1
 
 
 @dataclass
@@ -172,8 +186,10 @@ class ReachGraph:
 
     def __init__(self, explorer: "_Explorer"):
         self._explorer = explorer
-        self.layers: list[dict[int, set[int]]] = []  # tick -> key id -> vectors
-        self.parents: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self.layers: list[dict[int, VectorSet]] = []  # tick -> key id -> vectors
+        # (tick, key id) -> (source key id, source vector, vector bits) of each
+        # step that added states to it, in insertion order; see parent
+        self.parents: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         self.violations: list[Violation] = []
         self.incomplete = False
         self.state_count = 0
@@ -204,28 +220,24 @@ class ReachGraph:
     def successor(self, key_id: int, vector: int, tick: int) -> list[EvolveResult]:
         return self._explorer.evolve(key_id, vector, tick)
 
+    def parent(self, tick: int, key_id: int, vector: int) -> tuple[int, int] | None:
+        """(source key id, source vector) of the step that added the state;
+        None for a state the graph does not hold."""
+        for source, source_vector, bits in self.parents.get((tick, key_id), ()):
+            if bits >> vector & 1:
+                return source, source_vector
+        return None
+
     def witness_path(self, tick: int, key_id: int, vector: int) -> list[dict]:
         """Replayable path from the initial state to the given state:
         one record per tick with the signal assignment and the firings."""
-        chain: list[tuple[int, int, int]] = []
-        node = (tick, key_id, vector)
-        while node[0] >= 0:
-            chain.append(node)
-            parent = self.parents.get(node)
-            if parent is None:
-                break
-            node = (node[0] - 1, parent[0], parent[1])
-        chain.reverse()
-        path = []
-        for t, kid, vec in chain:
-            results = self._explorer.evolve_from_parent(t, kid, vec, self.parents.get((t, kid, vec)))
-            path.append(
-                {
-                    "tick": t,
-                    "signals": self.vector_to_named(vec),
-                    "firings": list(results),
-                }
-            )
+        explorer, path = self._explorer, []
+        while tick >= 0 and (parent := self.parent(tick, key_id, vector)) is not None:
+            firings = next((r.firings for r in explorer.evolve(parent[0], vector, tick)
+                            if explorer.key_ids.get(r.key) == key_id), ())
+            path.append({"tick": tick, "signals": self.vector_to_named(vector), "firings": list(firings)})
+            tick, key_id, vector = tick - 1, *parent
+        path.reverse()
         return path
 
     def vector_to_named(self, vector: int) -> dict[str, bool]:
@@ -266,20 +278,15 @@ class _Explorer:
             }
         self.net, self.held_specs = self._strip_held(base_net)
         self.deposit_driver = WANT_DRIVER in cfg.alphabet and self.smart is not None
+        self.agents = self.smart.agents if self.smart is not None else []
         # one driver bit per alphabet entry; an unnamespaced name drives the
         # per-agent namespaced signals of every agent in lockstep
         self.drivers: list[tuple[str, list[str]]] = []
         for name in cfg.alphabet:
             if name == WANT_DRIVER:
                 continue
-            if name in declared:
-                self.drivers.append((name, [name]))
-                continue
-            targets = []
-            if self.smart is not None:
-                for agent in self.smart.agents:
-                    if agent.signal(name) in declared:
-                        targets.append(agent.signal(name))
+            targets = [name] if name in declared else [
+                a.signal(name) for a in self.agents if a.signal(name) in declared]
             if not targets:
                 raise ValueError(f"alphabet signal {name!r} is not declared by the net")
             self.drivers.append((name, targets))
@@ -292,17 +299,27 @@ class _Explorer:
 
         self.key_ids: dict[StateKey, int] = {}
         self.key_table: list[StateKey] = []
-        # (key id, tick cap) -> the key's read classes, one (read mask, vector
-        # & mask, (results, target ids)) each, ordered by their lowest vector,
-        # and the class answer of every vector asked so far; see evolve
-        self.steps: dict[tuple[int, int], tuple[list[tuple[int, int, _Step]], dict[int, _Step]]] = {}
+        # (key id, tick cap) -> [the key's read classes, one (read mask, vector
+        # & mask, cube bits, (results, target ids)) each, ordered by their
+        # lowest vector; the bits of the vectors asked so far]; see evolve
+        self.steps: dict[tuple[int, int], list] = {}
         self.driver_bits = {
             target: 1 << i for i, (_, targets) in enumerate(self.drivers) for target in targets
         }
+        self.every_vector = (1 << (1 << len(self.drivers))) - 1  # the bits of all vectors
+        # driver i -> the bits of the vectors with bit i set: blocks of 2^i clear and 2^i set bits
+        self.bit_patterns = [((1 << (1 << i)) - 1 << (1 << i)) * self.every_vector // ((1 << (2 << i)) - 1)
+                             for i in range(len(self.drivers))]
         self.counts = {"evolve_calls": 0, "memo_hits": 0, "read_set_hits": 0, "evaluations": 0}
         self.max_held_delta = max((h.duration for h, _ in self.held_specs), default=0)
-
-        self.agents = self.smart.agents if self.smart is not None else []
+        # output id -> its agent's stable place (the first agent that lists it)
+        self.output_stable = {tid: a.place("S") for a in reversed(self.agents) for tid in a.outputs}
+        # transition id -> the cap of its stored timer elapse; one past a
+        # weak beta: the window has expired
+        self.timer_caps = {
+            tid: r.alpha if r.beta == INF else int(r.beta) if r.timing == STRONG else int(r.beta) + 1
+            for tid, r in self.net.transitions.items()
+        }
 
     # -- net transformation ----------------------------------------------
 
@@ -412,65 +429,55 @@ class _Explorer:
         with it on the driver bits it read."""
         self.counts["evolve_calls"] += 1
         tick_cap = min(tick, self.max_held_delta)
-        classes, asked = self._entry(key_id, tick_cap)
-        answer = asked.get(vector)
-        if answer is not None:
+        entry = self.steps.setdefault((key_id, tick_cap), [[], 0])
+        (_, _, _, answer), hit = self.read_class(entry[0], vector, self._answer, self.key_table[key_id],
+                                                 vector, tick_cap)
+        if entry[1] >> vector & 1:
             self.counts["memo_hits"] += 1
-            return answer[0]
-        answer, hit = self.read_class(classes, vector, self._answer, self.key_table[key_id], vector, tick_cap)
-        self.counts["read_set_hits" if hit else "evaluations"] += 1
-        asked[vector] = answer
+        else:
+            self.counts["read_set_hits" if hit else "evaluations"] += 1
+            entry[1] |= 1 << vector
         return answer[0]
 
-    def step_table(self, key_id: int, tick: int) -> list[tuple[list[int], list[EvolveResult], list[int]]]:
-        """The key's successors under every vector: one (vectors, results,
+    def step_table(self, key_id: int, tick: int) -> list[tuple[int, list[EvolveResult], list[int]]]:
+        """The key's successors under every vector: one (cube bits, results,
         target ids) entry per read class, in the order of the classes'
         lowest vectors. The lowest vector that no class covers yet is
         evaluated, and its class covers the rest of its cube, until every
-        vector is covered. The counters are those of one ``evolve`` call per
-        vector in ascending order."""
+        vector is covered; then the entry counts every vector as asked. The
+        counters are those of one ``evolve`` call per vector in ascending
+        order."""
         tick_cap = min(tick, self.max_held_delta)
-        classes, asked = self._entry(key_id, tick_cap)
-        key = self.key_table[key_id]
-        every_bit = (1 << len(self.drivers)) - 1
-        size, known = every_bit + 1, len(asked)
+        classes, asked = entry = self.steps.setdefault((key_id, tick_cap), [[], 0])
+        size, known = 1 << len(self.drivers), asked.bit_count()
         evaluations = 0
-        if known < size:
-            for mask, bits, answer in classes:  # the classes of single evolve calls
-                asked.update(dict.fromkeys(_cube(mask, bits, every_bit), answer))
-            vector = 0
-            while len(asked) < size:
-                while vector in asked:
-                    vector += 1
-                mask, _, answer = self.add_class(classes, vector, self._answer, key, vector, tick_cap)
-                asked.update(dict.fromkeys(_cube(mask, vector, every_bit), answer))
+        if asked != self.every_vector:
+            covered = 0
+            for _, _, cube, _ in classes:  # the classes of single evolve calls
+                covered |= cube
+            while covered != self.every_vector:
+                vector = _lowest(~covered)
+                covered |= self.add_class(classes, vector, self._answer, self.key_table[key_id], vector, tick_cap)[2]
                 evaluations += 1
+            entry[1] = self.every_vector
         self.counts["evolve_calls"] += size
         self.counts["memo_hits"] += known
         self.counts["read_set_hits"] += size - known - evaluations
         self.counts["evaluations"] += evaluations
-        table = []
-        for mask, bits, (results, targets) in classes:
+        for _, _, _, (results, targets) in classes:
             if not targets:
                 targets += [self.intern(r.key) for r in results]
-            table.append((_cube(mask, bits, every_bit), results, targets))
-        return table
+        return [(cube, results, targets) for _, _, cube, (results, targets) in classes]
 
     def known_steps(self) -> list[tuple[int, int, int, list[EvolveResult]]]:
         """(key id, vector, tick cap, results) of every vector asked so far,
         sorted."""
         return sorted(
             ((key_id, vector, tick_cap, answer[0])
-             for (key_id, tick_cap), (_, asked) in self.steps.items()
-             for vector, answer in asked.items()),
-            key=lambda entry: entry[:3],
+             for (key_id, tick_cap), (classes, asked) in self.steps.items()
+             for _, _, cube, answer in classes
+             for vector in VectorSet(cube & asked))
         )
-
-    def _entry(self, key_id: int, tick_cap: int) -> tuple[list[tuple[int, int, _Step]], dict[int, _Step]]:
-        entry = self.steps.get((key_id, tick_cap))
-        if entry is None:
-            entry = self.steps[(key_id, tick_cap)] = ([], {})
-        return entry
 
     def _answer(self, key: StateKey, vector: int, tick_cap: int, reads: set[str]) -> _Step:
         """A read class's answer: its results, and their target ids, which
@@ -479,28 +486,32 @@ class _Explorer:
         in their own order."""
         return self._evolve_uncached(key, vector, tick_cap, reads), []
 
-    def read_class(self, classes: list[tuple[int, int, T]], vector: int,
-                   evaluate: Callable[..., T], *args) -> tuple[T, bool]:
-        """The answer for ``vector`` from its read class, and whether one of
-        ``classes`` (read mask, vector & mask, answer) already held it. On a
-        miss, ``add_class`` adds the vector's class."""
-        for mask, bits, answer in classes:
-            if vector & mask == bits:
-                return answer, True
-        return self.add_class(classes, vector, evaluate, *args)[2], False
+    def read_class(self, classes: list[tuple[int, int, int, T]], vector: int,
+                   evaluate: Callable[..., T], *args) -> tuple[tuple[int, int, int, T], bool]:
+        """The read class of ``vector``, and whether ``classes`` (read mask,
+        vector & mask, cube bits, answer) already held it. On a miss,
+        ``add_class`` adds the vector's class."""
+        for entry in classes:
+            if vector & entry[0] == entry[1]:
+                return entry, True
+        return self.add_class(classes, vector, evaluate, *args), False
 
-    def add_class(self, classes: list[tuple[int, int, T]], vector: int,
-                  evaluate: Callable[..., T], *args) -> tuple[int, int, T]:
+    def add_class(self, classes: list[tuple[int, int, int, T]], vector: int,
+                  evaluate: Callable[..., T], *args) -> tuple[int, int, int, T]:
         """``evaluate(*args, reads)`` answers for ``vector`` and adds the name
         of every signal it read to ``reads``; every vector that agrees with
-        it on the driver bits read gets the same answer. Insert that class
-        into ``classes`` by its lowest vector and return it."""
+        it on the driver bits read, its cube, gets the same answer. Insert
+        that class into ``classes`` by its lowest vector and return it."""
         reads: set[str] = set()
         answer = evaluate(*args, reads)
         mask = 0
         for name in reads:
             mask |= self.driver_bits.get(name, 0)
-        entry = (mask, vector & mask, answer)
+        cube = self.every_vector
+        for i, pattern in enumerate(self.bit_patterns):
+            if mask >> i & 1:
+                cube &= pattern if vector >> i & 1 else ~pattern
+        entry = (mask, vector & mask, cube, answer)
         classes.append(entry)
         classes.sort(key=lambda c: c[1])
         return entry
@@ -605,68 +616,40 @@ class _Explorer:
     def _finish(self, state: KernelState, clock: ResidenceClock, held_runs: list[int],
                 firings: tuple[str, ...], touched: frozenset[str]) -> EvolveResult:
         violations = []
-        breaches = []
-        if self.smart is not None:
-            for agent in self.smart.agents:
-                total = sum(state.marking.get(p, 0) for p in agent.mode_places.values())
-                if total != 1:
-                    violations.append(
-                        f"mode-token sum {total} for agent {agent.agent_id or 'default'}"
-                    )
-            output_ids = set(self.smart.output_transitions)
-            for index, tid in enumerate(firings):
-                if tid in output_ids:
-                    agent = next(a for a in self.smart.agents if tid in a.outputs)
-                    pre = state.marking_history[index][1]
-                    if pre.get(agent.place("S"), 0) < 1:
-                        breaches.append(tid)
-
-        next_timers = []
-        for tid, since in sorted(state.timers.items()):
-            record = self.net.transitions[tid]
-            if record.beta == INF:
-                cap = record.alpha
-            elif record.timing == STRONG:
-                cap = int(record.beta)
-            else:
-                cap = int(record.beta) + 1  # one past beta: the window has expired
-            next_timers.append((tid, min(-since + 1, cap)))
+        for agent in self.agents:
+            total = sum(state.marking.get(p, 0) for p in agent.mode_places.values())
+            if total != 1:
+                violations.append(f"mode-token sum {total} for agent {agent.agent_id or 'default'}")
+        breaches = [
+            tid for index, tid in enumerate(firings)
+            if tid in self.output_stable and state.marking_history[index][1].get(self.output_stable[tid], 0) < 1
+        ]
         key = StateKey(
             marking=tuple(sorted(state.marking.items())),
-            timers=tuple(next_timers),
+            timers=tuple((tid, min(-since + 1, self.timer_caps[tid])) for tid, since in sorted(state.timers.items())),
             residence=clock.residence(state.now + 1),
             held_runs=tuple(held_runs),
         )
         return EvolveResult(key, firings, touched, tuple(violations), tuple(breaches))
-
-    def evolve_from_parent(self, tick, key_id, vector, parent) -> tuple[str, ...]:
-        if parent is None:
-            source = self.intern(self.initial_key())
-        else:
-            source = parent[0]
-        for result in self.evolve(source, vector, tick):
-            if self.key_ids.get(result.key) == key_id:
-                return result.firings
-        return ()
 
 
 def explore(subject: Net | SmartNet, cfg: ExplorationConfig) -> ReachGraph:
     """Breadth-first bounded exploration over environment assignments."""
     explorer = _Explorer(subject, cfg)
     graph = ReachGraph(explorer)
-    frontier = {explorer.intern(explorer.initial_key()): {explorer.initial_vector()}}
+    frontier = {explorer.intern(explorer.initial_key()): VectorSet(1 << explorer.initial_vector())}
 
     for tick in range(cfg.horizon + 1):
-        layer: dict[int, set[int]] = {}
+        layer: dict[int, VectorSet] = {}
         for key_id in sorted(frontier):
             if cfg.flip_budget is None:
-                _step_every_vector(graph, layer, tick, key_id, next(iter(frontier[key_id])))
+                _step_every_vector(graph, layer, tick, key_id, _lowest(frontier[key_id].bits))
                 continue
-            for prev_vector in sorted(frontier[key_id]):
+            for prev_vector in frontier[key_id]:
                 for vector in explorer.branch_vectors(prev_vector):
                     for result in explorer.evolve(key_id, vector, tick):
                         target = explorer.intern(result.key)
-                        if _add_states(graph, layer, tick, target, (vector,), (key_id, prev_vector)):
+                        if _add_states(graph, layer, tick, target, 1 << vector, (key_id, prev_vector)):
                             _add_violations(graph, tick, target, vector, result)
         graph.layers.append(layer)
         graph.state_count += sum(len(v) for v in layer.values())
@@ -680,48 +663,39 @@ def explore(subject: Net | SmartNet, cfg: ExplorationConfig) -> ReachGraph:
     return graph
 
 
-def _step_every_vector(graph: ReachGraph, layer: dict[int, set[int]], tick: int, key_id: int,
+def _step_every_vector(graph: ReachGraph, layer: dict[int, VectorSet], tick: int, key_id: int,
                        prev_vector: int) -> None:
-    """Step a key under every vector through its step table. The states
-    reached, their order and the violations are those of one ``evolve``
-    call per vector in ascending order."""
-    explorer = graph._explorer
-    # target -> (class vectors, result index, result) of each class reaching
-    # it, through the class's first result with that target
-    by_target: dict[int, list[tuple[list[int], int, EvolveResult]]] = {}
-    for vectors, results, targets in explorer.step_table(key_id, tick):
-        for index, target in enumerate(targets):
-            groups = by_target.setdefault(target, [])
-            if not groups or groups[-1][0] is not vectors:
-                groups.append((vectors, index, results[index]))
+    """Step a key under every vector through its step table, one read class
+    at a time. The states reached and the violations are those of one
+    ``evolve`` call per vector in ascending order: a class adds its cube to
+    each target through its first result with that target."""
     flagged = []  # (vector, result index, target, result) of each new state with a violation
-    for target, groups in by_target.items():
-        vectors = groups[0][0] if len(groups) == 1 else sorted(v for group in groups for v in group[0])
-        added = _add_states(graph, layer, tick, target, vectors, (key_id, prev_vector))
-        if added and any(result.violations or result.output_breaches for _, _, result in groups):
-            fresh = set(added)
-            flagged += [
-                (v, index, target, result)
-                for class_vectors, index, result in groups
-                if result.violations or result.output_breaches
-                for v in class_vectors
-                if v in fresh
-            ]
+    for cube, results, targets in graph._explorer.step_table(key_id, tick):
+        for index, (target, result) in enumerate(zip(targets, results)):
+            added = _add_states(graph, layer, tick, target, cube, (key_id, prev_vector))
+            if added and (result.violations or result.output_breaches):
+                flagged += [(v, index, target, result) for v in VectorSet(added)]
     # in the order of one evolve call per vector
     for vector, _, target, result in sorted(flagged, key=lambda f: f[:2]):
         _add_violations(graph, tick, target, vector, result)
 
 
-def _add_states(graph: ReachGraph, layer: dict[int, set[int]], tick: int, target: int,
-                vectors: Iterable[int], parent: tuple[int, int]) -> list[int]:
-    """Add each state (tick, target, vector) not yet in the layer, in the
-    given order, with its parent (source key, previous vector); return the
-    vectors added."""
-    reached = layer.setdefault(target, set())
-    added = [v for v in vectors if v not in reached]
-    reached.update(added)
-    for vector in added:
-        graph.parents[(tick, target, vector)] = parent
+def _add_states(graph: ReachGraph, layer: dict[int, VectorSet], tick: int, target: int,
+                bits: int, parent: tuple[int, int]) -> int:
+    """Add the states (tick, target, v) for the vectors v of ``bits`` not yet
+    in the layer, with their parent (source key, source vector); return the
+    bits added."""
+    reached = layer.get(target)
+    if reached is None:
+        reached = layer[target] = VectorSet()
+    added = bits & ~reached.bits
+    if added:
+        reached.bits |= added
+        chunks = graph.parents.setdefault((tick, target), [])
+        if chunks and chunks[-1][:2] == parent:
+            chunks[-1] = (*parent, chunks[-1][2] | added)
+        else:
+            chunks.append((*parent, added))
     return added
 
 
@@ -742,11 +716,21 @@ def replay_witness(graph: ReachGraph, witness: list[dict]) -> list[tuple[int, li
     if explorer.smart is None:
         raise ValueError("witness replay needs a SMART-annotated net")
     script: list[tuple[int, str, bool]] = []
+    key_id = explorer.intern(explorer.initial_key())
     for step in witness:
         for driver, value in sorted(step["signals"].items()):
             targets = dict(explorer.drivers).get(driver, [driver])
             for target in targets:
                 script.append((step["tick"], target, value))
+        if explorer.deposit_driver:
+            # the explorer's output attempt for each agent whose want place is
+            # empty as the tick begins; the step's firings give the next key
+            marking = graph.marking_of(key_id)
+            script += [(step["tick"], WANT_DRIVER + agent.suffix, True)
+                       for agent in explorer.agents if not marking.get(agent.want_place, 0)]
+            vector = sum(1 << i for i, (name, _) in enumerate(explorer.drivers) if step["signals"].get(name))
+            key_id = next((explorer.intern(r.key) for r in explorer.evolve(key_id, vector, step["tick"])
+                           if list(r.firings) == step["firings"]), key_id)
     horizon = max((step["tick"] for step in witness), default=0)
     scenario = Scenario(
         name="witness-replay",
@@ -808,13 +792,20 @@ class FormulaVerdict:
         return self.status in (HOLDS, VACUOUS)
 
 
-def _condition_test(graph: ReachGraph, condition: GuardExpr) -> Callable[[int, int], bool]:
-    """``holds(key id, vector)``: whether the condition holds in that state.
+# a formula condition's lowest holding vector of a bitset, see _condition_test
+_Lowest = Callable[[int, int], int | None]
+
+
+def _condition_test(graph: ReachGraph, condition: GuardExpr) -> _Lowest:
+    """``lowest(key id, bits)``: the lowest vector of the bitset in whose
+    state the condition holds, or None; ``bits`` of one vector asks whether
+    it holds there.
 
     The condition reads driver bits, base values, and what the key fixes
     (the marking and the derived timeouts), so it is evaluated once per
-    (key id, read class) of vectors. The classes live on the graph: every
-    check of an equal condition on it reuses them."""
+    (key id, read class) of vectors, and ``lowest`` drops a false class's
+    cube at once. The classes live on the graph: every check of an equal
+    condition on it reuses them."""
     explorer = graph._explorer
     by_key = graph.condition_memo.setdefault(condition, {})
 
@@ -824,10 +815,17 @@ def _condition_test(graph: ReachGraph, condition: GuardExpr) -> Callable[[int, i
         values.update(explorer.clock_of(key).timeouts(0))
         return eval_guard(condition, ConstantSignals(values, reads), dict(key.marking), 0)
 
-    def holds(key_id: int, vector: int) -> bool:
-        return explorer.read_class(by_key.setdefault(key_id, []), vector, evaluate, key_id, vector)[0]
+    def lowest(key_id: int, bits: int) -> int | None:
+        classes = by_key.setdefault(key_id, [])
+        while bits:
+            vector = _lowest(bits)
+            (_, _, cube, value), _ = explorer.read_class(classes, vector, evaluate, key_id, vector)
+            if value:
+                return vector
+            bits &= ~cube
+        return None
 
-    return holds
+    return lowest
 
 
 def resolve_forbidden(entries: Iterable[str], net: Net, smart: SmartNet | None = None) -> set[str]:
@@ -850,29 +848,30 @@ def check_formula(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
     # read one tick's assignment as a whole window
     if held_terms(formula.condition):
         raise ValueError("held_for in formula conditions is not supported")
-    holds = _condition_test(graph, formula.condition)
+    lowest = _condition_test(graph, formula.condition)
     if formula.kind == "safety":
-        return _check_safety(graph, formula, holds)
+        return _check_safety(graph, formula, lowest)
     if formula.kind in ("bounded-response", "reach"):
-        return _check_bounded(graph, formula, holds)
-    return _check_never_while(graph, formula, holds)
+        return _check_bounded(graph, formula, lowest)
+    return _check_never_while(graph, formula, lowest)
 
 
-def _persistent_steps(graph: ReachGraph, holds: Callable[[int, int], bool], key_id: int, vector: int, tick: int):
+def _persistent_steps(graph: ReachGraph, lowest: _Lowest, key_id: int, vector: int, tick: int):
     """Yield (target, next vector, result) for each step of a state into the
-    next tick after which the condition (``holds``) still holds."""
+    next tick after which the condition (see ``_condition_test``) still
+    holds."""
     explorer = graph._explorer
     for nxt in explorer.branch_vectors(vector):
         for result in explorer.evolve(key_id, nxt, tick + 1):
             target = explorer.intern(result.key)
-            if holds(target, nxt):
+            if lowest(target, 1 << nxt) is not None:
                 yield target, nxt, result
 
 
-def _anchors(graph: ReachGraph, holds: Callable[[int, int], bool], keep) -> list[tuple[int, int, int, int]]:
+def _anchors(graph: ReachGraph, lowest: _Lowest, keep) -> list[tuple[int, int, int, int]]:
     """(key id, vector, slack, tick) of each state where the condition
-    (``holds``) holds and ``keep`` accepts the marking, one per
-    configuration, sorted.
+    holds and ``keep`` accepts the marking, one per configuration, sorted;
+    ``lowest`` finds the condition's lowest holding vector of a bitset.
 
     Dynamics are translation-invariant beyond the held-for window, so an
     anchor configuration is judged at its occurrence with the most
@@ -883,7 +882,8 @@ def _anchors(graph: ReachGraph, holds: Callable[[int, int], bool], keep) -> list
 
     Layers are visited in ascending tick, so the first state found in a
     configuration has its most slack, and the configuration is settled:
-    its later states are skipped, without a budget a whole key at once."""
+    its later states are skipped, without a budget a whole key at once.
+    Within a key the anchor is the lowest vector."""
     explorer = graph._explorer
     budgeted = graph.config.flip_budget is not None
     anchors: dict[tuple[int, int, int | None], tuple[int, int, int]] = {}
@@ -892,41 +892,39 @@ def _anchors(graph: ReachGraph, holds: Callable[[int, int], bool], keep) -> list
         for key_id, vectors in layer.items():
             if (key_id, tick_cap, None) in anchors or not keep(graph.marking_of(key_id)):
                 continue
-            for vector in vectors:
+            bits = vectors.bits
+            while (vector := lowest(key_id, bits)) is not None:
                 group = (key_id, tick_cap, vector if budgeted else None)
-                if group not in anchors and holds(key_id, vector):
-                    anchors[group] = (graph.horizon - tick, tick, vector)
-                    if not budgeted:
-                        break
+                anchors.setdefault(group, (graph.horizon - tick, tick, vector))
+                if not budgeted:
+                    break
+                bits &= -2 << vector  # the vectors above this one
     return [(key_id, vector, slack, tick) for (key_id, _, _), (slack, tick, vector) in sorted(anchors.items())]
 
 
-def _check_safety(graph: ReachGraph, formula: Formula, holds: Callable[[int, int], bool]) -> FormulaVerdict:
+def _check_safety(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
     """No firing of a forbidden transition at an instant where the
     condition holds. The condition is read against the signal assignment
     governing the instant of the firing and the marking at its entry."""
     explorer = graph._explorer
     forbidden = resolve_forbidden(formula.forbidden, explorer.net, explorer.smart)
     budgeted = graph.config.flip_budget is not None
-    init = {explorer.intern(explorer.initial_key()): {explorer.initial_vector()}}
+    init = {explorer.intern(explorer.initial_key()): VectorSet(1 << explorer.initial_vector())}
     # the edges into tick t leave the initial state (t = 0) or layer t - 1
     for tick, layer in enumerate([init] + graph.layers[:-1]):
         for key_id, vectors in layer.items():
             if budgeted:
-                steps = (
-                    (v, explorer.evolve(key_id, v, tick)) for prev in vectors for v in explorer.branch_vectors(prev)
-                )
+                steps = ((v, explorer.evolve(key_id, v, tick)) for prev in vectors
+                         for v in explorer.branch_vectors(prev) if lowest(key_id, 1 << v) is not None)
             else:
-                # only the read classes with a result that fires a forbidden transition
+                # the lowest vector under the condition of each read class with
+                # a result that fires a forbidden transition
                 steps = sorted(
-                    (v, results)
-                    for class_vectors, results, _ in explorer.step_table(key_id, tick)
+                    (vector, results) for cube, results, _ in explorer.step_table(key_id, tick)
                     if any(forbidden.intersection(r.firings) for r in results)
-                    for v in class_vectors
+                    and (vector := lowest(key_id, cube)) is not None
                 )
             for vector, results in steps:
-                if not holds(key_id, vector):
-                    continue
                 for result in results:
                     hit = sorted(set(result.firings) & forbidden)
                     if hit:
@@ -934,12 +932,12 @@ def _check_safety(graph: ReachGraph, formula: Formula, holds: Callable[[int, int
                         witness = graph.witness_path(tick, target, vector)
                         return FormulaVerdict(formula, VIOLATED, witness, f"{hit[0]} fired under the condition")
 
-    if not any(holds(k, v) for _, k, v in graph.states()):
+    if all(lowest(k, vectors.bits) is None for layer in graph.layers for k, vectors in layer.items()):
         return FormulaVerdict(formula, VACUOUS, detail="condition never held")
     return FormulaVerdict(formula, HOLDS)
 
 
-def _check_bounded(graph: ReachGraph, formula: Formula, holds: Callable[[int, int], bool]) -> FormulaVerdict:
+def _check_bounded(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
     delta = formula.within
     budgeted = graph.config.flip_budget is not None
     memo: dict[tuple[int, int | None, int, int], str] = {}
@@ -958,7 +956,7 @@ def _check_bounded(graph: ReachGraph, formula: Formula, holds: Callable[[int, in
         if cached is not None:
             return cached
         outcome = HOLDS
-        for target, nxt, result in _persistent_steps(graph, holds, key_id, vector, tick):
+        for target, nxt, result in _persistent_steps(graph, lowest, key_id, vector, tick):
             if formula.place in result.touched:
                 continue
             sub = search(target, nxt, depth_left - 1, ticks_left - 1, tick + 1)
@@ -975,7 +973,7 @@ def _check_bounded(graph: ReachGraph, formula: Formula, holds: Callable[[int, in
         VIOLATED, for counterexample replay."""
         steps: list[dict] = []
         while depth_left > 0 and ticks_left > 0:
-            for target, nxt, result in _persistent_steps(graph, holds, key_id, vector, tick):
+            for target, nxt, result in _persistent_steps(graph, lowest, key_id, vector, tick):
                 if formula.place in result.touched:
                     continue
                 # a target that marks the place searches to HOLDS
@@ -991,7 +989,7 @@ def _check_bounded(graph: ReachGraph, formula: Formula, holds: Callable[[int, in
                 break
         return steps
 
-    anchors = _anchors(graph, holds, lambda marking: True)
+    anchors = _anchors(graph, lowest, lambda marking: True)
     if not anchors:
         return FormulaVerdict(formula, VACUOUS, detail="premise never held")
     worst = HOLDS
@@ -1013,7 +1011,7 @@ def _check_bounded(graph: ReachGraph, formula: Formula, holds: Callable[[int, in
     return FormulaVerdict(formula, HOLDS)
 
 
-def _check_never_while(graph: ReachGraph, formula: Formula, holds: Callable[[int, int], bool]) -> FormulaVerdict:
+def _check_never_while(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
     budgeted = graph.config.flip_budget is not None
     memo: dict[tuple[int, int | None, int], bool] = {}
 
@@ -1028,7 +1026,7 @@ def _check_never_while(graph: ReachGraph, formula: Formula, holds: Callable[[int
             formula.place in result.touched
             or graph.marking_of(target).get(formula.place, 0) >= 1
             or reaches(target, nxt, ticks_left - 1, tick + 1)
-            for target, nxt, result in _persistent_steps(graph, holds, key_id, vector, tick)
+            for target, nxt, result in _persistent_steps(graph, lowest, key_id, vector, tick)
         )
         memo[memo_key] = found
         return found
@@ -1038,7 +1036,7 @@ def _check_never_while(graph: ReachGraph, formula: Formula, holds: Callable[[int
             return False
         return marking.get(formula.place, 0) < 1
 
-    anchors = _anchors(graph, holds, keep)
+    anchors = _anchors(graph, lowest, keep)
     if not anchors:
         return FormulaVerdict(formula, VACUOUS, detail="no anchored states")
     for key_id, vector, slack, tick in anchors:

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from smart_tgpn.analysis import (
     BRANCH_ALL,
     ExplorationConfig,
     Formula,
+    VectorSet,
     check_formula,
     check_p_invariant,
     explore,
@@ -14,7 +16,7 @@ from smart_tgpn.analysis import (
     structural_output_safety,
 )
 from smart_tgpn.builder import AgentSpec, SmartConfig, SmartNet, build_multi_agent, build_single_agent
-from smart_tgpn.guards import And, Marked, Not, Sig, parse_guard
+from smart_tgpn.guards import And, Cmp, Marked, Not, Sig, parse_guard
 from smart_tgpn.net import Arc, Net, TransitionRecord, drop_transition
 from smart_tgpn.signals import UndeclaredSignal
 
@@ -116,6 +118,20 @@ class TestExplore:
         replayed = replay_witness(graph, verdict.witness)
         assert [(s["tick"], s["firings"]) for s in verdict.witness] == replayed
 
+    def test_witness_replay_deposits_the_explorers_output_attempts(self):
+        # with want_output in the alphabet the explorer deposits an output
+        # attempt whenever the want place is empty; the replay must too
+        smart = single()
+        graph = explore(smart, ExplorationConfig(horizon=5, alphabet=ALPHABET4 + ["want_output"]))
+        agent = smart.agents[0]
+        formula = Formula("never-while", Cmp(agent.signal("U"), "<=", agent.config.theta), place="P_R",
+                          from_places=("P_S",))
+        verdict = check_formula(graph, formula)
+        assert verdict.status == "violated"
+        assert verdict.witness[0]["firings"] == ["t_out"]
+        replayed = replay_witness(graph, verdict.witness)
+        assert [(s["tick"], s["firings"]) for s in verdict.witness] == replayed
+
     def test_edge_targets_replay_from_sources(self):
         # spot-check: a stored quotient edge reproduces its target key
         smart = single()
@@ -189,6 +205,25 @@ class TestFormulas:
         condition = And((Sig("disagree"), Not(Sig("ext_auth_a1"))))
         formula = Formula("never-while", condition, place="P_S_a1", from_places=("P_A_a1",))
         assert check_formula(graph, formula).status == "violated"
+
+
+@given(st.sets(st.integers(0, 300)))
+def test_vector_set_reads_as_a_set_of_its_bits(vectors):
+    bits = sum(1 << v for v in vectors)
+    vector_set = VectorSet(bits)
+    assert len(vector_set) == bits.bit_count() == len(vectors)
+    assert list(vector_set) == sorted(vectors)
+    assert all(v in vector_set for v in vectors)
+    assert not any(v in vector_set for v in range(-2, 302) if v not in vectors)
+    assert vector_set == VectorSet(bits) and vector_set != VectorSet(bits ^ 1)
+    assert vector_set != set(vectors)
+
+
+@pytest.mark.parametrize("flip_budget", [None, 1])
+def test_state_count_is_the_sum_of_layer_popcounts(flip_budget):
+    graph = explore(single(), ExplorationConfig(horizon=4, alphabet=ALPHABET4, flip_budget=flip_budget))
+    assert graph.state_count == sum(v.bits.bit_count() for layer in graph.layers for v in layer.values())
+    assert graph.state_count == sum(1 for _ in graph.states())
 
 
 def test_worker_free_determinism():

@@ -9,7 +9,15 @@ compare, so the check needs no second, unmemoised exploration path.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smart_tgpn.analysis import BRANCH_ALL, ExplorationConfig, Formula, _Explorer, check_formula, explore
+from smart_tgpn.analysis import (
+    BRANCH_ALL,
+    ExplorationConfig,
+    Formula,
+    VectorSet,
+    _Explorer,
+    check_formula,
+    explore,
+)
 from smart_tgpn.builder import AgentSpec, Hysteresis, SmartConfig, build_multi_agent, build_single_agent
 from smart_tgpn.guards import Cmp, Marked, Not, Sig, eval_guard
 from smart_tgpn.signals import ConstantSignals
@@ -142,7 +150,8 @@ def test_step_store_agrees_with_one_evolve_per_vector(data):
             for result in results:
                 explorer.intern(result.key)
         else:
-            table = explorer.step_table(key_id, tick)
+            table = [(list(VectorSet(cube)), results, targets)
+                     for cube, results, targets in explorer.step_table(key_id, tick)]
             expected = model.step_table(key_id, tick)
             # the classes partition the vectors and are ordered by their lowest one
             assert sorted(v for vectors, _, _ in table for v in vectors) == every_vector
@@ -209,7 +218,8 @@ def test_every_condition_memo_entry_matches_a_fresh_evaluation(name, monkeypatch
     for condition, by_key in graph.condition_memo.items():
         for key_id, classes in by_key.items():
             key = explorer.key_table[key_id]
-            for mask, bits, answer in classes:
+            for mask, bits, cube, answer in classes:
+                assert list(VectorSet(cube)) == [v for v in range(every_bit + 1) if v & mask == bits]
                 # the two members farthest apart: every free bit clear, every one set
                 for vector in (bits, bits | (every_bit & ~mask)):
                     values = explorer.vector_values(vector)

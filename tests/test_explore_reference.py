@@ -2,13 +2,15 @@
 
 Without a flip budget, `explore` steps each key once per read class through
 its step table. `reference_explore` below is the explorer's earlier loop,
-one `evolve` call per (key, vector) edge. Both must agree on key ids, the
-order of every layer and of its vector sets (`export_lines` prints sets in
-iteration order), parents, violations in order, the (key, vector, tick
-cap) entries known to the step store, `export_lines` and the engine
-counters. The safety search reads the same step tables;
+one `evolve` call per (key, vector) edge, with a sorted list of vectors
+per key and one parent entry per state. Both must agree on key ids, the
+order of every layer and of its vectors (`export_lines` prints them in
+iteration order), the parent of every state, violations in order, the
+(key, vector, tick cap) entries known to the step store, `export_lines`
+and the engine counters. The safety search reads the same step tables;
 `reference_safety` is its earlier per-edge loop, and both must give the
-same verdict and witness.
+same verdict and witness. Both references visit vectors in ascending
+order and step a key from its lowest vector, the explorer's order rule.
 """
 
 import pytest
@@ -36,9 +38,12 @@ from test_explore_memo import ALPHABET8, CASES, double, single
 
 
 def reference_explore(subject, cfg):
-    """One `evolve` call per (key, vector) edge, in ascending vector order."""
+    """One `evolve` call per (key, vector) edge, in ascending vector order.
+    The graph's `state_parents` maps each state to its (source key, source
+    vector); its `parents` holds one chunk per state, for witnesses."""
     explorer = _Explorer(subject, cfg)
     graph = ReachGraph(explorer)
+    graph.state_parents = {}
     all_vectors = explorer.branch_vectors(0) if cfg.flip_budget is None else None
     frontier = {explorer.intern(explorer.initial_key()): {explorer.initial_vector()}}
 
@@ -46,24 +51,25 @@ def reference_explore(subject, cfg):
         layer = {}
         for key_id in sorted(frontier):
             if all_vectors is not None:
-                pairs = [(next(iter(frontier[key_id])), v) for v in all_vectors]
+                pairs = [(min(frontier[key_id]), v) for v in all_vectors]
             else:
                 pairs = [(prev, v) for prev in sorted(frontier[key_id]) for v in explorer.branch_vectors(prev)]
             for prev_vector, vector in pairs:
                 for result in explorer.evolve(key_id, vector, tick):
                     target = explorer.intern(result.key)
                     node = (tick, target, vector)
-                    if node in graph.parents:
+                    if node in graph.state_parents:
                         continue
                     layer.setdefault(target, set()).add(vector)
-                    graph.parents[node] = (key_id, prev_vector)
+                    graph.state_parents[node] = (key_id, prev_vector)
+                    graph.parents.setdefault((tick, target), []).append((key_id, prev_vector, 1 << vector))
                     for violation in result.violations:
                         graph.violations.append(Violation(tick, (target, vector), violation))
                     for breach in result.output_breaches:
                         graph.violations.append(
                             Violation(tick, (target, vector), f"output {breach} without stable token")
                         )
-        graph.layers.append(layer)
+        graph.layers.append({key_id: sorted(vectors) for key_id, vectors in layer.items()})
         graph.state_count += sum(len(v) for v in layer.values())
         if tick > 0 and graph.state_count > cfg.state_cap:
             graph.incomplete = True
@@ -76,7 +82,11 @@ def reference_explore(subject, cfg):
 
 def reference_safety(graph, formula):
     """The safety search with one condition lookup per (key, vector) edge."""
-    holds = _condition_test(graph, formula.condition)
+    lowest = _condition_test(graph, formula.condition)
+
+    def holds(key_id, vector):
+        return lowest(key_id, 1 << vector) is not None
+
     explorer = graph._explorer
     forbidden = resolve_forbidden(formula.forbidden, explorer.net, explorer.smart)
     all_vectors = explorer.branch_vectors(0) if graph.config.flip_budget is None else None
@@ -142,7 +152,7 @@ def test_explore_matches_the_per_vector_reference(name):
     assert [[(key_id, list(vectors)) for key_id, vectors in layer.items()] for layer in graph.layers] == [
         [(key_id, list(vectors)) for key_id, vectors in layer.items()] for layer in expected.layers
     ]
-    assert graph.parents == expected.parents
+    assert {state: graph.parent(*state) for state in graph.states()} == expected.state_parents
     assert _violations(graph) == _violations(expected)
     assert [entry[:3] for entry in graph._explorer.known_steps()] == [
         entry[:3] for entry in expected._explorer.known_steps()
@@ -163,7 +173,7 @@ def test_defective_net_reaches_both_kinds_of_violation(weak_branching):
 def test_output_loop_gives_a_class_two_results_with_one_target():
     graph = explore(*defective(BRANCH_ALL, output_loop=True))
     classes = [step for entries, _ in graph._explorer.steps.values() for step in entries]
-    assert any(len(set(targets)) < len(targets) for _, _, (_, targets) in classes)
+    assert any(len(set(targets)) < len(targets) for _, _, _, (_, targets) in classes)
 
 
 def safety_formulas(smart):

@@ -9,7 +9,8 @@ those of the net's first agent. The status, detail and sha256 of the
 witness of every verdict must equal the entry in
 `golden_formula_verdicts.json`. A change that alters a verdict on purpose
 regenerates the file with `python tests/test_golden_formula_verdicts.py`
-and says which verdicts changed and why.
+and says which verdicts changed and why. Every witness of an earliest-only
+case must also replay event for event.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ VERDICTS = os.path.join(HERE, "golden_formula_verdicts.json")
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
-from smart_tgpn.analysis import Formula, check_formula, explore  # noqa: E402
+from smart_tgpn.analysis import BRANCH_EARLIEST, Formula, check_formula, explore, replay_witness  # noqa: E402
 from smart_tgpn.guards import And, Cmp, Marked, Not, Sig  # noqa: E402
 from test_explore_memo import CASES  # noqa: E402
 
@@ -73,6 +74,21 @@ def test_formula_verdicts_match_their_golden_entries(name):
         expected = json.load(fh)
     assert sorted(expected) == sorted(CASES)
     assert verdicts_of(name) == expected[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, cfg, _) in CASES.items() if cfg.weak_branching == BRANCH_EARLIEST))
+def test_every_witness_replays_event_for_event(name):
+    """Each witness the formula checks give replays through the production
+    run loop with the firings it records. Only earliest-only explorations
+    qualify: replay runs the earliest firing policy, which an all-branching
+    witness, choosing among admissible firings, need not follow."""
+    factory, cfg, _ = CASES[name]
+    smart = factory()
+    graph = explore(smart, cfg)
+    witnesses = [v.witness for v in (check_formula(graph, f) for f in formulas(smart)) if v.witness is not None]
+    assert witnesses
+    for witness in witnesses:
+        assert replay_witness(graph, witness) == [(step["tick"], step["firings"]) for step in witness]
 
 
 if __name__ == "__main__":
