@@ -193,7 +193,7 @@ class ReachGraph:
         self.violations: list[Violation] = []
         self.incomplete = False
         self.state_count = 0
-        self.stats: dict[str, int] = {}  # the exploration's evolve counters, see _Explorer.evolve
+        self.stats: dict[str, int] = {}  # the exploration's evolve counters, see _Explorer.step_table
         # formula condition -> key id -> read classes of its truth, see _condition_test
         self.condition_memo: dict[GuardExpr, dict[int, list[tuple[int, int, bool]]]] = {}
 
@@ -282,6 +282,7 @@ class _Explorer:
         # one driver bit per alphabet entry; an unnamespaced name drives the
         # per-agent namespaced signals of every agent in lockstep
         self.drivers: list[tuple[str, list[str]]] = []
+        driven: dict[str, str] = {}  # signal -> the alphabet entry that drives it
         for name in cfg.alphabet:
             if name == WANT_DRIVER:
                 continue
@@ -289,6 +290,10 @@ class _Explorer:
                 a.signal(name) for a in self.agents if a.signal(name) in declared]
             if not targets:
                 raise ValueError(f"alphabet signal {name!r} is not declared by the net")
+            for target in targets:
+                if target in driven:
+                    raise ValueError(f"alphabet signals {driven[target]!r} and {name!r} both drive {target!r}")
+                driven[target] = name
             self.drivers.append((name, targets))
         if cfg.weak_branching not in (BRANCH_EARLIEST, BRANCH_ALL):
             raise ValueError(f"unknown weak branching {cfg.weak_branching!r}")
@@ -301,7 +306,7 @@ class _Explorer:
         self.key_table: list[StateKey] = []
         # (key id, tick cap) -> [the key's read classes, one (read mask, vector
         # & mask, cube bits, (results, target ids)) each, ordered by their
-        # lowest vector; the bits of the vectors asked so far]; see evolve
+        # lowest vector; the bits of the vectors asked so far]; see step_table
         self.steps: dict[tuple[int, int], list] = {}
         self.driver_bits = {
             target: 1 << i for i, (_, targets) in enumerate(self.drivers) for target in targets
@@ -408,66 +413,69 @@ class _Explorer:
             {k: bool(v) for k, v in self.base_values.items() if isinstance(v, bool)}
         )
 
-    def branch_vectors(self, vector: int) -> list[int]:
+    def next_vectors(self, vector: int) -> int:
+        """The bits of the vectors a state with ``vector`` steps to: every
+        vector, or the Hamming ball of the flip budget around it."""
         if self.cfg.flip_budget is None:
-            return list(range(1 << len(self.drivers)))
-        vectors = {vector}
-        frontier = {vector}
-        for _ in range(self.cfg.flip_budget):
-            frontier = {
-                v ^ (1 << bit) for v in frontier for bit in range(len(self.drivers))
-            } - vectors
-            vectors |= frontier
-        return sorted(vectors)
+            return self.every_vector
+        ball = 1 << vector
+        for _ in range(min(self.cfg.flip_budget, len(self.drivers))):
+            shell = ball
+            for i, pattern in enumerate(self.bit_patterns):  # flip driver bit i
+                ball |= (shell & ~pattern) << (1 << i) | (shell & pattern) >> (1 << i)
+        return ball
+
+    def wanted(self, vectors: VectorSet) -> Iterator[tuple[int, int]]:
+        """(vector, next vectors) of each state of a key, lowest vector first,
+        up to the first one that steps to every vector, as later ones would."""
+        for vector in vectors:
+            want = self.next_vectors(vector)
+            yield vector, want
+            if want == self.every_vector:
+                return
 
     # -- one tick ------------------------------------------------------------
 
     def evolve(self, key_id: int, vector: int, tick: int) -> list[EvolveResult]:
-        """Successors of a state under one signal vector. The cascade and the
-        derived held-for and timeout values depend on the vector only through
-        the signals read, so one evaluation answers every vector that agrees
-        with it on the driver bits it read."""
-        self.counts["evolve_calls"] += 1
-        tick_cap = min(tick, self.max_held_delta)
-        entry = self.steps.setdefault((key_id, tick_cap), [[], 0])
-        (_, _, _, answer), hit = self.read_class(entry[0], vector, self._answer, self.key_table[key_id],
-                                                 vector, tick_cap)
-        if entry[1] >> vector & 1:
-            self.counts["memo_hits"] += 1
-        else:
-            self.counts["read_set_hits" if hit else "evaluations"] += 1
-            entry[1] |= 1 << vector
-        return answer[0]
+        """Successors of a state under one signal vector: a one-vector table."""
+        return self.step_table(key_id, tick, 1 << vector)[0][1]
 
-    def step_table(self, key_id: int, tick: int) -> list[tuple[int, list[EvolveResult], list[int]]]:
-        """The key's successors under every vector: one (cube bits, results,
-        target ids) entry per read class, in the order of the classes'
-        lowest vectors. The lowest vector that no class covers yet is
-        evaluated, and its class covers the rest of its cube, until every
-        vector is covered; then the entry counts every vector as asked. The
-        counters are those of one ``evolve`` call per vector in ascending
-        order."""
+    def step_table(self, key_id: int, tick: int, want: int) -> list[tuple[int, list[EvolveResult], list[int]]]:
+        """The key's successors under the vectors of ``want``, a nonempty
+        bitset: one (cube & want, results, target ids) entry per read class
+        that meets it, in the order of the classes' lowest wanted vectors,
+        which is also the order their targets are interned in.
+
+        The cascade and the derived held-for and timeout values depend on the
+        vector only through the signals read, so one evaluation answers its
+        read class: every vector that agrees with it on the driver bits it
+        read, its cube. The lowest wanted vector no cube covers yet is
+        evaluated until every wanted vector is covered; then all are marked
+        asked. The counters are those of one ``evolve`` call per wanted
+        vector in ascending order."""
         tick_cap = min(tick, self.max_held_delta)
         classes, asked = entry = self.steps.setdefault((key_id, tick_cap), [[], 0])
-        size, known = 1 << len(self.drivers), asked.bit_count()
+        fresh = want & ~asked
         evaluations = 0
-        if asked != self.every_vector:
+        if fresh:
             covered = 0
-            for _, _, cube, _ in classes:  # the classes of single evolve calls
+            for _, _, cube, _ in classes:
                 covered |= cube
-            while covered != self.every_vector:
-                vector = _lowest(~covered)
+            while uncovered := fresh & ~covered:
+                vector = _lowest(uncovered)
                 covered |= self.add_class(classes, vector, self._answer, self.key_table[key_id], vector, tick_cap)[2]
                 evaluations += 1
-            entry[1] = self.every_vector
-        self.counts["evolve_calls"] += size
-        self.counts["memo_hits"] += known
-        self.counts["read_set_hits"] += size - known - evaluations
+            entry[1] = asked | want
+        self.counts["evolve_calls"] += want.bit_count()
+        self.counts["memo_hits"] += (want & asked).bit_count()
+        self.counts["read_set_hits"] += fresh.bit_count() - evaluations
         self.counts["evaluations"] += evaluations
-        for _, _, _, (results, targets) in classes:
+        table = sorted(((met, results, targets) for _, _, cube, (results, targets) in classes if (met := cube & want)),
+                       key=lambda e: e[0] & -e[0])
+        for _, results, targets in table:
             if not targets:
                 targets += [self.intern(r.key) for r in results]
-        return [(cube, results, targets) for _, _, cube, (results, targets) in classes]
+        return table
 
     def known_steps(self) -> list[tuple[int, int, int, list[EvolveResult]]]:
         """(key id, vector, tick cap, results) of every vector asked so far,
@@ -481,9 +489,7 @@ class _Explorer:
 
     def _answer(self, key: StateKey, vector: int, tick_cap: int, reads: set[str]) -> _Step:
         """A read class's answer: its results, and their target ids, which
-        ``step_table`` interns when it first lists the class. Key ids follow
-        the order of interning, and ``evolve``'s callers intern its results
-        in their own order."""
+        ``step_table`` interns when it first lists the class."""
         return self._evolve_uncached(key, vector, tick_cap, reads), []
 
     def read_class(self, classes: list[tuple[int, int, int, T]], vector: int,
@@ -642,15 +648,8 @@ def explore(subject: Net | SmartNet, cfg: ExplorationConfig) -> ReachGraph:
     for tick in range(cfg.horizon + 1):
         layer: dict[int, VectorSet] = {}
         for key_id in sorted(frontier):
-            if cfg.flip_budget is None:
-                _step_every_vector(graph, layer, tick, key_id, _lowest(frontier[key_id].bits))
-                continue
-            for prev_vector in frontier[key_id]:
-                for vector in explorer.branch_vectors(prev_vector):
-                    for result in explorer.evolve(key_id, vector, tick):
-                        target = explorer.intern(result.key)
-                        if _add_states(graph, layer, tick, target, 1 << vector, (key_id, prev_vector)):
-                            _add_violations(graph, tick, target, vector, result)
+            for prev_vector, want in explorer.wanted(frontier[key_id]):
+                _step(graph, layer, tick, key_id, prev_vector, want)
         graph.layers.append(layer)
         graph.state_count += sum(len(v) for v in layer.values())
         # a capped graph still holds layers 0 and 1
@@ -663,21 +662,23 @@ def explore(subject: Net | SmartNet, cfg: ExplorationConfig) -> ReachGraph:
     return graph
 
 
-def _step_every_vector(graph: ReachGraph, layer: dict[int, VectorSet], tick: int, key_id: int,
-                       prev_vector: int) -> None:
-    """Step a key under every vector through its step table, one read class
-    at a time. The states reached and the violations are those of one
-    ``evolve`` call per vector in ascending order: a class adds its cube to
-    each target through its first result with that target."""
+def _step(graph: ReachGraph, layer: dict[int, VectorSet], tick: int, key_id: int, prev_vector: int,
+          want: int) -> None:
+    """Step the state (key id, prev_vector) under the vectors of ``want``
+    through its step table. The states reached and the violations are those
+    of one ``evolve`` call per vector in ascending order: a class adds its
+    cube to each target through its first result with that target."""
     flagged = []  # (vector, result index, target, result) of each new state with a violation
-    for cube, results, targets in graph._explorer.step_table(key_id, tick):
+    for cube, results, targets in graph._explorer.step_table(key_id, tick, want):
         for index, (target, result) in enumerate(zip(targets, results)):
             added = _add_states(graph, layer, tick, target, cube, (key_id, prev_vector))
             if added and (result.violations or result.output_breaches):
                 flagged += [(v, index, target, result) for v in VectorSet(added)]
     # in the order of one evolve call per vector
     for vector, _, target, result in sorted(flagged, key=lambda f: f[:2]):
-        _add_violations(graph, tick, target, vector, result)
+        graph.violations += [Violation(tick, (target, vector), v) for v in result.violations]
+        graph.violations += [Violation(tick, (target, vector), f"output {breach} without stable token")
+                             for breach in result.output_breaches]
 
 
 def _add_states(graph: ReachGraph, layer: dict[int, VectorSet], tick: int, target: int,
@@ -697,13 +698,6 @@ def _add_states(graph: ReachGraph, layer: dict[int, VectorSet], tick: int, targe
         else:
             chunks.append((*parent, added))
     return added
-
-
-def _add_violations(graph: ReachGraph, tick: int, target: int, vector: int, result: EvolveResult) -> None:
-    for violation in result.violations:
-        graph.violations.append(Violation(tick, (target, vector), violation))
-    for breach in result.output_breaches:
-        graph.violations.append(Violation(tick, (target, vector), f"output {breach} without stable token"))
 
 
 def replay_witness(graph: ReachGraph, witness: list[dict]) -> list[tuple[int, list[str]]]:
@@ -856,16 +850,30 @@ def check_formula(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
     return _check_never_while(graph, formula, lowest)
 
 
+def _holding(lowest: _Lowest, key_id: int, bits: int, every: bool) -> Iterator[int]:
+    """The vectors of ``bits`` in whose state the condition holds,
+    ascending; only the lowest one unless ``every``."""
+    while (vector := lowest(key_id, bits)) is not None:
+        yield vector
+        if not every:
+            return
+        bits &= -2 << vector  # the vectors above this one
+
+
 def _persistent_steps(graph: ReachGraph, lowest: _Lowest, key_id: int, vector: int, tick: int):
     """Yield (target, next vector, result) for each step of a state into the
     next tick after which the condition (see ``_condition_test``) still
-    holds."""
+    holds, sorted by (vector, result index). Without a flip budget the
+    vector steers no later step, so each (read class, result) yields only
+    its lowest such vector."""
     explorer = graph._explorer
-    for nxt in explorer.branch_vectors(vector):
-        for result in explorer.evolve(key_id, nxt, tick + 1):
-            target = explorer.intern(result.key)
-            if lowest(target, 1 << nxt) is not None:
-                yield target, nxt, result
+    budgeted = graph.config.flip_budget is not None
+    steps = [(nxt, index, target, result)
+             for cube, results, targets in explorer.step_table(key_id, tick + 1, explorer.next_vectors(vector))
+             for index, (target, result) in enumerate(zip(targets, results))
+             for nxt in _holding(lowest, target, cube, budgeted)]
+    for nxt, _, target, result in sorted(steps, key=lambda step: step[:2]):
+        yield target, nxt, result
 
 
 def _anchors(graph: ReachGraph, lowest: _Lowest, keep) -> list[tuple[int, int, int, int]]:
@@ -892,13 +900,9 @@ def _anchors(graph: ReachGraph, lowest: _Lowest, keep) -> list[tuple[int, int, i
         for key_id, vectors in layer.items():
             if (key_id, tick_cap, None) in anchors or not keep(graph.marking_of(key_id)):
                 continue
-            bits = vectors.bits
-            while (vector := lowest(key_id, bits)) is not None:
+            for vector in _holding(lowest, key_id, vectors.bits, budgeted):
                 group = (key_id, tick_cap, vector if budgeted else None)
                 anchors.setdefault(group, (graph.horizon - tick, tick, vector))
-                if not budgeted:
-                    break
-                bits &= -2 << vector  # the vectors above this one
     return [(key_id, vector, slack, tick) for (key_id, _, _), (slack, tick, vector) in sorted(anchors.items())]
 
 
@@ -908,29 +912,22 @@ def _check_safety(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> Formu
     governing the instant of the firing and the marking at its entry."""
     explorer = graph._explorer
     forbidden = resolve_forbidden(formula.forbidden, explorer.net, explorer.smart)
-    budgeted = graph.config.flip_budget is not None
     init = {explorer.intern(explorer.initial_key()): VectorSet(1 << explorer.initial_vector())}
     # the edges into tick t leave the initial state (t = 0) or layer t - 1
     for tick, layer in enumerate([init] + graph.layers[:-1]):
         for key_id, vectors in layer.items():
-            if budgeted:
-                steps = ((v, explorer.evolve(key_id, v, tick)) for prev in vectors
-                         for v in explorer.branch_vectors(prev) if lowest(key_id, 1 << v) is not None)
-            else:
-                # the lowest vector under the condition of each read class with
-                # a result that fires a forbidden transition
-                steps = sorted(
-                    (vector, results) for cube, results, _ in explorer.step_table(key_id, tick)
-                    if any(forbidden.intersection(r.firings) for r in results)
-                    and (vector := lowest(key_id, cube)) is not None
-                )
-            for vector, results in steps:
-                for result in results:
-                    hit = sorted(set(result.firings) & forbidden)
-                    if hit:
-                        target = explorer.intern(result.key)
-                        witness = graph.witness_path(tick, target, vector)
-                        return FormulaVerdict(formula, VIOLATED, witness, f"{hit[0]} fired under the condition")
+            for _, want in explorer.wanted(vectors):
+                # the first (vector, result index) of a forbidden firing, with
+                # the lowest wanted vector of its read class under the condition
+                first = min(((vector, index, target, sorted(hit))
+                             for cube, results, targets in explorer.step_table(key_id, tick, want)
+                             for index, (target, result) in enumerate(zip(targets, results))
+                             if (hit := forbidden.intersection(result.firings))
+                             and (vector := lowest(key_id, cube)) is not None), default=None)
+                if first is not None:
+                    vector, _, target, hit = first
+                    witness = graph.witness_path(tick, target, vector)
+                    return FormulaVerdict(formula, VIOLATED, witness, f"{hit[0]} fired under the condition")
 
     if all(lowest(k, vectors.bits) is None for layer in graph.layers for k, vectors in layer.items()):
         return FormulaVerdict(formula, VACUOUS, detail="condition never held")

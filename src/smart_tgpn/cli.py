@@ -167,7 +167,7 @@ def cmd_explore(args) -> int:
         )
         graph = explore(scenario.smart, cfg)
         verdicts = [check_formula(graph, formula) for formula in scenario.formulas]
-    except ValueError as exc:  # an undeclared alphabet signal, branching mode or formula condition
+    except ValueError as exc:  # an undeclared or doubly driven alphabet signal, branching mode or formula condition
         raise ScenarioError(f"explore: {exc}") from exc
     print(f"states: {graph.state_count}  violations: {len(graph.violations)}"
           f"{'  (incomplete: state cap hit)' if graph.incomplete else ''}")

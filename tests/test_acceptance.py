@@ -184,7 +184,7 @@ def test_c04_mandatory_escalation(suite_traces):
         if cached is not None:
             return cached
         ok = True
-        for vector in explorer.branch_vectors(0):
+        for vector in range(1 << len(explorer.drivers)):
             for result in explorer.evolve(key_id, vector, tick + 1):
                 if set(result.firings) & legal_exits:
                     continue

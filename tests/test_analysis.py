@@ -246,6 +246,31 @@ def test_all_branching_siblings_read_their_own_timeouts():
     assert (graph.state_count, graph.violations, graph.incomplete) == (425, [], False)
 
 
+@pytest.mark.parametrize(
+    "build, alphabet",
+    [
+        (single, ["anom", "anom", "safe"]),
+        (lambda: build_multi_agent([AgentSpec("a1"), AgentSpec("a2")]), ["anom", "anom_a1"]),
+    ],
+    ids=["repeated-name", "lockstep-name-and-agent-signal"],
+)
+def test_two_alphabet_entries_that_drive_one_signal_are_rejected(build, alphabet):
+    """Each entry is one driver bit, so two entries on one signal would
+    count the vectors where their bits disagree as extra states."""
+    with pytest.raises(ValueError, match="both drive"):
+        explore(build(), ExplorationConfig(horizon=3, alphabet=alphabet))
+
+
+def test_a_budget_as_wide_as_the_alphabet_steps_as_no_budget():
+    """Such a budget lets every vector follow every vector, so each key
+    steps once, from its lowest vector, as without a budget."""
+    graphs = [explore(single(), ExplorationConfig(horizon=4, alphabet=ALPHABET4, flip_budget=budget))
+              for budget in (None, len(ALPHABET4), 9)]
+    for graph in graphs[1:]:
+        assert list(graph.export_lines()) == list(graphs[0].export_lines())
+        assert graph.stats == graphs[0].stats
+
+
 class TestFormulaConditions:
     """Formula conditions go through the guard evaluator over one tick's
     constant assignment, with the errors that implies."""

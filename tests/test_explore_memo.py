@@ -151,7 +151,7 @@ def test_step_store_agrees_with_one_evolve_per_vector(data):
                 explorer.intern(result.key)
         else:
             table = [(list(VectorSet(cube)), results, targets)
-                     for cube, results, targets in explorer.step_table(key_id, tick)]
+                     for cube, results, targets in explorer.step_table(key_id, tick, explorer.every_vector)]
             expected = model.step_table(key_id, tick)
             # the classes partition the vectors and are ordered by their lowest one
             assert sorted(v for vectors, _, _ in table for v in vectors) == every_vector

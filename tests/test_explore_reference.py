@@ -9,12 +9,17 @@ iteration order), the parent of every state, violations in order, the
 (key, vector, tick cap) entries known to the step store, `export_lines`
 and the engine counters. The safety search reads the same step tables;
 `reference_safety` is its earlier per-edge loop, and both must give the
-same verdict and witness. Both references visit vectors in ascending
-order and step a key from its lowest vector, the explorer's order rule.
+same verdict and witness. The bounded-response, reach and never-while
+searches step through the same tables; `reference_persistent_steps` is
+their earlier per-vector step, and swapped in it must leave every verdict
+and witness as it was. The references visit vectors in ascending order
+and step a key from its lowest vector, the explorer's order rule, and
+compute their own flip-budget Hamming balls.
 """
 
 import pytest
 
+from smart_tgpn import analysis
 from smart_tgpn.analysis import (
     BRANCH_ALL,
     HOLDS,
@@ -37,6 +42,13 @@ from smart_tgpn.net import Arc, Net
 from test_explore_memo import ALPHABET8, CASES, double, single
 
 
+def next_vectors(explorer, vector):
+    """Every vector, or those within the flip budget's Hamming distance of
+    ``vector``, ascending."""
+    budget = explorer.cfg.flip_budget
+    return [v for v in range(1 << len(explorer.drivers)) if budget is None or (v ^ vector).bit_count() <= budget]
+
+
 def reference_explore(subject, cfg):
     """One `evolve` call per (key, vector) edge, in ascending vector order.
     The graph's `state_parents` maps each state to its (source key, source
@@ -44,16 +56,13 @@ def reference_explore(subject, cfg):
     explorer = _Explorer(subject, cfg)
     graph = ReachGraph(explorer)
     graph.state_parents = {}
-    all_vectors = explorer.branch_vectors(0) if cfg.flip_budget is None else None
     frontier = {explorer.intern(explorer.initial_key()): {explorer.initial_vector()}}
 
     for tick in range(cfg.horizon + 1):
         layer = {}
         for key_id in sorted(frontier):
-            if all_vectors is not None:
-                pairs = [(min(frontier[key_id]), v) for v in all_vectors]
-            else:
-                pairs = [(prev, v) for prev in sorted(frontier[key_id]) for v in explorer.branch_vectors(prev)]
+            prevs = sorted(frontier[key_id]) if cfg.flip_budget is not None else [min(frontier[key_id])]
+            pairs = [(prev, v) for prev in prevs for v in next_vectors(explorer, prev)]
             for prev_vector, vector in pairs:
                 for result in explorer.evolve(key_id, vector, tick):
                     target = explorer.intern(result.key)
@@ -89,15 +98,11 @@ def reference_safety(graph, formula):
 
     explorer = graph._explorer
     forbidden = resolve_forbidden(formula.forbidden, explorer.net, explorer.smart)
-    all_vectors = explorer.branch_vectors(0) if graph.config.flip_budget is None else None
     init = {explorer.intern(explorer.initial_key()): {explorer.initial_vector()}}
     for tick, layer in enumerate([init] + graph.layers[:-1]):
         for key_id, vectors in layer.items():
-            if all_vectors is None:
-                next_vectors = [v for prev in vectors for v in explorer.branch_vectors(prev)]
-            else:
-                next_vectors = all_vectors
-            for vector in next_vectors:
+            prevs = sorted(vectors) if graph.config.flip_budget is not None else [min(vectors)]
+            for vector in (v for prev in prevs for v in next_vectors(explorer, prev)):
                 if not holds(key_id, vector):
                     continue
                 for result in explorer.evolve(key_id, vector, tick):
@@ -132,6 +137,7 @@ SUBJECTS = {
     **{name: (lambda f=factory, c=cfg: (f(), c)) for name, (factory, cfg, _) in CASES.items()},
     "c01-single-h7": lambda: (single(), ExplorationConfig(horizon=7, alphabet=ALPHABET8)),
     "c01-two-agent-h7": lambda: (double(), ExplorationConfig(horizon=7, alphabet=ALPHABET8)),
+    "c01-single-budget-2-h6": lambda: (single(), ExplorationConfig(horizon=6, alphabet=ALPHABET8, flip_budget=2)),
     "defective-earliest": lambda: defective("earliest-only"),
     "defective-all-branching": lambda: defective(BRANCH_ALL),
     "defective-output-loop": lambda: defective(BRANCH_ALL, output_loop=True),
@@ -197,6 +203,48 @@ def test_safety_matches_the_per_edge_reference(name):
     subject, cfg = SUBJECTS[name]()
     expected = reference_explore(subject, cfg)
     expected_verdicts = [reference_safety(expected, formula) for formula in safety_formulas(subject)]
+    assert [(v.status, v.detail, v.witness) for v in verdicts] == [
+        (v.status, v.detail, v.witness) for v in expected_verdicts
+    ]
+
+
+def reference_persistent_steps(graph, lowest, key_id, vector, tick):
+    """The persistent steps with one `evolve` call per next vector."""
+    explorer = graph._explorer
+    for nxt in next_vectors(explorer, vector):
+        for result in explorer.evolve(key_id, nxt, tick + 1):
+            target = explorer.intern(result.key)
+            if lowest(target, 1 << nxt) is not None:
+                yield target, nxt, result
+
+
+def search_formulas(smart):
+    agent = smart.agents[0]
+    return [
+        Formula("bounded-response", agent.invalid, place=agent.place("M"), within=agent.config.delta_s),
+        Formula("bounded-response", Sig(agent.signal("anom")), place=agent.place("M"), within=2),
+        # its witness steps through the lowest vector of a later read class
+        Formula("bounded-response", Sig(agent.signal("evidence")), place=agent.place("R"), within=2),
+        Formula("reach", agent.unrecoverable, place=agent.place("R"), within=agent.config.governance_bound),
+        Formula("reach", Sig(agent.signal("hardware_fault")), place=agent.place("R"), within=3),
+        Formula("never-while", Not(Sig(agent.signal("ext_auth"))), place=agent.place("S"),
+                from_places=(agent.place("R"),)),
+        Formula("never-while", Sig(agent.signal("safe")), place=agent.place("S"), from_places=(agent.place("M"),)),
+        # under a flip budget, vectors a target's read class shares steer its later steps apart
+        Formula("never-while", Or((Sig(agent.signal("hardware_fault")), Sig(agent.signal("assist")))),
+                place=agent.place("S"), from_places=(agent.place("R"),)),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SUBJECTS))
+def test_searches_match_the_per_vector_reference(name, monkeypatch):
+    subject, cfg = SUBJECTS[name]()
+    graph = explore(subject, cfg)
+    verdicts = [check_formula(graph, formula) for formula in search_formulas(subject)]
+    monkeypatch.setattr(analysis, "_persistent_steps", reference_persistent_steps)
+    subject, cfg = SUBJECTS[name]()
+    expected = explore(subject, cfg)
+    expected_verdicts = [check_formula(expected, formula) for formula in search_formulas(subject)]
     assert [(v.status, v.detail, v.witness) for v in verdicts] == [
         (v.status, v.detail, v.witness) for v in expected_verdicts
     ]
