@@ -583,41 +583,43 @@ class _Explorer:
         """Branch over every admissible firing choice within the instant,
         once per distinct state a branch reaches: its marking, its clocks
         once refreshed, and its residence clock."""
-        outcomes = []
-        seen: set[tuple] = set()
-
-        def recurse(st: KernelState, clk: ResidenceClock, firings: tuple[str, ...], touched: frozenset[str]):
-            sigma.values.update(clk.timeouts(st.now))
-            refresh_timers(self.net, st, sigma)
-            if firings:  # a branch; the instant's entry state is never deduplicated
-                mark = (tuple(sorted(st.marking.items())), tuple(sorted(st.timers.items())), tuple(clk.entered))
-                if mark in seen:
-                    return
-                seen.add(mark)
-            choices = []
-            forced_pending = False
-            for tid, since in sorted(st.timers.items()):
-                record = self.net.transitions[tid]
-                elapsed = st.now - since
-                if elapsed < record.alpha or elapsed > record.beta:
-                    continue
-                if record.timing == STRONG and elapsed >= record.beta:
-                    forced_pending = True
-                choices.append(tid)
-            if not forced_pending:
-                outcomes.append((st, clk, firings, touched))  # the branches below fire on copies
-            for tid in choices:
-                # a sibling's recursion rewrote the derived timeouts
-                sigma.values.update(clk.timeouts(st.now))
-                nxt, _ = fire(self.net, st.clone(), tid, sigma)
-                if nxt.events_at_now > self.policy.zeno_limit:
-                    raise ZenoViolation("cascade branching exceeded the zeno limit")
-                nxt_clk = clk.copy()
-                nxt_clk.observe(nxt.marking, nxt.now)
-                recurse(nxt, nxt_clk, firings + (tid,), touched | {p for p, c in nxt.marking.items() if c > 0})
-
-        recurse(state, clock, (), frozenset(p for p, c in state.marking.items() if c > 0))
+        outcomes: list = []
+        self._branch(state, clock, (), frozenset(p for p, c in state.marking.items() if c > 0), sigma, set(), outcomes)
         return outcomes
+
+    def _branch(self, st: KernelState, clk: ResidenceClock, firings: tuple[str, ...], touched: frozenset[str],
+                sigma: ConstantSignals, seen: set[tuple], outcomes: list) -> None:
+        """One branch of ``_cascade_all``, depth first. Not a closure that calls
+        itself: that is a reference cycle, which leaves each cascade to the GC."""
+        sigma.values.update(clk.timeouts(st.now))
+        refresh_timers(self.net, st, sigma)
+        if firings:  # a branch; the instant's entry state is never deduplicated
+            mark = (tuple(sorted(st.marking.items())), tuple(sorted(st.timers.items())), tuple(clk.entered))
+            if mark in seen:
+                return
+            seen.add(mark)
+        choices = []
+        forced_pending = False
+        for tid, since in sorted(st.timers.items()):
+            record = self.net.transitions[tid]
+            elapsed = st.now - since
+            if elapsed < record.alpha or elapsed > record.beta:
+                continue
+            if record.timing == STRONG and elapsed >= record.beta:
+                forced_pending = True
+            choices.append(tid)
+        if not forced_pending:
+            outcomes.append((st, clk, firings, touched))  # the branches below fire on copies
+        for tid in choices:
+            # a sibling's recursion rewrote the derived timeouts
+            sigma.values.update(clk.timeouts(st.now))
+            nxt, _ = fire(self.net, st.clone(), tid, sigma)
+            if nxt.events_at_now > self.policy.zeno_limit:
+                raise ZenoViolation("cascade branching exceeded the zeno limit")
+            nxt_clk = clk.copy()
+            nxt_clk.observe(nxt.marking, nxt.now)
+            self._branch(nxt, nxt_clk, firings + (tid,), touched | {p for p, c in nxt.marking.items() if c > 0},
+                         sigma, seen, outcomes)
 
     def _finish(self, state: KernelState, clock: ResidenceClock, held_runs: list[int],
                 firings: tuple[str, ...], touched: frozenset[str]) -> EvolveResult:
