@@ -461,9 +461,11 @@ class _Explorer:
             covered = 0
             for _, _, cube, _ in classes:
                 covered |= cube
+            key = self.key_table[key_id]
+            start = self.start_of(key)
             while uncovered := fresh & ~covered:
                 vector = _lowest(uncovered)
-                covered |= self.add_class(classes, vector, self._answer, self.key_table[key_id], vector, tick_cap)[2]
+                covered |= self.add_class(classes, vector, self._answer, key, start, vector, tick_cap)[2]
                 evaluations += 1
             entry[1] = asked | want
         self.counts["evolve_calls"] += want.bit_count()
@@ -487,10 +489,11 @@ class _Explorer:
              for vector in VectorSet(cube & asked))
         )
 
-    def _answer(self, key: StateKey, vector: int, tick_cap: int, reads: set[str]) -> _Step:
+    def _answer(self, key: StateKey, start: tuple[KernelState, ResidenceClock], vector: int, tick_cap: int,
+                reads: set[str]) -> _Step:
         """A read class's answer: its results, and their target ids, which
         ``step_table`` interns when it first lists the class."""
-        return self._evolve_uncached(key, vector, tick_cap, reads), []
+        return self._evolve_uncached(key, vector, tick_cap, reads, start), []
 
     def read_class(self, classes: list[tuple[int, int, int, T]], vector: int,
                    evaluate: Callable[..., T], *args) -> tuple[tuple[int, int, int, T], bool]:
@@ -522,9 +525,12 @@ class _Explorer:
         classes.sort(key=lambda c: c[1])
         return entry
 
-    def _evolve_uncached(self, key: StateKey, vector: int, tick_cap: int,
-                         reads: set[str] | None = None) -> list[EvolveResult]:
-        """Evaluate one tick; adds the name of every signal read to ``reads``."""
+    def _evolve_uncached(self, key: StateKey, vector: int, tick_cap: int, reads: set[str] | None = None,
+                         start: tuple[KernelState, ResidenceClock] | None = None) -> list[EvolveResult]:
+        """Evaluate one tick from a copy of the key's ``start_of``, built here
+        unless given; adds the name of every signal read to ``reads``."""
+        state, clock = start or self.start_of(key)
+        state, clock = state.clone(), clock.copy()
         values = self.vector_values(vector)
         sigma = ConstantSignals(values, reads)
 
@@ -540,18 +546,6 @@ class _Explorer:
             held_runs.append(run)
             values[name] = body_true and run >= term.duration and tick_cap >= term.duration
 
-        marking = dict(key.marking)
-        clock = self.clock_of(key)
-        if self.deposit_driver and self.smart is not None:
-            # at most one pending output attempt per agent
-            for agent in self.smart.agents:
-                if marking.get(agent.want_place, 0) == 0:
-                    marking[agent.want_place] = 1
-
-        state = KernelState(marking=marking, now=0)
-        state.marking_history = [(0, dict(marking))]
-        state.timers = {tid: -elapsed for tid, elapsed in key.timers}
-
         if self.cfg.weak_branching == BRANCH_ALL:
             outcomes = self._cascade_all(state, sigma, clock)
         else:
@@ -561,6 +555,20 @@ class _Explorer:
         for end_state, end_clock, firings, touched in outcomes:
             results.append(self._finish(end_state, end_clock, held_runs, firings, touched))
         return results
+
+    def start_of(self, key: StateKey) -> tuple[KernelState, ResidenceClock]:
+        """The key's kernel state, with the want-place deposits, and its
+        residence clock at tick 0 of its next step. Each evaluation steps
+        copies, so one start serves every read class of a step table."""
+        marking = dict(key.marking)
+        if self.deposit_driver and self.smart is not None:
+            # at most one pending output attempt per agent
+            for agent in self.smart.agents:
+                if marking.get(agent.want_place, 0) == 0:
+                    marking[agent.want_place] = 1
+        state = KernelState(marking=marking, timers={tid: -elapsed for tid, elapsed in key.timers},
+                            marking_history=[(0, dict(marking))])
+        return state, self.clock_of(key)
 
     def clock_of(self, key: StateKey) -> ResidenceClock:
         """The key's residence clock at tick 0 of its next step."""
@@ -936,49 +944,56 @@ def _check_safety(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> Formu
     return FormulaVerdict(formula, HOLDS)
 
 
-def _check_bounded(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
-    delta = formula.within
-    budgeted = graph.config.flip_budget is not None
-    memo: dict[tuple[int, int | None, int, int], str] = {}
+class _Search:
+    """The memoized depth-first searches of ``_check_bounded`` and
+    ``_check_never_while`` over the condition-persistent steps. Methods, not
+    closures that call themselves: that is a reference cycle, which leaves
+    each check's memo to the GC."""
 
-    def search(key_id: int, vector: int, depth_left: int, ticks_left: int, tick: int) -> str:
+    def __init__(self, graph: ReachGraph, formula: Formula, lowest: _Lowest):
+        self.graph, self.formula, self.lowest = graph, formula, lowest
+        self.budgeted = graph.config.flip_budget is not None
+        self.memo: dict[tuple, str | bool] = {}
+
+    def bounded(self, key_id: int, vector: int, depth_left: int, ticks_left: int, tick: int) -> str:
         """HOLDS if along every condition-persistent extension the place is
         marked within depth_left ticks."""
-        if graph.marking_of(key_id).get(formula.place, 0) >= 1:
+        place = self.formula.place
+        if self.graph.marking_of(key_id).get(place, 0) >= 1:
             return HOLDS
         if depth_left == 0:
             return VIOLATED
         if ticks_left == 0:
             return INCONCLUSIVE
-        memo_key = (key_id, vector if budgeted else None, depth_left, min(ticks_left, depth_left))
-        cached = memo.get(memo_key)
+        memo_key = (key_id, vector if self.budgeted else None, depth_left, min(ticks_left, depth_left))
+        cached = self.memo.get(memo_key)
         if cached is not None:
             return cached
         outcome = HOLDS
-        for target, nxt, result in _persistent_steps(graph, lowest, key_id, vector, tick):
-            if formula.place in result.touched:
+        for target, nxt, result in _persistent_steps(self.graph, self.lowest, key_id, vector, tick):
+            if place in result.touched:
                 continue
-            sub = search(target, nxt, depth_left - 1, ticks_left - 1, tick + 1)
+            sub = self.bounded(target, nxt, depth_left - 1, ticks_left - 1, tick + 1)
             if sub == VIOLATED:
                 outcome = VIOLATED
                 break
             if sub == INCONCLUSIVE:
                 outcome = INCONCLUSIVE
-        memo[memo_key] = outcome
+        self.memo[memo_key] = outcome
         return outcome
 
-    def failing_suffix(key_id: int, vector: int, depth_left: int, ticks_left: int, tick: int) -> list[dict]:
+    def failing_suffix(self, key_id: int, vector: int, depth_left: int, ticks_left: int, tick: int) -> list[dict]:
         """Greedy descent along a persistent branch whose verdict is
         VIOLATED, for counterexample replay."""
         steps: list[dict] = []
         while depth_left > 0 and ticks_left > 0:
-            for target, nxt, result in _persistent_steps(graph, lowest, key_id, vector, tick):
-                if formula.place in result.touched:
+            for target, nxt, result in _persistent_steps(self.graph, self.lowest, key_id, vector, tick):
+                if self.formula.place in result.touched:
                     continue
                 # a target that marks the place searches to HOLDS
-                if search(target, nxt, depth_left - 1, ticks_left - 1, tick + 1) == VIOLATED:
+                if self.bounded(target, nxt, depth_left - 1, ticks_left - 1, tick + 1) == VIOLATED:
                     steps.append(
-                        {"tick": tick + 1, "signals": graph.vector_to_named(nxt), "firings": list(result.firings)}
+                        {"tick": tick + 1, "signals": self.graph.vector_to_named(nxt), "firings": list(result.firings)}
                     )
                     key_id, vector, tick = target, nxt, tick + 1
                     depth_left -= 1
@@ -988,15 +1003,38 @@ def _check_bounded(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> Form
                 break
         return steps
 
+    def reaches(self, key_id: int, vector: int, ticks_left: int, tick: int) -> bool:
+        """True if some condition-persistent extension within ticks_left
+        ticks touches or marks the place."""
+        if ticks_left == 0:
+            return False
+        memo_key = (key_id, vector if self.budgeted else None, ticks_left)
+        cached = self.memo.get(memo_key)
+        if cached is not None:
+            return cached
+        place = self.formula.place
+        found = any(
+            place in result.touched
+            or self.graph.marking_of(target).get(place, 0) >= 1
+            or self.reaches(target, nxt, ticks_left - 1, tick + 1)
+            for target, nxt, result in _persistent_steps(self.graph, self.lowest, key_id, vector, tick)
+        )
+        self.memo[memo_key] = found
+        return found
+
+
+def _check_bounded(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
+    delta = formula.within
+    search = _Search(graph, formula, lowest)
     anchors = _anchors(graph, lowest, lambda marking: True)
     if not anchors:
         return FormulaVerdict(formula, VACUOUS, detail="premise never held")
     worst = HOLDS
     for key_id, vector, slack, tick in anchors:
-        verdict = search(key_id, vector, delta, slack, tick)
+        verdict = search.bounded(key_id, vector, delta, slack, tick)
         if verdict == VIOLATED:
             witness = graph.witness_path(tick, key_id, vector)
-            witness += failing_suffix(key_id, vector, delta, slack, tick)
+            witness += search.failing_suffix(key_id, vector, delta, slack, tick)
             return FormulaVerdict(
                 formula,
                 VIOLATED,
@@ -1011,24 +1049,7 @@ def _check_bounded(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> Form
 
 
 def _check_never_while(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
-    budgeted = graph.config.flip_budget is not None
-    memo: dict[tuple[int, int | None, int], bool] = {}
-
-    def reaches(key_id: int, vector: int, ticks_left: int, tick: int) -> bool:
-        if ticks_left == 0:
-            return False
-        memo_key = (key_id, vector if budgeted else None, ticks_left)
-        cached = memo.get(memo_key)
-        if cached is not None:
-            return cached
-        found = any(
-            formula.place in result.touched
-            or graph.marking_of(target).get(formula.place, 0) >= 1
-            or reaches(target, nxt, ticks_left - 1, tick + 1)
-            for target, nxt, result in _persistent_steps(graph, lowest, key_id, vector, tick)
-        )
-        memo[memo_key] = found
-        return found
+    search = _Search(graph, formula, lowest)
 
     def keep(marking: Marking) -> bool:
         if formula.from_places and not any(marking.get(p, 0) >= 1 for p in formula.from_places):
@@ -1039,7 +1060,7 @@ def _check_never_while(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> 
     if not anchors:
         return FormulaVerdict(formula, VACUOUS, detail="no anchored states")
     for key_id, vector, slack, tick in anchors:
-        if reaches(key_id, vector, slack, tick):
+        if search.reaches(key_id, vector, slack, tick):
             return FormulaVerdict(
                 formula,
                 VIOLATED,

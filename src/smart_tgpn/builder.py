@@ -181,13 +181,17 @@ class ResidenceClock:
     agents: list[AgentView]
     modes: list[str | None]
     entered: list[int]
+    # per agent, its timeout signal of each of "M" and "A": built once by
+    # ``at`` and shared by every copy
+    names: list[dict[str, str]]
 
     @classmethod
     def at(cls, agents: list[AgentView], marking: Mapping[str, int], entered: list[int]) -> "ResidenceClock":
-        return cls(agents, [agent.mode_in(marking) for agent in agents], list(entered))
+        names = [{key: f"timeout_{key}{agent.suffix}" for key in "MA"} for agent in agents]
+        return cls(agents, [agent.mode_in(marking) for agent in agents], list(entered), names)
 
     def copy(self) -> "ResidenceClock":
-        return ResidenceClock(self.agents, list(self.modes), list(self.entered))
+        return ResidenceClock(self.agents, list(self.modes), list(self.entered), self.names)
 
     def observe(self, marking: Mapping[str, int], now: int) -> list[str]:
         """Restart the clock of each agent whose token changed mode place;
@@ -197,21 +201,24 @@ class ResidenceClock:
             mode = agent.mode_in(marking)
             if mode != self.modes[index]:
                 self.modes[index], self.entered[index] = mode, now
-                restarted += [f"timeout_{mode}{agent.suffix}"] if mode in ("M", "A") else []
+                if mode in ("M", "A"):
+                    restarted.append(self.names[index][mode])
         return restarted
 
     def deadlines(self) -> list[tuple[str, int]]:
         """(timeout signal, tick it holds from) of each agent in P_M or P_A."""
         return [
-            (f"timeout_{mode}{agent.suffix}", entered + (agent.config.budget_m if mode == "M" else agent.config.budget_a))
-            for agent, mode, entered in zip(self.agents, self.modes, self.entered)
+            (names[mode], entered + (agent.config.budget_m if mode == "M" else agent.config.budget_a))
+            for agent, names, mode, entered in zip(self.agents, self.names, self.modes, self.entered)
             if mode in ("M", "A")
         ]
 
     def timeouts(self, now: int) -> dict[str, bool]:
         """Every agent's ``timeout_M`` / ``timeout_A`` at ``now``."""
-        values = {f"timeout_{key}{agent.suffix}": False for agent in self.agents for key in "MA"}
-        values.update((name, now >= due) for name, due in self.deadlines())
+        values = {}
+        for agent, names, mode, entered in zip(self.agents, self.names, self.modes, self.entered):
+            values[names["M"]] = mode == "M" and now >= entered + agent.config.budget_m
+            values[names["A"]] = mode == "A" and now >= entered + agent.config.budget_a
         return values
 
     def residence(self, now: int) -> tuple[tuple[str, int], ...]:

@@ -68,15 +68,6 @@ class GuardExpr:
         # the caches hold closures; an unpickled node rebuilds them on use
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def __and__(self, other: "GuardExpr") -> "GuardExpr":
-        return And((self, other))
-
-    def __or__(self, other: "GuardExpr") -> "GuardExpr":
-        return Or((self, other))
-
-    def __invert__(self) -> "GuardExpr":
-        return Not(self)
-
 
 @dataclass(frozen=True)
 class Const(GuardExpr):

@@ -122,14 +122,29 @@ def _covers(marking: Marking, pre: dict[str, int]) -> bool:
     return True
 
 
-def _covered(net: Net, marking: Marking) -> list[str]:
+def _covered(net: Net, marking: Marking) -> tuple[str, ...]:
     """Ids, ascending, of the transitions whose pre-set ``marking`` covers:
-    those without input places and those consuming from a marked place."""
-    candidates = set(net.inputless)
-    for place, count in marking.items():
-        if count > 0:
-            candidates.update(net.consumers.get(place, ()))
-    return [tid for tid in sorted(candidates) if _covers(marking, net.pre_sets[tid])]
+    those without input places and those consuming from a marked place.
+
+    Memoized on the net. Pre-sets are fixed at construction, and no arc
+    weighs more than ``net.pre_weight_cap``, so coverage depends only on
+    the counts clipped there: with unit weights, on the marked places. The
+    memo key does not grow with the token counts."""
+    cap = net.pre_weight_cap
+    if cap == 1:
+        memo_key = tuple([place for place, count in marking.items() if count > 0])
+    else:
+        memo_key = tuple([(place, min(count, cap)) for place, count in marking.items() if count > 0])
+    covered = net.covered_memo.get(memo_key)
+    if covered is None:
+        candidates = set(net.inputless)
+        for place, count in marking.items():
+            if count > 0:
+                candidates.update(net.consumers.get(place, ()))
+        covered = net.covered_memo[memo_key] = tuple(
+            tid for tid in sorted(candidates) if _covers(marking, net.pre_sets[tid])
+        )
+    return covered
 
 
 def _enabled_in(net: Net, ctx: EvalContext, tid: str) -> bool:

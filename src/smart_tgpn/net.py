@@ -125,6 +125,10 @@ class Net:
                 self.consumers[place].append(tid)
             if not self.pre_sets[tid]:
                 self.inputless.append(tid)
+        # the kernel's covered-transition memo (``kernel._covered``): each
+        # key clips token counts at the largest pre-set weight
+        self.pre_weight_cap = max((w for pre in self.pre_sets.values() for w in pre.values()), default=1)
+        self.covered_memo: dict[tuple, tuple[str, ...]] = {}
 
     def pre(self, tid: str) -> dict[str, int]:
         """Input places of a transition with consumed weights."""

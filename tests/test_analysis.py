@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -205,6 +207,26 @@ class TestFormulas:
         condition = And((Sig("disagree"), Not(Sig("ext_auth_a1"))))
         formula = Formula("never-while", condition, place="P_S_a1", from_places=("P_A_a1",))
         assert check_formula(graph, formula).status == "violated"
+
+    def test_a_check_leaves_no_cyclic_garbage(self):
+        # its searches and their memo are freed when the check returns,
+        # not at the next collection
+        smart = single()
+        graph = explore(smart, ExplorationConfig(horizon=6, alphabet=ALPHABET4, weak_branching=BRANCH_ALL))
+        anchor = And((smart.agents[0].invalid, Not(smart.agents[0].unrecoverable), Marked("P_S")))
+        formulas = [
+            Formula("bounded-response", anchor, place="P_M", within=2),
+            Formula("bounded-response", anchor, place="P_M", within=1),
+            Formula("never-while", Sig("safe"), place="P_S", from_places=("P_M",)),
+        ]
+        for formula in formulas:
+            gc.collect()
+            gc.disable()
+            try:
+                check_formula(graph, formula)
+                assert gc.collect() == 0, formula
+            finally:
+                gc.enable()
 
 
 @given(st.sets(st.integers(0, 300)))

@@ -6,6 +6,8 @@ vector, tick cap) entry the explorer's step store knows from scratch and
 compare, so the check needs no second, unmemoised exploration path.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,6 +166,37 @@ def test_step_store_agrees_with_one_evolve_per_vector(data):
                     assert _fields(results) == _fields(expected[vector])
         assert explorer.counts == model.counts
         assert [entry[:3] for entry in explorer.known_steps()] == sorted(model.memo)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_step_tables_split_over_disjoint_wants_equal_one_over_their_union(data):
+    """Every read class of one step table is evaluated from the same start
+    state of the key; no class's cascade may change it for the next."""
+    name = data.draw(st.sampled_from(sorted(CASES)), label="case")
+    factory, cfg, _ = CASES[name]
+    net = factory()
+    known = explore(net, replace(cfg, horizon=2))._explorer.key_table
+    split, joint = _Explorer(net, cfg), _Explorer(net, cfg)
+    for key in known:
+        split.intern(key)
+        joint.intern(key)
+    key_id = data.draw(st.integers(0, len(known) - 1), label="key id")
+    tick = data.draw(st.integers(0, cfg.horizon), label="tick")
+    first = data.draw(st.integers(1, split.every_vector - 1), label="first want")
+    split.step_table(key_id, tick, first)
+    split.step_table(key_id, tick, split.every_vector & ~first)
+    joint.step_table(key_id, tick, joint.every_vector)
+    tick_cap = min(tick, split.max_held_delta)
+
+    def classes(explorer):
+        # targets as keys: the two explorers intern new ones in another order
+        return [(mask, bits, cube, _fields(results), [explorer.key_table[t] for t in targets])
+                for mask, bits, cube, (results, targets) in explorer.steps[(key_id, tick_cap)][0]]
+
+    assert classes(split) == classes(joint)
+    for _, _, cube, results, _ in classes(joint):
+        assert results == _fields(split._evolve_uncached(known[key_id], min(VectorSet(cube)), tick_cap))
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from smart_tgpn.kernel import (
     KernelState,
     NotEnabled,
     ZenoViolation,
+    _covered,
     advance_to_next_event,
     enabled,
     fire,
@@ -17,6 +18,7 @@ from smart_tgpn.kernel import (
     struct_enabled,
 )
 from smart_tgpn.net import Arc, Net, TransitionRecord
+from smart_tgpn.netio import net_from_document
 from smart_tgpn.signals import SignalState
 
 
@@ -362,3 +364,36 @@ def test_refresh_tests_covered_transitions_like_the_every_transition_loop(case):
     except DeadlineViolation:
         pass  # raised after the clocks are reconciled
     assert list(state.timers.items()) == list(expected.timers.items())
+
+
+# one net per case for the whole test, so later examples hit the memo
+# earlier ones filled
+MEMO_NETS = {
+    "single": build_single_agent(SmartConfig()).net,
+    "two-agent": build_multi_agent([AgentSpec("a1"), AgentSpec("a2")]).net,
+    "weight-2": net_from_document({
+        "places": ["p", "q", "r"],
+        "transitions": [{"id": "t_src", "guard": "go"}, {"id": "t_two"}, {"id": "t_pq"}, {"id": "t_r"}],
+        "arcs": [{"from": "t_src", "to": "p"}, {"from": "p", "to": "t_two", "weight": 2},
+                 {"from": "t_two", "to": "r"}, {"from": "p", "to": "t_pq"}, {"from": "q", "to": "t_pq"},
+                 {"from": "r", "to": "t_r"}],
+    }),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_memoized_covered_transitions_equal_a_scan_of_every_pre_set(data):
+    net = MEMO_NETS[data.draw(st.sampled_from(sorted(MEMO_NETS)), label="net")]
+    marking = {p: data.draw(st.integers(0, 3), label=p) for p in net.places}
+    scan = [tid for tid in net.transition_ids() if struct_enabled(net, marking, tid)]
+    assert list(_covered(net, marking)) == scan
+    # counts past the largest arc weight change no coverage and no memo key
+    entries = len(net.covered_memo)
+    raised = {p: c + 5 if c >= net.pre_weight_cap else c for p, c in marking.items()}
+    assert list(_covered(net, raised)) == scan
+    assert len(net.covered_memo) == entries
+
+
+def test_the_covered_memo_clips_counts_at_the_largest_arc_weight():
+    assert [MEMO_NETS[name].pre_weight_cap for name in ("single", "two-agent", "weight-2")] == [1, 1, 2]

@@ -6,6 +6,8 @@
 change restarts the clock.
 """
 
+import pytest
+
 from smart_tgpn.builder import AgentSpec, ResidenceClock, SmartConfig, build_multi_agent, build_single_agent
 
 
@@ -82,3 +84,38 @@ def test_a_copy_runs_apart():
     copy.observe(in_mode((agent, "M")), 1)
     assert clock.modes == ["S"] and copy.modes == ["M"]
     assert clock.entered == [0] and copy.entered == [1]
+
+
+def timeouts_by_name(clock, now):
+    """The timeouts as first defined: each signal name built from the mode
+    key and the agent's suffix, all false but those whose budget is spent."""
+    values = {f"timeout_{key}{agent.suffix}": False for agent in clock.agents for key in "MA"}
+    for agent, mode, entered in zip(clock.agents, clock.modes, clock.entered):
+        if mode in ("M", "A"):
+            budget = agent.config.budget_m if mode == "M" else agent.config.budget_a
+            values[f"timeout_{mode}{agent.suffix}"] = now >= entered + budget
+    return values
+
+
+@pytest.mark.parametrize("agents", [
+    build_single_agent(SmartConfig(budget_m=3, budget_a=4)).agents,
+    build_multi_agent([AgentSpec("a1", SmartConfig(budget_m=2, budget_a=7)),
+                       AgentSpec("a2", SmartConfig(budget_m=6, budget_a=3))]).agents,
+], ids=["one-agent", "two-agents"])
+def test_timeouts_equal_the_names_built_per_call(agents):
+    clock = ResidenceClock.at(agents, in_mode(*((agent, "S") for agent in agents)), [0] * len(agents))
+    keys = ["M", "A"]
+
+    def check_around_each_budget():
+        for agent, mode, entered in zip(agents, clock.modes, clock.entered):
+            budget = agent.config.budget_m if mode == "M" else agent.config.budget_a
+            for now in (entered, entered + budget - 1, entered + budget):
+                assert list(clock.timeouts(now).items()) == list(timeouts_by_name(clock, now).items())
+
+    clock.observe(in_mode(*zip(agents, keys)), 2)
+    check_around_each_budget()
+    # every agent leaves and re-enters its mode place within tick 9
+    clock.observe(in_mode(*((agent, "R") for agent in agents)), 9)
+    clock.observe(in_mode(*zip(agents, keys)), 9)
+    assert clock.entered == [9] * len(agents)
+    check_around_each_budget()
