@@ -34,14 +34,7 @@ from .guards import (
     signal_names,
     substitute,
 )
-from .kernel import (
-    FiringPolicy,
-    KernelState,
-    ZenoViolation,
-    _fire_due,
-    fire,
-    refresh_timers,
-)
+from .kernel import FiringPolicy, KernelState, _due_transition, _fire_now, refresh_timers
 from .net import INF, Marking, Net, STRONG
 from .signals import ConstantSignals
 
@@ -137,13 +130,15 @@ class StateKey:
 class EvolveResult:
     key: StateKey
     firings: tuple[str, ...]
-    touched: frozenset[str]
+    touched: frozenset[str]  # places marked at some point of the instant, see _Explorer._finish
     violations: tuple[str, ...]
     output_breaches: tuple[str, ...]  # outputs fired from a state without the stable token
 
 
 # a read class's answer: its results and their target ids, see _Explorer.step_table
 _Step = tuple[list[EvolveResult], list[int]]
+# a key's start state, residence clock and entry places, see _Explorer.start_of
+_Start = tuple[KernelState, ResidenceClock, frozenset[str]]
 
 
 def _lowest(bits: int) -> int:
@@ -489,7 +484,7 @@ class _Explorer:
              for vector in VectorSet(cube & asked))
         )
 
-    def _answer(self, key: StateKey, start: tuple[KernelState, ResidenceClock], vector: int, tick_cap: int,
+    def _answer(self, key: StateKey, start: _Start, vector: int, tick_cap: int,
                 reads: set[str]) -> _Step:
         """A read class's answer: its results, and their target ids, which
         ``step_table`` interns when it first lists the class."""
@@ -526,10 +521,12 @@ class _Explorer:
         return entry
 
     def _evolve_uncached(self, key: StateKey, vector: int, tick_cap: int, reads: set[str] | None = None,
-                         start: tuple[KernelState, ResidenceClock] | None = None) -> list[EvolveResult]:
+                         start: _Start | None = None) -> list[EvolveResult]:
         """Evaluate one tick from a copy of the key's ``start_of``, built here
-        unless given; adds the name of every signal read to ``reads``."""
-        state, clock = start or self.start_of(key)
+        unless given; adds the name of every signal read to ``reads``. The
+        step does not read ``tick_cap``: a reached key's held runs never
+        exceed its tick, so a full run implies a tick past the duration."""
+        state, clock, entry = start or self.start_of(key)
         state, clock = state.clone(), clock.copy()
         values = self.vector_values(vector)
         sigma = ConstantSignals(values, reads)
@@ -544,22 +541,16 @@ class _Explorer:
             else:
                 run = -1
             held_runs.append(run)
-            values[name] = body_true and run >= term.duration and tick_cap >= term.duration
+            values[name] = body_true and run >= term.duration
 
-        if self.cfg.weak_branching == BRANCH_ALL:
-            outcomes = self._cascade_all(state, sigma, clock)
-        else:
-            outcomes = [self._cascade_earliest(state, sigma, clock)]
+        return [self._finish(end_state, end_clock, held_runs, firings, entry)
+                for end_state, end_clock, firings in self._cascade(state, sigma, clock)]
 
-        results = []
-        for end_state, end_clock, firings, touched in outcomes:
-            results.append(self._finish(end_state, end_clock, held_runs, firings, touched))
-        return results
-
-    def start_of(self, key: StateKey) -> tuple[KernelState, ResidenceClock]:
-        """The key's kernel state, with the want-place deposits, and its
-        residence clock at tick 0 of its next step. Each evaluation steps
-        copies, so one start serves every read class of a step table."""
+    def start_of(self, key: StateKey) -> _Start:
+        """The key's kernel state, with the want-place deposits, its residence
+        clock at tick 0 of its next step, and the places marked as that step
+        begins. Each evaluation steps copies, so one start serves every read
+        class of a step table."""
         marking = dict(key.marking)
         if self.deposit_driver and self.smart is not None:
             # at most one pending output attempt per agent
@@ -568,69 +559,63 @@ class _Explorer:
                     marking[agent.want_place] = 1
         state = KernelState(marking=marking, timers={tid: -elapsed for tid, elapsed in key.timers},
                             marking_history=[(0, dict(marking))])
-        return state, self.clock_of(key)
+        return state, self.clock_of(key), frozenset(p for p, c in marking.items() if c > 0)
 
     def clock_of(self, key: StateKey) -> ResidenceClock:
         """The key's residence clock at tick 0 of its next step."""
         return ResidenceClock.at(self.agents, dict(key.marking), [-elapsed for _, elapsed in key.residence])
 
-    def _cascade_earliest(self, state: KernelState, sigma: ConstantSignals, clock: ResidenceClock):
-        firings: list[str] = []
-        touched: set[str] = set()
-        while True:
-            sigma.values.update(clock.timeouts(state.now))
-            event = _fire_due(self.net, state, sigma, self.policy)
-            if event is None:
-                break
-            firings.append(event.transition)
-            touched.update(p for p, c in state.marking.items() if c > 0)
-            clock.observe(state.marking, state.now)
-        return state, clock, tuple(firings), frozenset(touched)
-
-    def _cascade_all(self, state: KernelState, sigma: ConstantSignals, clock: ResidenceClock):
-        """Branch over every admissible firing choice within the instant,
-        once per distinct state a branch reaches: its marking, its clocks
-        once refreshed, and its residence clock."""
-        outcomes: list = []
-        self._branch(state, clock, (), frozenset(p for p, c in state.marking.items() if c > 0), sigma, set(), outcomes)
+    def _cascade(self, state: KernelState, sigma: ConstantSignals,
+                 clock: ResidenceClock) -> list[tuple[KernelState, ResidenceClock, tuple[str, ...]]]:
+        """(end state, residence clock, firings) of each way the instant may
+        end from ``state``, depth first. Earliest-only follows the policy's
+        due transition and ends where nothing is due; all-branching follows
+        every transition inside its window, in ascending id, may end where
+        nothing is forced, and follows each distinct state (marking, clocks,
+        residence clock) once. A loop over a stack of fired states: the later
+        choices wait there as fired copies, and the first goes on at once, in
+        place unless the state is itself an end."""
+        branching = self.cfg.weak_branching == BRANCH_ALL
+        net, policy, values = self.net, self.policy, sigma.values
+        seen: set[tuple] = set()
+        outcomes = []
+        stack = [(state, clock, [])]
+        while stack:
+            state, clock, firings = stack.pop()
+            while True:
+                values.update(clock.timeouts(state.now))
+                refresh_timers(net, state, sigma)
+                if branching and firings:  # the instant's entry state is never deduplicated
+                    mark = (tuple(sorted(state.marking.items())), tuple(sorted(state.timers.items())),
+                            tuple(clock.entered))
+                    if mark in seen:
+                        break
+                    seen.add(mark)
+                due, window, forced = _due_transition(net, state, policy)
+                if branching:
+                    window.sort()
+                    due, ends = window[0] if window else None, not forced
+                    for tid in window[:0:-1]:
+                        later, later_clock = state.clone(), clock.copy()
+                        _fire_now(net, later, tid, sigma, policy)
+                        later_clock.observe(later.marking, later.now)
+                        stack.append((later, later_clock, [*firings, tid]))
+                else:
+                    ends = due is None
+                if ends:
+                    outcomes.append((state, clock, tuple(firings)))
+                    if due is None:
+                        break
+                    state, clock = state.clone(), clock.copy()
+                firings.append(due)
+                _fire_now(net, state, due, sigma, policy)
+                clock.observe(state.marking, state.now)
         return outcomes
 
-    def _branch(self, st: KernelState, clk: ResidenceClock, firings: tuple[str, ...], touched: frozenset[str],
-                sigma: ConstantSignals, seen: set[tuple], outcomes: list) -> None:
-        """One branch of ``_cascade_all``, depth first. Not a closure that calls
-        itself: that is a reference cycle, which leaves each cascade to the GC."""
-        sigma.values.update(clk.timeouts(st.now))
-        refresh_timers(self.net, st, sigma)
-        if firings:  # a branch; the instant's entry state is never deduplicated
-            mark = (tuple(sorted(st.marking.items())), tuple(sorted(st.timers.items())), tuple(clk.entered))
-            if mark in seen:
-                return
-            seen.add(mark)
-        choices = []
-        forced_pending = False
-        for tid, since in sorted(st.timers.items()):
-            record = self.net.transitions[tid]
-            elapsed = st.now - since
-            if elapsed < record.alpha or elapsed > record.beta:
-                continue
-            if record.timing == STRONG and elapsed >= record.beta:
-                forced_pending = True
-            choices.append(tid)
-        if not forced_pending:
-            outcomes.append((st, clk, firings, touched))  # the branches below fire on copies
-        for tid in choices:
-            # a sibling's recursion rewrote the derived timeouts
-            sigma.values.update(clk.timeouts(st.now))
-            nxt, _ = fire(self.net, st.clone(), tid, sigma)
-            if nxt.events_at_now > self.policy.zeno_limit:
-                raise ZenoViolation("cascade branching exceeded the zeno limit")
-            nxt_clk = clk.copy()
-            nxt_clk.observe(nxt.marking, nxt.now)
-            self._branch(nxt, nxt_clk, firings + (tid,), touched | {p for p, c in nxt.marking.items() if c > 0},
-                         sigma, seen, outcomes)
-
     def _finish(self, state: KernelState, clock: ResidenceClock, held_runs: list[int],
-                firings: tuple[str, ...], touched: frozenset[str]) -> EvolveResult:
+                firings: tuple[str, ...], entry: frozenset[str]) -> EvolveResult:
+        # touched: the places marked as the instant begins, and those its firings mark
+        touched = entry.union(*(self.net.post(t) for t in firings)) if firings else entry
         violations = []
         for agent in self.agents:
             total = sum(state.marking.get(p, 0) for p in agent.mode_places.values())

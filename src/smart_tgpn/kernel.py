@@ -147,24 +147,19 @@ def _covered(net: Net, marking: Marking) -> tuple[str, ...]:
     return covered
 
 
-def _enabled_in(net: Net, ctx: EvalContext, tid: str) -> bool:
-    """The enabling test of a known transition: ``ctx.marking`` covers its
-    pre-set, then its compiled guard holds at ``ctx.now``. The record is
-    read from ``net.transitions`` on every call, so a replaced record
-    takes effect at once."""
-    return _covers(ctx.marking, net.pre_sets[tid]) and net.transitions[tid].guard.holds(ctx, ctx.now)
-
-
 def struct_enabled(net: Net, marking: Marking, tid: str) -> bool:
     """True iff every input place holds at least the arc weight."""
     return _covers(marking, net.pre(tid))
 
 
 def enabled(net: Net, state: KernelState, sigma: SignalState, tid: str) -> bool:
-    """Structural enabling conjoined with guard truth at the current instant."""
+    """The enabling test: the marking covers the pre-set, then the compiled
+    guard holds now. The record is read from ``net.transitions`` on every
+    call, so a replaced record takes effect at once."""
     if tid not in net.transitions:
         raise UnknownTransition(tid)
-    return _enabled_in(net, state.eval_context(sigma), tid)
+    return _covers(state.marking, net.pre_sets[tid]) and net.transitions[tid].guard.holds(
+        state.eval_context(sigma), state.now)
 
 
 def refresh_timers(net: Net, state: KernelState, sigma: SignalState) -> None:
@@ -242,25 +237,36 @@ def next_forced_deadline(
     return best, forced
 
 
-def _due_transition(net: Net, state: KernelState, sigma: SignalState, policy: FiringPolicy) -> str | None:
-    """Highest-priority transition that may (or must) fire at the current
-    instant under the policy."""
+def _due_transition(net: Net, state: KernelState, policy: FiringPolicy) -> tuple[str | None, list[str], bool]:
+    """One scan of the refreshed clocks at the current instant: the
+    highest-priority transition that may (or must) fire now under the
+    policy, the transitions inside their window [alpha, beta], in clock
+    order, and whether one of those is forced (strong, at its beta)."""
     best: tuple[int, str] | None = None
+    window: list[str] = []
+    forced_any = False
     for tid, since in state.timers.items():
         record = net.transitions[tid]
         elapsed = state.now - since
-        if elapsed < record.alpha:
+        if elapsed < record.alpha or elapsed > record.beta:
+            continue  # not yet, or a weak window that has expired; strong ones fail refresh first
+        window.append(tid)
+        if record.timing == STRONG and elapsed >= record.beta:
+            forced_any = True
+        elif (chosen := policy.chosen_offset(tid, record, since)) is None or elapsed < chosen:
             continue
-        if elapsed > record.beta:
-            continue  # a weak window that has expired; strong ones fail refresh first
-        forced = record.timing == STRONG and elapsed >= record.beta
-        chosen = policy.chosen_offset(tid, record, since)
-        voluntary = chosen is not None and elapsed >= chosen
-        if forced or voluntary:
-            key = (int(record.priority), tid)
-            if best is None or key < best:
-                best = key
-    return best[1] if best else None
+        key = (int(record.priority), tid)
+        if best is None or key < best:
+            best = key
+    return (best[1] if best else None), window, forced_any
+
+
+def _fire_now(net: Net, state: KernelState, tid: str, sigma: SignalState, policy: FiringPolicy) -> FiringEvent:
+    """Fire ``tid`` within the current instant and check the Zeno limit."""
+    _, event = fire(net, state, tid, sigma)
+    if state.events_at_now > policy.zeno_limit:
+        raise ZenoViolation(f"Zeno net: {state.events_at_now} events at t={state.now}, limit {policy.zeno_limit}")
+    return event
 
 
 def _fire_due(net: Net, state: KernelState, sigma: SignalState, policy: FiringPolicy) -> FiringEvent | None:
@@ -268,13 +274,8 @@ def _fire_due(net: Net, state: KernelState, sigma: SignalState, policy: FiringPo
     highest-priority transition due now under the policy, if any, and
     check the Zeno limit. Returns the firing, None if nothing was due."""
     refresh_timers(net, state, sigma)
-    due = _due_transition(net, state, sigma, policy)
-    if due is None:
-        return None
-    _, event = fire(net, state, due, sigma)
-    if state.events_at_now > policy.zeno_limit:
-        raise ZenoViolation(f"{state.events_at_now} events at t={state.now}")
-    return event
+    due = _due_transition(net, state, policy)[0]
+    return None if due is None else _fire_now(net, state, due, sigma, policy)
 
 
 def _next_candidate(net: Net, state: KernelState, sigma: SignalState, policy: FiringPolicy) -> int | None:

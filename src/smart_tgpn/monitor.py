@@ -36,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .analysis import FormulaVerdict, HOLDS, INCONCLUSIVE, VACUOUS, VIOLATED, resolve_forbidden
 from .builder import GATING_GUARDED, SmartNet, TriggerSet
-from .guards import And, GuardExpr, Not
+from .guards import And, GuardExpr, Not, Or
 from .trace import FIRE, Trace
 
 PASS = "pass"
@@ -490,21 +491,17 @@ def check_trigger_set(traces: list[Trace], triggers: TriggerSet) -> TriggerVerdi
 
 
 def _agent_risk(agent) -> GuardExpr:
-    from .guards import Or
-
     return Or((agent.invalid, agent.unrecoverable))
 
 
 # --- trace-level formula checking --------------------------------------------
 
 
-def check_formula_on_trace(trace: Trace, formula) -> "FormulaVerdict":
+def check_formula_on_trace(trace: Trace, formula) -> FormulaVerdict:
     """Evaluate one of the four formula schemas against a single trace
     (one path; the explorer covers the branching case). Verdicts use the
     same statuses as graph checking: holds / violated / vacuous /
     inconclusive."""
-    from .analysis import FormulaVerdict, HOLDS, INCONCLUSIVE, VACUOUS, VIOLATED, resolve_forbidden
-
     smart = _require_smart(trace)
 
     def marked_within(place: str, start: int, deadline: int) -> bool:

@@ -126,15 +126,18 @@ def subnet_from_document(doc: dict) -> tuple[str, Subnet, InterfaceSpec]:
 
 
 def config_from_document(doc: dict) -> SmartConfig:
+    """The config a document describes; an invalid one raises SmartConfigError."""
     hyst = doc.get("hysteresis", {})
     unknown = set(doc) - {f.name for f in fields(SmartConfig)}
     unknown |= {f"hysteresis.{k}" for k in set(hyst) - {f.name for f in fields(Hysteresis)}}
     if unknown:
         raise NetDocumentError(f"unknown config keys: {sorted(unknown)}")
-    return SmartConfig(
+    config = SmartConfig(
         **{k: v for k, v in doc.items() if k != "hysteresis"},
         hysteresis=Hysteresis(**hyst) if hyst else Hysteresis(),
     )
+    config.validate()
+    return config
 
 
 def smart_to_document(smart: SmartNet) -> dict:
@@ -163,10 +166,12 @@ def smart_from_document(doc: dict) -> SmartNet:
     if meta is None:
         raise NetDocumentError("net document has no smart{} annotations")
     try:
-        agents = [
-            agent_view(config_from_document(raw["config"]), raw.get("id"), raw.get("suffix", ""))
-            for raw in meta["agents"]
-        ]
+        agents = []
+        for raw in meta["agents"]:
+            config, agent_id, suffix = config_from_document(raw["config"]), raw.get("id"), raw.get("suffix", "")
+            if not (agent_id is None or isinstance(agent_id, str)) or not isinstance(suffix, str):
+                raise NetDocumentError(f"agent id and suffix must be strings, got {agent_id!r} and {suffix!r}")
+            agents.append(agent_view(config, agent_id, suffix))
         config = config_from_document(meta["config"])
         return SmartNet(
             net,

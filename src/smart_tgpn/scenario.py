@@ -43,8 +43,10 @@ from .monitor import (
     PropositionSpec,
     TriggerVerdict,
     Verdict,
+    check_formula_on_trace,
     check_trigger_set,
 )
+from .net import validate_net
 from .netio import NetDocumentError, config_from_document, load_smart
 from .signals import SignalState
 from .trace import DEPOSIT, FIRE, SIGNAL, Trace, TraceEvent, net_digest
@@ -115,7 +117,11 @@ def _object(value, where: str) -> dict:
 
 def _build_net(raw: dict, base_dir: str) -> SmartNet:
     if "file" in raw:
-        return load_smart(os.path.join(base_dir, raw["file"]))
+        smart = load_smart(os.path.join(base_dir, raw["file"]))
+        errors = validate_net(smart.net).errors
+        if errors:
+            raise ScenarioError(f"net file {raw['file']}: {'; '.join(errors)}")
+        return smart
     if "builder" not in raw:
         raise ScenarioError("net section needs either 'builder' or 'file'")
     spec = _object(raw["builder"], "net.builder")
@@ -481,8 +487,6 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
 
 def verify(trace: Trace, scenario: Scenario) -> RunReport:
     """Run the scenario's monitors and trace-level formulas on a trace."""
-    from .monitor import check_formula_on_trace
-
     if trace.smart is None:
         trace.smart = scenario.smart
     report = RunReport(scenario.name, warnings=list(scenario.warnings))

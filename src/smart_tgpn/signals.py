@@ -69,8 +69,8 @@ class SignalState:
             if isinstance(value, bool) or value in (0, 1):
                 return bool(value)
             raise SignalError(f"boolean signal {name!r} given non-boolean value {value!r}")
-        if isinstance(value, bool):
-            raise SignalError(f"real signal {name!r} given boolean value {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise SignalError(f"real signal {name!r} given non-numeric value {value!r}")
         return float(value)
 
     def value_at(self, name: str, time: int) -> SignalValue:

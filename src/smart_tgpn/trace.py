@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from .builder import SmartNet
 from .guards import GuardExpr, eval_guard, held_terms, place_names, signal_names
 from .net import Marking
+from .netio import net_to_document
 from .signals import BOOL, SignalState
 
 FIRE = "fire"
@@ -295,8 +296,6 @@ class Trace:
 
 
 def net_digest(net) -> str:
-    from .netio import net_to_document
-
     blob = json.dumps(net_to_document(net), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -325,38 +324,46 @@ def trace_lines(trace: Trace) -> Iterable[str]:
         yield json.dumps(event.to_record())
 
 
+def _field(record: dict, name: str, kind: type, line: int | None = None):
+    """``record[name]``, which must be of type ``kind``; a bool is no int."""
+    value = record[name]
+    if type(value) is not kind:
+        where = "" if line is None else f"line {line}: "
+        raise ValueError(f"{where}{name} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def read_trace(path: str) -> Trace:
+    """The trace a JSONL file holds. A malformed file raises ValueError, or
+    KeyError for a record that lacks a field."""
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty trace file")
     header = json.loads(lines[0])
-    if header.get("kind") != "header":
+    if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValueError(f"{path}: first line is not a trace header")
 
-    kinds = header.get("signal_kinds", {})
+    kinds = _field({"signal_kinds": {}, **header}, "signal_kinds", dict)
     sigma = SignalState.declare(
         booleans=[n for n, k in kinds.items() if k == BOOL],
         reals=[n for n, k in kinds.items() if k != BOOL],
-        initial=header.get("initial_signals", {}),
+        initial=_field({"initial_signals": {}, **header}, "initial_signals", dict),
     )
     events: list[TraceEvent] = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], 2):
         record = json.loads(line)
-        kind = record["kind"]
-        if kind == FIRE:
-            events.append(
-                TraceEvent(record["time"], FIRE, record["transition"],
-                           post_marking=parse_marking_digest(record["marking"]))
-            )
-        elif kind == SIGNAL:
-            events.append(TraceEvent(record["time"], SIGNAL, record["signal"], value=record["value"]))
-            sigma.record(record["signal"], record["value"], record["time"])
-        elif kind == DEPOSIT:
-            events.append(
-                TraceEvent(record["time"], DEPOSIT, record["place"],
-                           post_marking=parse_marking_digest(record["marking"]))
-            )
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}: line {number} is not an object")
+        kind, time = record["kind"], _field(record, "time", int, number)
+        if kind == SIGNAL:
+            name = _field(record, "signal", str, number)
+            events.append(TraceEvent(time, SIGNAL, name, value=record["value"]))
+            sigma.record(name, record["value"], time)
+        elif kind in (FIRE, DEPOSIT):
+            name = _field(record, "transition" if kind == FIRE else "place", str, number)
+            marking = parse_marking_digest(_field(record, "marking", str, number))
+            events.append(TraceEvent(time, kind, name, post_marking=marking))
         else:
             raise ValueError(f"{path}: unknown event kind {kind!r}")
 
@@ -368,8 +375,8 @@ def read_trace(path: str) -> Trace:
     return Trace(
         events=events,
         sigma=sigma,
-        initial_marking=parse_marking_digest(header["initial_marking"]),
-        horizon=header["horizon"],
+        initial_marking=parse_marking_digest(_field(header, "initial_marking", str)),
+        horizon=_field(header, "horizon", int),
         quiesced_at=header.get("quiesced_at"),
         meta=meta,
     )

@@ -254,20 +254,37 @@ def test_simulate_malformed_scenario_is_input_error(tmp_path, capsys, change):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("defect", ["unknown-event-kind", "record-lacks-field", "events-out-of-order"])
+def _first(records, kind):
+    return next(r for r in records[1:] if r["kind"] == kind)
+
+
+# name -> a defect of a stored trace, given as its records, header first
+TRACE_DEFECTS = {
+    "unknown-event-kind": lambda records: records[1].update(kind="bogus"),
+    "record-lacks-field": lambda records: records[1].pop("time"),
+    "events-out-of-order": lambda records: records.__setitem__(slice(1, None), records[:0:-1]),
+    "header-not-an-object": lambda records: records.__setitem__(0, 5),
+    "record-not-an-object": lambda records: records.__setitem__(1, [0]),
+    "string-time": lambda records: _first(records, "fire").update(time="x"),
+    "list-transition": lambda records: _first(records, "fire").update(transition=[]),
+    "integer-marking": lambda records: _first(records, "deposit").update(marking=7),
+    "list-signal": lambda records: _first(records, "signal").update(signal=["x"]),
+    "string-horizon": lambda records: records[0].update(horizon="x"),
+    "list-signal-kinds": lambda records: records[0].update(signal_kinds=[0]),
+    "string-initial-signals": lambda records: records[0].update(initial_signals="x"),
+    "list-real-initial-value": lambda records: records[0]["initial_signals"].update(U=[0]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(TRACE_DEFECTS))
 @pytest.mark.parametrize("command", ["report", "verify"])
 def test_malformed_trace_file_is_input_error(tmp_path, capsys, defect, command):
     main(["simulate", "scenarios/robot-escalation.scenario.json", "--out", str(tmp_path)])
     stored = tmp_path / "robot-escalation.trace.jsonl"
-    header, *records = [json.loads(line) for line in stored.read_text().splitlines()]
-    if defect == "unknown-event-kind":
-        records[0]["kind"] = "bogus"
-    elif defect == "record-lacks-field":
-        del records[0]["time"]
-    else:
-        records.reverse()
+    records = [json.loads(line) for line in stored.read_text().splitlines()]
+    TRACE_DEFECTS[defect](records)
     bad = tmp_path / "bad.trace.jsonl"
-    bad.write_text("".join(json.dumps(r) + "\n" for r in [header] + records))
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
     capsys.readouterr()
     if command == "report":
         code = main(["report", str(bad)])
@@ -317,6 +334,8 @@ NET_DEFECTS = {
     "numeric-priority": (lambda doc: doc["transitions"][0].update(priority=3), "'upper'"),
     "places-not-a-list": (lambda doc: doc.update(places=5), "not iterable"),
     "non-numeric-weight": (lambda doc: doc["arcs"][0].update(weight="x"), "'x'"),
+    "agent-id-not-a-string": (lambda doc: doc["smart"]["agents"][0].update(id=["x"]), "agent id"),
+    "non-integer-agent-budget": (lambda doc: doc["smart"]["agents"][0]["config"].update(budget_m="x"), "budget_m"),
 }
 
 
@@ -462,3 +481,22 @@ def test_formula_naming_a_real_transition_is_still_checked(tmp_path, capsys):
     formula = {"kind": "safety", "condition": "anom", "forbidden": ["t_SM"]}
     code = _run_escalation(tmp_path, "explore", {"formulas": [formula], "exploration": EXPLORATION})
     assert code == 1 and "t_SM fired under the condition" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("branching", ["all", "earliest-only"])
+def test_explore_a_1200_firing_instant_exits_0(tmp_path, capsys, branching):
+    """The explorer's cascade is a loop, so a first instant that fires
+    1,200 strong [0, 0] transitions in a row is no deeper than one."""
+    doc = smart_to_document(build_single_agent(SmartConfig()))
+    chain = 1200
+    doc["places"] += [f"chain{i}" for i in range(chain + 1)]
+    doc["transitions"] += [{"id": f"t_chain{i}", "interval": [0, 0], "timing": "strong"} for i in range(chain)]
+    doc["arcs"] += [arc for i in range(chain)
+                    for arc in ({"from": f"chain{i}", "to": f"t_chain{i}"}, {"from": f"t_chain{i}", "to": f"chain{i + 1}"})]
+    doc["initial_marking"]["chain0"] = 1
+    (tmp_path / "chain.net.json").write_text(json.dumps(doc))
+    scenario = {"name": "chain", "net": {"file": "chain.net.json"}, "horizon": 1,
+                "exploration": {"horizon": 0, "alphabet": ["anom"], "branching": branching}}
+    (tmp_path / "x.scenario.json").write_text(json.dumps(scenario))
+    assert main(["explore", str(tmp_path / "x.scenario.json")]) == 0
+    assert "states: " in capsys.readouterr().out

@@ -1,0 +1,137 @@
+"""The CLI's exit contract holds for malformed input: every run exits 0
+(pass), 1 (violations), 2 (inconclusive) or 3 (input error), and none ends
+in a traceback.
+
+The property mutates one field of a known-good document, replacing its
+value by one of another JSON type, and runs the result through the
+subcommands that read that document, in process. The documents are every
+`scenarios/*.scenario.json`, one scenario with an `exploration` section,
+one net document and one stored trace.
+"""
+
+import contextlib
+import copy
+import functools
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from smart_tgpn.builder import SmartConfig, build_single_agent
+from smart_tgpn.cli import main
+from smart_tgpn.netio import smart_to_document
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+ESCALATION = SCENARIOS / "robot-escalation.scenario.json"
+EXPLORATION = {"horizon": 3, "alphabet": ["anom", "evidence"], "flip_budget": 1, "cap": 100_000}
+
+# one value of each JSON type, with the edge cases of the numbers
+REPLACEMENTS = [None, True, False, 0, -1, 7, 2.5, "", "x", "inf", [], [0], ["x"], {}, {"x": 0}]
+
+
+@functools.cache
+def _documents() -> dict[str, object]:
+    """name -> a known-good document; the name says which commands read it."""
+    docs: dict[str, object] = {f"scenario:{p.name}": json.loads(p.read_text())
+                               for p in sorted(SCENARIOS.glob("*.scenario.json"))}
+    docs["exploration"] = {**json.loads(ESCALATION.read_text()), "exploration": EXPLORATION}
+    docs["net"] = smart_to_document(build_single_agent(SmartConfig()))
+    with tempfile.TemporaryDirectory() as out:
+        assert _run(["simulate", str(ESCALATION), "--out", out]) == 0
+        lines = (Path(out) / "robot-escalation.trace.jsonl").read_text().splitlines()
+    docs["trace"] = [json.loads(line) for line in lines]  # header first
+    return docs
+
+
+def _fields(node, path=()):
+    """The path of every field under ``node``: each dict value and list item."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+def _run(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _commands(name: str, doc, tmp: Path) -> list[list[str]]:
+    """Write ``doc`` under ``tmp``; the command lines that read it."""
+    out = ["--out", str(tmp / "runs")]
+    if name == "trace":
+        path = tmp / "x.trace.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in doc))
+        return [["verify", str(ESCALATION), "--trace", str(path)], ["report", str(path)]]
+    if name == "net":
+        (tmp / "x.net.json").write_text(json.dumps(doc))
+        (tmp / "x.scenario.json").write_text(json.dumps(
+            {"name": "net", "net": {"file": "x.net.json"}, "horizon": 8, "script": [[1, "anom", 1]]}))
+        return [["validate", str(tmp / "x.net.json")], ["simulate", str(tmp / "x.scenario.json"), *out]]
+    path = tmp / "x.scenario.json"
+    path.write_text(json.dumps(doc))
+    if name == "exploration":
+        return [["explore", str(path)]]
+    return [["simulate", str(path), *out], ["verify", str(path)]]
+
+
+@st.composite
+def mutations(draw):
+    """(document name, document with one field's value replaced by one of
+    another type)."""
+    docs = _documents()
+    name = draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[name])
+    path = draw(st.sampled_from(list(_fields(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    parent[path[-1]] = draw(st.sampled_from([v for v in REPLACEMENTS if type(v) is not type(old)]))
+    return name, doc
+
+
+@settings(derandomize=True, max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(mutations())
+def test_a_single_field_type_mutation_exits_by_the_contract(mutation):
+    name, doc = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in _commands(name, doc, Path(tmp)):
+            assert _run(argv) in (0, 1, 2, 3), argv
+
+
+# name -> (a defect of the single-agent net document that validates the
+# document's fields but not its run, words of the error)
+NET_DEFECTS = {
+    "guard-on-a-missing-place": (lambda doc: doc["places"].remove("P_conflict"), "'P_conflict'"),
+    "zeno-self-loop": (lambda doc: (doc["transitions"].append({"id": "spin", "interval": [0, 0]}),
+                                    doc["arcs"].extend([{"from": "P_S", "to": "spin"}, {"from": "spin", "to": "P_S"}])),
+                       "Zeno net"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(NET_DEFECTS))
+def test_running_a_defective_net_document_is_input_error(tmp_path, capsys, defect):
+    spoil, words = NET_DEFECTS[defect]
+    doc = smart_to_document(build_single_agent(SmartConfig()))
+    spoil(doc)
+    simulate = _commands("net", doc, tmp_path)[1]
+    assert main(simulate) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and words in err
+
+
+def test_exploring_a_zeno_net_is_input_error(tmp_path, capsys):
+    """The explorer's earliest-only cascade stops an instantaneous cycle at
+    the Zeno limit, which the CLI reports as an input error."""
+    doc = smart_to_document(build_single_agent(SmartConfig()))
+    NET_DEFECTS["zeno-self-loop"][0](doc)
+    (tmp_path / "x.net.json").write_text(json.dumps(doc))
+    (tmp_path / "x.scenario.json").write_text(json.dumps(
+        {"name": "zeno", "net": {"file": "x.net.json"}, "horizon": 1, "exploration": {"horizon": 1}}))
+    assert main(["explore", str(tmp_path / "x.scenario.json")]) == 3
+    assert "Zeno net" in capsys.readouterr().err
