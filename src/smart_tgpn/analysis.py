@@ -20,25 +20,24 @@ obligation yields "inconclusive", never a silent pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .builder import ResidenceClock, SmartNet, validate_smart
+from .builder import AGENT_DERIVED_SIGNALS, ResidenceClock, SmartNet, validate_smart
 from .guards import (
+    EvalContext,
     GuardExpr,
     HeldFor,
     Sig,
     check_no_nested_held,
-    eval_guard,
     held_terms,
     place_names,
     signal_names,
     substitute,
+    truth_bits,
 )
-from .kernel import FiringPolicy, KernelState, _due_transition, _fire_now, refresh_timers
+from .kernel import FiringPolicy, KernelState, _covered, _due_transition, _fire_now, refresh_timers
 from .net import INF, Marking, Net, STRONG
 from .signals import ConstantSignals
-
-T = TypeVar("T")
 
 # --- incidence matrix and P-invariants ---------------------------------------
 
@@ -135,8 +134,6 @@ class EvolveResult:
     output_breaches: tuple[str, ...]  # outputs fired from a state without the stable token
 
 
-# a read class's answer: its results and their target ids, see _Explorer.step_table
-_Step = tuple[list[EvolveResult], list[int]]
 # a key's start state, residence clock and entry places, see _Explorer.start_of
 _Start = tuple[KernelState, ResidenceClock, frozenset[str]]
 
@@ -189,8 +186,8 @@ class ReachGraph:
         self.incomplete = False
         self.state_count = 0
         self.stats: dict[str, int] = {}  # the exploration's evolve counters, see _Explorer.step_table
-        # formula condition -> key id -> read classes of its truth, see _condition_test
-        self.condition_memo: dict[GuardExpr, dict[int, list[tuple[int, int, bool]]]] = {}
+        # formula condition -> key id -> the vectors it holds under, see _condition_test
+        self.condition_memo: dict[GuardExpr, dict[int, int]] = {}
 
     @property
     def horizon(self) -> int:
@@ -278,6 +275,7 @@ class _Explorer:
         # per-agent namespaced signals of every agent in lockstep
         self.drivers: list[tuple[str, list[str]]] = []
         driven: dict[str, str] = {}  # signal -> the alphabet entry that drives it
+        derived = {agent.signal(name) for agent in self.agents for name in AGENT_DERIVED_SIGNALS}
         for name in cfg.alphabet:
             if name == WANT_DRIVER:
                 continue
@@ -285,6 +283,8 @@ class _Explorer:
                 a.signal(name) for a in self.agents if a.signal(name) in declared]
             if not targets:
                 raise ValueError(f"alphabet signal {name!r} is not declared by the net")
+            if derived.intersection(targets):
+                raise ValueError(f"alphabet signal {name!r} is derived from residence clocks, not driven")
             for target in targets:
                 if target in driven:
                     raise ValueError(f"alphabet signals {driven[target]!r} and {name!r} both drive {target!r}")
@@ -299,18 +299,21 @@ class _Explorer:
 
         self.key_ids: dict[StateKey, int] = {}
         self.key_table: list[StateKey] = []
-        # (key id, tick cap) -> [the key's read classes, one (read mask, vector
-        # & mask, cube bits, (results, target ids)) each, ordered by their
-        # lowest vector; the bits of the vectors asked so far]; see step_table
+        # (key id, tick cap) -> [the key's classes, one (vector bits, (results,
+        # target ids)) each, ordered by their lowest vector; the bits of the
+        # vectors asked so far]; see step_table
         self.steps: dict[tuple[int, int], list] = {}
-        self.driver_bits = {
-            target: 1 << i for i, (_, targets) in enumerate(self.drivers) for target in targets
-        }
         self.every_vector = (1 << (1 << len(self.drivers))) - 1  # the bits of all vectors
         # driver i -> the bits of the vectors with bit i set: blocks of 2^i clear and 2^i set bits
         self.bit_patterns = [((1 << (1 << i)) - 1 << (1 << i)) * self.every_vector // ((1 << (2 << i)) - 1)
                              for i in range(len(self.drivers))]
-        self.counts = {"evolve_calls": 0, "memo_hits": 0, "read_set_hits": 0, "evaluations": 0}
+        self.driver_patterns = {t: self.bit_patterns[i] for i, (_, targets) in enumerate(self.drivers) for t in targets}
+        # the values a guard reads that neither a driver bit nor the base values fix
+        self.varying = sorted(derived) + [name for _, name in self.held_specs]
+        # (marking, varying values) -> (covered transition id, truth bits) of
+        # each covered guard some vectors hold and some do not; see _guard_class
+        self.truth_memo: dict[tuple, list[tuple[str, int]]] = {}
+        self.counts = {"evolve_calls": 0, "memo_hits": 0, "class_hits": 0, "evaluations": 0}
         self.max_held_delta = max((h.duration for h, _ in self.held_specs), default=0)
         # output id -> its agent's stable place (the first agent that lists it)
         self.output_stable = {tid: a.place("S") for a in reversed(self.agents) for tid in a.outputs}
@@ -352,17 +355,10 @@ class _Explorer:
         return (net.with_transitions(records) if records else net), specs
 
     def _base_values(self, declared: set[str]) -> dict[str, bool | float]:
-        values: dict[str, bool | float] = {}
-        if self.smart is not None:
-            for name in self.smart.bool_signals():
-                values[name] = False
-            for name in self.smart.real_signals():
-                values[name] = 0.0
-            values.update(self.smart.default_initial_signals())
-        else:
-            for name in declared:
-                values[name] = False
-        return values
+        if self.smart is None:
+            return dict.fromkeys(declared, False)
+        return {**dict.fromkeys(self.smart.bool_signals(), False), **dict.fromkeys(self.smart.real_signals(), 0.0),
+                **self.smart.default_initial_signals()}
 
     # -- state identity ----------------------------------------------------
 
@@ -396,17 +392,9 @@ class _Explorer:
                 values[target] = bit
         return values
 
-    def signals_to_vector(self, values: Mapping[str, bool]) -> int:
-        vector = 0
-        for i, (_, targets) in enumerate(self.drivers):
-            if values.get(targets[0], False):
-                vector |= 1 << i
-        return vector
-
     def initial_vector(self) -> int:
-        return self.signals_to_vector(
-            {k: bool(v) for k, v in self.base_values.items() if isinstance(v, bool)}
-        )
+        """The vector of the drivers' base values."""
+        return sum(1 << i for i, (_, targets) in enumerate(self.drivers) if self.base_values.get(targets[0]) is True)
 
     def next_vectors(self, vector: int) -> int:
         """The bits of the vectors a state with ``vector`` steps to: every
@@ -437,15 +425,15 @@ class _Explorer:
 
     def step_table(self, key_id: int, tick: int, want: int) -> list[tuple[int, list[EvolveResult], list[int]]]:
         """The key's successors under the vectors of ``want``, a nonempty
-        bitset: one (cube & want, results, target ids) entry per read class
-        that meets it, in the order of the classes' lowest wanted vectors,
-        which is also the order their targets are interned in.
+        bitset: one (class & want, results, target ids) entry per class that
+        meets it, in the order of the classes' lowest wanted vectors, which
+        is also the order their targets are interned in.
 
-        The cascade and the derived held-for and timeout values depend on the
-        vector only through the signals read, so one evaluation answers its
-        read class: every vector that agrees with it on the driver bits it
-        read, its cube. The lowest wanted vector no cube covers yet is
-        evaluated until every wanted vector is covered; then all are marked
+        The step depends on the vector only through the truth of the guards
+        it evaluates, so one evaluation answers its class: every vector under
+        which each of those guards has the truth it has under the evaluated
+        one (see ``_classed``). The lowest wanted vector no class holds yet
+        is evaluated until every wanted vector is held; then all are marked
         asked. The counters are those of one ``evolve`` call per wanted
         vector in ascending order."""
         tick_cap = min(tick, self.max_held_delta)
@@ -453,21 +441,21 @@ class _Explorer:
         fresh = want & ~asked
         evaluations = 0
         if fresh:
-            covered = 0
-            for _, _, cube, _ in classes:
-                covered |= cube
+            covered = sum(bits for bits, _ in classes)  # the classes are disjoint
             key = self.key_table[key_id]
             start = self.start_of(key)
             while uncovered := fresh & ~covered:
-                vector = _lowest(uncovered)
-                covered |= self.add_class(classes, vector, self._answer, key, start, vector, tick_cap)[2]
+                bits, results = self._classed(key, _lowest(uncovered), start)
+                classes.append((bits, (results, [])))
+                covered |= bits
                 evaluations += 1
+            classes.sort(key=lambda c: c[0] & -c[0])
             entry[1] = asked | want
         self.counts["evolve_calls"] += want.bit_count()
         self.counts["memo_hits"] += (want & asked).bit_count()
-        self.counts["read_set_hits"] += fresh.bit_count() - evaluations
+        self.counts["class_hits"] += fresh.bit_count() - evaluations
         self.counts["evaluations"] += evaluations
-        table = sorted(((met, results, targets) for _, _, cube, (results, targets) in classes if (met := cube & want)),
+        table = sorted(((met, results, targets) for bits, (results, targets) in classes if (met := bits & want)),
                        key=lambda e: e[0] & -e[0])
         for _, results, targets in table:
             if not targets:
@@ -480,77 +468,68 @@ class _Explorer:
         return sorted(
             ((key_id, vector, tick_cap, answer[0])
              for (key_id, tick_cap), (classes, asked) in self.steps.items()
-             for _, _, cube, answer in classes
-             for vector in VectorSet(cube & asked))
+             for bits, answer in classes
+             for vector in VectorSet(bits & asked))
         )
 
-    def _answer(self, key: StateKey, start: _Start, vector: int, tick_cap: int,
-                reads: set[str]) -> _Step:
-        """A read class's answer: its results, and their target ids, which
-        ``step_table`` interns when it first lists the class."""
-        return self._evolve_uncached(key, vector, tick_cap, reads, start), []
+    def atom_bits(self, ctx: EvalContext) -> Callable[[GuardExpr], int]:
+        """``truth_bits``'s atom test in ``ctx``: a driven signal holds under
+        the vectors that set it, a threshold over one under those whose 0 or
+        1 passes it, and any other atom, which no vector changes, under all
+        vectors or none."""
+        every, patterns = self.every_vector, self.driver_patterns
 
-    def read_class(self, classes: list[tuple[int, int, int, T]], vector: int,
-                   evaluate: Callable[..., T], *args) -> tuple[tuple[int, int, int, T], bool]:
-        """The read class of ``vector``, and whether ``classes`` (read mask,
-        vector & mask, cube bits, answer) already held it. On a miss,
-        ``add_class`` adds the vector's class."""
-        for entry in classes:
-            if vector & entry[0] == entry[1]:
-                return entry, True
-        return self.add_class(classes, vector, evaluate, *args), False
+        def bits(atom: GuardExpr) -> int:
+            pattern = patterns.get(getattr(atom, "name", None))
+            if pattern is None:
+                return every if atom.holds(ctx, ctx.now) else 0
+            if isinstance(atom, Sig):
+                return pattern
+            off, on = (atom.holds(EvalContext(ConstantSignals({atom.name: bit}), {}, 0), 0) for bit in (0, 1))
+            return (every ^ pattern if off else 0) | (pattern if on else 0)
 
-    def add_class(self, classes: list[tuple[int, int, int, T]], vector: int,
-                  evaluate: Callable[..., T], *args) -> tuple[int, int, int, T]:
-        """``evaluate(*args, reads)`` answers for ``vector`` and adds the name
-        of every signal it read to ``reads``; every vector that agrees with
-        it on the driver bits read, its cube, gets the same answer. Insert
-        that class into ``classes`` by its lowest vector and return it."""
-        reads: set[str] = set()
-        answer = evaluate(*args, reads)
-        mask = 0
-        for name in reads:
-            mask |= self.driver_bits.get(name, 0)
-        cube = self.every_vector
-        for i, pattern in enumerate(self.bit_patterns):
-            if mask >> i & 1:
-                cube &= pattern if vector >> i & 1 else ~pattern
-        entry = (mask, vector & mask, cube, answer)
-        classes.append(entry)
-        classes.sort(key=lambda c: c[1])
-        return entry
+        return bits
 
-    def _evolve_uncached(self, key: StateKey, vector: int, tick_cap: int, reads: set[str] | None = None,
-                         start: _Start | None = None) -> list[EvolveResult]:
-        """Evaluate one tick from a copy of the key's ``start_of``, built here
-        unless given; adds the name of every signal read to ``reads``. The
-        step does not read ``tick_cap``: a reached key's held runs never
-        exceed its tick, so a full run implies a tick past the duration."""
-        state, clock, entry = start or self.start_of(key)
+    def _evolve_uncached(self, key: StateKey, vector: int, tick_cap: int) -> list[EvolveResult]:
+        """Evaluate one tick from the key's start. The step does not read
+        ``tick_cap``: a reached key's held runs never exceed its tick, so a
+        full run implies a tick past the duration."""
+        return self._classed(key, vector, self.start_of(key))[1]
+
+    def _classed(self, key: StateKey, vector: int, start: _Start) -> tuple[int, list[EvolveResult]]:
+        """The class of ``vector`` and the step's results under it, from a
+        copy of the key's ``start_of``. The class is the vectors under which
+        every guard the step evaluates, each held-for body and each covered
+        guard at each refresh, has the truth it has under ``vector``; the
+        held runs, the residence clock and so the cascade follow from those
+        truths, so every vector of the class steps alike."""
+        state, clock, entry = start
         state, clock = state.clone(), clock.copy()
         values = self.vector_values(vector)
-        sigma = ConstantSignals(values, reads)
+        sigma = ConstantSignals(values)
+        every = bits = self.every_vector
 
         # advance held-for run lengths under the new assignment; held
         # bodies read no places (_strip_held rejects them)
+        atom_bits = self.atom_bits(EvalContext(sigma, {}, 0))
         held_runs = []
         for (term, name), prev in zip(self.held_specs, key.held_runs):
-            body_true = eval_guard(term.child, sigma, {}, 0)
-            if body_true:
-                run = 0 if prev < 0 else min(prev + 1, term.duration)
-            else:
-                run = -1
+            truth = truth_bits(term.child, atom_bits, every)
+            body_true = truth >> vector & 1 == 1
+            bits &= truth if body_true else ~truth
+            run = (0 if prev < 0 else min(prev + 1, term.duration)) if body_true else -1
             held_runs.append(run)
             values[name] = body_true and run >= term.duration
 
-        return [self._finish(end_state, end_clock, held_runs, firings, entry)
-                for end_state, end_clock, firings in self._cascade(state, sigma, clock)]
+        ends, bits = self._cascade(state, sigma, clock, bits)
+        return bits, [self._finish(end_state, end_clock, held_runs, firings, entry)
+                      for end_state, end_clock, firings in ends]
 
     def start_of(self, key: StateKey) -> _Start:
         """The key's kernel state, with the want-place deposits, its residence
         clock at tick 0 of its next step, and the places marked as that step
-        begins. Each evaluation steps copies, so one start serves every read
-        class of a step table."""
+        begins. Each evaluation steps copies, so one start serves every class
+        of a step table."""
         marking = dict(key.marking)
         if self.deposit_driver and self.smart is not None:
             # at most one pending output attempt per agent
@@ -565,11 +544,13 @@ class _Explorer:
         """The key's residence clock at tick 0 of its next step."""
         return ResidenceClock.at(self.agents, dict(key.marking), [-elapsed for _, elapsed in key.residence])
 
-    def _cascade(self, state: KernelState, sigma: ConstantSignals,
-                 clock: ResidenceClock) -> list[tuple[KernelState, ResidenceClock, tuple[str, ...]]]:
+    def _cascade(self, state: KernelState, sigma: ConstantSignals, clock: ResidenceClock,
+                 bits: int) -> tuple[list[tuple[KernelState, ResidenceClock, tuple[str, ...]]], int]:
         """(end state, residence clock, firings) of each way the instant may
-        end from ``state``, depth first. Earliest-only follows the policy's
-        due transition and ends where nothing is due; all-branching follows
+        end from ``state``, depth first, and the vectors of ``bits`` under
+        which each refresh's covered guards have the truths they have here
+        (see ``_guard_class``). Earliest-only follows the policy's due
+        transition and ends where nothing is due; all-branching follows
         every transition inside its window, in ascending id, may end where
         nothing is forced, and follows each distinct state (marking, clocks,
         residence clock) once. A loop over a stack of fired states: the later
@@ -585,6 +566,7 @@ class _Explorer:
             while True:
                 values.update(clock.timeouts(state.now))
                 refresh_timers(net, state, sigma)
+                bits = self._guard_class(state, sigma, bits)
                 if branching and firings:  # the instant's entry state is never deduplicated
                     mark = (tuple(sorted(state.marking.items())), tuple(sorted(state.timers.items())),
                             tuple(clock.entered))
@@ -610,7 +592,23 @@ class _Explorer:
                 firings.append(due)
                 _fire_now(net, state, due, sigma, policy)
                 clock.observe(state.marking, state.now)
-        return outcomes
+        return outcomes, bits
+
+    def _guard_class(self, state: KernelState, sigma: ConstantSignals, bits: int) -> int:
+        """The vectors of ``bits`` under which each covered transition's guard
+        has the truth it has now: it held iff the refresh kept its timer. A
+        guard's truth bits depend on the marking and the varying values
+        only, so they are memoized on those."""
+        memo_key = (tuple(state.marking.items()), *[sigma.values[name] for name in self.varying])
+        truths = self.truth_memo.get(memo_key)
+        if truths is None:
+            atom_bits, every = self.atom_bits(state.eval_context(sigma)), self.every_vector
+            truths = self.truth_memo[memo_key] = [
+                (tid, truth) for tid in _covered(self.net, state.marking)
+                if 0 < (truth := truth_bits(self.net.transitions[tid].guard, atom_bits, every)) < every]
+        for tid, truth in truths:
+            bits &= truth if tid in state.timers else ~truth
+        return bits
 
     def _finish(self, state: KernelState, clock: ResidenceClock, held_runs: list[int],
                 firings: tuple[str, ...], entry: frozenset[str]) -> EvolveResult:
@@ -662,11 +660,11 @@ def _step(graph: ReachGraph, layer: dict[int, VectorSet], tick: int, key_id: int
     """Step the state (key id, prev_vector) under the vectors of ``want``
     through its step table. The states reached and the violations are those
     of one ``evolve`` call per vector in ascending order: a class adds its
-    cube to each target through its first result with that target."""
+    vectors to each target through its first result with that target."""
     flagged = []  # (vector, result index, target, result) of each new state with a violation
-    for cube, results, targets in graph._explorer.step_table(key_id, tick, want):
+    for met, results, targets in graph._explorer.step_table(key_id, tick, want):
         for index, (target, result) in enumerate(zip(targets, results)):
-            added = _add_states(graph, layer, tick, target, cube, (key_id, prev_vector))
+            added = _add_states(graph, layer, tick, target, met, (key_id, prev_vector))
             if added and (result.violations or result.output_breaches):
                 flagged += [(v, index, target, result) for v in VectorSet(added)]
     # in the order of one evolve call per vector
@@ -791,28 +789,21 @@ def _condition_test(graph: ReachGraph, condition: GuardExpr) -> _Lowest:
     it holds there.
 
     The condition reads driver bits, base values, and what the key fixes
-    (the marking and the derived timeouts), so it is evaluated once per
-    (key id, read class) of vectors, and ``lowest`` drops a false class's
-    cube at once. The classes live on the graph: every check of an equal
-    condition on it reuses them."""
+    (the marking and the derived timeouts), so its truth is one bitset of
+    vectors per key id, from ``truth_bits``. The bitsets live on the graph:
+    every check of an equal condition on it reuses them."""
     explorer = graph._explorer
     by_key = graph.condition_memo.setdefault(condition, {})
 
-    def evaluate(key_id: int, vector: int, reads: set[str]) -> bool:
-        values = explorer.vector_values(vector)
-        key = explorer.key_table[key_id]
-        values.update(explorer.clock_of(key).timeouts(0))
-        return eval_guard(condition, ConstantSignals(values, reads), dict(key.marking), 0)
-
     def lowest(key_id: int, bits: int) -> int | None:
-        classes = by_key.setdefault(key_id, [])
-        while bits:
-            vector = _lowest(bits)
-            (_, _, cube, value), _ = explorer.read_class(classes, vector, evaluate, key_id, vector)
-            if value:
-                return vector
-            bits &= ~cube
-        return None
+        truth = by_key.get(key_id)
+        if truth is None:
+            key = explorer.key_table[key_id]
+            values = {**explorer.base_values, **explorer.clock_of(key).timeouts(0)}
+            ctx = EvalContext(ConstantSignals(values), dict(key.marking), 0)
+            truth = by_key[key_id] = truth_bits(condition, explorer.atom_bits(ctx), explorer.every_vector)
+        bits &= truth
+        return _lowest(bits) if bits else None
 
     return lowest
 
@@ -859,14 +850,14 @@ def _persistent_steps(graph: ReachGraph, lowest: _Lowest, key_id: int, vector: i
     """Yield (target, next vector, result) for each step of a state into the
     next tick after which the condition (see ``_condition_test``) still
     holds, sorted by (vector, result index). Without a flip budget the
-    vector steers no later step, so each (read class, result) yields only
+    vector steers no later step, so each (class, result) yields only
     its lowest such vector."""
     explorer = graph._explorer
     budgeted = graph.config.flip_budget is not None
     steps = [(nxt, index, target, result)
-             for cube, results, targets in explorer.step_table(key_id, tick + 1, explorer.next_vectors(vector))
+             for met, results, targets in explorer.step_table(key_id, tick + 1, explorer.next_vectors(vector))
              for index, (target, result) in enumerate(zip(targets, results))
-             for nxt in _holding(lowest, target, cube, budgeted)]
+             for nxt in _holding(lowest, target, met, budgeted)]
     for nxt, _, target, result in sorted(steps, key=lambda step: step[:2]):
         yield target, nxt, result
 
@@ -913,12 +904,12 @@ def _check_safety(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> Formu
         for key_id, vectors in layer.items():
             for _, want in explorer.wanted(vectors):
                 # the first (vector, result index) of a forbidden firing, with
-                # the lowest wanted vector of its read class under the condition
+                # the lowest wanted vector of its class under the condition
                 first = min(((vector, index, target, sorted(hit))
-                             for cube, results, targets in explorer.step_table(key_id, tick, want)
+                             for met, results, targets in explorer.step_table(key_id, tick, want)
                              for index, (target, result) in enumerate(zip(targets, results))
                              if (hit := forbidden.intersection(result.firings))
-                             and (vector := lowest(key_id, cube)) is not None), default=None)
+                             and (vector := lowest(key_id, met)) is not None), default=None)
                 if first is not None:
                     vector, _, target, hit = first
                     witness = graph.witness_path(tick, target, vector)

@@ -25,7 +25,6 @@ from typing import Mapping
 from .guards import (
     And,
     Cmp,
-    Const,
     GuardExpr,
     HeldFor,
     Marked,
@@ -37,7 +36,7 @@ from .guards import (
     atoms_of,
     eval_guard,
     signal_names,
-    substitute,
+    truth_bits,
 )
 from .hierarchy import CheckReport, CheckResult, InterfaceSpec, Subnet
 from .net import (
@@ -567,21 +566,17 @@ def default_trigger_set(smart: SmartNet) -> TriggerSet:
 def _guard_satisfiable(guard: GuardExpr, fixed: dict[str, bool]) -> bool:
     """Can any assignment to the guard's atoms (with some signals pinned)
     make it true? Atoms are treated independently, which is exact for the
-    builder's guards and conservative otherwise."""
-    atoms: list[GuardExpr] = []
-    for atom in atoms_of(guard):
-        if atom not in atoms:
-            atoms.append(atom)
-    for bits in range(2 ** len(atoms)):
-        assignment = {atom: bool(bits >> i & 1) for i, atom in enumerate(atoms)}
-        for atom in atoms:
-            name = getattr(atom, "name", None)
-            if name in fixed:
-                assignment[atom] = fixed[name]
-        constant = substitute(guard, lambda node: Const(assignment[node]) if node in assignment else None)
-        if eval_guard(constant, ConstantSignals({}), {}, 0):
-            return True
-    return False
+    builder's guards and conservative otherwise: atom i holds under the
+    assignments with bit i set."""
+    atoms = list(dict.fromkeys(atoms_of(guard)))
+    every = (1 << (1 << len(atoms))) - 1
+
+    def atom_bits(atom: GuardExpr) -> int:
+        if (name := getattr(atom, "name", None)) in fixed:
+            return every if fixed[name] else 0
+        return sum(1 << v for v in range(1 << len(atoms)) if v >> atoms.index(atom) & 1)
+
+    return truth_bits(guard, atom_bits, every) != 0
 
 
 def validate_smart(smart: SmartNet) -> CheckReport:

@@ -34,8 +34,6 @@ from typing import Callable, Iterator, Mapping
 
 from .signals import SignalState, UndeclaredSignal
 
-BOOL_OPS = ("and", "or", "not")
-
 
 class GuardError(ValueError):
     """Malformed guard expression or unresolvable atom."""
@@ -329,6 +327,26 @@ def eval_guard(
 ) -> bool:
     """Truth value of ``expr`` at instant ``now``."""
     return expr.holds(EvalContext(sigma, marking, now, marking_history), now)
+
+
+def truth_bits(expr: GuardExpr, atom_bits: Callable[[GuardExpr], int], every: int) -> int:
+    """The bitset of the vectors of ``every`` under which ``expr`` holds,
+    given ``atom_bits(atom)``, those under which a signal, threshold, marking
+    or held_for atom holds. An atom is asked about only if some vector of
+    ``every`` reaches it under ``eval_guard``'s left-to-right short cuts."""
+    if isinstance(expr, (And, Or)):
+        # the vectors no child has decided: all held so far (and), all failed (or)
+        undecided, conjunction = every, isinstance(expr, And)
+        for child in expr.children:
+            if undecided:
+                bits = truth_bits(child, atom_bits, undecided)
+                undecided = bits if conjunction else undecided ^ bits
+        return undecided if conjunction else every ^ undecided
+    if isinstance(expr, Not):
+        return every ^ truth_bits(expr.child, atom_bits, every)
+    if isinstance(expr, Const):
+        return every if expr.value else 0
+    return atom_bits(expr) & every
 
 
 def _compile(expr: GuardExpr) -> Compiled:

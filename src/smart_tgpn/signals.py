@@ -140,17 +140,12 @@ class ConstantSignals:
     Every query reads the map's current value whatever the instant, and
     nothing ever changes, so the kernel and the guard evaluator can run
     inside one tick of the bounded explorer or over one fixed assignment.
-    ``reads`` (a given set, or a fresh one) collects the name of every
-    signal queried, which tells the explorer which parts of an assignment
-    a computation depended on.
     """
 
-    def __init__(self, values: dict[str, SignalValue], reads: set[str] | None = None):
+    def __init__(self, values: dict[str, SignalValue]):
         self.values = values
-        self.reads = set() if reads is None else reads
 
     def value_at(self, name: str, time: int) -> SignalValue:
-        self.reads.add(name)
         try:
             return self.values[name]
         except KeyError:

@@ -283,6 +283,22 @@ def test_two_alphabet_entries_that_drive_one_signal_are_rejected(build, alphabet
         explore(build(), ExplorationConfig(horizon=3, alphabet=alphabet))
 
 
+@pytest.mark.parametrize(
+    "build, alphabet",
+    [
+        (single, ["anom", "evidence", "timeout_M"]),
+        (lambda: build_multi_agent([AgentSpec("a1"), AgentSpec("a2")]), ["anom", "timeout_A"]),
+        (lambda: build_multi_agent([AgentSpec("a1"), AgentSpec("a2")]), ["anom", "timeout_M_a2"]),
+    ],
+    ids=["single-agent", "lockstep-name", "agent-signal"],
+)
+def test_a_derived_timeout_is_rejected_as_an_alphabet_entry(build, alphabet):
+    """The residence clock sets the timeouts inside the instant and
+    overwrites the driver bit, which would only double the states."""
+    with pytest.raises(ValueError, match="derived from residence clocks"):
+        explore(build(), ExplorationConfig(horizon=3, alphabet=alphabet))
+
+
 def test_a_budget_as_wide_as_the_alphabet_steps_as_no_budget():
     """Such a budget lets every vector follow every vector, so each key
     steps once, from its lowest vector, as without a budget."""

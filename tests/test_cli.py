@@ -163,13 +163,14 @@ def test_multi_agent_net_file_round_trip(tmp_path):
         ({"horizon": 2, "alphabet": ["nope"]}, []),
         ({"horizon": 2, "alphabet": ["anom", "anom", "safe"]}, []),
         ({"horizon": 2, "alphabet": ["anom"], "branching": "bogus"}, []),
+        ({"horizon": 2, "alphabet": ["anom", "evidence", "timeout_M"]}, []),
         (
             {"horizon": 2, "alphabet": ["anom"]},
             [{"kind": "safety", "condition": "held_for(anom, 1)", "forbidden": ["output"]}],
         ),
     ],
     ids=["undeclared-alphabet-signal", "repeated-alphabet-signal", "unknown-branching",
-         "held-for-formula-condition"],
+         "derived-timeout-alphabet-signal", "held-for-formula-condition"],
 )
 def test_explore_bad_exploration_input_is_input_error(tmp_path, capsys, exploration, formulas):
     scenario = {

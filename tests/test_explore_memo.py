@@ -1,9 +1,10 @@
-"""The explorer's read-set memo is exact, and its engine counters are pinned.
+"""The explorer's guard-truth classes are exact, and its engine counters are pinned.
 
-One `evolve` evaluation answers every signal vector that agrees with it on
-the driver bits the cascade read. These tests re-evaluate every (state,
-vector, tick cap) entry the explorer's step store knows from scratch and
-compare, so the check needs no second, unmemoised exploration path.
+One `evolve` evaluation answers every signal vector under which each guard
+the step evaluated has the truth it has under the evaluated vector. These
+tests re-evaluate every (state, vector, tick cap) entry the explorer's step
+store knows from scratch and compare, so the check needs no second,
+unmemoised exploration path.
 """
 
 from dataclasses import replace
@@ -36,7 +37,8 @@ def double(**config):
 
 
 # name -> (net factory, exploration config, states per tick); the state
-# counts are those of the explorer before the read-set memo existed
+# counts are those of the explorer before it shared one evaluation among
+# several vectors
 CASES = {
     "wide": (single, ExplorationConfig(horizon=4, alphabet=ALPHABET8), [256, 544, 832, 1120, 1408]),
     "two-agent": (double, ExplorationConfig(horizon=3, alphabet=ALPHABET8), [256, 544, 832, 1120]),
@@ -80,8 +82,8 @@ def test_every_memo_entry_matches_a_fresh_evaluation(name):
     explorer = graph._explorer
     assert [sum(len(v) for v in layer.values()) for layer in graph.layers] == layer_states
     assert not graph.violations and not graph.incomplete
-    # the read-set memo must have answered something, or this checks nothing
-    assert graph.stats["read_set_hits"] > 0
+    # a class must have answered a vector it was not evaluated at, or this checks nothing
+    assert graph.stats["class_hits"] > 0
     for key_id, vector, tick_cap, results in explorer.known_steps():
         fresh = explorer._evolve_uncached(explorer.key_table[key_id], vector, tick_cap)
         assert _fields(results) == _fields(fresh), (key_id, vector, tick_cap)
@@ -92,15 +94,16 @@ def _fields(results):
 
 
 class DictMemo:
-    """The explorer's earlier bookkeeping, as a reference: an exact memo
-    per (key id, vector, tick cap) in front of per-(key id, tick cap) read
-    classes, and one `evolve` call per vector for a step table."""
+    """A reference for the explorer's bookkeeping: an exact memo per (key id,
+    vector, tick cap) whose misses evaluate the vector afresh, and one
+    `evolve` call per vector for a step table. It counts a miss as a class
+    hit if an earlier miss's guard-truth class (from `_classed`) holds it."""
 
     def __init__(self, explorer):
         self.explorer = explorer
         self.memo = {}
         self.classes = {}
-        self.counts = {"evolve_calls": 0, "memo_hits": 0, "read_set_hits": 0, "evaluations": 0}
+        self.counts = {"evolve_calls": 0, "memo_hits": 0, "class_hits": 0, "evaluations": 0}
 
     def evolve(self, key_id, vector, tick):
         explorer = self.explorer
@@ -109,20 +112,14 @@ class DictMemo:
         if (key_id, vector, tick_cap) in self.memo:
             self.counts["memo_hits"] += 1
             return self.memo[(key_id, vector, tick_cap)]
+        key = explorer.key_table[key_id]
         classes = self.classes.setdefault((key_id, tick_cap), [])
-        for mask, bits, results in classes:
-            if vector & mask == bits:
-                self.counts["read_set_hits"] += 1
-                break
+        if any(bits >> vector & 1 for bits in classes):
+            self.counts["class_hits"] += 1
         else:
-            reads = set()
-            results = explorer._evolve_uncached(explorer.key_table[key_id], vector, tick_cap, reads)
-            mask = 0
-            for name in reads:
-                mask |= explorer.driver_bits.get(name, 0)
-            classes.append((mask, vector & mask, results))
+            classes.append(explorer._classed(key, vector, explorer.start_of(key))[0])
             self.counts["evaluations"] += 1
-        self.memo[(key_id, vector, tick_cap)] = results
+        results = self.memo[(key_id, vector, tick_cap)] = explorer._evolve_uncached(key, vector, tick_cap)
         return results
 
     def step_table(self, key_id, tick):
@@ -191,26 +188,37 @@ def test_step_tables_split_over_disjoint_wants_equal_one_over_their_union(data):
 
     def classes(explorer):
         # targets as keys: the two explorers intern new ones in another order
-        return [(mask, bits, cube, _fields(results), [explorer.key_table[t] for t in targets])
-                for mask, bits, cube, (results, targets) in explorer.steps[(key_id, tick_cap)][0]]
+        return [(bits, _fields(results), [explorer.key_table[t] for t in targets])
+                for bits, (results, targets) in explorer.steps[(key_id, tick_cap)][0]]
 
     assert classes(split) == classes(joint)
-    for _, _, cube, results, _ in classes(joint):
-        assert results == _fields(split._evolve_uncached(known[key_id], min(VectorSet(cube)), tick_cap))
+    for bits, results, _ in classes(joint):
+        for vector in VectorSet(bits):
+            assert results == _fields(split._evolve_uncached(known[key_id], vector, tick_cap))
 
 
 @pytest.mark.parametrize(
     "build, counts",
     [
-        (single, {"evolve_calls": 22528, "memo_hits": 16128, "read_set_hits": 6064, "evaluations": 336}),
-        (double, {"evolve_calls": 22016, "memo_hits": 15872, "read_set_hits": 5778, "evaluations": 366}),
+        (single, {"evolve_calls": 22528, "memo_hits": 16128, "class_hits": 6312, "evaluations": 88}),
+        (double, {"evolve_calls": 22016, "memo_hits": 15872, "class_hits": 6066, "evaluations": 78}),
     ],
     ids=["single-agent", "two-agent"],
 )
 def test_engine_counters_on_c01_nets_at_horizon_7(build, counts):
     graph = explore(build(), ExplorationConfig(horizon=7, alphabet=ALPHABET8))
     assert graph.stats == counts
-    assert counts["evolve_calls"] == counts["memo_hits"] + counts["read_set_hits"] + counts["evaluations"]
+    assert counts["evolve_calls"] == counts["memo_hits"] + counts["class_hits"] + counts["evaluations"]
+
+
+def test_engine_counters_on_the_two_agent_net_with_ten_signals_at_horizon_8():
+    """Per-agent anom and evidence, the rest in lockstep: 1,024 vectors a tick."""
+    alphabet = ["anom_a1", "evidence_a1", "anom_a2", "evidence_a2", "safe", "hardware_fault", "assist",
+                "ext_auth", "disagree", "agree"]
+    graph = explore(double(), ExplorationConfig(horizon=8, alphabet=alphabet))
+    assert (graph.state_count, graph.incomplete) == (207_754, False)
+    assert graph.stats == {"evolve_calls": 1_258_496, "memo_hits": 715_776, "class_hits": 539_280,
+                           "evaluations": 3_440}
 
 
 def test_stats_describe_the_exploration_only():
@@ -221,45 +229,31 @@ def test_stats_describe_the_exploration_only():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_every_condition_memo_entry_matches_a_fresh_evaluation(name, monkeypatch):
+def test_every_condition_memo_entry_matches_a_fresh_evaluation(name):
     factory, cfg, _ = CASES[name]
     smart = factory()
     graph = explore(smart, cfg)
     explorer = graph._explorer
-    lookups = []  # (class list, answered by a class) of every read-class lookup
-    read_class = _Explorer.read_class
-
-    def recording(self, classes, vector, evaluate, *args):
-        answer, hit = read_class(self, classes, vector, evaluate, *args)
-        lookups.append((classes, hit))
-        return answer, hit
-
-    monkeypatch.setattr(_Explorer, "read_class", recording)
     agent = smart.agents[0]
     conditions = [
         Not(Sig(agent.signal("ext_auth"))),  # a driver bit
         Marked(agent.place("S")),  # fixed by the key
         Sig(agent.signal("timeout_M")),  # derived from the key
         Cmp(agent.signal("U"), ">=", agent.config.theta),  # a base value
+        Cmp(agent.signal("anom"), ">=", 0.5),  # a threshold over a driver bit
     ]
     for condition in conditions:
         check_formula(graph, Formula("safety", condition, forbidden=("output",)))
         check_formula(graph, Formula("bounded-response", condition, place=agent.place("R"), within=2))
         check_formula(graph, Formula("never-while", condition, place=agent.place("R")))
     assert sorted(graph.condition_memo, key=repr) == sorted(conditions, key=repr)
-    every_bit = (1 << len(explorer.drivers)) - 1
     for condition, by_key in graph.condition_memo.items():
-        for key_id, classes in by_key.items():
+        for key_id, truth in by_key.items():
             key = explorer.key_table[key_id]
-            for mask, bits, cube, answer in classes:
-                assert list(VectorSet(cube)) == [v for v in range(every_bit + 1) if v & mask == bits]
-                # the two members farthest apart: every free bit clear, every one set
-                for vector in (bits, bits | (every_bit & ~mask)):
-                    values = explorer.vector_values(vector)
-                    marking = dict(key.marking)
-                    values.update(explorer.clock_of(key).timeouts(0))
-                    fresh = eval_guard(condition, ConstantSignals(values), marking, 0)
-                    assert fresh == answer, (condition, key_id, vector)
-    condition_lists = {id(classes) for by_key in graph.condition_memo.values() for classes in by_key.values()}
-    # a class must have answered some lookup, or this checks nothing
-    assert any(hit for classes, hit in lookups if id(classes) in condition_lists)
+            for vector in range(1 << len(explorer.drivers)):
+                values = explorer.vector_values(vector)
+                values.update(explorer.clock_of(key).timeouts(0))
+                fresh = eval_guard(condition, ConstantSignals(values), dict(key.marking), 0)
+                assert fresh == (truth >> vector & 1 == 1), (condition, key_id, vector)
+    # anom is driven in every case: its condition must split some key's vectors, or this checks nothing
+    assert any(0 < truth < explorer.every_vector for truth in graph.condition_memo[conditions[-1]].values())

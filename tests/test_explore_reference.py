@@ -179,7 +179,7 @@ def test_defective_net_reaches_both_kinds_of_violation(weak_branching):
 def test_output_loop_gives_a_class_two_results_with_one_target():
     graph = explore(*defective(BRANCH_ALL, output_loop=True))
     classes = [step for entries, _ in graph._explorer.steps.values() for step in entries]
-    assert any(len(set(targets)) < len(targets) for _, _, _, (_, targets) in classes)
+    assert any(len(set(targets)) < len(targets) for *_, (_, targets) in classes)
 
 
 def safety_formulas(smart):

@@ -2,8 +2,9 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from smart_tgpn.builder import _guard_satisfiable
 from smart_tgpn.guards import (
     And,
     Cmp,
@@ -16,6 +17,7 @@ from smart_tgpn.guards import (
     Or,
     PredicateLibrary,
     Sig,
+    atoms_of,
     check_no_nested_held,
     eval_guard,
     guard_to_string,
@@ -24,6 +26,7 @@ from smart_tgpn.guards import (
     place_names,
     signal_names,
     substitute,
+    truth_bits,
 )
 from smart_tgpn.signals import ConstantSignals, SignalState, UndeclaredSignal
 
@@ -262,13 +265,60 @@ def outcome(evaluate, *args):
     marking=MARKINGS,
 )
 def test_compiled_guard_matches_the_tree_walk_on_constant_signals(expr, bools, real, marking):
-    """Same truth value and same signals read, in the explorer's view."""
+    """Same truth value, or the same error, in the explorer's view."""
     values = {**bools, "r0": real}
-    compiled, walked = ConstantSignals(values), ConstantSignals(values)
-    got = outcome(eval_guard, expr, compiled, marking, 0)
-    want = outcome(reference_eval, expr, EvalContext(walked, marking, 0), 0)
+    got = outcome(eval_guard, expr, ConstantSignals(values), marking, 0)
+    want = outcome(reference_eval, expr, EvalContext(ConstantSignals(values), marking, 0), 0)
     assert got == want
-    assert compiled.reads == walked.reads
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expr=BODIES, real=st.sampled_from([0.0, 0.5, 0.7, 1.0]), marking=MARKINGS)
+def test_truth_bits_holds_under_exactly_the_vectors_eval_guard_holds_under(expr, real, marking):
+    """Vector v sets b_i iff its bit i is set. Bit v of ``truth_bits`` is the
+    truth ``eval_guard`` gives under v, and it raises only the error of
+    some vector's evaluation: an atom no vector reaches is never asked."""
+    vectors = range(1 << len(BOOLS))
+
+    def under(v):
+        return ConstantSignals({**{b: bool(v >> i & 1) for i, b in enumerate(BOOLS)}, "r0": real})
+
+    def atom_bits(atom):
+        return sum(1 << v for v in vectors if eval_guard(atom, under(v), marking, 0))
+
+    got = outcome(truth_bits, expr, atom_bits, (1 << len(vectors)) - 1)
+    want = [outcome(eval_guard, expr, under(v), marking, 0) for v in vectors]
+    if isinstance(got, int):
+        assert want == [got >> v & 1 == 1 for v in vectors]
+    else:
+        assert got in want
+
+
+def enumerated_satisfiable(guard, fixed):
+    """The builder's earlier satisfiability probe, as the reference: every
+    assignment of the guard's distinct atoms, with pinned signals fixed,
+    substituted as constants and evaluated."""
+    atoms = []
+    for atom in atoms_of(guard):
+        if atom not in atoms:
+            atoms.append(atom)
+    for bits in range(2 ** len(atoms)):
+        assignment = {atom: bool(bits >> i & 1) for i, atom in enumerate(atoms)}
+        for atom in atoms:
+            name = getattr(atom, "name", None)
+            if name in fixed:
+                assignment[atom] = fixed[name]
+        constant = substitute(guard, lambda node: Const(assignment[node]) if node in assignment else None)
+        if eval_guard(constant, ConstantSignals({}), {}, 0):
+            return True
+    return False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expr=GUARDS, fixed=st.dictionaries(st.sampled_from(BOOLS + REALS + ["ghost"]), st.booleans()))
+def test_builder_satisfiability_probe_matches_the_assignment_enumeration(expr, fixed):
+    assume(len(set(atoms_of(expr))) <= 10)
+    assert _guard_satisfiable(expr, fixed) == enumerated_satisfiable(expr, fixed)
 
 
 @st.composite
