@@ -35,7 +35,7 @@ from .guards import (
     substitute,
     truth_bits,
 )
-from .kernel import FiringPolicy, KernelState, _covered, _due_transition, _fire_now, refresh_timers
+from .kernel import FiringPolicy, KernelState, _check_deadlines, _covered, _due_transition, _fire_now
 from .net import INF, Marking, Net, STRONG
 from .signals import ConstantSignals
 
@@ -66,14 +66,10 @@ def incidence_matrix(net: Net) -> IncidenceMatrix:
 
 def check_p_invariant(matrix: IncidenceMatrix, y: Mapping[str, int]) -> bool:
     """True iff y^T C is the zero vector."""
-    unknown = set(y) - set(matrix.places)
-    if unknown:
+    if unknown := set(y) - set(matrix.places):
         raise ValueError(f"invariant vector names unknown places {sorted(unknown)}")
-    for tid in matrix.transitions:
-        total = sum(weight * matrix.entry(place, tid) for place, weight in y.items())
-        if total != 0:
-            return False
-    return True
+    return all(sum(weight * matrix.entry(place, tid) for place, weight in y.items()) == 0
+               for tid in matrix.transitions)
 
 
 def mode_indicator(smart: SmartNet) -> dict[str, int]:
@@ -103,6 +99,7 @@ BRANCH_EARLIEST = "earliest-only"
 BRANCH_ALL = "all"
 
 WANT_DRIVER = "want_output"
+MAX_DRIVERS = 20
 
 
 @dataclass
@@ -233,7 +230,8 @@ class ReachGraph:
         return path
 
     def vector_to_named(self, vector: int) -> dict[str, bool]:
-        return self._explorer.vector_to_signals(vector)
+        """Driver-level view of a vector (for display and witnesses)."""
+        return {name: bool(vector >> i & 1) for i, (name, _) in enumerate(self._explorer.drivers)}
 
     def export_lines(self) -> Iterable[str]:
         """Line-oriented dump: one state line per reachable state, one edge
@@ -290,11 +288,15 @@ class _Explorer:
                     raise ValueError(f"alphabet signals {driven[target]!r} and {name!r} both drive {target!r}")
                 driven[target] = name
             self.drivers.append((name, targets))
+        if len(self.drivers) > MAX_DRIVERS:  # a vector set is a 2^n-bit int
+            raise ValueError(f"{len(self.drivers)} alphabet signals, at most {MAX_DRIVERS} are explorable")
         if cfg.weak_branching not in (BRANCH_EARLIEST, BRANCH_ALL):
             raise ValueError(f"unknown weak branching {cfg.weak_branching!r}")
         if cfg.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        self.base_values = self._base_values(declared)
+        self.base_values = dict.fromkeys(declared, False) if self.smart is None else {
+            **dict.fromkeys(self.smart.bool_signals(), False), **dict.fromkeys(self.smart.real_signals(), 0.0),
+            **self.smart.default_initial_signals()}
         self.policy = FiringPolicy("earliest")
 
         self.key_ids: dict[StateKey, int] = {}
@@ -310,9 +312,9 @@ class _Explorer:
         self.driver_patterns = {t: self.bit_patterns[i] for i, (_, targets) in enumerate(self.drivers) for t in targets}
         # the values a guard reads that neither a driver bit nor the base values fix
         self.varying = sorted(derived) + [name for _, name in self.held_specs]
-        # (marking, varying values) -> (covered transition id, truth bits) of
-        # each covered guard some vectors hold and some do not; see _guard_class
-        self.truth_memo: dict[tuple, list[tuple[str, int]]] = {}
+        # (marking, varying values) -> {transition id: truth bits} of every
+        # covered transition, in ascending id; see _refresh
+        self.truth_memo: dict[tuple, dict[str, int]] = {}
         self.counts = {"evolve_calls": 0, "memo_hits": 0, "class_hits": 0, "evaluations": 0}
         self.max_held_delta = max((h.duration for h, _ in self.held_specs), default=0)
         # output id -> its agent's stable place (the first agent that lists it)
@@ -354,12 +356,6 @@ class _Explorer:
             records.append(record.with_guard(substitute(record.guard, virtual)))
         return (net.with_transitions(records) if records else net), specs
 
-    def _base_values(self, declared: set[str]) -> dict[str, bool | float]:
-        if self.smart is None:
-            return dict.fromkeys(declared, False)
-        return {**dict.fromkeys(self.smart.bool_signals(), False), **dict.fromkeys(self.smart.real_signals(), 0.0),
-                **self.smart.default_initial_signals()}
-
     # -- state identity ----------------------------------------------------
 
     def intern(self, key: StateKey) -> int:
@@ -378,10 +374,6 @@ class _Explorer:
             residence=tuple((agent.suffix, 0) for agent in self.agents),
             held_runs=tuple(-1 for _ in self.held_specs),
         )
-
-    def vector_to_signals(self, vector: int) -> dict[str, bool]:
-        """Driver-level view of a vector (for display and witnesses)."""
-        return {name: bool(vector >> i & 1) for i, (name, _) in enumerate(self.drivers)}
 
     def vector_values(self, vector: int) -> dict[str, bool | float]:
         """Signal-level assignment a vector induces over the base values."""
@@ -521,7 +513,7 @@ class _Explorer:
             held_runs.append(run)
             values[name] = body_true and run >= term.duration
 
-        ends, bits = self._cascade(state, sigma, clock, bits)
+        ends, bits = self._cascade(state, sigma, clock, vector, bits)
         return bits, [self._finish(end_state, end_clock, held_runs, firings, entry)
                       for end_state, end_clock, firings in ends]
 
@@ -544,18 +536,17 @@ class _Explorer:
         """The key's residence clock at tick 0 of its next step."""
         return ResidenceClock.at(self.agents, dict(key.marking), [-elapsed for _, elapsed in key.residence])
 
-    def _cascade(self, state: KernelState, sigma: ConstantSignals, clock: ResidenceClock,
+    def _cascade(self, state: KernelState, sigma: ConstantSignals, clock: ResidenceClock, vector: int,
                  bits: int) -> tuple[list[tuple[KernelState, ResidenceClock, tuple[str, ...]]], int]:
         """(end state, residence clock, firings) of each way the instant may
-        end from ``state``, depth first, and the vectors of ``bits`` under
-        which each refresh's covered guards have the truths they have here
-        (see ``_guard_class``). Earliest-only follows the policy's due
-        transition and ends where nothing is due; all-branching follows
-        every transition inside its window, in ascending id, may end where
-        nothing is forced, and follows each distinct state (marking, clocks,
-        residence clock) once. A loop over a stack of fired states: the later
-        choices wait there as fired copies, and the first goes on at once, in
-        place unless the state is itself an end."""
+        end from ``state`` under ``vector``, depth first, and the vectors of
+        ``bits`` that step alike (see ``_refresh``). Earliest-only follows
+        the policy's due transition and ends where nothing is due;
+        all-branching follows every transition inside its window, in
+        ascending id, may end where nothing is forced, and follows each
+        distinct state (marking, clocks, residence clock) once. A loop over a
+        stack of fired states: the later choices wait there as fired copies,
+        and the first goes on at once, in place unless it is itself an end."""
         branching = self.cfg.weak_branching == BRANCH_ALL
         net, policy, values = self.net, self.policy, sigma.values
         seen: set[tuple] = set()
@@ -565,8 +556,7 @@ class _Explorer:
             state, clock, firings = stack.pop()
             while True:
                 values.update(clock.timeouts(state.now))
-                refresh_timers(net, state, sigma)
-                bits = self._guard_class(state, sigma, bits)
+                bits = self._refresh(state, sigma, vector, bits)
                 if branching and firings:  # the instant's entry state is never deduplicated
                     mark = (tuple(sorted(state.marking.items())), tuple(sorted(state.timers.items())),
                             tuple(clock.entered))
@@ -594,20 +584,30 @@ class _Explorer:
                 clock.observe(state.marking, state.now)
         return outcomes, bits
 
-    def _guard_class(self, state: KernelState, sigma: ConstantSignals, bits: int) -> int:
-        """The vectors of ``bits`` under which each covered transition's guard
-        has the truth it has now: it held iff the refresh kept its timer. A
-        guard's truth bits depend on the marking and the varying values
-        only, so they are memoized on those."""
+    def _refresh(self, state: KernelState, sigma: ConstantSignals, vector: int, bits: int) -> int:
+        """``refresh_timers`` under ``vector`` from each covered guard's truth
+        bits, memoized on the marking and the varying values: a clock starts
+        or stays where bit ``vector`` is set and is dropped elsewhere, in the
+        kernel's order. Returns the vectors of ``bits`` with those truths."""
         memo_key = (tuple(state.marking.items()), *[sigma.values[name] for name in self.varying])
         truths = self.truth_memo.get(memo_key)
         if truths is None:
             atom_bits, every = self.atom_bits(state.eval_context(sigma)), self.every_vector
-            truths = self.truth_memo[memo_key] = [
-                (tid, truth) for tid in _covered(self.net, state.marking)
-                if 0 < (truth := truth_bits(self.net.transitions[tid].guard, atom_bits, every)) < every]
-        for tid, truth in truths:
-            bits &= truth if tid in state.timers else ~truth
+            truths = self.truth_memo[memo_key] = {
+                tid: truth_bits(self.net.transitions[tid].guard, atom_bits, every)
+                for tid in _covered(self.net, state.marking)}
+        timers = state.timers
+        for tid, truth in truths.items():
+            if truth >> vector & 1:
+                bits &= truth
+                if tid not in timers:
+                    timers[tid] = state.now
+            else:
+                bits &= ~truth
+                timers.pop(tid, None)
+        for tid in timers.keys() - truths.keys():
+            del timers[tid]
+        _check_deadlines(self.net, state)
         return bits
 
     def _finish(self, state: KernelState, clock: ResidenceClock, held_runs: list[int],
@@ -705,10 +705,8 @@ def replay_witness(graph: ReachGraph, witness: list[dict]) -> list[tuple[int, li
     script: list[tuple[int, str, bool]] = []
     key_id = explorer.intern(explorer.initial_key())
     for step in witness:
-        for driver, value in sorted(step["signals"].items()):
-            targets = dict(explorer.drivers).get(driver, [driver])
-            for target in targets:
-                script.append((step["tick"], target, value))
+        script += [(step["tick"], target, value) for driver, value in sorted(step["signals"].items())
+                   for target in dict(explorer.drivers).get(driver, [driver])]
         if explorer.deposit_driver:
             # the explorer's output attempt for each agent whose want place is
             # empty as the tick begins; the step's firings give the next key
@@ -1028,9 +1026,8 @@ def _check_never_while(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> 
     search = _Search(graph, formula, lowest)
 
     def keep(marking: Marking) -> bool:
-        if formula.from_places and not any(marking.get(p, 0) >= 1 for p in formula.from_places):
-            return False
-        return marking.get(formula.place, 0) < 1
+        return ((not formula.from_places or any(marking.get(p, 0) >= 1 for p in formula.from_places))
+                and marking.get(formula.place, 0) < 1)
 
     anchors = _anchors(graph, lowest, keep)
     if not anchors:

@@ -177,12 +177,15 @@ def refresh_timers(net: Net, state: KernelState, sigma: SignalState) -> None:
             del timers[tid]
     for tid in timers.keys() - covered:
         del timers[tid]
-    for tid, since in timers.items():
+    _check_deadlines(net, state)
+
+
+def _check_deadlines(net: Net, state: KernelState) -> None:
+    """Raise DeadlineViolation at the first strong clock past its beta."""
+    for tid, since in state.timers.items():
         record = net.transitions[tid]
         if record.timing == STRONG and state.now - since > record.beta:
-            raise DeadlineViolation(
-                f"{tid} enabled since {since}, now {state.now}, beta {record.beta}"
-            )
+            raise DeadlineViolation(f"{tid} enabled since {since}, now {state.now}, beta {record.beta}")
 
 
 def fire(net: Net, state: KernelState, tid: str, sigma: SignalState) -> tuple[KernelState, FiringEvent]:

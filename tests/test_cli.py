@@ -188,6 +188,23 @@ def test_explore_bad_exploration_input_is_input_error(tmp_path, capsys, explorat
     assert err.startswith("error: explore: ") and err.count("\n") == 1
 
 
+def test_explore_alphabet_wider_than_twenty_signals_is_input_error(tmp_path, capsys):
+    """Each vector set is a 2^n-bit int, so 21 signals are refused before
+    any is built, with one line and exit 3."""
+    alphabet = [f"{name}_a{i}" for name in ("anom", "evidence", "safe", "hardware_fault", "assist")
+                for i in range(1, 5)] + ["agree"]
+    scenario = {
+        "name": "wide-explore",
+        "net": {"builder": {"agents": 4, "config": {}}},
+        "horizon": 10,
+        "exploration": {"horizon": 2, "alphabet": alphabet, "flip_budget": 1},
+    }
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["explore", str(path)]) == 3
+    assert capsys.readouterr().err == "error: explore: 21 alphabet signals, at most 20 are explorable\n"
+
+
 @pytest.mark.parametrize(
     "formula",
     [
