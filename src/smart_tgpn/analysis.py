@@ -135,6 +135,15 @@ class EvolveResult:
 _Start = tuple[KernelState, ResidenceClock, frozenset[str]]
 
 
+def _repeated(block: int, width: int, total: int) -> int:
+    """``block``, ``width`` bits wide, repeated to fill ``total`` bits; by
+    doubling shifts, linear in ``total``. Both widths are powers of two."""
+    while width < total:
+        block |= block << width
+        width <<= 1
+    return block
+
+
 def _lowest(bits: int) -> int:
     """The lowest vector of a nonempty vector bitset."""
     return (bits & -bits).bit_length() - 1
@@ -292,8 +301,9 @@ class _Explorer:
             raise ValueError(f"{len(self.drivers)} alphabet signals, at most {MAX_DRIVERS} are explorable")
         if cfg.weak_branching not in (BRANCH_EARLIEST, BRANCH_ALL):
             raise ValueError(f"unknown weak branching {cfg.weak_branching!r}")
-        if cfg.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+        for name, value in (("horizon", cfg.horizon), ("state cap", cfg.state_cap), ("flip budget", cfg.flip_budget)):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         self.base_values = dict.fromkeys(declared, False) if self.smart is None else {
             **dict.fromkeys(self.smart.bool_signals(), False), **dict.fromkeys(self.smart.real_signals(), 0.0),
             **self.smart.default_initial_signals()}
@@ -307,7 +317,7 @@ class _Explorer:
         self.steps: dict[tuple[int, int], list] = {}
         self.every_vector = (1 << (1 << len(self.drivers))) - 1  # the bits of all vectors
         # driver i -> the bits of the vectors with bit i set: blocks of 2^i clear and 2^i set bits
-        self.bit_patterns = [((1 << (1 << i)) - 1 << (1 << i)) * self.every_vector // ((1 << (2 << i)) - 1)
+        self.bit_patterns = [_repeated((1 << (1 << i)) - 1 << (1 << i), 2 << i, 1 << len(self.drivers))
                              for i in range(len(self.drivers))]
         self.driver_patterns = {t: self.bit_patterns[i] for i, (_, targets) in enumerate(self.drivers) for t in targets}
         # the values a guard reads that neither a driver bit nor the base values fix
@@ -723,7 +733,6 @@ def replay_witness(graph: ReachGraph, witness: list[dict]) -> list[tuple[int, li
         horizon=horizon,
         policy="earliest",
         script=script,
-        quiescence=False,
     )
     trace, _ = run_scenario(scenario)
     by_tick: dict[int, list[str]] = {}
@@ -928,6 +937,9 @@ class _Search:
         self.graph, self.formula, self.lowest = graph, formula, lowest
         self.budgeted = graph.config.flip_budget is not None
         self.memo: dict[tuple, str | bool] = {}
+        # bounded's memo key of a violated outcome -> the first persistent
+        # step (target, next vector, result) whose sub-search was violated
+        self.failing: dict[tuple, tuple[int, int, EvolveResult]] = {}
 
     def bounded(self, key_id: int, vector: int, depth_left: int, ticks_left: int, tick: int) -> str:
         """HOLDS if along every condition-persistent extension the place is
@@ -944,37 +956,30 @@ class _Search:
         if cached is not None:
             return cached
         outcome = HOLDS
-        for target, nxt, result in _persistent_steps(self.graph, self.lowest, key_id, vector, tick):
+        for step in _persistent_steps(self.graph, self.lowest, key_id, vector, tick):
+            target, nxt, result = step
             if place in result.touched:
                 continue
             sub = self.bounded(target, nxt, depth_left - 1, ticks_left - 1, tick + 1)
             if sub == VIOLATED:
                 outcome = VIOLATED
+                self.failing[memo_key] = step
                 break
             if sub == INCONCLUSIVE:
                 outcome = INCONCLUSIVE
         self.memo[memo_key] = outcome
         return outcome
 
-    def failing_suffix(self, key_id: int, vector: int, depth_left: int, ticks_left: int, tick: int) -> list[dict]:
-        """Greedy descent along a persistent branch whose verdict is
-        VIOLATED, for counterexample replay."""
+    def failing_suffix(self, key_id: int, vector: int, depth: int, tick: int) -> list[dict]:
+        """The persistent branch of a VIOLATED ``bounded`` search from this
+        state, for counterexample replay: the stored first failing step at
+        each depth. A violated search has slack >= depth, so each step is
+        keyed at (depth, depth)."""
         steps: list[dict] = []
-        while depth_left > 0 and ticks_left > 0:
-            for target, nxt, result in _persistent_steps(self.graph, self.lowest, key_id, vector, tick):
-                if self.formula.place in result.touched:
-                    continue
-                # a target that marks the place searches to HOLDS
-                if self.bounded(target, nxt, depth_left - 1, ticks_left - 1, tick + 1) == VIOLATED:
-                    steps.append(
-                        {"tick": tick + 1, "signals": self.graph.vector_to_named(nxt), "firings": list(result.firings)}
-                    )
-                    key_id, vector, tick = target, nxt, tick + 1
-                    depth_left -= 1
-                    ticks_left -= 1
-                    break
-            else:
-                break
+        for depth_left in range(depth, 0, -1):
+            key_id, vector, result = self.failing[(key_id, vector if self.budgeted else None, depth_left, depth_left)]
+            tick += 1
+            steps.append({"tick": tick, "signals": self.graph.vector_to_named(vector), "firings": list(result.firings)})
         return steps
 
     def reaches(self, key_id: int, vector: int, ticks_left: int, tick: int) -> bool:
@@ -1008,7 +1013,7 @@ def _check_bounded(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> Form
         verdict = search.bounded(key_id, vector, delta, slack, tick)
         if verdict == VIOLATED:
             witness = graph.witness_path(tick, key_id, vector)
-            witness += search.failing_suffix(key_id, vector, delta, slack, tick)
+            witness += search.failing_suffix(key_id, vector, delta, tick)
             return FormulaVerdict(
                 formula,
                 VIOLATED,

@@ -156,14 +156,9 @@ def cmd_explore(args) -> int:
         section["cap"] = args.cap
     if "horizon" not in section:
         raise ScenarioError("explore needs an exploration section or --horizon")
+    renamed = {"branching": "weak_branching", "cap": "state_cap"}  # section key -> ExplorationConfig field
     try:
-        cfg = ExplorationConfig(
-            horizon=int(section["horizon"]),
-            alphabet=list(section.get("alphabet", [])),
-            flip_budget=section.get("flip_budget"),
-            weak_branching=section.get("branching", "earliest-only"),
-            state_cap=int(section.get("cap", 1_000_000)),
-        )
+        cfg = ExplorationConfig(**{renamed.get(key, key): value for key, value in section.items()})
         graph = explore(scenario.smart, cfg)
         verdicts = [check_formula(graph, formula) for formula in scenario.formulas]
     except ValueError as exc:  # an undeclared or doubly driven alphabet signal, branching mode or formula condition

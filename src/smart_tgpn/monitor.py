@@ -2,9 +2,12 @@
 
 Each monitor scans a completed trace and returns a verdict that is a
 violation, a pass, a vacuous pass (the premise was never exercised), or
-inconclusive (the horizon ended inside an open obligation). Signals are
-piecewise constant, so "persistently" means: at every instant of the
-checked interval.
+inconclusive (the horizon ended inside an open obligation). One rule,
+``_unmet``, decides every deadline: an obligation still unmet at the end
+of the trace is inconclusive while the horizon lies before its deadline
+and a violation once the horizon reaches it. Signals are piecewise
+constant, so "persistently" means: at every instant of the checked
+interval.
 
 The checks, by name:
 
@@ -43,8 +46,6 @@ from .trace import FIRE, Trace
 
 PASS = "pass"
 VIOLATION = "violation"
-VACUOUS = "vacuous"
-INCONCLUSIVE = "inconclusive"
 
 _RANK = {VACUOUS: 0, PASS: 1, INCONCLUSIVE: 2, VIOLATION: 3}
 
@@ -64,6 +65,19 @@ class Verdict:
     def ok(self) -> bool:
         return self.status in (PASS, VACUOUS)
 
+    def record(self, status: str, violation: str = "", witness: dict | None = None, note: str = "") -> None:
+        """One finding: raise the status to ``status`` if it ranks higher,
+        and keep what comes with the finding, its violation and witness if
+        it is a violation, else its note."""
+        if _RANK[status] > _RANK[self.status]:
+            self.status = status
+        if status == VIOLATION:
+            self.violations.append(violation)
+            if witness is not None:
+                self.witnesses.append(witness)
+        elif note:
+            self.notes.append(note)
+
     def to_record(self) -> dict:
         return {
             "name": self.name,
@@ -74,8 +88,10 @@ class Verdict:
         }
 
 
-def _merge(status: str, new: str) -> str:
-    return new if _RANK[new] > _RANK[status] else status
+def _unmet(trace: Trace, deadline: int) -> str:
+    """The status of an obligation that the trace leaves unmet: a finite
+    trace decides a deadline only once its horizon reaches it."""
+    return INCONCLUSIVE if trace.horizon < deadline else VIOLATION
 
 
 def _require_smart(trace: Trace) -> SmartNet:
@@ -117,21 +133,19 @@ def check_bounded_autonomy(trace: Trace) -> Verdict:
         for start, end, truncated in trace.predicate_intervals(condition):
             if trace.mode_before(agent, start) != "S":
                 continue
-            verdict.status = _merge(verdict.status, PASS)
-            if any(mode != "S" for _, mode in trace.mode_timeline_between(agent, start, start + bound)):
+            verdict.record(PASS)
+            deadline = start + bound
+            if any(mode != "S" for _, mode in trace.mode_timeline_between(agent, start, deadline)):
                 continue
-            if end <= start + bound and not truncated:
+            if end <= deadline and not truncated:
                 continue  # the premise was retracted before the deadline
-            if truncated and trace.horizon < start + bound:
-                verdict.status = _merge(verdict.status, INCONCLUSIVE)
-                verdict.notes.append(f"interval at {start} ends with the horizon inside the deadline")
-                continue
-            verdict.status = _merge(verdict.status, VIOLATION)
-            verdict.violations.append(
-                f"agent {agent.agent_id or 'default'}: still in P_S at {start + bound} "
-                f"after persistent invalidity from {start}"
+            verdict.record(
+                _unmet(trace, deadline),
+                f"agent {agent.agent_id or 'default'}: still in P_S at {deadline} "
+                f"after persistent invalidity from {start}",
+                {"interval": [start, end], "deadline": deadline},
+                note=f"interval at {start} ends with the horizon inside the deadline",
             )
-            verdict.witnesses.append({"interval": [start, end], "deadline": start + bound})
     return verdict
 
 
@@ -150,34 +164,23 @@ def check_output_gating(trace: Trace) -> Verdict:
         guarded = agent.config.gating_mode == GATING_GUARDED
         outputs = trace.firings(agent.outputs)
         if outputs:
-            verdict.status = _merge(verdict.status, PASS)
+            verdict.record(PASS)
         for event in outputs:
-            before = trace.marking_before(event)
-            if before.get(agent.place("S"), 0) < 1:
-                verdict.status = _merge(verdict.status, VIOLATION)
-                verdict.violations.append(
-                    f"{event.name} fired at {event.time} without the stable token"
+            if trace.marking_before(event).get(agent.place("S"), 0) < 1:
+                verdict.record(VIOLATION, f"{event.name} fired at {event.time} without the stable token")
+            elif not trace.eval_at(agent.invalid, event.time):
+                pass  # a valid instant leaves nothing to gate
+            elif guarded:
+                verdict.record(VIOLATION, f"{event.name} fired at {event.time} while invalid")
+            elif _within_pre_escalation_window(trace, agent, event.time):
+                verdict.notes.append(
+                    f"{event.name} fired at {event.time} inside the bounded "
+                    f"pre-escalation window (structural gating)"
                 )
-                continue
-            if trace.eval_at(agent.invalid, event.time):
-                if guarded:
-                    verdict.status = _merge(verdict.status, VIOLATION)
-                    verdict.violations.append(
-                        f"{event.name} fired at {event.time} while invalid"
-                    )
-                else:
-                    window_ok = _within_pre_escalation_window(trace, agent, event.time)
-                    if window_ok:
-                        verdict.notes.append(
-                            f"{event.name} fired at {event.time} inside the bounded "
-                            f"pre-escalation window (structural gating)"
-                        )
-                    else:
-                        verdict.status = _merge(verdict.status, VIOLATION)
-                        verdict.violations.append(
-                            f"{event.name} fired at {event.time} under invalidity "
-                            f"outside the bounded window"
-                        )
+            else:
+                verdict.record(
+                    VIOLATION, f"{event.name} fired at {event.time} under invalidity outside the bounded window"
+                )
     if verdict.status == VACUOUS:
         verdict.notes.append("no output firings in this trace")
     return verdict
@@ -210,40 +213,27 @@ def check_mandatory_escalation(trace: Trace) -> Verdict:
         bound = agent.config.budget_m + max(agent.config.delta_m, agent.config.delta_mr)
         legal = {agent.switch("t_MS"), agent.switch("t_MA"), agent.switch("t_MR")}
         for entry, exit_time, exit_tid in trace.mode_residences(agent, "M"):
-            verdict.status = _merge(verdict.status, PASS)
+            verdict.record(PASS)
             if exit_time is None:
-                if trace.horizon - entry <= bound:
-                    verdict.status = _merge(verdict.status, INCONCLUSIVE)
-                    verdict.notes.append(f"residence from {entry} still open at the horizon")
-                else:
-                    verdict.status = _merge(verdict.status, VIOLATION)
-                    verdict.violations.append(
-                        f"residence from {entry} exceeded {bound} ticks with no exit"
-                    )
+                verdict.record(
+                    _unmet(trace, entry + bound),
+                    f"residence from {entry} exceeded {bound} ticks with no exit",
+                    note=f"residence from {entry} still open at the horizon",
+                )
                 continue
             if exit_time - entry > bound:
-                verdict.status = _merge(verdict.status, VIOLATION)
-                verdict.violations.append(
-                    f"residence [{entry}, {exit_time}] exceeded {bound} ticks"
-                )
+                verdict.record(VIOLATION, f"residence [{entry}, {exit_time}] exceeded {bound} ticks")
             if exit_tid not in legal:
-                verdict.status = _merge(verdict.status, VIOLATION)
-                verdict.violations.append(
-                    f"residence [{entry}, {exit_time}] left via {exit_tid}, not a legal M exit"
+                verdict.record(
+                    VIOLATION, f"residence [{entry}, {exit_time}] left via {exit_tid}, not a legal M exit"
                 )
                 continue
             assist = bool(trace.sigma.value_at(agent.signal("assist"), exit_time))
             unsafe = trace.eval_at(agent.unrecoverable, exit_time)
             if exit_tid == agent.switch("t_MA") and not (assist and not unsafe):
-                verdict.status = _merge(verdict.status, VIOLATION)
-                verdict.violations.append(
-                    f"t_MA at {exit_time} but assist={assist}, UR={unsafe}"
-                )
+                verdict.record(VIOLATION, f"t_MA at {exit_time} but assist={assist}, UR={unsafe}")
             if exit_tid == agent.switch("t_MR") and not (unsafe or not assist):
-                verdict.status = _merge(verdict.status, VIOLATION)
-                verdict.violations.append(
-                    f"t_MR at {exit_time} but assist={assist}, UR={unsafe}"
-                )
+                verdict.record(VIOLATION, f"t_MR at {exit_time} but assist={assist}, UR={unsafe}")
     return verdict
 
 
@@ -258,21 +248,18 @@ def check_governance_reachability(trace: Trace) -> Verdict:
     for agent in smart.agents:
         bound = agent.config.governance_bound
         for start, end, truncated in trace.predicate_intervals(agent.unrecoverable):
-            verdict.status = _merge(verdict.status, PASS)
-            reached = any(mode == "R" for _, mode in trace.mode_timeline_between(agent, start, start + bound))
-            if trace.mode_before(agent, start) == "R" or reached:
-                pass
-            elif end <= start + bound and not truncated:
-                pass  # unsafety retracted before the bound matured
-            elif truncated and trace.horizon < start + bound:
-                verdict.status = _merge(verdict.status, INCONCLUSIVE)
-                verdict.notes.append(f"unsafety from {start} still maturing at the horizon")
-            else:
-                verdict.status = _merge(verdict.status, VIOLATION)
-                verdict.violations.append(
-                    f"agent {agent.agent_id or 'default'}: P_R not reached by {start + bound} "
-                    f"for unsafety from {start}"
-                )
+            verdict.record(PASS)
+            deadline = start + bound
+            if trace.mode_before(agent, start) == "R" or any(
+                    mode == "R" for _, mode in trace.mode_timeline_between(agent, start, deadline)):
+                continue
+            if end <= deadline and not truncated:
+                continue  # unsafety retracted before the bound matured
+            verdict.record(
+                _unmet(trace, deadline),
+                f"agent {agent.agent_id or 'default'}: P_R not reached by {deadline} for unsafety from {start}",
+                note=f"unsafety from {start} still maturing at the horizon",
+            )
 
         # absorption: no exit firing while in R with authorization absent
         for entry, exit_time, exit_tid in trace.mode_residences(agent, "R"):
@@ -281,13 +268,9 @@ def check_governance_reachability(trace: Trace) -> Verdict:
             auth = bool(trace.sigma.value_at(agent.signal("ext_auth"), exit_time))
             unsafe = trace.eval_at(agent.unrecoverable, exit_time)
             if not auth:
-                verdict.status = _merge(verdict.status, VIOLATION)
-                verdict.violations.append(
-                    f"{exit_tid} left P_R at {exit_time} without authorization"
-                )
+                verdict.record(VIOLATION, f"{exit_tid} left P_R at {exit_time} without authorization")
             elif unsafe:
-                verdict.status = _merge(verdict.status, VIOLATION)
-                verdict.violations.append(f"{exit_tid} left P_R at {exit_time} while unsafe")
+                verdict.record(VIOLATION, f"{exit_tid} left P_R at {exit_time} while unsafe")
             else:
                 verdict.notes.append(f"authorized exit {exit_tid} at {exit_time}")
     return verdict
@@ -307,14 +290,13 @@ def check_distributed_soundness(trace: Trace) -> Verdict:
     for agent in smart.agents:
         t_as, t_ar = agent.switch("t_AS"), agent.switch("t_AR")
         for event in trace.firings([t_as]):
-            verdict.status = _merge(verdict.status, PASS)
+            verdict.record(PASS)
             if bool(disagree.value_at("disagree", event.time)):
-                verdict.status = _merge(verdict.status, VIOLATION)
-                verdict.violations.append(f"{t_as} fired at {event.time} under disagreement")
+                verdict.record(VIOLATION, f"{t_as} fired at {event.time} under disagreement")
 
         bound = agent.config.budget_a + agent.config.delta_ar
         for entry, exit_time, exit_tid in trace.mode_residences(agent, "A"):
-            verdict.status = _merge(verdict.status, PASS)
+            verdict.record(PASS)
             span_end = exit_time if exit_time is not None else trace.horizon
             disagree_throughout = all(
                 bool(disagree.value_at("disagree", t))
@@ -322,44 +304,36 @@ def check_distributed_soundness(trace: Trace) -> Verdict:
             )
             if disagree_throughout:
                 if exit_time is None:
-                    if trace.horizon - entry <= bound:
-                        verdict.status = _merge(verdict.status, INCONCLUSIVE)
-                        verdict.notes.append(f"disagreeing residence from {entry} open at horizon")
-                    else:
-                        verdict.status = _merge(verdict.status, VIOLATION)
-                        verdict.violations.append(
-                            f"agent {agent.agent_id or 'default'}: disagreement from {entry} "
-                            f"never escalated within {bound}"
-                        )
+                    verdict.record(
+                        _unmet(trace, entry + bound),
+                        f"agent {agent.agent_id or 'default'}: disagreement from {entry} "
+                        f"never escalated within {bound}",
+                        note=f"disagreeing residence from {entry} open at horizon",
+                    )
                 elif exit_time - entry > bound or exit_tid != t_ar:
-                    verdict.status = _merge(verdict.status, VIOLATION)
-                    verdict.violations.append(
+                    verdict.record(
+                        VIOLATION,
                         f"agent {agent.agent_id or 'default'}: residence [{entry}, {exit_time}] "
-                        f"exited via {exit_tid} at +{exit_time - entry} (bound {bound} via {t_ar})"
+                        f"exited via {exit_tid} at +{exit_time - entry} (bound {bound} via {t_ar})",
                     )
-            else:
-                resolved = _resolution_instant(trace, agent, entry, span_end)
-                if resolved is None:
-                    continue
-                deadline = resolved + agent.config.delta_a
-                returned = any(e.kind == FIRE and e.name == t_as for e in trace.events_between(resolved, deadline))
-                still_resolved = all(
-                    _return_permitted(trace, agent, t)
-                    for t in trace.instants(resolved, min(deadline, span_end))
+                continue
+            resolved = _resolution_instant(trace, agent, entry, span_end)
+            if resolved is None:
+                continue
+            deadline = resolved + agent.config.delta_a
+            if any(e.kind == FIRE and e.name == t_as for e in trace.events_between(resolved, deadline)):
+                continue  # returned in time
+            if not all(_return_permitted(trace, agent, t) for t in trace.instants(resolved, min(deadline, span_end))):
+                continue  # conditions lapsed again; no obligation matured
+            status = _unmet(trace, deadline)
+            # once decided, only a residence still open at the deadline owed the return
+            if status == INCONCLUSIVE or exit_time is None or exit_time > deadline:
+                verdict.record(
+                    status,
+                    f"agent {agent.agent_id or 'default'}: resolution at {resolved} "
+                    f"did not produce {t_as} by {deadline}",
+                    note=f"resolution at {resolved} still maturing at horizon",
                 )
-                if returned:
-                    continue
-                if not still_resolved:
-                    continue  # conditions lapsed again; no obligation matured
-                if trace.horizon < deadline:
-                    verdict.status = _merge(verdict.status, INCONCLUSIVE)
-                    verdict.notes.append(f"resolution at {resolved} still maturing at horizon")
-                elif exit_time is None or exit_time > deadline:
-                    verdict.status = _merge(verdict.status, VIOLATION)
-                    verdict.violations.append(
-                        f"agent {agent.agent_id or 'default'}: resolution at {resolved} "
-                        f"did not produce {t_as} by {deadline}"
-                    )
     return verdict
 
 
@@ -534,7 +508,7 @@ def check_formula_on_trace(trace: Trace, formula) -> FormulaVerdict:
                 continue
             if end <= deadline and not truncated:
                 continue  # premise retracted before the deadline matured
-            if truncated and trace.horizon < deadline:
+            if _unmet(trace, deadline) == INCONCLUSIVE:
                 worst = INCONCLUSIVE
                 continue
             return FormulaVerdict(

@@ -13,8 +13,8 @@ itself does not know about:
 - derived agreement (opt-in): ``disagree`` / ``agree`` are recomputed
   from the per-agent ``claim_*`` signals after every event.
 
-A run ends at the horizon, or earlier when nothing can ever happen again
-(absorbing quiescence, reported but equivalent either way).
+A run ends at the horizon. When nothing can ever happen after its last
+event, the trace also records that instant (absorbing quiescence).
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class Scenario:
     propositions: list[PropositionSpec] = field(default_factory=list)
     formulas: list[Formula] = field(default_factory=list)
     triggers: TriggerSet | None = None
-    quiescence: bool = True
     derive_agreement: bool = False
     exploration: dict | None = None
     warnings: list[str] = field(default_factory=list)
@@ -316,7 +315,6 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
         propositions=[PropositionSpec(p) for p in propositions],
         formulas=[_parse_formula(raw, smart, known) for raw in doc.get("formulas", [])],
         triggers=_parse_triggers(doc.get("triggers"), smart, known) if "triggers" in doc else None,
-        quiescence=bool(doc.get("quiescence", True)),
         derive_agreement=bool(doc.get("derive_agreement", False)),
         exploration=None if doc.get("exploration") is None else _parse_exploration(doc["exploration"]),
         warnings=warnings,
@@ -450,7 +448,7 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
     # absorbing quiescence: nothing happened after the last event and
     # nothing ever can (no kernel candidate, pending deposit, or timeout)
     quiesced_at: int | None = None
-    if scenario.quiescence and not deposits and _next_timeout(clock, sigma, state.now) is None:
+    if not deposits and _next_timeout(clock, sigma, state.now) is None:
         if _next_candidate(net, state, sigma, policy) is None:
             last_activity = max((e.time for e in events), default=0)
             if last_activity < scenario.horizon:

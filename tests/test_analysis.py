@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from smart_tgpn.analysis import (
     ExplorationConfig,
     Formula,
     VectorSet,
+    _Explorer,
     check_formula,
     check_p_invariant,
     explore,
@@ -297,6 +299,28 @@ def test_a_derived_timeout_is_rejected_as_an_alphabet_entry(build, alphabet):
     overwrites the driver bit, which would only double the states."""
     with pytest.raises(ValueError, match="derived from residence clocks"):
         explore(build(), ExplorationConfig(horizon=3, alphabet=alphabet))
+
+
+@pytest.mark.parametrize("bound", ["horizon", "state_cap", "flip_budget"])
+def test_a_negative_bound_is_rejected(bound):
+    with pytest.raises(ValueError, match="must be >= 0, got -1"):
+        explore(single(), ExplorationConfig(**{"horizon": 3, "alphabet": ["anom"], bound: -1}))
+
+
+def test_bit_patterns_of_twenty_drivers_hold_the_vectors_with_their_bit_set():
+    """At the widest alphabet each driver's pattern is a 2^20-bit int;
+    bit v of pattern i is set exactly when vector v has bit i set."""
+    smart = build_multi_agent([AgentSpec(f"a{i}") for i in (1, 2, 3)])
+    alphabet = [f"{name}_a{i}" for name in ("anom", "evidence", "safe", "hardware_fault", "assist", "ext_auth")
+                for i in (1, 2, 3)] + ["disagree", "agree"]
+    explorer = _Explorer(smart, ExplorationConfig(horizon=0, alphabet=alphabet))
+    assert len(explorer.bit_patterns) == 20
+    rng = random.Random(0)
+    vectors = [0, 1, (1 << 20) - 1] + [rng.randrange(1 << 20) for _ in range(500)]
+    for i, pattern in enumerate(explorer.bit_patterns):
+        assert pattern.bit_length() <= 1 << 20 and bin(pattern).count("1") == 1 << 19
+        for vector in vectors:
+            assert (pattern >> vector) & 1 == (vector >> i) & 1, (i, vector)
 
 
 def test_a_budget_as_wide_as_the_alphabet_steps_as_no_budget():

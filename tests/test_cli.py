@@ -411,6 +411,15 @@ def test_explore_malformed_exploration_field_is_input_error(tmp_path, capsys, ex
     _assert_one_line_input_error(code, capsys, names)
 
 
+def test_explore_negative_cap_is_input_error(tmp_path, capsys):
+    """--cap is held to the bound the section's "cap" is: a negative cap
+    is refused, not explored as a run cut short at once."""
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps(ESCALATION))
+    code = main(["explore", str(path), "--horizon", "3", "--cap", "-1"])
+    _assert_one_line_input_error(code, capsys, "state cap must be >= 0")
+
+
 @pytest.mark.parametrize(
     "change, names",
     [

@@ -93,7 +93,7 @@ def test_simulator_paths_are_explorer_paths(name):
             script += sorted({(start, signal_name(signal, a), value)
                               for signal, value in values.items() for a in smart.agents})
             start += duration
-        trace, _ = run(Scenario(name="differential", smart=smart, horizon=HORIZON, script=script, quiescence=False))
+        trace, _ = run(Scenario(name="differential", smart=smart, horizon=HORIZON, script=script))
         agent = smart.agents[0]
         keys = {initial}  # the explorer states the simulator path may be in
         for tick in range(HORIZON + 1):
@@ -153,7 +153,7 @@ def test_explorer_timeouts_equal_the_recorded_ones(name):
     @example([(HOLD, {**ESCALATE, "disagree": True})])
     def check(script_segments):
         script = script_of(smart, script_segments)
-        trace, _ = run(Scenario(name="differential", smart=smart, horizon=HORIZON, script=script, quiescence=False))
+        trace, _ = run(Scenario(name="differential", smart=smart, horizon=HORIZON, script=script))
         keys = {initial}  # the explorer states the run was in at the tick before
         for tick in range(HORIZON + 1):
             for agent in smart.agents:

@@ -1,3 +1,5 @@
+import pytest
+
 from smart_tgpn.analysis import Formula
 from smart_tgpn.builder import AgentSpec, SmartConfig, SmartNet, build_multi_agent, default_trigger_set
 from smart_tgpn.guards import parse_guard
@@ -273,3 +275,63 @@ def test_trace_formulas_accept_held_for():
     trace, _ = run_doc(base_doc("held", script=[[2, "anom", 1], [8, "anom", 0]]))
     formula = Formula("reach", parse_guard("held_for(anom, 2)"), place="P_M", within=2)
     assert check_formula_on_trace(trace, formula).status == "holds"
+
+
+def two_agent_doc(name, horizon, **extra):
+    doc = {"name": name, "net": {"builder": {"agents": ["a1", "a2"]}}, "horizon": horizon}
+    doc.update(extra)
+    return doc
+
+
+def formula_doc(kind):
+    formula = {"kind": kind, "condition": "invalid and not UR", "place": "P_M", "within": 2}
+    return lambda h: base_doc(kind, h, script=[[4, "anom", 1]], formulas=[formula])
+
+
+def first_formula(trace, report):
+    return report.formula_verdicts[0]
+
+
+# case -> (its scenario at a given horizon, the transitions dropped from
+# the net so that nothing meets the obligation, the verdict read, the
+# obligation's deadline)
+DEADLINES = {
+    # invalid from 4, delta_s 2, no t_SM
+    "P1": (lambda h: base_doc("p1-edge", h, script=[[4, "anom", 1]]), ("t_SM",),
+           lambda trace, _: check_bounded_autonomy(trace), 6),
+    # U settles between theta_down and theta with anom 0 and evidence 1: no
+    # M exit is enabled, and the token entered P_M at 3 (bound 5 + 1)
+    "P3-open-residence": (
+        lambda h: {"name": "p3-edge", "net": {"builder": {"config": {"hysteresis": {"enabled": True}}}},
+                   "horizon": h, "script": [[1, "U", 0.9], [5, "U", 0.4]]},
+        (), lambda trace, _: check_mandatory_escalation(trace), 9),
+    # unsafe from 4, governance bound 3, no t_SR
+    "P4": (lambda h: base_doc("p4-edge", h, script=[[4, "hardware_fault", 1]]), ("t_SR",),
+           lambda trace, _: check_governance_reachability(trace), 7),
+    # disagreeing from the entry to P_A_a1 at 6, budget_a 5 + delta_ar 1, no t_AR_a1
+    "P5-disagreeing-residence": (
+        lambda h: two_agent_doc("p5-edge", h, signals={"assist_a1": 1},
+                                script=[[1, "anom_a1", 1], [1, "disagree", 1]]),
+        ("t_AR_a1",), lambda trace, _: check_distributed_soundness(trace), 12),
+    # return permitted from 10, delta_a 2, no t_AS
+    "P5-resolution": (
+        lambda h: base_doc("p5-resolved-edge", h, signals={"assist": 1},
+                           script=[[1, "anom", 1], [10, "anom", 0], [10, "agree", 1]]),
+        ("t_AS",), lambda trace, _: check_distributed_soundness(trace), 12),
+    # invalid from 4, P_M within 2, no t_SM
+    "bounded-response": (formula_doc("bounded-response"), ("t_SM",), first_formula, 6),
+    "reach": (formula_doc("reach"), ("t_SM",), first_formula, 6),
+}
+
+
+@pytest.mark.parametrize("case", DEADLINES)
+def test_a_deadline_is_decided_once_the_horizon_reaches_it(case):
+    doc, dropped, verdict_of, deadline = DEADLINES[case]
+    statuses = []
+    for horizon in (deadline - 1, deadline):
+        scenario = parse_scenario(doc(horizon))
+        for tid in dropped:
+            scenario.smart = mutate(scenario.smart, tid)
+        statuses.append(verdict_of(*run(scenario)).status)
+    assert statuses[0] == "inconclusive"
+    assert statuses[1] in ("violation", "violated")
