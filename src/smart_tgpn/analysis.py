@@ -14,7 +14,8 @@ reach (a place is marked within a deadline along every path where the
 premise persists; paths where the environment retracts the premise are
 excluded), and never-while (no premise-persistent path from given source
 places ever marks a forbidden place). A horizon too short to decide an
-obligation yields "inconclusive", never a silent pass.
+obligation, or a state cap that cuts the exploration short, yields
+"inconclusive", never a silent pass.
 """
 
 from __future__ import annotations
@@ -215,8 +216,8 @@ class ReachGraph:
     def marking_of(self, key_id: int) -> Marking:
         return dict(self.key_of(key_id).marking)
 
-    def successor(self, key_id: int, vector: int, tick: int) -> list[EvolveResult]:
-        return self._explorer.evolve(key_id, vector, tick)
+    def successor(self, key_id: int, vector: int) -> list[EvolveResult]:
+        return self._explorer.evolve(key_id, vector)
 
     def parent(self, tick: int, key_id: int, vector: int) -> tuple[int, int] | None:
         """(source key id, source vector) of the step that added the state;
@@ -231,7 +232,7 @@ class ReachGraph:
         one record per tick with the signal assignment and the firings."""
         explorer, path = self._explorer, []
         while tick >= 0 and (parent := self.parent(tick, key_id, vector)) is not None:
-            firings = next((r.firings for r in explorer.evolve(parent[0], vector, tick)
+            firings = next((r.firings for r in explorer.evolve(parent[0], vector)
                             if explorer.key_ids.get(r.key) == key_id), ())
             path.append({"tick": tick, "signals": self.vector_to_named(vector), "firings": list(firings)})
             tick, key_id, vector = tick - 1, *parent
@@ -253,11 +254,11 @@ class ReachGraph:
                 name for name, value in sorted(self.vector_to_named(vector).items()) if value
             )
             yield f"state {tick} {key_id} {vector} marking=[{marking}] timers=[{timers}] signals=[{signals}]"
-        for key_id, vector, tick_cap, results in self._explorer.known_steps():
+        for key_id, vector, results in self._explorer.known_steps():
             for result in results:
                 target = self._explorer.key_ids[result.key]
                 label = ";".join(result.firings)
-                yield f"edge {key_id} {vector} -> {target} [{label}] cap={tick_cap}"
+                yield f"edge {key_id} {vector} -> {target} [{label}]"
 
 
 class _Explorer:
@@ -311,10 +312,10 @@ class _Explorer:
 
         self.key_ids: dict[StateKey, int] = {}
         self.key_table: list[StateKey] = []
-        # (key id, tick cap) -> [the key's classes, one (vector bits, (results,
-        # target ids)) each, ordered by their lowest vector; the bits of the
-        # vectors asked so far]; see step_table
-        self.steps: dict[tuple[int, int], list] = {}
+        # key id -> [the key's classes, one (vector bits, (results, target
+        # ids)) each, ordered by their lowest vector; the bits of the vectors
+        # asked so far]; see step_table
+        self.steps: dict[int, list] = {}
         self.every_vector = (1 << (1 << len(self.drivers))) - 1  # the bits of all vectors
         # driver i -> the bits of the vectors with bit i set: blocks of 2^i clear and 2^i set bits
         self.bit_patterns = [_repeated((1 << (1 << i)) - 1 << (1 << i), 2 << i, 1 << len(self.drivers))
@@ -326,7 +327,6 @@ class _Explorer:
         # covered transition, in ascending id; see _refresh
         self.truth_memo: dict[tuple, dict[str, int]] = {}
         self.counts = {"evolve_calls": 0, "memo_hits": 0, "class_hits": 0, "evaluations": 0}
-        self.max_held_delta = max((h.duration for h, _ in self.held_specs), default=0)
         # output id -> its agent's stable place (the first agent that lists it)
         self.output_stable = {tid: a.place("S") for a in reversed(self.agents) for tid in a.outputs}
         # transition id -> the cap of its stored timer elapse; one past a
@@ -421,11 +421,11 @@ class _Explorer:
 
     # -- one tick ------------------------------------------------------------
 
-    def evolve(self, key_id: int, vector: int, tick: int) -> list[EvolveResult]:
+    def evolve(self, key_id: int, vector: int) -> list[EvolveResult]:
         """Successors of a state under one signal vector: a one-vector table."""
-        return self.step_table(key_id, tick, 1 << vector)[0][1]
+        return self.step_table(key_id, 1 << vector)[0][1]
 
-    def step_table(self, key_id: int, tick: int, want: int) -> list[tuple[int, list[EvolveResult], list[int]]]:
+    def step_table(self, key_id: int, want: int) -> list[tuple[int, list[EvolveResult], list[int]]]:
         """The key's successors under the vectors of ``want``, a nonempty
         bitset: one (class & want, results, target ids) entry per class that
         meets it, in the order of the classes' lowest wanted vectors, which
@@ -437,9 +437,12 @@ class _Explorer:
         one (see ``_classed``). The lowest wanted vector no class holds yet
         is evaluated until every wanted vector is held; then all are marked
         asked. The counters are those of one ``evolve`` call per wanted
-        vector in ascending order."""
-        tick_cap = min(tick, self.max_held_delta)
-        classes, asked = entry = self.steps.setdefault((key_id, tick_cap), [[], 0])
+        vector in ascending order.
+
+        The step reads no tick: a reached key's held runs never exceed its
+        tick, so the key and the vector fix it, and one entry per key serves
+        every tick."""
+        classes, asked = entry = self.steps.setdefault(key_id, [[], 0])
         fresh = want & ~asked
         evaluations = 0
         if fresh:
@@ -464,12 +467,11 @@ class _Explorer:
                 targets += [self.intern(r.key) for r in results]
         return table
 
-    def known_steps(self) -> list[tuple[int, int, int, list[EvolveResult]]]:
-        """(key id, vector, tick cap, results) of every vector asked so far,
-        sorted."""
+    def known_steps(self) -> list[tuple[int, int, list[EvolveResult]]]:
+        """(key id, vector, results) of every vector asked so far, sorted."""
         return sorted(
-            ((key_id, vector, tick_cap, answer[0])
-             for (key_id, tick_cap), (classes, asked) in self.steps.items()
+            ((key_id, vector, answer[0])
+             for key_id, (classes, asked) in self.steps.items()
              for bits, answer in classes
              for vector in VectorSet(bits & asked))
         )
@@ -492,10 +494,8 @@ class _Explorer:
 
         return bits
 
-    def _evolve_uncached(self, key: StateKey, vector: int, tick_cap: int) -> list[EvolveResult]:
-        """Evaluate one tick from the key's start. The step does not read
-        ``tick_cap``: a reached key's held runs never exceed its tick, so a
-        full run implies a tick past the duration."""
+    def _evolve_uncached(self, key: StateKey, vector: int) -> list[EvolveResult]:
+        """Evaluate one tick from the key's start."""
         return self._classed(key, vector, self.start_of(key))[1]
 
     def _classed(self, key: StateKey, vector: int, start: _Start) -> tuple[int, list[EvolveResult]]:
@@ -655,8 +655,9 @@ def explore(subject: Net | SmartNet, cfg: ExplorationConfig) -> ReachGraph:
                 _step(graph, layer, tick, key_id, prev_vector, want)
         graph.layers.append(layer)
         graph.state_count += sum(len(v) for v in layer.values())
-        # a capped graph still holds layers 0 and 1
-        if tick > 0 and graph.state_count > cfg.state_cap:
+        # a capped graph still holds layers 0 and 1; one that holds the
+        # horizon's layer is complete
+        if 0 < tick < cfg.horizon and graph.state_count > cfg.state_cap:
             graph.incomplete = True
             break
         frontier = layer
@@ -672,7 +673,7 @@ def _step(graph: ReachGraph, layer: dict[int, VectorSet], tick: int, key_id: int
     of one ``evolve`` call per vector in ascending order: a class adds its
     vectors to each target through its first result with that target."""
     flagged = []  # (vector, result index, target, result) of each new state with a violation
-    for met, results, targets in graph._explorer.step_table(key_id, tick, want):
+    for met, results, targets in graph._explorer.step_table(key_id, want):
         for index, (target, result) in enumerate(zip(targets, results)):
             added = _add_states(graph, layer, tick, target, met, (key_id, prev_vector))
             if added and (result.violations or result.output_breaches):
@@ -724,7 +725,7 @@ def replay_witness(graph: ReachGraph, witness: list[dict]) -> list[tuple[int, li
             script += [(step["tick"], WANT_DRIVER + agent.suffix, True)
                        for agent in explorer.agents if not marking.get(agent.want_place, 0)]
             vector = sum(1 << i for i, (name, _) in enumerate(explorer.drivers) if step["signals"].get(name))
-            key_id = next((explorer.intern(r.key) for r in explorer.evolve(key_id, vector, step["tick"])
+            key_id = next((explorer.intern(r.key) for r in explorer.evolve(key_id, vector)
                            if list(r.firings) == step["firings"]), key_id)
     horizon = max((step["tick"] for step in witness), default=0)
     scenario = Scenario(
@@ -772,6 +773,12 @@ class Formula:
 
     def label(self) -> str:
         return self.name or f"{self.kind}"
+
+    def anchors_at(self, marking: Marking) -> bool:
+        """never-while's anchor rule: some ``from_places`` place is marked,
+        or none are listed, and ``place`` is not."""
+        return ((not self.from_places or any(marking.get(p, 0) >= 1 for p in self.from_places))
+                and marking.get(self.place, 0) < 1)
 
 
 @dataclass
@@ -836,11 +843,12 @@ def check_formula(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
     if held_terms(formula.condition):
         raise ValueError("held_for in formula conditions is not supported")
     lowest = _condition_test(graph, formula.condition)
-    if formula.kind == "safety":
-        return _check_safety(graph, formula, lowest)
-    if formula.kind in ("bounded-response", "reach"):
-        return _check_bounded(graph, formula, lowest)
-    return _check_never_while(graph, formula, lowest)
+    check = {"safety": _check_safety, "never-while": _check_never_while}.get(formula.kind, _check_bounded)
+    verdict = check(graph, formula, lowest)
+    if graph.incomplete and verdict.status in (HOLDS, VACUOUS):
+        # a capped graph lacks the later layers' anchors and firings: only a violation is decided
+        return FormulaVerdict(formula, INCONCLUSIVE, detail=f"holds through tick {len(graph.layers) - 1}")
+    return verdict
 
 
 def _holding(lowest: _Lowest, key_id: int, bits: int, every: bool) -> Iterator[int]:
@@ -853,7 +861,7 @@ def _holding(lowest: _Lowest, key_id: int, bits: int, every: bool) -> Iterator[i
         bits &= -2 << vector  # the vectors above this one
 
 
-def _persistent_steps(graph: ReachGraph, lowest: _Lowest, key_id: int, vector: int, tick: int):
+def _persistent_steps(graph: ReachGraph, lowest: _Lowest, key_id: int, vector: int):
     """Yield (target, next vector, result) for each step of a state into the
     next tick after which the condition (see ``_condition_test``) still
     holds, sorted by (vector, result index). Without a flip budget the
@@ -862,7 +870,7 @@ def _persistent_steps(graph: ReachGraph, lowest: _Lowest, key_id: int, vector: i
     explorer = graph._explorer
     budgeted = graph.config.flip_budget is not None
     steps = [(nxt, index, target, result)
-             for met, results, targets in explorer.step_table(key_id, tick + 1, explorer.next_vectors(vector))
+             for met, results, targets in explorer.step_table(key_id, explorer.next_vectors(vector))
              for index, (target, result) in enumerate(zip(targets, results))
              for nxt in _holding(lowest, target, met, budgeted)]
     for nxt, _, target, result in sorted(steps, key=lambda step: step[:2]):
@@ -874,29 +882,26 @@ def _anchors(graph: ReachGraph, lowest: _Lowest, keep) -> list[tuple[int, int, i
     holds and ``keep`` accepts the marking, one per configuration, sorted;
     ``lowest`` finds the condition's lowest holding vector of a bitset.
 
-    Dynamics are translation-invariant beyond the held-for window, so an
-    anchor configuration is judged at its occurrence with the most
-    remaining horizon; tail occurrences of the same configuration share
-    that verdict instead of reporting a spurious inconclusive. Under a flip
-    budget the next vectors depend on the current one, so it is part of
-    the configuration.
+    The step reads no tick (see ``_Explorer.step_table``), so a
+    configuration's future is the same at each of its occurrences, and it
+    is judged at the one with the most remaining horizon; later occurrences
+    share that verdict instead of reporting a spurious inconclusive. A
+    configuration is a key, and under a flip budget also the vector, since
+    the next vectors depend on it.
 
     Layers are visited in ascending tick, so the first state found in a
     configuration has its most slack, and the configuration is settled:
     its later states are skipped, without a budget a whole key at once.
     Within a key the anchor is the lowest vector."""
-    explorer = graph._explorer
     budgeted = graph.config.flip_budget is not None
-    anchors: dict[tuple[int, int, int | None], tuple[int, int, int]] = {}
+    anchors: dict[tuple[int, int | None], tuple[int, int, int]] = {}
     for tick, layer in enumerate(graph.layers):
-        tick_cap = min(tick, explorer.max_held_delta)
         for key_id, vectors in layer.items():
-            if (key_id, tick_cap, None) in anchors or not keep(graph.marking_of(key_id)):
+            if (key_id, None) in anchors or not keep(graph.marking_of(key_id)):
                 continue
             for vector in _holding(lowest, key_id, vectors.bits, budgeted):
-                group = (key_id, tick_cap, vector if budgeted else None)
-                anchors.setdefault(group, (graph.horizon - tick, tick, vector))
-    return [(key_id, vector, slack, tick) for (key_id, _, _), (slack, tick, vector) in sorted(anchors.items())]
+                anchors.setdefault((key_id, vector if budgeted else None), (graph.horizon - tick, tick, vector))
+    return [(key_id, vector, slack, tick) for (key_id, _), (slack, tick, vector) in sorted(anchors.items())]
 
 
 def _check_safety(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
@@ -913,7 +918,7 @@ def _check_safety(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> Formu
                 # the first (vector, result index) of a forbidden firing, with
                 # the lowest wanted vector of its class under the condition
                 first = min(((vector, index, target, sorted(hit))
-                             for met, results, targets in explorer.step_table(key_id, tick, want)
+                             for met, results, targets in explorer.step_table(key_id, want)
                              for index, (target, result) in enumerate(zip(targets, results))
                              if (hit := forbidden.intersection(result.firings))
                              and (vector := lowest(key_id, met)) is not None), default=None)
@@ -941,7 +946,7 @@ class _Search:
         # step (target, next vector, result) whose sub-search was violated
         self.failing: dict[tuple, tuple[int, int, EvolveResult]] = {}
 
-    def bounded(self, key_id: int, vector: int, depth_left: int, ticks_left: int, tick: int) -> str:
+    def bounded(self, key_id: int, vector: int, depth_left: int, ticks_left: int) -> str:
         """HOLDS if along every condition-persistent extension the place is
         marked within depth_left ticks."""
         place = self.formula.place
@@ -956,11 +961,11 @@ class _Search:
         if cached is not None:
             return cached
         outcome = HOLDS
-        for step in _persistent_steps(self.graph, self.lowest, key_id, vector, tick):
+        for step in _persistent_steps(self.graph, self.lowest, key_id, vector):
             target, nxt, result = step
             if place in result.touched:
                 continue
-            sub = self.bounded(target, nxt, depth_left - 1, ticks_left - 1, tick + 1)
+            sub = self.bounded(target, nxt, depth_left - 1, ticks_left - 1)
             if sub == VIOLATED:
                 outcome = VIOLATED
                 self.failing[memo_key] = step
@@ -982,7 +987,7 @@ class _Search:
             steps.append({"tick": tick, "signals": self.graph.vector_to_named(vector), "firings": list(result.firings)})
         return steps
 
-    def reaches(self, key_id: int, vector: int, ticks_left: int, tick: int) -> bool:
+    def reaches(self, key_id: int, vector: int, ticks_left: int) -> bool:
         """True if some condition-persistent extension within ticks_left
         ticks touches or marks the place."""
         if ticks_left == 0:
@@ -995,8 +1000,8 @@ class _Search:
         found = any(
             place in result.touched
             or self.graph.marking_of(target).get(place, 0) >= 1
-            or self.reaches(target, nxt, ticks_left - 1, tick + 1)
-            for target, nxt, result in _persistent_steps(self.graph, self.lowest, key_id, vector, tick)
+            or self.reaches(target, nxt, ticks_left - 1)
+            for target, nxt, result in _persistent_steps(self.graph, self.lowest, key_id, vector)
         )
         self.memo[memo_key] = found
         return found
@@ -1010,7 +1015,7 @@ def _check_bounded(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> Form
         return FormulaVerdict(formula, VACUOUS, detail="premise never held")
     worst = HOLDS
     for key_id, vector, slack, tick in anchors:
-        verdict = search.bounded(key_id, vector, delta, slack, tick)
+        verdict = search.bounded(key_id, vector, delta, slack)
         if verdict == VIOLATED:
             witness = graph.witness_path(tick, key_id, vector)
             witness += search.failing_suffix(key_id, vector, delta, tick)
@@ -1029,16 +1034,11 @@ def _check_bounded(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> Form
 
 def _check_never_while(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
     search = _Search(graph, formula, lowest)
-
-    def keep(marking: Marking) -> bool:
-        return ((not formula.from_places or any(marking.get(p, 0) >= 1 for p in formula.from_places))
-                and marking.get(formula.place, 0) < 1)
-
-    anchors = _anchors(graph, lowest, keep)
+    anchors = _anchors(graph, lowest, formula.anchors_at)
     if not anchors:
         return FormulaVerdict(formula, VACUOUS, detail="no anchored states")
     for key_id, vector, slack, tick in anchors:
-        if search.reaches(key_id, vector, slack, tick):
+        if search.reaches(key_id, vector, slack):
             return FormulaVerdict(
                 formula,
                 VIOLATED,

@@ -168,21 +168,22 @@ def cmd_explore(args) -> int:
     for violation in graph.violations[:10]:
         print(f"  invariant violation at tick {violation.tick}: {violation.description}")
 
-    worst = EXIT_PASS
     for verdict in verdicts:
         print(f"  formula {verdict.formula.label():<30} {verdict.status}  {verdict.detail}")
-        if verdict.status == "violated":
-            worst = max(worst, EXIT_VIOLATION)
-        elif verdict.status == "inconclusive":
-            worst = max(worst, EXIT_INCONCLUSIVE)
-    if graph.violations:
-        worst = max(worst, EXIT_VIOLATION)
+    # a violation outranks an inconclusive verdict; a capped graph decides no pass
+    statuses = {verdict.status for verdict in verdicts}
+    if "violated" in statuses or graph.violations:
+        code = EXIT_VIOLATION
+    elif "inconclusive" in statuses or graph.incomplete:
+        code = EXIT_INCONCLUSIVE
+    else:
+        code = EXIT_PASS
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
             for line in graph.export_lines():
                 fh.write(line + "\n")
         print(f"graph: {args.export}")
-    return worst
+    return code
 
 
 def cmd_report(args) -> int:

@@ -217,7 +217,7 @@ def check_mandatory_escalation(trace: Trace) -> Verdict:
             if exit_time is None:
                 verdict.record(
                     _unmet(trace, entry + bound),
-                    f"residence from {entry} exceeded {bound} ticks with no exit",
+                    f"residence from {entry} has no exit by its deadline {entry + bound}",
                     note=f"residence from {entry} still open at the horizon",
                 )
                 continue
@@ -520,10 +520,7 @@ def check_formula_on_trace(trace: Trace, formula) -> FormulaVerdict:
 
     # never-while
     for start, end, _ in intervals:
-        marking = trace.marking_at(start)
-        if formula.from_places and not any(marking.get(p, 0) >= 1 for p in formula.from_places):
-            continue
-        if marking.get(formula.place, 0) >= 1:
+        if not formula.anchors_at(trace.marking_at(start)):
             continue
         for event in trace.events_between(start, end - 1):
             if event.post_marking is not None and event.post_marking.get(formula.place, 0) >= 1:

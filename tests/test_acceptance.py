@@ -177,7 +177,7 @@ def test_c04_mandatory_escalation(suite_traces):
     # can end and restart inside one tick, so the exit firing is the marker
     memo = {}
 
-    def residence_ends(key_id, depth, tick):
+    def residence_ends(key_id, depth):
         if depth == 0:
             return False
         cached = memo.get((key_id, depth))
@@ -185,11 +185,11 @@ def test_c04_mandatory_escalation(suite_traces):
             return cached
         ok = True
         for vector in range(1 << len(explorer.drivers)):
-            for result in explorer.evolve(key_id, vector, tick + 1):
+            for result in explorer.evolve(key_id, vector):
                 if set(result.firings) & legal_exits:
                     continue
                 target = explorer.intern(result.key)
-                if not residence_ends(target, depth - 1, tick + 1):
+                if not residence_ends(target, depth - 1):
                     ok = False
                     break
             if not ok:
@@ -206,7 +206,7 @@ def test_c04_mandatory_escalation(suite_traces):
             residence = dict(key.residence).get("", 0)
             if dict(key.marking).get("P_M", 0) >= 1 and residence == 1:
                 checked += 1
-                assert residence_ends(key_id, bound, tick), f"stuck in P_M from tick {tick}"
+                assert residence_ends(key_id, bound), f"stuck in P_M from tick {tick}"
     assert checked > 0
 
     for name in ("robot-escalation", "robot-no-assist", "robot-nominal", "robot-ur-mid-m"):

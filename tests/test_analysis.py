@@ -111,6 +111,10 @@ class TestExplore:
         smart = single()
         graph = explore(smart, ExplorationConfig(horizon=6, alphabet=ALPHABET4, state_cap=10))
         assert graph.incomplete
+        # a cap passed only by the horizon's layer cuts nothing short
+        full = explore(smart, ExplorationConfig(horizon=6, alphabet=ALPHABET4))
+        last = explore(smart, ExplorationConfig(horizon=6, alphabet=ALPHABET4, state_cap=full.state_count - 1))
+        assert (last.incomplete, last.state_count) == (False, full.state_count)
 
     def test_deleted_escalation_yields_replayable_counterexample(self):
         smart = mutant_without(single(), "t_SM")
@@ -141,8 +145,8 @@ class TestExplore:
         smart = single()
         graph = explore(smart, ExplorationConfig(horizon=4, alphabet=["anom"]))
         explorer = graph._explorer
-        key_id, vector, tick, results = explorer.known_steps()[0]
-        again = explorer._evolve_uncached(explorer.key_table[key_id], vector, tick)
+        key_id, vector, results = explorer.known_steps()[0]
+        again = explorer._evolve_uncached(explorer.key_table[key_id], vector)
         assert [r.key for r in again] == [r.key for r in results]
 
 

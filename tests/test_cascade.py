@@ -37,7 +37,7 @@ def test_an_instantaneous_cycle_ends_at_the_zeno_limit_under_earliest_only():
 
 def test_all_branching_follows_each_state_of_an_instantaneous_cycle_once():
     graph = explore(spin_net(), ExplorationConfig(horizon=1, weak_branching=BRANCH_ALL))
-    assert [r.firings for r in graph.successor(0, 0, 0)] == [(), ("spin",)]
+    assert [r.firings for r in graph.successor(0, 0)] == [(), ("spin",)]
 
 
 @functools.cache
@@ -48,8 +48,7 @@ def _earliest_steps(name):
     subject = factory()
     graph = explore(subject, replace(cfg, weak_branching=BRANCH_EARLIEST))
     explorer = graph._explorer
-    steps = [(explorer.key_table[key_id], vector, tick_cap, results)
-             for key_id, vector, tick_cap, results in explorer.known_steps()]
+    steps = [(explorer.key_table[key_id], vector, results) for key_id, vector, results in explorer.known_steps()]
     return steps, _Explorer(subject, replace(cfg, weak_branching=BRANCH_ALL))
 
 
@@ -60,8 +59,8 @@ def test_every_earliest_only_result_is_an_all_branching_result(name, index):
     key is among the all-branching results from the same key and vector,
     and a result with the same key and firings touched the same places."""
     steps, branching = _earliest_steps(name)
-    key, vector, tick_cap, results = steps[index % len(steps)]
-    every = {(r.key, r.firings): r.touched for r in branching._evolve_uncached(key, vector, tick_cap)}
+    key, vector, results = steps[index % len(steps)]
+    every = {(r.key, r.firings): r.touched for r in branching._evolve_uncached(key, vector)}
     keys = {k for k, _ in every}
     for result in results:
         assert result.key in keys
@@ -71,8 +70,8 @@ def test_every_earliest_only_result_is_an_all_branching_result(name, index):
 
 @pytest.mark.parametrize("name", ["hysteresis", "hysteresis-debounce-3"])
 def test_held_runs_never_exceed_the_tick(name):
-    """The held-for values and the formula searches' memo key leave the
-    tick out; that is sound because a key's held runs start at 0 and grow
+    """The step store, the held-for values, the anchors and the formula
+    searches' memo key leave the tick out; that is sound because a key's held runs start at 0 and grow
     by at most one per tick."""
     factory, cfg, _ = CASES[name]
     graph = explore(factory(), cfg)

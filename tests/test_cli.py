@@ -510,6 +510,34 @@ def test_formula_naming_a_real_transition_is_still_checked(tmp_path, capsys):
     assert code == 1 and "t_SM fired under the condition" in capsys.readouterr().out
 
 
+T_MA_UNDER_TRUE = {"kind": "safety", "condition": "true", "forbidden": ["t_MA"]}
+
+
+def test_a_capped_exploration_is_inconclusive_not_a_pass(tmp_path, capsys):
+    """The state cap stops the exploration after tick 1, before t_MA can
+    fire, so the formula holds on every explored layer; the verdict is
+    still inconclusive and the exit 2, since the full run violates it."""
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps({**ESCALATION, "formulas": [T_MA_UNDER_TRUE],
+                                "exploration": {"horizon": 12, "alphabet": ["anom", "evidence", "safe", "assist"]}}))
+    assert main(["explore", str(path)]) == 1
+    assert "violated  t_MA fired under the condition" in capsys.readouterr().out
+    assert main(["explore", str(path), "--cap", "40"]) == 2
+    out = capsys.readouterr().out
+    assert "(incomplete: state cap hit)" in out and "inconclusive  holds through tick 1" in out
+
+
+def test_explore_exit_a_violation_outranks_an_inconclusive_verdict(tmp_path, capsys):
+    reach = {"kind": "reach", "condition": "UR", "place": "P_R", "within": 3}
+    alphabet = ["anom", "evidence", "safe", "hardware_fault", "assist", "ext_auth", "disagree"]
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps({**ESCALATION, "formulas": [T_MA_UNDER_TRUE, reach],
+                                "exploration": {"horizon": 7, "alphabet": alphabet, "branching": "all"}}))
+    assert main(["explore", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "violated" in out and "inconclusive" in out
+
+
 @pytest.mark.parametrize("branching", ["all", "earliest-only"])
 def test_explore_a_1200_firing_instant_exits_0(tmp_path, capsys, branching):
     """The explorer's cascade is a loop, so a first instant that fires

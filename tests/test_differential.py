@@ -104,7 +104,7 @@ def test_simulator_paths_are_explorer_paths(name):
             keys = {
                 explorer.key_ids[result.key]
                 for key_id in keys
-                for result in graph.successor(key_id, vector, tick)
+                for result in graph.successor(key_id, vector)
                 if {p: c for p, c in result.key.marking if c} == marking and result.key.residence == residence
             }
             assert any(vector in graph.layers[tick].get(k, ()) for k in keys), (
@@ -174,7 +174,7 @@ def test_explorer_timeouts_equal_the_recorded_ones(name):
             keys = {
                 explorer.key_ids[result.key]
                 for key_id in keys
-                for result in graph.successor(key_id, vectors[tuple(sorted(values.items()))], tick)
+                for result in graph.successor(key_id, vectors[tuple(sorted(values.items()))])
                 if {p: c for p, c in result.key.marking if c} == marking and result.key.residence == residence
             }
             assert keys, (tick, marking, residence)

@@ -6,7 +6,8 @@ The property mutates one field of a known-good document, replacing its
 value by one of another JSON type, and runs the result through the
 subcommands that read that document, in process. The documents are every
 `scenarios/*.scenario.json`, one scenario with an `exploration` section,
-one net document and one stored trace.
+the single- and two-agent net documents, and the stored traces of two
+scenarios, each verified against its own scenario.
 """
 
 import contextlib
@@ -20,13 +21,20 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from smart_tgpn.builder import SmartConfig, build_single_agent
+from smart_tgpn.builder import AgentSpec, SmartConfig, build_multi_agent, build_single_agent
 from smart_tgpn.cli import main
 from smart_tgpn.netio import smart_to_document
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 ESCALATION = SCENARIOS / "robot-escalation.scenario.json"
 EXPLORATION = {"horizon": 3, "alphabet": ["anom", "evidence"], "flip_budget": 1, "cap": 100_000}
+# net document name -> (its net, the signal its scenario scripts)
+NETS = {
+    "single": (lambda: build_single_agent(SmartConfig()), "anom"),
+    "two-agent": (lambda: build_multi_agent([AgentSpec("a1", SmartConfig()), AgentSpec("a2", SmartConfig())]),
+                  "anom_a1"),
+}
+TRACES = ("robot-escalation", "robot-consensus-conflict")  # scenarios whose stored traces are documents
 
 # one value of each JSON type, with the edge cases of the numbers
 REPLACEMENTS = [None, True, False, 0, -1, 7, 2.5, "", "x", "inf", [], [0], ["x"], {}, {"x": 0}]
@@ -38,11 +46,13 @@ def _documents() -> dict[str, object]:
     docs: dict[str, object] = {f"scenario:{p.name}": json.loads(p.read_text())
                                for p in sorted(SCENARIOS.glob("*.scenario.json"))}
     docs["exploration"] = {**json.loads(ESCALATION.read_text()), "exploration": EXPLORATION}
-    docs["net"] = smart_to_document(build_single_agent(SmartConfig()))
+    for name, (build, _) in NETS.items():
+        docs[f"net:{name}"] = smart_to_document(build())
     with tempfile.TemporaryDirectory() as out:
-        assert _run(["simulate", str(ESCALATION), "--out", out]) == 0
-        lines = (Path(out) / "robot-escalation.trace.jsonl").read_text().splitlines()
-    docs["trace"] = [json.loads(line) for line in lines]  # header first
+        for name in TRACES:
+            assert _run(["simulate", str(SCENARIOS / f"{name}.scenario.json"), "--out", out]) == 0
+            lines = (Path(out) / f"{name}.trace.jsonl").read_text().splitlines()
+            docs[f"trace:{name}"] = [json.loads(line) for line in lines]  # header first
     return docs
 
 
@@ -62,14 +72,15 @@ def _run(argv: list[str]) -> int:
 def _commands(name: str, doc, tmp: Path) -> list[list[str]]:
     """Write ``doc`` under ``tmp``; the command lines that read it."""
     out = ["--out", str(tmp / "runs")]
-    if name == "trace":
+    kind, _, which = name.partition(":")
+    if kind == "trace":
         path = tmp / "x.trace.jsonl"
         path.write_text("".join(json.dumps(record) + "\n" for record in doc))
-        return [["verify", str(ESCALATION), "--trace", str(path)], ["report", str(path)]]
-    if name == "net":
+        return [["verify", str(SCENARIOS / f"{which}.scenario.json"), "--trace", str(path)], ["report", str(path)]]
+    if kind == "net":
         (tmp / "x.net.json").write_text(json.dumps(doc))
         (tmp / "x.scenario.json").write_text(json.dumps(
-            {"name": "net", "net": {"file": "x.net.json"}, "horizon": 8, "script": [[1, "anom", 1]]}))
+            {"name": "net", "net": {"file": "x.net.json"}, "horizon": 8, "script": [[1, NETS[which][1], 1]]}))
         return [["validate", str(tmp / "x.net.json")], ["simulate", str(tmp / "x.scenario.json"), *out]]
     path = tmp / "x.scenario.json"
     path.write_text(json.dumps(doc))
@@ -94,7 +105,8 @@ def mutations(draw):
     return name, doc
 
 
-@settings(derandomize=True, max_examples=500, deadline=None,
+# about 33 examples for each of the 17 documents
+@settings(derandomize=True, max_examples=567, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(mutations())
 def test_a_single_field_type_mutation_exits_by_the_contract(mutation):
@@ -119,7 +131,7 @@ def test_running_a_defective_net_document_is_input_error(tmp_path, capsys, defec
     spoil, words = NET_DEFECTS[defect]
     doc = smart_to_document(build_single_agent(SmartConfig()))
     spoil(doc)
-    simulate = _commands("net", doc, tmp_path)[1]
+    simulate = _commands("net:single", doc, tmp_path)[1]
     assert main(simulate) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and words in err

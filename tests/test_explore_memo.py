@@ -2,8 +2,8 @@
 
 One `evolve` evaluation answers every signal vector under which each guard
 the step evaluated has the truth it has under the evaluated vector. These
-tests re-evaluate every (state, vector, tick cap) entry the explorer's step
-store knows from scratch and compare, so the check needs no second,
+tests re-evaluate every (key, vector) entry the explorer's step store knows
+from scratch and compare, so the check needs no second,
 unmemoised exploration path.
 """
 
@@ -84,9 +84,9 @@ def test_every_memo_entry_matches_a_fresh_evaluation(name):
     assert not graph.violations and not graph.incomplete
     # a class must have answered a vector it was not evaluated at, or this checks nothing
     assert graph.stats["class_hits"] > 0
-    for key_id, vector, tick_cap, results in explorer.known_steps():
-        fresh = explorer._evolve_uncached(explorer.key_table[key_id], vector, tick_cap)
-        assert _fields(results) == _fields(fresh), (key_id, vector, tick_cap)
+    for key_id, vector, results in explorer.known_steps():
+        fresh = explorer._evolve_uncached(explorer.key_table[key_id], vector)
+        assert _fields(results) == _fields(fresh), (key_id, vector)
 
 
 def _fields(results):
@@ -95,9 +95,10 @@ def _fields(results):
 
 class DictMemo:
     """A reference for the explorer's bookkeeping: an exact memo per (key id,
-    vector, tick cap) whose misses evaluate the vector afresh, and one
-    `evolve` call per vector for a step table. It counts a miss as a class
-    hit if an earlier miss's guard-truth class (from `_classed`) holds it."""
+    vector) whose misses evaluate the vector afresh, and one `evolve` call
+    per vector for a step table. It counts a miss as a class hit if an
+    earlier miss's guard-truth class (from `_classed`) of the same key holds
+    it."""
 
     def __init__(self, explorer):
         self.explorer = explorer
@@ -105,25 +106,24 @@ class DictMemo:
         self.classes = {}
         self.counts = {"evolve_calls": 0, "memo_hits": 0, "class_hits": 0, "evaluations": 0}
 
-    def evolve(self, key_id, vector, tick):
+    def evolve(self, key_id, vector):
         explorer = self.explorer
         self.counts["evolve_calls"] += 1
-        tick_cap = min(tick, explorer.max_held_delta)
-        if (key_id, vector, tick_cap) in self.memo:
+        if (key_id, vector) in self.memo:
             self.counts["memo_hits"] += 1
-            return self.memo[(key_id, vector, tick_cap)]
+            return self.memo[(key_id, vector)]
         key = explorer.key_table[key_id]
-        classes = self.classes.setdefault((key_id, tick_cap), [])
+        classes = self.classes.setdefault(key_id, [])
         if any(bits >> vector & 1 for bits in classes):
             self.counts["class_hits"] += 1
         else:
             classes.append(explorer._classed(key, vector, explorer.start_of(key))[0])
             self.counts["evaluations"] += 1
-        results = self.memo[(key_id, vector, tick_cap)] = explorer._evolve_uncached(key, vector, tick_cap)
+        results = self.memo[(key_id, vector)] = explorer._evolve_uncached(key, vector)
         return results
 
-    def step_table(self, key_id, tick):
-        return [self.evolve(key_id, vector, tick) for vector in range(1 << len(self.explorer.drivers))]
+    def step_table(self, key_id):
+        return [self.evolve(key_id, vector) for vector in range(1 << len(self.explorer.drivers))]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -138,31 +138,29 @@ def test_step_store_agrees_with_one_evolve_per_vector(data):
     every_vector = list(range(1 << len(explorer.drivers)))
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
         key_id = data.draw(st.integers(0, len(explorer.key_table) - 1), label="key id")
-        tick = data.draw(st.integers(0, cfg.horizon), label="tick")
-        tick_cap = min(tick, explorer.max_held_delta)
         key = explorer.key_table[key_id]
         if data.draw(st.booleans(), label="single evolve"):
             vector = data.draw(st.sampled_from(every_vector), label="vector")
-            results = explorer.evolve(key_id, vector, tick)
-            assert _fields(results) == _fields(explorer._evolve_uncached(key, vector, tick_cap))
-            assert _fields(results) == _fields(model.evolve(key_id, vector, tick))
+            results = explorer.evolve(key_id, vector)
+            assert _fields(results) == _fields(explorer._evolve_uncached(key, vector))
+            assert _fields(results) == _fields(model.evolve(key_id, vector))
             for result in results:
                 explorer.intern(result.key)
         else:
             table = [(list(VectorSet(cube)), results, targets)
-                     for cube, results, targets in explorer.step_table(key_id, tick, explorer.every_vector)]
-            expected = model.step_table(key_id, tick)
+                     for cube, results, targets in explorer.step_table(key_id, explorer.every_vector)]
+            expected = model.step_table(key_id)
             # the classes partition the vectors and are ordered by their lowest one
             assert sorted(v for vectors, _, _ in table for v in vectors) == every_vector
             assert [vectors[0] for vectors, _, _ in table] == sorted(min(vectors) for vectors, _, _ in table)
             for vectors, results, targets in table:
                 assert targets == [explorer.key_ids[r.key] for r in results]
                 for vector in (vectors[0], vectors[-1]):
-                    assert _fields(results) == _fields(explorer._evolve_uncached(key, vector, tick_cap))
+                    assert _fields(results) == _fields(explorer._evolve_uncached(key, vector))
                 for vector in vectors:
                     assert _fields(results) == _fields(expected[vector])
         assert explorer.counts == model.counts
-        assert [entry[:3] for entry in explorer.known_steps()] == sorted(model.memo)
+        assert [entry[:2] for entry in explorer.known_steps()] == sorted(model.memo)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -179,22 +177,20 @@ def test_step_tables_split_over_disjoint_wants_equal_one_over_their_union(data):
         split.intern(key)
         joint.intern(key)
     key_id = data.draw(st.integers(0, len(known) - 1), label="key id")
-    tick = data.draw(st.integers(0, cfg.horizon), label="tick")
     first = data.draw(st.integers(1, split.every_vector - 1), label="first want")
-    split.step_table(key_id, tick, first)
-    split.step_table(key_id, tick, split.every_vector & ~first)
-    joint.step_table(key_id, tick, joint.every_vector)
-    tick_cap = min(tick, split.max_held_delta)
+    split.step_table(key_id, first)
+    split.step_table(key_id, split.every_vector & ~first)
+    joint.step_table(key_id, joint.every_vector)
 
     def classes(explorer):
         # targets as keys: the two explorers intern new ones in another order
         return [(bits, _fields(results), [explorer.key_table[t] for t in targets])
-                for bits, (results, targets) in explorer.steps[(key_id, tick_cap)][0]]
+                for bits, (results, targets) in explorer.steps[key_id][0]]
 
     assert classes(split) == classes(joint)
     for bits, results, _ in classes(joint):
         for vector in VectorSet(bits):
-            assert results == _fields(split._evolve_uncached(known[key_id], vector, tick_cap))
+            assert results == _fields(split._evolve_uncached(known[key_id], vector))
 
 
 @pytest.mark.parametrize(
@@ -224,7 +220,7 @@ def test_engine_counters_on_the_two_agent_net_with_ten_signals_at_horizon_8():
 def test_stats_describe_the_exploration_only():
     graph = explore(single(), ExplorationConfig(horizon=2, alphabet=ALPHABET8[:4]))
     before = dict(graph.stats)
-    graph.successor(0, 0, 3)
+    graph.successor(0, 0)
     assert graph.stats == before
 
 

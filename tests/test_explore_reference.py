@@ -6,7 +6,7 @@ one `evolve` call per (key, vector) edge, with a sorted list of vectors
 per key and one parent entry per state. Both must agree on key ids, the
 order of every layer and of its vectors (`export_lines` prints them in
 iteration order), the parent of every state, violations in order, the
-(key, vector, tick cap) entries known to the step store, `export_lines`
+(key, vector) entries known to the step store, `export_lines`
 and the engine counters. The safety search reads the same step tables;
 `reference_safety` is its earlier per-edge loop, and both must give the
 same verdict and witness. The bounded-response, reach and never-while
@@ -64,7 +64,7 @@ def reference_explore(subject, cfg):
             prevs = sorted(frontier[key_id]) if cfg.flip_budget is not None else [min(frontier[key_id])]
             pairs = [(prev, v) for prev in prevs for v in next_vectors(explorer, prev)]
             for prev_vector, vector in pairs:
-                for result in explorer.evolve(key_id, vector, tick):
+                for result in explorer.evolve(key_id, vector):
                     target = explorer.intern(result.key)
                     node = (tick, target, vector)
                     if node in graph.state_parents:
@@ -80,7 +80,7 @@ def reference_explore(subject, cfg):
                         )
         graph.layers.append({key_id: sorted(vectors) for key_id, vectors in layer.items()})
         graph.state_count += sum(len(v) for v in layer.values())
-        if tick > 0 and graph.state_count > cfg.state_cap:
+        if 0 < tick < cfg.horizon and graph.state_count > cfg.state_cap:
             graph.incomplete = True
             break
         frontier = layer
@@ -105,7 +105,7 @@ def reference_safety(graph, formula):
             for vector in (v for prev in prevs for v in next_vectors(explorer, prev)):
                 if not holds(key_id, vector):
                     continue
-                for result in explorer.evolve(key_id, vector, tick):
+                for result in explorer.evolve(key_id, vector):
                     hit = sorted(set(result.firings) & forbidden)
                     if hit:
                         target = explorer.intern(result.key)
@@ -160,8 +160,8 @@ def test_explore_matches_the_per_vector_reference(name):
     ]
     assert {state: graph.parent(*state) for state in graph.states()} == expected.state_parents
     assert _violations(graph) == _violations(expected)
-    assert [entry[:3] for entry in graph._explorer.known_steps()] == [
-        entry[:3] for entry in expected._explorer.known_steps()
+    assert [entry[:2] for entry in graph._explorer.known_steps()] == [
+        entry[:2] for entry in expected._explorer.known_steps()
     ]
     assert list(graph.export_lines()) == list(expected.export_lines())
     assert graph.stats == expected.stats
@@ -208,11 +208,11 @@ def test_safety_matches_the_per_edge_reference(name):
     ]
 
 
-def reference_persistent_steps(graph, lowest, key_id, vector, tick):
+def reference_persistent_steps(graph, lowest, key_id, vector):
     """The persistent steps with one `evolve` call per next vector."""
     explorer = graph._explorer
     for nxt in next_vectors(explorer, vector):
-        for result in explorer.evolve(key_id, nxt, tick + 1):
+        for result in explorer.evolve(key_id, nxt):
             target = explorer.intern(result.key)
             if lowest(target, 1 << nxt) is not None:
                 yield target, nxt, result

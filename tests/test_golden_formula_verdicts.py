@@ -10,22 +10,34 @@ witness of every verdict must equal the entry in
 `golden_formula_verdicts.json`. A change that alters a verdict on purpose
 regenerates the file with `python tests/test_golden_formula_verdicts.py`
 and says which verdicts changed and why. Every witness of an earliest-only
-case must also replay event for event.
+case must also replay event for event, and a case explored under a state
+cap that cuts it short must never pass.
 """
 
 import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 VERDICTS = os.path.join(HERE, "golden_formula_verdicts.json")
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
-from smart_tgpn.analysis import BRANCH_EARLIEST, Formula, check_formula, explore, replay_witness  # noqa: E402
+from smart_tgpn.analysis import (  # noqa: E402
+    BRANCH_EARLIEST,
+    HOLDS,
+    VACUOUS,
+    VIOLATED,
+    Formula,
+    check_formula,
+    explore,
+    replay_witness,
+)
 from smart_tgpn.guards import And, Cmp, Marked, Not, Sig  # noqa: E402
 from test_explore_memo import CASES  # noqa: E402
 
@@ -89,6 +101,28 @@ def test_every_witness_replays_event_for_event(name):
     assert witnesses
     for witness in witnesses:
         assert replay_witness(graph, witness) == [(step["tick"], step["firings"]) for step in witness]
+
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_capped_exploration_never_passes(data):
+    """Under a drawn state cap, a graph cut short gives no formula `holds`
+    or `vacuous`, and `violated` only where the full exploration does: its
+    layers are a prefix of the full graph's, whose verdicts are golden. A
+    graph that reaches the horizon gives the full verdicts."""
+    name = data.draw(st.sampled_from(sorted(CASES)), label="case")
+    factory, cfg, layer_states = CASES[name]
+    smart = factory()
+    graph = explore(smart, replace(cfg, state_cap=data.draw(st.integers(0, sum(layer_states)), label="cap")))
+    with open(VERDICTS, encoding="utf-8") as fh:
+        expected = json.load(fh)[name]
+    for formula in formulas(smart):
+        status, full = check_formula(graph, formula).status, expected[formula.name]["status"]
+        if graph.incomplete:
+            assert status not in (HOLDS, VACUOUS) and (status != VIOLATED or full == VIOLATED), formula.name
+        else:
+            assert status == full, formula.name
 
 
 if __name__ == "__main__":
