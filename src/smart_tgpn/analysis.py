@@ -622,7 +622,8 @@ class _Explorer:
 
     def _finish(self, state: KernelState, clock: ResidenceClock, held_runs: list[int],
                 firings: tuple[str, ...], entry: frozenset[str]) -> EvolveResult:
-        # touched: the places marked as the instant begins, and those its firings mark
+        # touched: the places marked as the instant begins, and those its
+        # firings mark, so every place marked at its end
         touched = entry.union(*(self.net.post(t) for t in firings)) if firings else entry
         violations = []
         for agent in self.agents:
@@ -843,8 +844,7 @@ def check_formula(graph: ReachGraph, formula: Formula) -> FormulaVerdict:
     if held_terms(formula.condition):
         raise ValueError("held_for in formula conditions is not supported")
     lowest = _condition_test(graph, formula.condition)
-    check = {"safety": _check_safety, "never-while": _check_never_while}.get(formula.kind, _check_bounded)
-    verdict = check(graph, formula, lowest)
+    verdict = (_check_safety if formula.kind == "safety" else _check_deadline)(graph, formula, lowest)
     if graph.incomplete and verdict.status in (HOLDS, VACUOUS):
         # a capped graph lacks the later layers' anchors and firings: only a violation is decided
         return FormulaVerdict(formula, INCONCLUSIVE, detail=f"holds through tick {len(graph.layers) - 1}")
@@ -933,116 +933,72 @@ def _check_safety(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> Formu
 
 
 class _Search:
-    """The memoized depth-first searches of ``_check_bounded`` and
-    ``_check_never_while`` over the condition-persistent steps. Methods, not
-    closures that call themselves: that is a reference cycle, which leaves
-    each check's memo to the GC."""
+    """The memoized depth-first search of ``_check_deadline`` over the
+    condition-persistent steps. Methods, not closures that call themselves:
+    that is a reference cycle, which leaves each check's memo to the GC."""
 
     def __init__(self, graph: ReachGraph, formula: Formula, lowest: _Lowest):
         self.graph, self.formula, self.lowest = graph, formula, lowest
         self.budgeted = graph.config.flip_budget is not None
-        self.memo: dict[tuple, str | bool] = {}
-        # bounded's memo key of a violated outcome -> the first persistent
-        # step (target, next vector, result) whose sub-search was violated
-        self.failing: dict[tuple, tuple[int, int, EvolveResult]] = {}
+        self.touch = formula.kind == "never-while"
+        # (key id, vector under a flip budget, steps) -> the first persistent
+        # step (target, next vector, result) of the run found from there, or None
+        self.memo: dict[tuple, tuple[int, int, EvolveResult] | None] = {}
 
-    def bounded(self, key_id: int, vector: int, depth_left: int, ticks_left: int) -> str:
-        """HOLDS if along every condition-persistent extension the place is
-        marked within depth_left ticks."""
-        place = self.formula.place
-        if self.graph.marking_of(key_id).get(place, 0) >= 1:
-            return HOLDS
-        if depth_left == 0:
-            return VIOLATED
-        if ticks_left == 0:
-            return INCONCLUSIVE
-        memo_key = (key_id, vector if self.budgeted else None, depth_left, min(ticks_left, depth_left))
-        cached = self.memo.get(memo_key)
-        if cached is not None:
-            return cached
-        outcome = HOLDS
-        for step in _persistent_steps(self.graph, self.lowest, key_id, vector):
-            target, nxt, result = step
-            if place in result.touched:
-                continue
-            sub = self.bounded(target, nxt, depth_left - 1, ticks_left - 1)
-            if sub == VIOLATED:
-                outcome = VIOLATED
-                self.failing[memo_key] = step
+    def run(self, key_id: int, vector: int, steps: int) -> bool:
+        """True if some condition-persistent run of ``steps`` ticks from this
+        state keeps the place out of every step's ``touched``, or, for
+        never-while, touches it at some step, where the run ends. A step's
+        ``touched`` holds every place marked at its end, so the states of a
+        run need no marking test."""
+        if steps == 0:
+            return not self.touch
+        memo_key = (key_id, vector if self.budgeted else None, steps)
+        if memo_key not in self.memo:
+            place = self.formula.place
+            self.memo[memo_key] = next(
+                (step for step in _persistent_steps(self.graph, self.lowest, key_id, vector)
+                 if (self.touch if place in step[2].touched else self.run(step[0], step[1], steps - 1))), None)
+        return self.memo[memo_key] is not None
+
+    def suffix(self, key_id: int, vector: int, steps: int, tick: int) -> list[dict]:
+        """The run ``run`` found from this state, for counterexample replay:
+        the stored first step at each remaining length, up to the step that
+        touches the place."""
+        path: list[dict] = []
+        while steps and (step := self.memo.get((key_id, vector if self.budgeted else None, steps))):
+            key_id, vector, result = step
+            steps, tick = steps - 1, tick + 1
+            path.append({"tick": tick, "signals": self.graph.vector_to_named(vector), "firings": list(result.firings)})
+            if self.formula.place in result.touched:
                 break
-            if sub == INCONCLUSIVE:
-                outcome = INCONCLUSIVE
-        self.memo[memo_key] = outcome
-        return outcome
-
-    def failing_suffix(self, key_id: int, vector: int, depth: int, tick: int) -> list[dict]:
-        """The persistent branch of a VIOLATED ``bounded`` search from this
-        state, for counterexample replay: the stored first failing step at
-        each depth. A violated search has slack >= depth, so each step is
-        keyed at (depth, depth)."""
-        steps: list[dict] = []
-        for depth_left in range(depth, 0, -1):
-            key_id, vector, result = self.failing[(key_id, vector if self.budgeted else None, depth_left, depth_left)]
-            tick += 1
-            steps.append({"tick": tick, "signals": self.graph.vector_to_named(vector), "firings": list(result.firings)})
-        return steps
-
-    def reaches(self, key_id: int, vector: int, ticks_left: int) -> bool:
-        """True if some condition-persistent extension within ticks_left
-        ticks touches or marks the place."""
-        if ticks_left == 0:
-            return False
-        memo_key = (key_id, vector if self.budgeted else None, ticks_left)
-        cached = self.memo.get(memo_key)
-        if cached is not None:
-            return cached
-        place = self.formula.place
-        found = any(
-            place in result.touched
-            or self.graph.marking_of(target).get(place, 0) >= 1
-            or self.reaches(target, nxt, ticks_left - 1)
-            for target, nxt, result in _persistent_steps(self.graph, self.lowest, key_id, vector)
-        )
-        self.memo[memo_key] = found
-        return found
+        return path
 
 
-def _check_bounded(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
-    delta = formula.within
-    search = _Search(graph, formula, lowest)
-    anchors = _anchors(graph, lowest, lambda marking: True)
+def _check_deadline(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
+    """Bounded-response and reach: an anchor whose place is not marked is
+    violated by a persistent run of ``within`` ticks that never touches it,
+    and left open by one that lasts to the horizon first. Never-while: an
+    anchor (``Formula.anchors_at``) is violated by a persistent run that
+    touches the place before the horizon, its deadline."""
+    search, place = _Search(graph, formula, lowest), formula.place
+    anchors = _anchors(graph, lowest, formula.anchors_at if search.touch else lambda marking: True)
     if not anchors:
-        return FormulaVerdict(formula, VACUOUS, detail="premise never held")
+        return FormulaVerdict(formula, VACUOUS, detail="no anchored states" if search.touch else "premise never held")
     worst = HOLDS
     for key_id, vector, slack, tick in anchors:
-        verdict = search.bounded(key_id, vector, delta, slack)
-        if verdict == VIOLATED:
-            witness = graph.witness_path(tick, key_id, vector)
-            witness += search.failing_suffix(key_id, vector, delta, tick)
-            return FormulaVerdict(
-                formula,
-                VIOLATED,
-                witness,
-                f"{formula.place} not reached within {delta} ticks of a persistent premise at tick {tick}",
-            )
-        if verdict == INCONCLUSIVE:
+        within = slack if search.touch else formula.within
+        if graph.marking_of(key_id).get(place, 0) >= 1 or not search.run(key_id, vector, min(within, slack)):
+            continue
+        if within > slack:
             worst = INCONCLUSIVE
+            continue
+        witness = graph.witness_path(tick, key_id, vector)
+        if search.touch:
+            return FormulaVerdict(formula, VIOLATED, witness,
+                                  f"{place} reached under a persistent condition from tick {tick}")
+        return FormulaVerdict(formula, VIOLATED, witness + search.suffix(key_id, vector, within, tick),
+                              f"{place} not reached within {within} ticks of a persistent premise at tick {tick}")
     if worst == INCONCLUSIVE:
         return FormulaVerdict(formula, INCONCLUSIVE, detail="horizon ends inside an open obligation")
-    return FormulaVerdict(formula, HOLDS)
-
-
-def _check_never_while(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
-    search = _Search(graph, formula, lowest)
-    anchors = _anchors(graph, lowest, formula.anchors_at)
-    if not anchors:
-        return FormulaVerdict(formula, VACUOUS, detail="no anchored states")
-    for key_id, vector, slack, tick in anchors:
-        if search.reaches(key_id, vector, slack):
-            return FormulaVerdict(
-                formula,
-                VIOLATED,
-                graph.witness_path(tick, key_id, vector),
-                f"{formula.place} reached under a persistent condition from tick {tick}",
-            )
     return FormulaVerdict(formula, HOLDS)
