@@ -993,12 +993,10 @@ def _check_deadline(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> For
         if within > slack:
             worst = INCONCLUSIVE
             continue
-        witness = graph.witness_path(tick, key_id, vector)
-        if search.touch:
-            return FormulaVerdict(formula, VIOLATED, witness,
-                                  f"{place} reached under a persistent condition from tick {tick}")
-        return FormulaVerdict(formula, VIOLATED, witness + search.suffix(key_id, vector, within, tick),
-                              f"{place} not reached within {within} ticks of a persistent premise at tick {tick}")
+        witness = graph.witness_path(tick, key_id, vector) + search.suffix(key_id, vector, within, tick)
+        detail = (f"{place} reached under a persistent condition from tick {tick}" if search.touch
+                  else f"{place} not reached within {within} ticks of a persistent premise at tick {tick}")
+        return FormulaVerdict(formula, VIOLATED, witness, detail)
     if worst == INCONCLUSIVE:
         return FormulaVerdict(formula, INCONCLUSIVE, detail="horizon ends inside an open obligation")
     return FormulaVerdict(formula, HOLDS)

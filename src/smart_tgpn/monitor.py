@@ -518,15 +518,23 @@ def check_formula_on_trace(trace: Trace, formula) -> FormulaVerdict:
             )
         return FormulaVerdict(formula, worst)
 
-    # never-while
-    for start, end, _ in intervals:
-        if not formula.anchors_at(trace.marking_at(start)):
+    # never-while, anchored as the explorer anchors: at the first instant of
+    # a condition interval whose end-of-instant marking anchors; an interval
+    # the horizon cuts holds the condition at the horizon too
+    anchored = False
+    for start, end, truncated in intervals:
+        last = end if truncated else end - 1
+        anchor = next((t for t in trace.instants(start, last) if formula.anchors_at(trace.marking_at(t))), None)
+        if anchor is None:
             continue
-        for event in trace.events_between(start, end - 1):
+        anchored = True
+        for event in trace.events_between(anchor + 1, last):
             if event.post_marking is not None and event.post_marking.get(formula.place, 0) >= 1:
                 return FormulaVerdict(
                     formula, VIOLATED,
                     [{"time": event.time, "interval": [start, end]}],
                     f"{formula.place} marked at {event.time} inside a condition interval",
                 )
+    if not anchored:
+        return FormulaVerdict(formula, VACUOUS, detail="no anchored instant on this trace")
     return FormulaVerdict(formula, HOLDS)

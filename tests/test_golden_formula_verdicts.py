@@ -103,6 +103,18 @@ def test_every_witness_replays_event_for_event(name):
         assert replay_witness(graph, witness) == [(step["tick"], step["firings"]) for step in witness]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_never_while_witnesses_end_at_the_violating_step(name):
+    """A violated never-while's witness runs on to the step whose firings
+    mark its place."""
+    factory, cfg, _ = CASES[name]
+    smart = factory()
+    graph = explore(smart, cfg)
+    for formula in formulas(smart):
+        verdict = check_formula(graph, formula)
+        if formula.kind == "never-while" and verdict.status == VIOLATED:
+            assert any(formula.place in smart.net.post(tid) for tid in verdict.witness[-1]["firings"]), formula.name
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())

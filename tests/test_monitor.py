@@ -267,7 +267,31 @@ class TestTraceFormulas:
             place="P_S_a1",
             from_places=("P_A_a1",),
         )
+        # the one interval starts at 5; a1 enters P_A at 6, the anchor
         assert check_formula_on_trace(trace, formula).status == "holds"
+
+    def test_never_while_anchors_inside_an_interval_as_the_explorer_does(self):
+        from smart_tgpn.analysis import ExplorationConfig, check_formula, explore
+        from smart_tgpn.guards import Not, Sig
+
+        # not ext_auth holds from 0; P_M is first marked at 3 (t_SM), and
+        # t_MS marks P_S again at 7
+        trace, _ = run(parse_scenario("scenarios/robot-nominal.scenario.json"))
+        formula = Formula("never-while", Not(Sig("ext_auth")), place="P_S", from_places=("P_M",))
+        verdict = check_formula_on_trace(trace, formula)
+        assert (verdict.status, verdict.witness) == ("violated", [{"time": 7, "interval": [0, 20]}])
+        graph = explore(trace.smart, ExplorationConfig(horizon=10, alphabet=["anom", "ext_auth"]))
+        verdict = check_formula(graph, formula)
+        assert verdict.status == "violated"
+        # the witness runs on to the return that marks P_S
+        assert [step["firings"] for step in verdict.witness] == [["t_SM"], ["t_MS"]]
+
+    def test_never_while_without_an_anchor_is_vacuous(self):
+        from smart_tgpn.guards import Sig
+
+        trace, _ = run(parse_scenario("scenarios/robot-nominal.scenario.json"))
+        formula = Formula("never-while", Sig("safe"), place="P_S", from_places=("P_R",))
+        assert check_formula_on_trace(trace, formula).status == "vacuous"
 
 
 def test_trace_formulas_accept_held_for():
