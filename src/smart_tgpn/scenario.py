@@ -208,6 +208,9 @@ def _parse_triggers(raw, smart: SmartNet, known: set[str]) -> TriggerSet:
         return _declared(library.expand(parse_guard(text)), known, smart, where)
 
     def tier(entries) -> list[Trigger]:
+        for entry in entries:
+            if not isinstance(entry["name"], str):
+                raise ScenarioError(f"trigger name must be a string, got {entry['name']!r}")
         return [Trigger(e["name"], condition(e.get("expr", "true"), f"trigger {e['name']!r}")) for e in entries]
 
     dwell = raw.get("dwell", 1)
@@ -261,8 +264,7 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
 
     warnings: list[str] = []
     declare = _object(doc.get("declare", {}), "declare")
-    extra_booleans = list(declare.get("booleans", []))
-    extra_reals = list(declare.get("reals", []))
+    extra_booleans, extra_reals = _names(declare, "booleans", "declare"), _names(declare, "reals", "declare")
     known = set(smart.bool_signals()) | set(smart.real_signals()) | set(extra_booleans) | set(extra_reals)
     if doc.get("derive_agreement", False):
         known |= {f"claim{a.suffix}" for a in smart.agents}

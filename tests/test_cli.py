@@ -430,9 +430,12 @@ def test_explore_negative_cap_is_input_error(tmp_path, capsys):
         ({"triggers": {"u_risk": "bogus"}}, "undeclared signal 'bogus'"),
         ({"formulas": [{"kind": "safety", "condition": "marked(P_Z)", "forbidden": ["output"]}]},
          "unknown place 'P_Z'"),
+        ({"declare": {"booleans": "xyz"}}, "declare: booleans must be a list of names"),
+        ({"triggers": {"u_risk": "true", "t_m": [{"name": 3}]}}, "trigger name must be a string"),
     ],
     ids=["config-not-an-object", "formula-place-not-a-name", "condition-on-undeclared-signal",
-         "trigger-on-undeclared-signal", "condition-on-unknown-place"],
+         "trigger-on-undeclared-signal", "condition-on-unknown-place", "declared-names-not-a-list",
+         "trigger-name-not-a-string"],
 )
 def test_simulate_malformed_net_or_condition_is_input_error(tmp_path, capsys, change, names):
     code = _run_escalation(tmp_path, "simulate", change)
