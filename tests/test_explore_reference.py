@@ -12,10 +12,15 @@ and the engine counters. The safety search reads the same step tables;
 same verdict and witness. The bounded-response, reach and never-while
 searches step through the same tables; `reference_persistent_steps` is
 their earlier per-vector step, and swapped in it must leave every verdict
-and witness as it was. The references visit vectors in ascending order
-and step a key from its lowest vector, the explorer's order rule, and
-compute their own flip-budget Hamming balls.
+and witness as it was. `reference_deadline` decides the same formulas
+without the search: it anchors at every state, steps one `evolve` call
+per next vector, evaluates the condition on its own, and recurses plainly;
+its status must equal `check_formula`'s. The references visit vectors in
+ascending order and step a key from its lowest vector, the explorer's
+order rule, and compute their own flip-budget Hamming balls.
 """
+
+from functools import lru_cache
 
 import pytest
 
@@ -23,6 +28,7 @@ from smart_tgpn import analysis
 from smart_tgpn.analysis import (
     BRANCH_ALL,
     HOLDS,
+    INCONCLUSIVE,
     VACUOUS,
     VIOLATED,
     ExplorationConfig,
@@ -36,9 +42,10 @@ from smart_tgpn.analysis import (
     explore,
     resolve_forbidden,
 )
-from smart_tgpn.guards import Marked, Not, Or, Sig
+from smart_tgpn.guards import EvalContext, Marked, Not, Or, Sig
 from smart_tgpn.builder import SmartNet
 from smart_tgpn.net import Arc, Net
+from smart_tgpn.signals import ConstantSignals
 from test_explore_memo import ALPHABET8, CASES, double, single
 
 
@@ -248,3 +255,71 @@ def test_searches_match_the_per_vector_reference(name, monkeypatch):
     assert [(v.status, v.detail, v.witness) for v in verdicts] == [
         (v.status, v.detail, v.witness) for v in expected_verdicts
     ]
+
+
+def reference_deadline(graph, formula):
+    """The status of a bounded-response, reach or never-while formula, by
+    plain recursion from every state of the graph. A state where the
+    condition holds anchors (never-while: also where its marking anchors).
+    From an anchor at tick t whose place is not marked, a run steps to
+    successors where the condition still holds, one `evolve` call per next
+    vector, for at most horizon - t ticks; a step marks the place if a
+    firing puts a token in it or its target holds one. Bounded-response and
+    reach are violated by a run of `within` ticks that marks nothing, and
+    left open by one that reaches the horizon first; never-while is violated
+    by a run that marks the place. The step reads no tick, so the anchors of
+    one configuration (the key, and the vector under a flip budget) share
+    one future: one of them that decides it decides them all."""
+    explorer, place = graph._explorer, formula.place
+    never = formula.kind == "never-while"
+    budgeted = graph.config.flip_budget is not None
+
+    @lru_cache(maxsize=None)
+    def holds(key_id, vector):
+        key = explorer.key_table[key_id]
+        values = {**explorer.vector_values(vector), **explorer.clock_of(key).timeouts(0)}
+        return formula.condition.holds(EvalContext(ConstantSignals(values), dict(key.marking), 0), 0)
+
+    def marks(result, target):
+        return graph.marking_of(target).get(place, 0) >= 1 or any(
+            place in explorer.net.post(tid) for tid in result.firings)
+
+    @lru_cache(maxsize=None)
+    def run(key_id, vector, ticks):
+        """Some persistent run of ``ticks`` ticks from the state marks the
+        place (never-while: at some tick) or never does (otherwise). Without
+        a flip budget every state steps to every vector, so ``vector`` is 0."""
+        if ticks == 0:
+            return not never
+        for nxt in next_vectors(explorer, vector):
+            for result in explorer.evolve(key_id, nxt):
+                target = explorer.intern(result.key)
+                if holds(target, nxt) and (
+                        never if marks(result, target) else run(target, nxt if budgeted else 0, ticks - 1)):
+                    return True
+        return False
+
+    decided = {}  # configuration -> the statuses of its anchors
+    for tick, key_id, vector in graph.states():
+        marking = graph.marking_of(key_id)
+        if not holds(key_id, vector) or (never and not formula.anchors_at(marking)):
+            continue
+        slack = graph.horizon - tick
+        within = slack if never else formula.within
+        if marking.get(place, 0) >= 1 or not run(key_id, vector if budgeted else 0, min(within, slack)):
+            status = HOLDS
+        else:
+            status = VIOLATED if within <= slack else INCONCLUSIVE
+        decided.setdefault((key_id, vector if budgeted else None), set()).add(status)
+    statuses = {VIOLATED if VIOLATED in s else HOLDS if HOLDS in s else INCONCLUSIVE for s in decided.values()}
+    return next((s for s in (VIOLATED, INCONCLUSIVE, HOLDS) if s in statuses), VACUOUS)
+
+
+@pytest.mark.parametrize("name", sorted(SUBJECTS))
+def test_searches_match_an_independent_reference(name):
+    subject, cfg = SUBJECTS[name]()
+    graph = explore(subject, cfg)
+    statuses = [check_formula(graph, formula).status for formula in search_formulas(subject)]
+    subject, cfg = SUBJECTS[name]()
+    expected = explore(subject, cfg)
+    assert statuses == [reference_deadline(expected, formula) for formula in search_formulas(subject)]
