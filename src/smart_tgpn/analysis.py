@@ -29,6 +29,7 @@ from .guards import (
     GuardExpr,
     HeldFor,
     Sig,
+    bit_patterns,
     check_no_nested_held,
     held_terms,
     place_names,
@@ -134,15 +135,6 @@ class EvolveResult:
 
 # a key's start state, residence clock and entry places, see _Explorer.start_of
 _Start = tuple[KernelState, ResidenceClock, frozenset[str]]
-
-
-def _repeated(block: int, width: int, total: int) -> int:
-    """``block``, ``width`` bits wide, repeated to fill ``total`` bits; by
-    doubling shifts, linear in ``total``. Both widths are powers of two."""
-    while width < total:
-        block |= block << width
-        width <<= 1
-    return block
 
 
 def _lowest(bits: int) -> int:
@@ -317,9 +309,7 @@ class _Explorer:
         # asked so far]; see step_table
         self.steps: dict[int, list] = {}
         self.every_vector = (1 << (1 << len(self.drivers))) - 1  # the bits of all vectors
-        # driver i -> the bits of the vectors with bit i set: blocks of 2^i clear and 2^i set bits
-        self.bit_patterns = [_repeated((1 << (1 << i)) - 1 << (1 << i), 2 << i, 1 << len(self.drivers))
-                             for i in range(len(self.drivers))]
+        self.bit_patterns = bit_patterns(len(self.drivers))  # driver i -> the vectors with bit i set
         self.driver_patterns = {t: self.bit_patterns[i] for i, (_, targets) in enumerate(self.drivers) for t in targets}
         # the values a guard reads that neither a driver bit nor the base values fix
         self.varying = sorted(derived) + [name for _, name in self.held_specs]

@@ -19,7 +19,7 @@ B_M / B_A for the run loop and the explorer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .guards import (
@@ -34,6 +34,7 @@ from .guards import (
     Sig,
     TRUE,
     atoms_of,
+    bit_patterns,
     eval_guard,
     signal_names,
     truth_bits,
@@ -102,19 +103,10 @@ class SmartConfig:
     gating_mode: str = GATING_GUARDED
 
     def validate(self) -> None:
-        deadlines = {
-            "delta_s": self.delta_s,
-            "delta_sr": self.delta_sr,
-            "delta_m": self.delta_m,
-            "delta_mr": self.delta_mr,
-            "delta_a": self.delta_a,
-            "delta_ar": self.delta_ar,
-            "budget_m": self.budget_m,
-            "budget_a": self.budget_a,
-        }
-        for name, value in deadlines.items():
-            if not (isinstance(value, int) and 0 < value < INF):
-                raise SmartConfigError(f"{name} must be a positive finite tick count, got {value!r}")
+        for f in fields(self):  # the int fields are the deadlines and budgets
+            value = getattr(self, f.name)
+            if f.type == "int" and not (isinstance(value, int) and 0 < value < INF):
+                raise SmartConfigError(f"{f.name} must be a positive finite tick count, got {value!r}")
         if self.gating_mode not in (GATING_GUARDED, GATING_STRUCTURAL):
             raise SmartConfigError(f"unknown gating mode {self.gating_mode!r}")
         self.hysteresis.validate()
@@ -570,11 +562,12 @@ def _guard_satisfiable(guard: GuardExpr, fixed: dict[str, bool]) -> bool:
     assignments with bit i set."""
     atoms = list(dict.fromkeys(atoms_of(guard)))
     every = (1 << (1 << len(atoms))) - 1
+    patterns = dict(zip(atoms, bit_patterns(len(atoms))))
 
     def atom_bits(atom: GuardExpr) -> int:
         if (name := getattr(atom, "name", None)) in fixed:
             return every if fixed[name] else 0
-        return sum(1 << v for v in range(1 << len(atoms)) if v >> atoms.index(atom) & 1)
+        return patterns[atom]
 
     return truth_bits(guard, atom_bits, every) != 0
 
@@ -586,71 +579,58 @@ def validate_smart(smart: SmartNet) -> CheckReport:
     checks: list[CheckResult] = []
 
     # (a) outputs gated on the owning agent's P_S and no other mode place
-    gate = CheckResult("output-gating", True)
+    gate = CheckResult("output-gating")
     for agent in smart.agents:
         for tid in agent.outputs:
             pre = net.pre(tid)
             if pre.get(agent.place("S"), 0) < 1:
-                gate.passed = False
                 gate.witnesses.append(f"{tid}: {agent.place('S')} is not a preplace")
             others = sorted(set(pre) & (mode_places - {agent.place("S")}))
             if others:
-                gate.passed = False
                 gate.witnesses.append(f"{tid}: other mode places as preplaces: {others}")
     checks.append(gate)
 
     # (b) S, M, A each have a governance exit that opens under unsafety
-    governance = CheckResult("governance-exits", True)
+    governance = CheckResult("governance-exits")
     for agent in smart.agents:
-        unsafe = {agent.signal("safe"): False, agent.signal("hardware_fault"): True}
+        # unsafe with evidence; every other signal reads False, so reals read 0.0
+        unsafe = {agent.signal("evidence"): True, agent.signal("safe"): False, agent.signal("hardware_fault"): True}
         for key in ("S", "M", "A"):
             place = agent.place(key)
-            found = False
-            for tid in net.transition_ids():
-                if net.pre(tid).get(place, 0) >= 1 and net.post(tid).get(agent.place("R"), 0) >= 1:
-                    guard = net.transitions[tid].guard
-                    # every other signal reads False, so reals read 0.0
-                    values = dict.fromkeys(signal_names(guard), False)
-                    values.update({agent.signal("evidence"): True, agent.signal("safe"): True})
-                    values.update(unsafe)
-                    marking = {p: int(p == place) for p in net.places}
-                    if eval_guard(guard, ConstantSignals(values), marking, 0):
-                        found = True
-                        break
-            if not found:
-                governance.passed = False
-                governance.witnesses.append(f"{agent.place(key)}: no unsafety-enabled exit to {agent.place('R')}")
+            marking = {p: int(p == place) for p in net.places}
+            exits = [net.transitions[tid].guard for tid in net.transition_ids()
+                     if net.pre(tid).get(place, 0) >= 1 and net.post(tid).get(agent.place("R"), 0) >= 1]
+            if not any(eval_guard(guard, ConstantSignals({**dict.fromkeys(signal_names(guard), False), **unsafe}),
+                                  marking, 0) for guard in exits):
+                governance.witnesses.append(f"{place}: no unsafety-enabled exit to {agent.place('R')}")
     checks.append(governance)
 
     # (c) every exit from P_R requires external authorization
-    absorbing = CheckResult("regulated-absorbing", True)
+    absorbing = CheckResult("regulated-absorbing")
     for agent in smart.agents:
         p_r = agent.place("R")
         for tid in net.transition_ids():
             if net.pre(tid).get(p_r, 0) >= 1:
                 if _guard_satisfiable(net.transitions[tid].guard, {agent.signal("ext_auth"): False}):
-                    absorbing.passed = False
                     absorbing.witnesses.append(f"{tid}: can exit {p_r} without {agent.signal('ext_auth')}")
     checks.append(absorbing)
 
     # (d) escalation and governance transitions are strong with finite beta
-    timing = CheckResult("strong-deadlines", True)
+    timing = CheckResult("strong-deadlines")
     for agent in smart.agents:
-        for key in ("t_SM", "t_SR", "t_MA", "t_MR", "t_AS", "t_AR"):
+        for key in _SWITCH_DEADLINES:
             record = net.transitions.get(agent.switch(key))
             if record is None:
-                timing.passed = False
                 timing.witnesses.append(f"missing transition {agent.switch(key)}")
                 continue
             if record.timing != STRONG or record.beta == INF:
-                timing.passed = False
                 timing.witnesses.append(
                     f"{record.id}: needs strong finite timing, has {record.timing} [{record.alpha}, {record.beta}]"
                 )
     checks.append(timing)
 
     # (e) mode switches conserve the mode token
-    conserve = CheckResult("mode-token-flow", True)
+    conserve = CheckResult("mode-token-flow")
     for agent in smart.agents:
         agent_modes = set(agent.mode_places.values())
         for tid in agent.mode_switches.values():
@@ -659,7 +639,6 @@ def validate_smart(smart: SmartNet) -> CheckReport:
             consumed = sum(w for p, w in net.pre(tid).items() if p in agent_modes)
             produced = sum(w for p, w in net.post(tid).items() if p in agent_modes)
             if (consumed, produced) != (1, 1):
-                conserve.passed = False
                 conserve.witnesses.append(f"{tid}: consumes {consumed}, produces {produced} mode tokens")
     checks.append(conserve)
 

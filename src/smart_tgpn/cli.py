@@ -17,10 +17,10 @@ import sys
 
 from .analysis import ExplorationConfig, check_formula, explore
 from .builder import validate_smart
-from .hierarchy import check_interface
+from .hierarchy import RefinementError, check_interface
 from .kernel import ZenoViolation
 from .net import validate_net
-from .netio import NetDocumentError, load_net, smart_from_document, subnets_from_document
+from .netio import NetDocumentError, net_from_document, smart_from_document, subnets_from_document
 from .scenario import ScenarioError, parse_scenario, run, verify
 from .trace import Trace, read_trace, write_trace
 
@@ -81,7 +81,7 @@ def _status_code(status: str) -> int:
 def cmd_validate(args) -> int:
     with open(args.net_file, encoding="utf-8") as fh:
         doc = json.load(fh)
-    net = load_net(args.net_file)
+    net = net_from_document(doc)
     report = validate_net(net)
     print(report.summary())
     if not report.ok:
@@ -214,8 +214,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioError, NetDocumentError, ZenoViolation, FileNotFoundError, json.JSONDecodeError) as exc:
-        # a Zeno net fires without end within one instant, so it has no run to check
+    except (ScenarioError, NetDocumentError, RefinementError, ZenoViolation, FileNotFoundError,
+            json.JSONDecodeError) as exc:
+        # a Zeno net fires without end within one instant, so it has no run to check;
+        # a subnet can name an interface transition that no net has
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -349,6 +349,19 @@ def truth_bits(expr: GuardExpr, atom_bits: Callable[[GuardExpr], int], every: in
     return atom_bits(expr) & every
 
 
+def bit_patterns(n: int) -> list[int]:
+    """Entry i: the bitset of the 2^n vectors with bit i set, blocks of 2^i
+    clear and 2^i set bits; by doubling shifts, linear in 2^n."""
+    patterns = []
+    for i in range(n):
+        block, width = (1 << (1 << i)) - 1 << (1 << i), 2 << i
+        while width < 1 << n:
+            block |= block << width
+            width <<= 1
+        patterns.append(block)
+    return patterns
+
+
 def _compile(expr: GuardExpr) -> Compiled:
     """The closure that decides ``expr``; children are compiled (once) by
     reading their own ``holds``. ``and`` / ``or`` stop at the first child

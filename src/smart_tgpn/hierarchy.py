@@ -57,11 +57,15 @@ class InterfaceSpec:
 
 @dataclass
 class CheckResult:
-    """One named structural check, with a witness line per failure."""
+    """One named structural check, with a witness line per failure; it
+    passes exactly when it has no witness."""
 
     name: str
-    passed: bool
     witnesses: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
 
 @dataclass
@@ -204,61 +208,46 @@ def check_interface(macro: Net | None, sub: Subnet, iface: InterfaceSpec) -> Int
     internal = [t for t in sub.net.transition_ids() if t not in (iface.in_transition, iface.out_transition)]
 
     # H1: conservation of the mode token while inside the subnet
-    h1 = CheckResult("H1 mode-token conservation", True)
+    h1 = CheckResult("H1 mode-token conservation")
     for tid in internal:
         flow = _boundary_flow(sub.net, tid, subnet_places)
         if flow != 0:
-            h1.passed = False
             h1.witnesses.append(f"{tid}: net flow {flow:+d} into subnet places (expected 0)")
-    in_entry = lookup(iface.in_transition)
-    if in_entry is not None:
-        net_of, _ = in_entry
-        flow = _boundary_flow(net_of, iface.in_transition, subnet_places)
-        if flow != 1:
-            h1.passed = False
-            h1.witnesses.append(f"{iface.in_transition}: deposits {flow:+d} tokens (expected +1)")
-    out_entry = lookup(iface.out_transition)
-    if out_entry is not None:
-        net_of, _ = out_entry
-        flow = _boundary_flow(net_of, iface.out_transition, subnet_places)
-        if flow != -1:
-            h1.passed = False
-            h1.witnesses.append(f"{iface.out_transition}: extracts {flow:+d} tokens (expected -1)")
+    in_entry, out_entry = lookup(iface.in_transition), lookup(iface.out_transition)
+    for entry, tid, expected, verb in ((in_entry, iface.in_transition, 1, "deposits"),
+                                       (out_entry, iface.out_transition, -1, "extracts")):
+        if entry is not None and (flow := _boundary_flow(entry[0], tid, subnet_places)) != expected:
+            h1.witnesses.append(f"{tid}: {verb} {flow:+d} tokens (expected {expected:+d})")
 
     # H2: internal arcs stay inside the subnet (checked against the
     # composed net when available, which holds the full arc picture)
-    h2 = CheckResult("H2 encapsulation", True)
+    h2 = CheckResult("H2 encapsulation")
     for tid in internal:
         net_of = macro if (macro is not None and tid in macro.transitions) else sub.net
         touched = set(net_of.pre(tid)) | set(net_of.post(tid))
         outside = sorted(touched - subnet_places)
         if outside:
-            h2.passed = False
             h2.witnesses.append(f"{tid}: arcs touch non-subnet places {outside}")
 
     # H3: marked success exit strongly enables the out interface
-    h3 = CheckResult("H3 exit determinacy", True)
+    h3 = CheckResult("H3 exit determinacy")
     if out_entry is None:
-        h3.passed = False
         h3.witnesses.append("no out interface transition declared")
     else:
         net_of, record = out_entry
         if record.timing != STRONG or record.beta == INF:
-            h3.passed = False
             h3.witnesses.append(
                 f"{iface.out_transition}: needs strong timing with finite beta, "
                 f"has {record.timing} [{record.alpha}, {record.beta}]"
             )
         inputs_inside = {p for p in net_of.pre(iface.out_transition) if p in subnet_places}
         if inputs_inside != set(sub.success_exit):
-            h3.passed = False
             h3.witnesses.append(
                 f"{iface.out_transition}: subnet inputs {sorted(inputs_inside)} "
                 f"!= success exits {sorted(sub.success_exit)}"
             )
         for p in inputs_inside:
             if net_of.pre(iface.out_transition)[p] != 1:
-                h3.passed = False
                 h3.witnesses.append(f"{iface.out_transition}: weight on {p} must be 1")
 
     return InterfaceReport([h1, h2, h3])

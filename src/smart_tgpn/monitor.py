@@ -486,18 +486,19 @@ def check_formula_on_trace(trace: Trace, formula) -> FormulaVerdict:
             for event in trace.events_between(start, deadline)
         )
 
-    intervals = trace.predicate_intervals(formula.condition)
-    if not intervals:
-        return FormulaVerdict(formula, VACUOUS, detail="condition never held on this trace")
-
-    if formula.kind == "safety":
+    if formula.kind == "safety":  # read on the marking at the instant's entry, as the explorer reads it
         for event in trace.firings(resolve_forbidden(formula.forbidden, smart.net, smart)):
-            if trace.interval_at(formula.condition, event.time) is not None:
+            if trace.eval_at(formula.condition, event.time, trace.marking_at(event.time - 1)):
                 return FormulaVerdict(
                     formula, VIOLATED,
                     [{"time": event.time, "firing": event.name}],
                     f"{event.name} fired at {event.time} under the condition",
                 )
+
+    intervals = trace.predicate_intervals(formula.condition)
+    if not intervals:
+        return FormulaVerdict(formula, VACUOUS, detail="condition never held on this trace")
+    if formula.kind == "safety":
         return FormulaVerdict(formula, HOLDS)
 
     if formula.kind in ("bounded-response", "reach"):

@@ -12,6 +12,7 @@ monitors and structure checks).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from typing import Any
 
@@ -23,6 +24,20 @@ from .net import Arc, INF, Net, PriorityClass, TransitionRecord
 
 class NetDocumentError(ValueError):
     pass
+
+
+@contextmanager
+def _reading(what: str):
+    """Report a missing field, or a field of the wrong type, of ``what`` as
+    a NetDocumentError."""
+    try:
+        yield
+    except NetDocumentError:
+        raise
+    except KeyError as missing:  # a document, section or entry lacks a field
+        raise NetDocumentError(f"{what} lacks required key {missing}") from None
+    except (TypeError, AttributeError, ValueError) as exc:  # a field of the wrong type
+        raise NetDocumentError(f"malformed {what}: {exc}") from None
 
 
 def _interval_out(alpha: int, beta: float) -> list:
@@ -62,7 +77,7 @@ def net_to_document(net: Net) -> dict:
 def net_from_document(doc: dict) -> Net:
     """The net a document describes. A missing field or a field of the
     wrong type raises NetDocumentError."""
-    try:
+    with _reading("net document"):
         places = list(doc["places"])
         transitions = {}
         for raw in doc["transitions"]:
@@ -91,23 +106,13 @@ def net_from_document(doc: dict) -> Net:
             {p: int(c) for p, c in doc.get("initial_marking", {}).items()},
             set(doc.get("refinable", [])),
         )
-    except NetDocumentError:
-        raise
-    except KeyError as missing:  # a document, transition or arc lacks a field
-        raise NetDocumentError(f"net document lacks required key {missing}") from None
-    except (TypeError, AttributeError, ValueError) as exc:  # a field of the wrong type
-        raise NetDocumentError(f"malformed net document: {exc}") from None
 
 
 def subnets_from_document(doc: dict) -> list[tuple[str, Subnet, InterfaceSpec]]:
     """(name, fragment, interface) of each subnets[] entry. A section or an
     entry of the wrong type raises NetDocumentError."""
-    try:
+    with _reading("subnets section"):
         return [subnet_from_document(raw) for raw in doc.get("subnets", [])]
-    except NetDocumentError:
-        raise
-    except (TypeError, AttributeError, ValueError) as exc:  # a field of the wrong type
-        raise NetDocumentError(f"malformed subnets section: {exc}") from None
 
 
 def subnet_from_document(doc: dict) -> tuple[str, Subnet, InterfaceSpec]:
@@ -165,7 +170,7 @@ def smart_from_document(doc: dict) -> SmartNet:
     meta = doc.get("smart")
     if meta is None:
         raise NetDocumentError("net document has no smart{} annotations")
-    try:
+    with _reading("smart section"):
         agents = []
         for raw in meta["agents"]:
             config, agent_id, suffix = config_from_document(raw["config"]), raw.get("id"), raw.get("suffix", "")
@@ -180,12 +185,6 @@ def smart_from_document(doc: dict) -> SmartNet:
             list(meta.get("coordination_places", [])),
             meta.get("gating_mode", "structural+guarded"),
         )
-    except NetDocumentError:
-        raise
-    except KeyError as missing:
-        raise NetDocumentError(f"smart section lacks required key {missing}") from None
-    except (TypeError, AttributeError, ValueError) as exc:  # a field of the wrong type
-        raise NetDocumentError(f"malformed smart section: {exc}") from None
 
 
 def load_net(path: str) -> Net:

@@ -240,8 +240,10 @@ class Trace:
             residences.append((start, end, exit_tid))
         return residences
 
-    def eval_at(self, expr: GuardExpr, time: int) -> bool:
-        return eval_guard(expr, self.sigma, self.marking_at(time), time, self._history())
+    def eval_at(self, expr: GuardExpr, time: int, marking: Marking | None = None) -> bool:
+        """The predicate at the instant, on ``marking`` or the instant's end marking."""
+        marking = self.marking_at(time) if marking is None else marking
+        return eval_guard(expr, self.sigma, marking, time, self._history())
 
     def change_points(self) -> list[int]:
         """All instants at which anything changed, plus 0 and the horizon."""
@@ -261,10 +263,11 @@ class Trace:
         return list(self._intervals(expr)[0])
 
     def interval_at(self, expr: GuardExpr, time: int) -> tuple[int, int, bool] | None:
-        """The predicate interval [start, end) holding the instant, if any."""
+        """The predicate interval [start, end) holding the instant, if any;
+        an interval the horizon cuts holds at the horizon too."""
         intervals, starts = self._intervals(expr)
         index = bisect_right(starts, time) - 1
-        if index >= 0 and time < intervals[index][1]:
+        if index >= 0 and (time < intervals[index][1] or intervals[index][2] and time == intervals[index][1]):
             return intervals[index]
         return None
 

@@ -12,7 +12,7 @@ from smart_tgpn.builder import (
     default_trigger_set,
     validate_smart,
 )
-from smart_tgpn.guards import guard_to_string, held_terms
+from smart_tgpn.guards import And, Not, Sig, guard_to_string, held_terms
 from smart_tgpn.net import Arc, Net, TransitionRecord, validate_net
 
 MACRO_TRANSITIONS = {"t_out", "t_SM", "t_SR", "t_MS", "t_MA", "t_MR", "t_AS", "t_AR", "t_RS"}
@@ -177,6 +177,18 @@ class TestValidateSmart:
         smart.net = smart.net.with_transitions([loose])
         report = validate_smart(smart)
         assert not report.check("regulated-absorbing").passed
+
+    @pytest.mark.parametrize("loose", [True, False], ids=["exit-without-ext_auth", "exit-needs-ext_auth"])
+    def test_twenty_atom_regulated_exit_probe(self, loose):
+        """The probe decides a 20-atom exit guard over its 2^20 assignments:
+        19 free signals and ext_auth, pinned false."""
+        smart = build_single_agent(SmartConfig())
+        free = tuple(Sig(f"x{i}") for i in range(19))
+        guard = And(free + (Not(Sig("ext_auth")) if loose else Sig("ext_auth"),))
+        smart.net = smart.net.with_transitions([smart.net.transitions["t_RS"].with_guard(guard)])
+        check = validate_smart(smart).check("regulated-absorbing")
+        assert check.witnesses == (["t_RS: can exit P_R without ext_auth"] if loose else [])
+        assert check.passed is not loose
 
     def test_weakly_timed_escalation_flagged(self):
         smart = build_single_agent(SmartConfig())

@@ -5,7 +5,7 @@ import pytest
 
 from smart_tgpn.builder import SmartConfig, build_single_agent
 from smart_tgpn.cli import _build_parser, main
-from smart_tgpn.netio import load_smart, save_net, save_smart, smart_to_document
+from smart_tgpn.netio import load_smart, net_to_document, save_net, save_smart, smart_to_document
 from smart_tgpn.net import Arc, Net, TransitionRecord
 
 
@@ -558,3 +558,71 @@ def test_explore_a_1200_firing_instant_exits_0(tmp_path, capsys, branching):
     (tmp_path / "x.scenario.json").write_text(json.dumps(scenario))
     assert main(["explore", str(tmp_path / "x.scenario.json")]) == 0
     assert "states: " in capsys.readouterr().out
+
+
+# a safety formula gets one verdict from the simulator's trace and the
+# explorer: both read its condition on the marking at the firing instant's
+# entry, and a condition interval the horizon cuts holds at the horizon
+SAFETY_REPROS = {
+    "entry-marking": ({"formulas": [{"kind": "safety", "condition": "marked(P_M)", "forbidden": ["t_SM"]}],
+                       "exploration": {"horizon": 4, "alphabet": ["anom"]}}, 0),
+    "instant-at-the-horizon": ({"horizon": 1, "script": [[1, "anom", 1]], "propositions": [],
+                                "formulas": [{"kind": "safety", "condition": "anom", "forbidden": ["t_SM"]}],
+                                "exploration": {"horizon": 1, "alphabet": ["anom"]}}, 1),
+}
+
+
+@pytest.mark.parametrize("repro", sorted(SAFETY_REPROS))
+def test_simulate_and_explore_give_a_safety_formula_one_verdict(tmp_path, capsys, repro):
+    change, code = SAFETY_REPROS[repro]
+    assert _run_escalation(tmp_path, "simulate", change) == code
+    assert _run_escalation(tmp_path, "explore", change) == code
+
+
+def test_an_output_at_the_horizon_inside_the_window_passes_p2(tmp_path, capsys):
+    """The output at tick 1 lies in the pre-escalation window of the
+    invalidity that starts at 1, here cut by the horizon."""
+    config = {"gating_mode": "structural-only", "hysteresis": {"enabled": True}}
+    change = {"net": {"builder": {"config": config}}, "horizon": 1,
+              "script": [[1, "anom", 1], [1, "want_output", 1]], "propositions": ["P2"]}
+    assert _run_escalation(tmp_path, "simulate", change) == 0
+    assert "P2 output gating                   pass" in capsys.readouterr().out
+
+
+def _subnet_document(entry_change):
+    """The single-agent document with its consensus subnet in subnets[]."""
+    smart = build_single_agent(SmartConfig())
+    sub, iface = smart.coordination_subnet()
+    entry = {**net_to_document(sub.net), "name": "consensus", "entry": sub.entry, "exit": sub.exit,
+             "success_exit": sub.success_exit, "in_transition": iface.in_transition,
+             "out_transition": iface.out_transition}
+    return {**smart_to_document(smart), "subnets": [{**entry, **entry_change(entry)}]}
+
+
+@pytest.mark.parametrize(
+    "change, code, lines",
+    [
+        (lambda entry: {}, 0,
+         ["subnet consensus:", "H1 mode-token conservation: pass", "H2 encapsulation: pass",
+          "H3 exit determinacy: pass"]),
+        (lambda entry: {"arcs": [{**a, "weight": 2} if a["from"] == "t_agree" else a for a in entry["arcs"]]}, 1,
+         ["H1 mode-token conservation: FAIL", "  t_agree: net flow +1 into subnet places (expected 0)"]),
+        (lambda entry: {"in_transition": "t_MS", "out_transition": "t_MA"}, 1,
+         ["H1 mode-token conservation: FAIL", "  t_MS: deposits +0 tokens (expected +1)",
+          "  t_MA: extracts +1 tokens (expected -1)"]),
+    ],
+    ids=["as-saved", "t_agree-weight-2", "wrong-interface"],
+)
+def test_validate_checks_a_saved_subnet_against_its_interface(tmp_path, capsys, change, code, lines):
+    path = tmp_path / "subnet.net.json"
+    path.write_text(json.dumps(_subnet_document(change)))
+    assert main(["validate", str(path)]) == code
+    out = capsys.readouterr().out.splitlines()
+    for line in lines:
+        assert line in out
+
+
+def test_validate_subnet_naming_no_interface_transition_is_input_error(tmp_path, capsys):
+    path = tmp_path / "subnet.net.json"
+    path.write_text(json.dumps(_subnet_document(lambda entry: {"in_transition": "t_nope"})))
+    _assert_one_line_input_error(main(["validate", str(path)]), capsys, "interface transition 't_nope' not found")

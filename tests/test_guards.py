@@ -18,6 +18,7 @@ from smart_tgpn.guards import (
     PredicateLibrary,
     Sig,
     atoms_of,
+    bit_patterns,
     check_no_nested_held,
     eval_guard,
     guard_to_string,
@@ -379,3 +380,11 @@ def test_a_rebuilt_node_evaluates_as_a_fresh_one(rebuild):
     for now in range(6):
         for marking in ({"P_M": 0}, {"P_M": 1}):
             assert eval_guard(rebuilt, sigma, marking, now) == eval_guard(fresh, sigma, marking, now)
+
+
+def test_bit_patterns_hold_the_vectors_with_their_bit_set():
+    for n in range(9):
+        patterns = bit_patterns(n)
+        assert len(patterns) == n
+        for i, pattern in enumerate(patterns):
+            assert pattern == sum(1 << v for v in range(1 << n) if v >> i & 1), (n, i)

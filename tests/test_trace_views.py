@@ -139,6 +139,11 @@ def check_views(trace):
             assert trace.mode_residences(agent, key) == naive_residences(trace, agent, key)
         for expr in (agent.invalid, agent.unrecoverable):
             assert trace.predicate_intervals(expr) == naive_intervals(trace, expr)
+            # an interval holds exactly the instants at which the predicate holds
+            for t in range(trace.horizon + 1):
+                holding = trace.interval_at(expr, t)
+                assert (holding is not None) == trace.eval_at(expr, t)
+                assert holding is None or holding[0] <= t
 
 
 @settings(max_examples=30, deadline=None)
@@ -246,6 +251,14 @@ class TestHeldForWindows:
         expr = parse_guard("held_for(marked(P_M), 3)")
         assert [t for t in range(trace.horizon + 1) if trace.eval_at(expr, t)] == [5, 6]
         assert trace.predicate_intervals(expr) == [(5, 7, False)]
+
+
+def test_an_interval_the_horizon_cuts_holds_at_the_horizon():
+    trace, _ = run(parse_scenario({"name": "cut", "net": {"builder": {"config": {}}}, "horizon": 3,
+                                   "script": [[2, "anom", 1]]}))
+    anom = Sig("anom")
+    assert trace.predicate_intervals(anom) == [(2, 3, True)]
+    assert [trace.interval_at(anom, t) for t in range(4)] == [None, None, (2, 3, True), (2, 3, True)]
 
 
 def test_events_out_of_time_order_are_rejected():
