@@ -16,7 +16,7 @@ from .builder import (
     default_trigger_set,
     validate_smart,
 )
-from .guards import GuardExpr, PredicateLibrary, eval_guard, held_for, parse_guard
+from .guards import GuardExpr, PredicateLibrary, eval_guard, parse_guard
 from .hierarchy import InterfaceSpec, Subnet, check_interface, refine
 from .kernel import (
     FiringEvent,
@@ -26,7 +26,6 @@ from .kernel import (
     advance_to_next_event,
     enabled,
     fire,
-    next_forced_deadline,
     struct_enabled,
 )
 from .net import Arc, Marking, Net, TransitionRecord, drop_transition, validate_net
@@ -39,7 +38,6 @@ from .analysis import (
     explore,
     incidence_matrix,
     mode_indicator,
-    structural_output_safety,
 )
 from .monitor import (
     PropositionSpec,

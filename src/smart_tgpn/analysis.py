@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .builder import AGENT_DERIVED_SIGNALS, ResidenceClock, SmartNet, validate_smart
+from .builder import AGENT_DERIVED_SIGNALS, ResidenceClock, SmartNet
 from .guards import (
     EvalContext,
     GuardExpr,
     HeldFor,
+    MAX_ATOMS,
     Sig,
     bit_patterns,
     check_no_nested_held,
@@ -79,29 +80,12 @@ def mode_indicator(smart: SmartNet) -> dict[str, int]:
     return {p: 1 for p in smart.mode_place_ids}
 
 
-@dataclass
-class SafetyReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def structural_output_safety(smart: SmartNet) -> SafetyReport:
-    """Every output transition must consume from its agent's P_S (weight
-    >= 1) and from no other mode place: the witnesses of validate_smart's
-    output-gating check."""
-    return SafetyReport(validate_smart(smart).check("output-gating").witnesses)
-
-
 # --- exploration --------------------------------------------------------------
 
 BRANCH_EARLIEST = "earliest-only"
 BRANCH_ALL = "all"
 
 WANT_DRIVER = "want_output"
-MAX_DRIVERS = 20
 
 
 @dataclass
@@ -290,8 +274,8 @@ class _Explorer:
                     raise ValueError(f"alphabet signals {driven[target]!r} and {name!r} both drive {target!r}")
                 driven[target] = name
             self.drivers.append((name, targets))
-        if len(self.drivers) > MAX_DRIVERS:  # a vector set is a 2^n-bit int
-            raise ValueError(f"{len(self.drivers)} alphabet signals, at most {MAX_DRIVERS} are explorable")
+        if len(self.drivers) > MAX_ATOMS:  # a vector set is a 2^n-bit int
+            raise ValueError(f"{len(self.drivers)} alphabet signals, at most {MAX_ATOMS} are explorable")
         if cfg.weak_branching not in (BRANCH_EARLIEST, BRANCH_ALL):
             raise ValueError(f"unknown weak branching {cfg.weak_branching!r}")
         for name, value in (("horizon", cfg.horizon), ("state cap", cfg.state_cap), ("flip budget", cfg.flip_budget)):

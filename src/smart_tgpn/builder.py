@@ -19,14 +19,17 @@ B_M / B_A for the run loop and the explorer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .guards import (
     And,
     Cmp,
+    GuardError,
     GuardExpr,
     HeldFor,
+    MAX_ATOMS,
     Marked,
     Not,
     Or,
@@ -71,6 +74,17 @@ class SmartConfigError(ValueError):
     pass
 
 
+def _check_types(config) -> None:
+    """Each field of a config holds a value of its declared type: a bool is
+    no int, and a float field takes any finite int or float but a bool."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not (type(value) in (int, float) and math.isfinite(value)):
+            raise SmartConfigError(f"{f.name} must be a finite number, got {value!r}")
+        if f.type != "float" and type(value).__name__ != f.type:
+            raise SmartConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Hysteresis:
     enabled: bool = False
@@ -80,6 +94,7 @@ class Hysteresis:
     debounce_down: int = 2  # return condition must hold this long
 
     def validate(self) -> None:
+        _check_types(self)
         if self.enabled and not self.theta_down < self.theta_up:
             raise SmartConfigError("hysteresis requires theta_down < theta_up")
         if self.debounce_up < 0 or self.debounce_down < 0:
@@ -103,9 +118,10 @@ class SmartConfig:
     gating_mode: str = GATING_GUARDED
 
     def validate(self) -> None:
+        _check_types(self)
         for f in fields(self):  # the int fields are the deadlines and budgets
             value = getattr(self, f.name)
-            if f.type == "int" and not (isinstance(value, int) and 0 < value < INF):
+            if f.type == "int" and not 0 < value < INF:
                 raise SmartConfigError(f"{f.name} must be a positive finite tick count, got {value!r}")
         if self.gating_mode not in (GATING_GUARDED, GATING_STRUCTURAL):
             raise SmartConfigError(f"unknown gating mode {self.gating_mode!r}")
@@ -561,6 +577,8 @@ def _guard_satisfiable(guard: GuardExpr, fixed: dict[str, bool]) -> bool:
     builder's guards and conservative otherwise: atom i holds under the
     assignments with bit i set."""
     atoms = list(dict.fromkeys(atoms_of(guard)))
+    if len(atoms) > MAX_ATOMS:  # the patterns take n * 2^n bits
+        raise GuardError(f"a guard of {len(atoms)} atoms, at most {MAX_ATOMS} can be probed")
     every = (1 << (1 << len(atoms))) - 1
     patterns = dict(zip(atoms, bit_patterns(len(atoms))))
 

@@ -17,6 +17,7 @@ import sys
 
 from .analysis import ExplorationConfig, check_formula, explore
 from .builder import validate_smart
+from .guards import GuardError
 from .hierarchy import RefinementError, check_interface
 from .kernel import ZenoViolation
 from .net import validate_net
@@ -138,9 +139,7 @@ def _read_trace(path: str) -> Trace:
 def cmd_verify(args) -> int:
     scenario = parse_scenario(args.scenario)
     if args.trace:
-        trace = _read_trace(args.trace)
-        trace.smart = scenario.smart
-        report = verify(trace, scenario)
+        report = verify(_read_trace(args.trace), scenario)
     else:
         _, report = run(scenario)
     print(report.table())
@@ -214,10 +213,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioError, NetDocumentError, RefinementError, ZenoViolation, FileNotFoundError,
+    except (ScenarioError, NetDocumentError, RefinementError, ZenoViolation, GuardError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         # a Zeno net fires without end within one instant, so it has no run to check;
-        # a subnet can name an interface transition that no net has
+        # a subnet can name an interface transition that no net has;
+        # a guard can have more atoms than the satisfiability probe takes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -349,6 +349,9 @@ def truth_bits(expr: GuardExpr, atom_bits: Callable[[GuardExpr], int], every: in
     return atom_bits(expr) & every
 
 
+MAX_ATOMS = 20  # the most atoms a bitset over all their 2^n truth vectors is built for
+
+
 def bit_patterns(n: int) -> list[int]:
     """Entry i: the bitset of the 2^n vectors with bit i set, blocks of 2^i
     clear and 2^i set bits; by doubling shifts, linear in 2^n."""
@@ -439,19 +442,6 @@ def _held_change_points(reads: tuple[set[str], bool], ctx: EvalContext, start: i
             if start < t <= end:
                 points.add(t)
     return sorted(points)
-
-
-def held_for(
-    expr: GuardExpr,
-    duration: int,
-    sigma: SignalState,
-    marking_history: list[tuple[int, Mapping[str, int]]] | None,
-    now: int,
-    marking: Mapping[str, int] | None = None,
-) -> bool:
-    """Standalone held-for query: ``expr`` held over ``[now - duration, now]``."""
-    current = marking if marking is not None else (marking_history[-1][1] if marking_history else {})
-    return eval_guard(HeldFor(expr, duration), sigma, current, now, marking_history)
 
 
 def next_held_flip(expr: GuardExpr, ctx: EvalContext) -> int | None:

@@ -216,30 +216,6 @@ def fire(net: Net, state: KernelState, tid: str, sigma: SignalState) -> tuple[Ke
     return state, event
 
 
-def next_forced_deadline(
-    net: Net, state: KernelState, sigma: SignalState
-) -> tuple[int, list[str]] | None:
-    """Earliest time at which a continuously enabled strong transition hits
-    beta, with all transitions forced at that time. None if no strong
-    transition is enabled."""
-    refresh_timers(net, state, sigma)
-    best: int | None = None
-    forced: list[str] = []
-    for tid in net.transition_ids():
-        since = state.timers.get(tid)
-        record = net.transitions[tid]
-        if since is None or record.timing != STRONG:
-            continue
-        deadline = since + int(record.beta)
-        if best is None or deadline < best:
-            best, forced = deadline, [tid]
-        elif deadline == best:
-            forced.append(tid)
-    if best is None:
-        return None
-    return best, forced
-
-
 def _due_transition(net: Net, state: KernelState, policy: FiringPolicy) -> tuple[str | None, list[str], bool]:
     """One scan of the refreshed clocks at the current instant: the
     highest-priority transition that may (or must) fire now under the

@@ -5,9 +5,11 @@ violation, a pass, a vacuous pass (the premise was never exercised), or
 inconclusive (the horizon ended inside an open obligation). One rule,
 ``_unmet``, decides every deadline: an obligation still unmet at the end
 of the trace is inconclusive while the horizon lies before its deadline
-and a violation once the horizon reaches it. Signals are piecewise
-constant, so "persistently" means: at every instant of the checked
-interval.
+and a violation once the horizon reaches it. One rule, ``_obligations``,
+decides the response a premise interval owes: met by its deadline, else
+discharged when the premise is retracted before it, else ``_unmet``.
+Signals are piecewise constant, so "persistently" means: at every
+instant of the checked interval.
 
 The checks, by name:
 
@@ -38,11 +40,12 @@ The checks, by name:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .analysis import FormulaVerdict, HOLDS, INCONCLUSIVE, VACUOUS, VIOLATED, resolve_forbidden
 from .builder import GATING_GUARDED, SmartNet, TriggerSet
-from .guards import And, GuardExpr, Not, Or
-from .trace import FIRE, Trace
+from .guards import And, GuardExpr, Not, Or, held_terms
+from .trace import FIRE, Trace, TraceEvent
 
 PASS = "pass"
 VIOLATION = "violation"
@@ -94,6 +97,25 @@ def _unmet(trace: Trace, deadline: int) -> str:
     return INCONCLUSIVE if trace.horizon < deadline else VIOLATION
 
 
+def _obligations(trace: Trace, intervals: list[tuple[int, int, bool]], within: int,
+                 met: Callable[[int, int, int], bool]) -> Iterator[tuple[int, int, int, str]]:
+    """The responses the premise intervals [start, end) owe ``within``
+    ticks of their start, decided three-valued on a finite trace (Bauer,
+    Leucker & Schallhart, TOSEM 20(4), 2011): one that ``met(start, end,
+    deadline)`` says came in time, or whose premise was retracted before
+    its deadline, is discharged; the others yield (start, end, deadline,
+    ``_unmet`` status), in interval order."""
+    for start, end, truncated in intervals:
+        deadline = start + within
+        if not (met(start, end, deadline) or end <= deadline and not truncated):
+            yield start, end, deadline, _unmet(trace, deadline)
+
+
+def _marks(event: TraceEvent, place: str) -> bool:
+    """Whether the marking an event leaves holds a token in ``place``."""
+    return event.post_marking is not None and event.post_marking.get(place, 0) >= 1
+
+
 def _require_smart(trace: Trace) -> SmartNet:
     if trace.smart is None:
         raise ValueError("trace is not bound to a SMART net (rebuild via its scenario)")
@@ -128,19 +150,15 @@ def check_bounded_autonomy(trace: Trace) -> Verdict:
     smart = _require_smart(trace)
     verdict = Verdict("P1 bounded autonomy", VACUOUS)
     for agent in smart.agents:
-        bound = agent.config.delta_s
         condition = And((agent.invalid, Not(agent.unrecoverable)))
-        for start, end, truncated in trace.predicate_intervals(condition):
-            if trace.mode_before(agent, start) != "S":
-                continue
+        intervals = [i for i in trace.predicate_intervals(condition) if trace.mode_before(agent, i[0]) == "S"]
+        if intervals:
             verdict.record(PASS)
-            deadline = start + bound
-            if any(mode != "S" for _, mode in trace.mode_timeline_between(agent, start, deadline)):
-                continue
-            if end <= deadline and not truncated:
-                continue  # the premise was retracted before the deadline
+        left_s = lambda start, end, deadline: any(
+            mode != "S" for _, mode in trace.mode_timeline_between(agent, start, deadline))
+        for start, end, deadline, status in _obligations(trace, intervals, agent.config.delta_s, left_s):
             verdict.record(
-                _unmet(trace, deadline),
+                status,
                 f"agent {agent.agent_id or 'default'}: still in P_S at {deadline} "
                 f"after persistent invalidity from {start}",
                 {"interval": [start, end], "deadline": deadline},
@@ -246,17 +264,14 @@ def check_governance_reachability(trace: Trace) -> Verdict:
     smart = _require_smart(trace)
     verdict = Verdict("P4 governance reachability", VACUOUS)
     for agent in smart.agents:
-        bound = agent.config.governance_bound
-        for start, end, truncated in trace.predicate_intervals(agent.unrecoverable):
+        intervals = trace.predicate_intervals(agent.unrecoverable)
+        if intervals:
             verdict.record(PASS)
-            deadline = start + bound
-            if trace.mode_before(agent, start) == "R" or any(
-                    mode == "R" for _, mode in trace.mode_timeline_between(agent, start, deadline)):
-                continue
-            if end <= deadline and not truncated:
-                continue  # unsafety retracted before the bound matured
+        reached_r = lambda start, end, deadline: trace.mode_before(agent, start) == "R" or any(
+            mode == "R" for _, mode in trace.mode_timeline_between(agent, start, deadline))
+        for start, _, deadline, status in _obligations(trace, intervals, agent.config.governance_bound, reached_r):
             verdict.record(
-                _unmet(trace, deadline),
+                status,
                 f"agent {agent.agent_id or 'default'}: P_R not reached by {deadline} for unsafety from {start}",
                 note=f"unsafety from {start} still maturing at the horizon",
             )
@@ -417,16 +432,13 @@ def check_trigger_set(traces: list[Trace], triggers: TriggerSet) -> TriggerVerdi
                 _agent_risk(agent) if len(smart.agents) > 1 else triggers.u_risk
             )
             # return not blocked during low-risk local recovery
+            guard = smart.net.transitions[agent.switch("t_MS")].guard
+            durations = {term.duration for expr in (risk_expr, guard) for term in held_terms(expr)}
             for entry, exit_time, _ in trace.mode_residences(agent, "M"):
                 span_end = exit_time if exit_time is not None else trace.horizon
-                low = [
-                    t for t in trace.instants(entry, span_end)
-                    if not trace.eval_at(risk_expr, t)
-                ]
-                if not low:
-                    continue
-                guard = smart.net.transitions[agent.switch("t_MS")].guard
-                if not any(trace.eval_at(guard, t) for t in low):
+                ticks = _ticks(trace, durations, entry, span_end)
+                low = [t for t in ticks if not trace.eval_at(risk_expr, t)]
+                if low and not any(trace.eval_at(guard, t) for t in low):
                     verdict.soundness.append(
                         {
                             "trace": label,
@@ -464,6 +476,19 @@ def check_trigger_set(traces: list[Trace], triggers: TriggerSet) -> TriggerVerdi
     return verdict
 
 
+def _ticks(trace: Trace, durations: set[int], start: int, end: int) -> list[int]:
+    """The instants start..end at which a predicate whose held_for terms
+    have ``durations`` can change: those at which the trace may change, and
+    those d ticks after one, where a held_for(e, d) term can turn true with
+    nothing changing."""
+    if not durations:
+        return trace.instants(start, end)
+    ticks = set(trace.instants(start, end))
+    points = trace.instants(max(start - max(durations), 0), end)
+    ticks.update(p + d for p in points for d in durations if start <= p + d <= end)
+    return sorted(ticks)
+
+
 def _agent_risk(agent) -> GuardExpr:
     return Or((agent.invalid, agent.unrecoverable))
 
@@ -477,14 +502,6 @@ def check_formula_on_trace(trace: Trace, formula) -> FormulaVerdict:
     same statuses as graph checking: holds / violated / vacuous /
     inconclusive."""
     smart = _require_smart(trace)
-
-    def marked_within(place: str, start: int, deadline: int) -> bool:
-        if trace.marking_at(start).get(place, 0) >= 1:
-            return True
-        return any(
-            event.post_marking is not None and event.post_marking.get(place, 0) >= 1
-            for event in trace.events_between(start, deadline)
-        )
 
     if formula.kind == "safety":  # read on the marking at the instant's entry, as the explorer reads it
         for event in trace.firings(resolve_forbidden(formula.forbidden, smart.net, smart)):
@@ -502,21 +519,17 @@ def check_formula_on_trace(trace: Trace, formula) -> FormulaVerdict:
         return FormulaVerdict(formula, HOLDS)
 
     if formula.kind in ("bounded-response", "reach"):
-        worst = HOLDS
-        for start, end, truncated in intervals:
-            deadline = start + formula.within
-            if marked_within(formula.place, start, min(deadline, end)):
-                continue
-            if end <= deadline and not truncated:
-                continue  # premise retracted before the deadline matured
-            if _unmet(trace, deadline) == INCONCLUSIVE:
-                worst = INCONCLUSIVE
-                continue
-            return FormulaVerdict(
-                formula, VIOLATED,
-                [{"interval": [start, end]}],
-                f"{formula.place} not marked within {formula.within} of {start}",
-            )
+        place, worst = formula.place, HOLDS
+        marked = lambda start, end, deadline: trace.marking_at(start).get(place, 0) >= 1 or any(
+            _marks(event, place) for event in trace.events_between(start, min(deadline, end)))
+        for start, end, _, status in _obligations(trace, intervals, formula.within, marked):
+            if status == VIOLATION:
+                return FormulaVerdict(
+                    formula, VIOLATED,
+                    [{"interval": [start, end]}],
+                    f"{place} not marked within {formula.within} of {start}",
+                )
+            worst = INCONCLUSIVE
         return FormulaVerdict(formula, worst)
 
     # never-while, anchored as the explorer anchors: at the first instant of
@@ -530,7 +543,7 @@ def check_formula_on_trace(trace: Trace, formula) -> FormulaVerdict:
             continue
         anchored = True
         for event in trace.events_between(anchor + 1, last):
-            if event.post_marking is not None and event.post_marking.get(formula.place, 0) >= 1:
+            if _marks(event, formula.place):
                 return FormulaVerdict(
                     formula, VIOLATED,
                     [{"time": event.time, "interval": [start, end]}],

@@ -116,18 +116,17 @@ def subnets_from_document(doc: dict) -> list[tuple[str, Subnet, InterfaceSpec]]:
 
 
 def subnet_from_document(doc: dict) -> tuple[str, Subnet, InterfaceSpec]:
-    name = doc.get("name", "subnet")
-    sub = Subnet(
-        net=net_from_document(doc),
-        entry=list(doc.get("entry", [])),
-        exit=list(doc.get("exit", [])),
-        success_exit=list(doc.get("success_exit", [])),
-    )
-    iface = InterfaceSpec(
-        in_transition=doc.get("in_transition"),
-        out_transition=doc.get("out_transition"),
-    )
-    return name, sub, iface
+    """One subnets[] entry; a place list or an interface transition of the
+    wrong type raises TypeError."""
+    places = {key: doc.get(key, []) for key in ("entry", "exit", "success_exit")}
+    for key, value in places.items():
+        if not isinstance(value, list) or not all(isinstance(place, str) for place in value):
+            raise TypeError(f"{key} must be a list of place names, got {value!r}")
+    transitions = {key: doc.get(key) for key in ("in_transition", "out_transition")}
+    for key, value in transitions.items():
+        if not (value is None or isinstance(value, str)):
+            raise TypeError(f"{key} must be a transition id or null, got {value!r}")
+    return doc.get("name", "subnet"), Subnet(net=net_from_document(doc), **places), InterfaceSpec(**transitions)
 
 
 def config_from_document(doc: dict) -> SmartConfig:
@@ -185,11 +184,6 @@ def smart_from_document(doc: dict) -> SmartNet:
             list(meta.get("coordination_places", [])),
             meta.get("gating_mode", "structural+guarded"),
         )
-
-
-def load_net(path: str) -> Net:
-    with open(path, encoding="utf-8") as fh:
-        return net_from_document(json.load(fh))
 
 
 def load_smart(path: str) -> SmartNet:

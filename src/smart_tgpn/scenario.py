@@ -116,11 +116,7 @@ def _object(value, where: str) -> dict:
 
 def _build_net(raw: dict, base_dir: str) -> SmartNet:
     if "file" in raw:
-        smart = load_smart(os.path.join(base_dir, raw["file"]))
-        errors = validate_net(smart.net).errors
-        if errors:
-            raise ScenarioError(f"net file {raw['file']}: {'; '.join(errors)}")
-        return smart
+        return load_smart(os.path.join(base_dir, raw["file"]))
     if "builder" not in raw:
         raise ScenarioError("net section needs either 'builder' or 'file'")
     spec = _object(raw["builder"], "net.builder")
@@ -268,6 +264,10 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
     known = set(smart.bool_signals()) | set(smart.real_signals()) | set(extra_booleans) | set(extra_reals)
     if doc.get("derive_agreement", False):
         known |= {f"claim{a.suffix}" for a in smart.agents}
+    if "file" in doc["net"]:  # a builder net reads only the signals it declares
+        errors = validate_net(smart.net, known).errors
+        if errors:
+            raise ScenarioError(f"net file {doc['net']['file']}: {'; '.join(errors)}")
 
     initial = dict(doc.get("signals", {}))
     for name in initial:

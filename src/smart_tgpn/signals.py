@@ -82,12 +82,6 @@ class SignalState:
         idx = bisect.bisect_right(history, (time, float("inf"))) - 1
         return history[idx][1]
 
-    def last_change(self, name: str) -> int:
-        history = self.histories.get(name)
-        if history is None:
-            raise UndeclaredSignal(f"signal {name!r} is not declared")
-        return history[-1][0]
-
     def record(self, name: str, value: SignalValue, time: int) -> "SignalState":
         """Append a change-point. Timestamps must strictly increase per signal."""
         value = self._coerce(name, value)

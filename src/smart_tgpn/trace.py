@@ -104,17 +104,22 @@ class Trace:
         return range(bisect_left(self._times, start), bisect_right(self._times, end))
 
     def _markings(self) -> list[Marking]:
-        """Entry i is the marking before event i; the last, after them all."""
+        """Entry i is the marking before event i; the last, after them all.
+        Once the trace is bound to its net, a place a stored marking digest
+        omits reads as 0 tokens."""
         def build():
-            markings = [self.initial_marking]
+            empty = dict.fromkeys(self.smart.net.places, 0) if self.smart is not None else {}
+            full = lambda marking: marking if empty.keys() <= marking.keys() else {**empty, **marking}
+            markings = [full(self.initial_marking)]
             for e in self.events:
-                markings.append(markings[-1] if e.post_marking is None else e.post_marking)
+                markings.append(markings[-1] if e.post_marking is None else full(e.post_marking))
             return markings
-        return self._view("markings", build)
+        return self._view("markings" if self.smart is None else "bound markings", build)
 
     def _history(self) -> list[tuple[int, Marking]]:
         """(time, marking after it) pairs, the marking history held_for reads."""
-        return self._view("history", lambda: list(zip([0, *self._times], self._markings())))
+        return self._view("history" if self.smart is None else "bound history",
+                          lambda: list(zip([0, *self._times], self._markings())))
 
     def _modes(self, agent) -> tuple[list[int], list[tuple[int, str | None]]]:
         """The times of the agent's mode timeline, and the timeline."""

@@ -17,9 +17,8 @@ from smart_tgpn.analysis import (
     mode_indicator,
     replay_witness,
     resolve_forbidden,
-    structural_output_safety,
 )
-from smart_tgpn.builder import AgentSpec, SmartConfig, SmartNet, build_multi_agent, build_single_agent
+from smart_tgpn.builder import AgentSpec, SmartConfig, SmartNet, build_multi_agent, build_single_agent, validate_smart
 from smart_tgpn.guards import And, Cmp, Marked, Not, Sig, parse_guard
 from smart_tgpn.net import Arc, Net, TransitionRecord, drop_transition
 from smart_tgpn.signals import UndeclaredSignal
@@ -76,7 +75,7 @@ class TestPInvariant:
 
 class TestOutputSafety:
     def test_builder_passes(self):
-        assert structural_output_safety(single()).ok
+        assert validate_smart(single()).check("output-gating").passed
 
     def test_extra_mode_preplace_flagged(self):
         smart = single()
@@ -85,8 +84,8 @@ class TestOutputSafety:
             list(smart.net.arcs) + [Arc("P_M", "t_out")],
             dict(smart.net.initial_marking),
         )
-        report = structural_output_safety(smart)
-        assert any("P_M" in v for v in report.violations)
+        gate = validate_smart(smart).check("output-gating")
+        assert any("P_M" in w for w in gate.witnesses)
 
 
 class TestExplore:

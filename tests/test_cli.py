@@ -249,11 +249,16 @@ def test_simulate_malformed_formula_is_input_error(tmp_path, capsys, formula):
         {"formulas": [{"kind": "safety", "condition": 5, "forbidden": ["output"]}]},
         {"triggers": {"u_risk": 5}},
         {"triggers": {"u_risk": "UR", "t_m": [{"name": "m", "expr": 5}]}},
+        {"net": {"builder": {"config": {"theta": "x"}}}},
+        {"net": {"builder": {"config": {"theta": True}}}},
+        {"net": {"builder": {"config": {"delta_s": True}}}},
+        {"net": {"builder": {"config": {"hysteresis": {"enabled": "yes"}}}}},
     ],
     ids=["non-boolean-script-value", "two-values-at-one-tick", "negative-deadline", "unclosed-guard",
          "unknown-proposition", "non-integer-horizon", "unknown-hysteresis-key", "unknown-policy",
          "non-string-name", "name-with-path-separator", "non-string-condition", "non-string-u_risk",
-         "non-string-trigger-expr"],
+         "non-string-trigger-expr", "string-theta", "boolean-theta", "boolean-deadline",
+         "string-hysteresis-enabled"],
 )
 def test_simulate_malformed_scenario_is_input_error(tmp_path, capsys, change):
     scenario = {
@@ -354,6 +359,7 @@ NET_DEFECTS = {
     "non-numeric-weight": (lambda doc: doc["arcs"][0].update(weight="x"), "'x'"),
     "agent-id-not-a-string": (lambda doc: doc["smart"]["agents"][0].update(id=["x"]), "agent id"),
     "non-integer-agent-budget": (lambda doc: doc["smart"]["agents"][0]["config"].update(budget_m="x"), "budget_m"),
+    "string-theta": (lambda doc: doc["smart"]["config"].update(theta="x"), "theta"),
 }
 
 
@@ -373,13 +379,45 @@ def test_malformed_net_file_is_input_error(tmp_path, capsys, defect, command):
     _assert_one_line_input_error(code, capsys, names)
 
 
-@pytest.mark.parametrize("subnets", [5, [5]], ids=["section-not-a-list", "entry-not-an-object"])
+@pytest.mark.parametrize(
+    "subnets",
+    [5, [5], [{"places": [], "transitions": [], "arcs": [], "in_transition": []}]],
+    ids=["section-not-a-list", "entry-not-an-object", "list-in-transition"],
+)
 def test_validate_malformed_subnets_is_input_error(tmp_path, capsys, subnets):
     doc = smart_to_document(build_single_agent(SmartConfig()))
     doc["subnets"] = subnets
     (tmp_path / "bad.net.json").write_text(json.dumps(doc))
     code = main(["validate", str(tmp_path / "bad.net.json")])
     _assert_one_line_input_error(code, capsys, "malformed subnets section")
+
+
+def test_validate_guard_wider_than_the_probe_is_input_error(tmp_path, capsys):
+    """The satisfiability probe builds n * 2^n bits for n atoms, so a P_R
+    exit guard of 24 atoms is refused before any pattern is built."""
+    doc = smart_to_document(build_single_agent(SmartConfig()))
+    t_rs = next(raw for raw in doc["transitions"] if raw["id"] == "t_RS")
+    t_rs["guard"] = " and ".join([f"x{i}" for i in range(23)] + ["ext_auth"])
+    (tmp_path / "wide.net.json").write_text(json.dumps(doc))
+    code = main(["validate", str(tmp_path / "wide.net.json")])
+    _assert_one_line_input_error(code, capsys, "a guard of 24 atoms, at most 20 can be probed")
+
+
+def test_net_file_guard_on_an_undeclared_signal_is_input_error(tmp_path, capsys):
+    """A net file's guards may read only the signals the net and the
+    scenario's declare section name."""
+    doc = smart_to_document(build_single_agent(SmartConfig()))
+    t_sm = next(raw for raw in doc["transitions"] if raw["id"] == "t_SM")
+    t_sm["guard"] = "foo and " + t_sm["guard"]
+    (tmp_path / "foo.net.json").write_text(json.dumps(doc))
+    scenario = {**PROBE_SCENARIO, "net": {"file": "foo.net.json"}, "script": [[1, "anom", 1]]}
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps(scenario))
+    simulate = ["simulate", str(path), "--out", str(tmp_path / "runs")]
+    for argv in (simulate, ["verify", str(path)]):
+        _assert_one_line_input_error(main(argv), capsys, "t_SM: guard references undeclared signal 'foo'")
+    path.write_text(json.dumps({**scenario, "declare": {"booleans": ["foo"]}}))
+    assert main(simulate) == 0
 
 
 ESCALATION = json.loads((Path(__file__).parent.parent / "scenarios" / "robot-escalation.scenario.json").read_text())
@@ -491,6 +529,15 @@ def test_simulate_non_integer_seed_or_script_time_is_input_error(tmp_path, capsy
 def test_simulate_malformed_dwell_or_agents_is_input_error(tmp_path, capsys, change, names):
     code = _run_escalation(tmp_path, "simulate", change)
     _assert_one_line_input_error(code, capsys, names)
+
+
+def test_a_stored_trace_reads_an_omitted_place_as_empty(tmp_path, capsys):
+    """Stored marking digests omit empty places; bound to its net, a stored
+    trace reads them as 0 tokens, so verify agrees with the inline run."""
+    change = {"formulas": [{"kind": "safety", "condition": "marked(P_M)", "forbidden": ["t_SM"]}]}
+    assert _run_escalation(tmp_path, "simulate", change) == 0
+    stored = tmp_path / "runs" / "robot-escalation.trace.jsonl"
+    assert main(["verify", str(tmp_path / "x.scenario.json"), "--trace", str(stored)]) == 0
 
 
 def test_the_parser_carries_no_state_between_calls(tmp_path, capsys):

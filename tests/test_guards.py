@@ -22,7 +22,6 @@ from smart_tgpn.guards import (
     check_no_nested_held,
     eval_guard,
     guard_to_string,
-    held_for,
     parse_guard,
     place_names,
     signal_names,
@@ -105,24 +104,24 @@ class TestEval:
 class TestHeldFor:
     def test_constant_true_window(self):
         sigma = sigma_with(anom=True)
-        assert held_for(Sig("anom"), 3, sigma, None, 5) is True
+        assert eval_guard(HeldFor(Sig("anom"), 3), sigma, {}, 5) is True
 
     def test_interior_falsification(self):
         sigma = sigma_with(anom=True)
         sigma.record("anom", False, 4)
         sigma.record("anom", True, 5)
-        assert held_for(Sig("anom"), 3, sigma, None, 5) is False
+        assert eval_guard(HeldFor(Sig("anom"), 3), sigma, {}, 5) is False
 
     def test_incomplete_window_is_false(self):
         sigma = sigma_with(anom=True)
-        assert held_for(Sig("anom"), 3, sigma, None, 2) is False
+        assert eval_guard(HeldFor(Sig("anom"), 3), sigma, {}, 2) is False
 
     def test_marking_history_atoms(self):
         sigma = sigma_with()
         history = [(0, {"P_M": 0}), (2, {"P_M": 1})]
         expr = Marked("P_M")
-        assert held_for(expr, 2, sigma, history, 4, marking={"P_M": 1}) is True
-        assert held_for(expr, 3, sigma, history, 4, marking={"P_M": 1}) is False
+        assert eval_guard(HeldFor(expr, 2), sigma, {"P_M": 1}, 4, history) is True
+        assert eval_guard(HeldFor(expr, 3), sigma, {"P_M": 1}, 4, history) is False
 
     @given(
         duration_long=st.integers(min_value=0, max_value=6),
@@ -139,8 +138,8 @@ class TestHeldFor:
         for t in sorted(flips):
             value = not value
             sigma.record("x", value, t)
-        if held_for(Sig("x"), duration_long, sigma, None, now):
-            assert held_for(Sig("x"), duration_short, sigma, None, now)
+        if eval_guard(HeldFor(Sig("x"), duration_long), sigma, {}, now):
+            assert eval_guard(HeldFor(Sig("x"), duration_short), sigma, {}, now)
 
 
 @given(

@@ -13,7 +13,6 @@ from smart_tgpn.kernel import (
     advance_to_next_event,
     enabled,
     fire,
-    next_forced_deadline,
     refresh_timers,
     struct_enabled,
 )
@@ -144,23 +143,23 @@ class TestFire:
 
 
 class TestDeadlines:
+    """A strong transition is forced at its enabling time plus beta."""
+
     def test_forced_deadline_is_enable_time_plus_beta(self):
         net = escalation_net(delta_s=2)
         sigma = escalation_sigma(invalid_at=4)
-        state = KernelState.initial(net)
-        state, _ = advance_to_next_event(net, state, sigma, FiringPolicy("latest"), 4)
-        forced = next_forced_deadline(net, state, sigma)
-        assert forced == (6, ["t_SM"])
+        _, events = drive(net, sigma, FiringPolicy("latest"), 10)
+        assert [(e.time, e.transition) for e in events] == [(6, "t_SM")]
 
     def test_absent_without_strong_enabled(self):
         net = escalation_net()
         sigma = escalation_sigma()
-        state = KernelState.initial(net)
-        assert next_forced_deadline(net, state, sigma) is None
+        _, events = drive(net, sigma, FiringPolicy("latest"), 10)
+        assert events == []
 
     def test_shared_deadline_returns_both(self):
         # two strong transitions enabled together with equal intervals reach
-        # the bound at the same instant; ordering is the caller's concern
+        # the bound at the same instant and both fire there, in id order
         net = Net(
             places=["p", "q"],
             transitions={
@@ -171,8 +170,8 @@ class TestDeadlines:
             initial_marking={"p": 2},
         )
         sigma = SignalState.declare()
-        state = KernelState.initial(net)
-        assert next_forced_deadline(net, state, sigma) == (3, ["t_a", "t_b"])
+        _, events = drive(net, sigma, FiringPolicy("latest"), 10)
+        assert [(e.time, e.transition) for e in events] == [(3, "t_a"), (3, "t_b")]
 
 
 class TestAdvance:

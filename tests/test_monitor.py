@@ -237,6 +237,19 @@ class TestTriggerSet:
         narrow_violations = len(check_trigger_set([trace], narrow).completeness)
         assert narrow_violations >= wide_violations
 
+    def test_a_return_enabled_where_a_debounce_completes_is_not_blocked(self):
+        """With hysteresis, t_MS reads held_for(valid_down, 2): evidence is
+        back at 20, so it holds from 22 until U rises at 36, on ticks where
+        nothing changes. Under latest a weak return never fires, so the
+        token stays in P_M from 15."""
+        doc = base_doc("debounced-return", horizon=49, policy="latest", signals={"U": 0.2}, triggers="default",
+                       script=[[11, "evidence", 0], [20, "evidence", 1], [36, "U", 0.45]])
+        doc["net"]["builder"]["config"] = {"hysteresis": {"enabled": True}}
+        trace, report = run_doc(doc)
+        guard = trace.smart.net.transitions["t_MS"].guard
+        assert [t for t in range(15, 50) if trace.eval_at(guard, t)] == list(range(22, 36))
+        assert report.trigger_verdict.soundness == []
+
     def test_vacuous_low_risk_trace_is_sound(self):
         trace, _ = run_doc(base_doc("calm", script=[[2, "want_output", 1]]))
         triggers = default_trigger_set(trace.smart)

@@ -51,7 +51,7 @@ def test_same_value_same_time_is_idempotent():
     sigma = make_state()
     sigma.record("anom", True, 3)
     sigma.record("anom", True, 3)
-    assert sigma.last_change("anom") == 3
+    assert sigma.histories["anom"] == [(0, False), (3, True)]
 
 
 def test_next_change_after_scans_all_histories():

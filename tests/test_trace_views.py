@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from smart_tgpn.analysis import Formula
 from smart_tgpn.builder import AgentView
 from smart_tgpn.guards import And, HeldFor, Marked, Not, Or, Sig, eval_guard, parse_guard
-from smart_tgpn.monitor import check_formula_on_trace
+from smart_tgpn.monitor import check_formula_on_trace, check_trigger_set
 from smart_tgpn.scenario import parse_scenario, run, verify
 from smart_tgpn.trace import FIRE, Trace, read_trace, write_trace
 
@@ -55,18 +55,22 @@ def scenario_docs(draw):
 
 
 def naive_markings(trace):
-    """(time, marking) after every event, led by (0, initial marking)."""
-    marking, out = trace.initial_marking, [(0, trace.initial_marking)]
+    """(time, marking) after every event, led by (0, initial marking); a
+    place that a stored marking digest omits holds 0 tokens."""
+    empty = dict.fromkeys(trace.smart.net.places, 0)
+    marking = {**empty, **trace.initial_marking}
+    out = [(0, marking)]
     for event in trace.events:
         if event.post_marking is not None:
-            marking = event.post_marking
+            marking = {**empty, **event.post_marking}
         out.append((event.time, marking))
     return out
 
 
 def naive_marking_at(trace, time):
-    marking = trace.initial_marking
-    for t, m in naive_markings(trace)[1:]:
+    markings = naive_markings(trace)
+    marking = markings[0][1]
+    for t, m in markings[1:]:
         if t <= time:
             marking = m
     return marking
@@ -197,6 +201,47 @@ def test_held_for_intervals_equal_a_tick_by_tick_fold(doc, duration):
     for agent in trace.smart.agents:
         expr = HeldFor(agent.invalid, duration)
         assert trace.predicate_intervals(expr) == naive_intervals(trace, expr)
+
+
+@st.composite
+def hysteresis_docs(draw):
+    """scenario_docs on hysteresis nets, where t_MS reads held_for(valid_down,
+    d), with U starting low and moving across both thresholds."""
+    doc = draw(scenario_docs())
+    suffixes = SUFFIXES[len(doc["net"]["builder"].get("agents", [""]))]
+    doc["net"]["builder"]["config"] = {"hysteresis": {"enabled": True,
+                                                      "debounce_down": draw(st.integers(1, 4))}}
+    doc["signals"] = {"U" + s: 0.2 for s in suffixes}
+    for s in suffixes:
+        for time in sorted(draw(st.sets(st.integers(1, doc["horizon"]), max_size=3))):
+            doc["script"].append([time, "U" + s, draw(st.sampled_from([0.2, 0.45, 0.9]))])
+    return doc
+
+
+def naive_blocked_returns(trace, triggers):
+    """The P_M residences with a low-risk tick, none of which enables
+    t_MS, tick by tick."""
+    history, out = naive_markings(trace), []
+    holds = lambda expr, t: eval_guard(expr, trace.sigma, naive_marking_at(trace, t), t, history)
+    for agent in trace.smart.agents:
+        risk = Or((agent.invalid, agent.unrecoverable)) if len(trace.smart.agents) > 1 else triggers.u_risk
+        guard = trace.smart.net.transitions[agent.switch("t_MS")].guard
+        for entry, exit_time, _ in naive_residences(trace, agent, "M"):
+            end = trace.horizon if exit_time is None else exit_time
+            low = [t for t in range(entry, end + 1) if not holds(risk, t)]
+            if low and not any(holds(guard, t) for t in low):
+                out.append({"trace": trace.meta["scenario"], "agent": agent.agent_id or "default",
+                            "blocked_return": [entry, end]})
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(hysteresis_docs())
+def test_blocked_returns_equal_a_tick_by_tick_fold(doc):
+    scenario = parse_scenario(doc)
+    trace, _ = run(scenario)
+    found = [v for v in check_trigger_set([trace], scenario.triggers).soundness if "blocked_return" in v]
+    assert found == naive_blocked_returns(trace, scenario.triggers)
 
 
 def place_predicates(smart, duration):
