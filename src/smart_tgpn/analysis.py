@@ -21,14 +21,19 @@ obligation, or a state cap that cuts the exploration short, yields
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .builder import AGENT_DERIVED_SIGNALS, ResidenceClock, SmartNet
 from .guards import (
+    And,
     EvalContext,
     GuardExpr,
     HeldFor,
     MAX_ATOMS,
+    Marked,
+    Not,
+    Or,
     Sig,
     bit_patterns,
     check_no_nested_held,
@@ -749,11 +754,16 @@ class Formula:
     def label(self) -> str:
         return self.name or f"{self.kind}"
 
-    def anchors_at(self, marking: Marking) -> bool:
+    @cached_property
+    def anchor(self) -> GuardExpr:
         """never-while's anchor rule: some ``from_places`` place is marked,
         or none are listed, and ``place`` is not."""
-        return ((not self.from_places or any(marking.get(p, 0) >= 1 for p in self.from_places))
-                and marking.get(self.place, 0) < 1)
+        unmarked = Not(Marked(self.place))
+        return And((Or(tuple(map(Marked, self.from_places))), unmarked)) if self.from_places else unmarked
+
+    def anchors_at(self, marking: Marking) -> bool:
+        """Whether the anchor holds on a marking of every place."""
+        return self.anchor.holds(EvalContext(None, marking, 0), 0)
 
 
 @dataclass

@@ -44,7 +44,7 @@ from typing import Callable, Iterator
 
 from .analysis import FormulaVerdict, HOLDS, INCONCLUSIVE, VACUOUS, VIOLATED, resolve_forbidden
 from .builder import GATING_GUARDED, SmartNet, TriggerSet
-from .guards import And, GuardExpr, Not, Or, held_terms
+from .guards import And, GuardExpr, Marked, Not, Or, Sig
 from .trace import FIRE, Trace, TraceEvent
 
 PASS = "pass"
@@ -304,6 +304,8 @@ def check_distributed_soundness(trace: Trace) -> Verdict:
     disagree = trace.sigma
     for agent in smart.agents:
         t_as, t_ar = agent.switch("t_AS"), agent.switch("t_AR")
+        # what a legitimate return from A needs at an instant
+        permitted = And((Not(Sig("disagree")), Sig("agree"), Not(agent.invalid), Not(agent.unrecoverable)))
         for event in trace.firings([t_as]):
             verdict.record(PASS)
             if bool(disagree.value_at("disagree", event.time)):
@@ -315,7 +317,7 @@ def check_distributed_soundness(trace: Trace) -> Verdict:
             span_end = exit_time if exit_time is not None else trace.horizon
             disagree_throughout = all(
                 bool(disagree.value_at("disagree", t))
-                for t in trace.instants(entry, min(span_end, entry + bound))
+                for t in trace.changes(permitted, entry, min(span_end, entry + bound))
             )
             if disagree_throughout:
                 if exit_time is None:
@@ -332,13 +334,13 @@ def check_distributed_soundness(trace: Trace) -> Verdict:
                         f"exited via {exit_tid} at +{exit_time - entry} (bound {bound} via {t_ar})",
                     )
                 continue
-            resolved = _resolution_instant(trace, agent, entry, span_end)
+            resolved = next((t for t in trace.changes(permitted, entry, span_end) if trace.eval_at(permitted, t)), None)
             if resolved is None:
                 continue
             deadline = resolved + agent.config.delta_a
             if any(e.kind == FIRE and e.name == t_as for e in trace.events_between(resolved, deadline)):
                 continue  # returned in time
-            if not all(_return_permitted(trace, agent, t) for t in trace.instants(resolved, min(deadline, span_end))):
+            if not all(trace.eval_at(permitted, t) for t in trace.changes(permitted, resolved, min(deadline, span_end))):
                 continue  # conditions lapsed again; no obligation matured
             status = _unmet(trace, deadline)
             # once decided, only a residence still open at the deadline owed the return
@@ -350,23 +352,6 @@ def check_distributed_soundness(trace: Trace) -> Verdict:
                     note=f"resolution at {resolved} still maturing at horizon",
                 )
     return verdict
-
-
-def _resolution_instant(trace: Trace, agent, start: int, end: int) -> int | None:
-    for t in trace.instants(start, end):
-        if _return_permitted(trace, agent, t):
-            return t
-    return None
-
-
-def _return_permitted(trace: Trace, agent, time: int) -> bool:
-    sigma = trace.sigma
-    return (
-        not bool(sigma.value_at("disagree", time))
-        and bool(sigma.value_at("agree", time))
-        and not trace.eval_at(agent.invalid, time)
-        and not trace.eval_at(agent.unrecoverable, time)
-    )
 
 
 # --- trigger sufficiency ---------------------------------------------------
@@ -433,10 +418,10 @@ def check_trigger_set(traces: list[Trace], triggers: TriggerSet) -> TriggerVerdi
             )
             # return not blocked during low-risk local recovery
             guard = smart.net.transitions[agent.switch("t_MS")].guard
-            durations = {term.duration for expr in (risk_expr, guard) for term in held_terms(expr)}
+            low_risk_return = And((Not(risk_expr), guard))
             for entry, exit_time, _ in trace.mode_residences(agent, "M"):
                 span_end = exit_time if exit_time is not None else trace.horizon
-                ticks = _ticks(trace, durations, entry, span_end)
+                ticks = trace.changes(low_risk_return, entry, span_end)
                 low = [t for t in ticks if not trace.eval_at(risk_expr, t)]
                 if low and not any(trace.eval_at(guard, t) for t in low):
                     verdict.soundness.append(
@@ -447,6 +432,7 @@ def check_trigger_set(traces: list[Trace], triggers: TriggerSet) -> TriggerVerdi
                         }
                     )
             # bounded alternation and the safety envelope
+            stable = Marked(agent.place("S"))
             for start, end, truncated in trace.predicate_intervals(risk_expr):
                 if end - start < triggers.dwell:
                     continue
@@ -462,31 +448,18 @@ def check_trigger_set(traces: list[Trace], triggers: TriggerSet) -> TriggerVerdi
                             "alternations": swaps,
                         }
                     )
-                for t in trace.instants(start + triggers.dwell, end - 1):
-                    if trace.mode_at(agent, t) == "S":
-                        verdict.envelope.append(
-                            {
-                                "trace": label,
-                                "agent": agent.agent_id or "default",
-                                "time": t,
-                                "risk_since": start,
-                            }
-                        )
-                        break
+                ticks = trace.changes(stable, start + triggers.dwell, end - 1)
+                stable_at = next((t for t in ticks if trace.eval_at(stable, t)), None)
+                if stable_at is not None:
+                    verdict.envelope.append(
+                        {
+                            "trace": label,
+                            "agent": agent.agent_id or "default",
+                            "time": stable_at,
+                            "risk_since": start,
+                        }
+                    )
     return verdict
-
-
-def _ticks(trace: Trace, durations: set[int], start: int, end: int) -> list[int]:
-    """The instants start..end at which a predicate whose held_for terms
-    have ``durations`` can change: those at which the trace may change, and
-    those d ticks after one, where a held_for(e, d) term can turn true with
-    nothing changing."""
-    if not durations:
-        return trace.instants(start, end)
-    ticks = set(trace.instants(start, end))
-    points = trace.instants(max(start - max(durations), 0), end)
-    ticks.update(p + d for p in points for d in durations if start <= p + d <= end)
-    return sorted(ticks)
 
 
 def _agent_risk(agent) -> GuardExpr:
@@ -538,7 +511,8 @@ def check_formula_on_trace(trace: Trace, formula) -> FormulaVerdict:
     anchored = False
     for start, end, truncated in intervals:
         last = end if truncated else end - 1
-        anchor = next((t for t in trace.instants(start, last) if formula.anchors_at(trace.marking_at(t))), None)
+        ticks = trace.changes(formula.anchor, start, last)
+        anchor = next((t for t in ticks if trace.eval_at(formula.anchor, t)), None)
         if anchor is None:
             continue
         anchored = True

@@ -262,7 +262,10 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
     declare = _object(doc.get("declare", {}), "declare")
     extra_booleans, extra_reals = _names(declare, "booleans", "declare"), _names(declare, "reals", "declare")
     known = set(smart.bool_signals()) | set(smart.real_signals()) | set(extra_booleans) | set(extra_reals)
-    if doc.get("derive_agreement", False):
+    derive_agreement = doc.get("derive_agreement", False)
+    if type(derive_agreement) is not bool:
+        raise ScenarioError(f"derive_agreement must be true or false, got {derive_agreement!r}")
+    if derive_agreement:
         known |= {f"claim{a.suffix}" for a in smart.agents}
     if "file" in doc["net"]:  # a builder net reads only the signals it declares
         errors = validate_net(smart.net, known).errors
@@ -317,7 +320,7 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
         propositions=[PropositionSpec(p) for p in propositions],
         formulas=[_parse_formula(raw, smart, known) for raw in doc.get("formulas", [])],
         triggers=_parse_triggers(doc.get("triggers"), smart, known) if "triggers" in doc else None,
-        derive_agreement=bool(doc.get("derive_agreement", False)),
+        derive_agreement=derive_agreement,
         exploration=None if doc.get("exploration") is None else _parse_exploration(doc["exploration"]),
         warnings=warnings,
     )

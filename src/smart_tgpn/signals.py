@@ -13,6 +13,7 @@ one fixed assignment through.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -71,7 +72,13 @@ class SignalState:
             raise SignalError(f"boolean signal {name!r} given non-boolean value {value!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise SignalError(f"real signal {name!r} given non-numeric value {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise SignalError(f"real signal {name!r} given non-finite value {value!r}")
+        return number
 
     def value_at(self, name: str, time: int) -> SignalValue:
         history = self.histories.get(name)

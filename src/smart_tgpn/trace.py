@@ -70,8 +70,8 @@ def parse_marking_digest(digest: str) -> Marking:
 class Trace:
     """One run's events in time order, fixed once built.
 
-    Every derived view (markings, mode timelines, change points,
-    predicate intervals, firings by name set) is computed once, on first
+    Every derived view (markings, mode timelines, a predicate's change
+    points and intervals, firings by name set) is computed once, on first
     use, as a time-sorted index, so queries answer by bisection or
     lookup. Lists a view returns are copies the caller may change.
     """
@@ -134,39 +134,32 @@ class Trace:
         # keyed by what mode_in reads, so rebinding ``smart`` cannot go stale
         return self._view(("modes", tuple(agent.mode_places.items())), build)
 
-    def _points(self) -> list[int]:
+    def _changes(self, expr: GuardExpr) -> list[int]:
+        """The sorted instants at which the predicate can change: 0, the
+        change points of its signals and, if it reads a place, the instants
+        the marking is set. A held_for(e, d) term can turn true d ticks
+        after any of them with nothing changing, so those instants are
+        listed too. Between two listed instants the predicate is constant."""
         def build():
-            points = {0, self.horizon}
-            for history in self.sigma.histories.values():
-                points.update(t for t, _ in history if t <= self.horizon)
-            points.update(self._times)
-            return sorted(points)
-        return self._view("points", build)
-
-    def _marking_points(self) -> frozenset[int]:
-        """The instants of the events that set a marking, where a
-        predicate that reads a place can change."""
-        return self._view("marking points",
-                          lambda: frozenset(e.time for e in self.events if e.post_marking is not None))
-
-    def _intervals(self, expr: GuardExpr) -> tuple[list[tuple[int, int, bool]], list[int]]:
-        """The predicate's maximal intervals and their start instants. A
-        predicate is constant between changes of what it reads, so it is
-        evaluated at 0, the horizon, the change points of its signals and,
-        if it reads a place, the instants the marking is set. A
-        held_for(e, d) term can turn true d ticks after any of them, so
-        those instants are evaluated too."""
-        def build():
-            points = {0, self.horizon}
+            points = {0}
             for name in signal_names(expr):
                 points.update(t for t, _ in self.sigma.histories.get(name, ()) if t <= self.horizon)
             if place_names(expr):
-                points.update(self._marking_points())
+                points.update(e.time for e in self.events if e.post_marking is not None)
             durations = {term.duration for term in held_terms(expr)}
-            if durations:
-                points.update([p + d for p in points for d in durations if p + d <= self.horizon])
+            points.update([p + d for p in points for d in durations if p + d <= self.horizon])
+            return sorted(points)
+        # keyed by identity, as a monitor asks once per residence and hashing
+        # the tree costs more; the entry holds the expression, so its id
+        # cannot pass to another object
+        return self._view(id(expr), lambda: (expr, build()))[1]
+
+    def _intervals(self, expr: GuardExpr) -> tuple[list[tuple[int, int, bool]], list[int]]:
+        """The predicate's maximal intervals and their start instants,
+        from its value at each of its change points."""
+        def build():
             intervals, start = [], None
-            for point in sorted(points):
+            for point in self._changes(expr):
                 value = self.eval_at(expr, point)
                 if value and start is None:
                     start = point
@@ -250,17 +243,14 @@ class Trace:
         marking = self.marking_at(time) if marking is None else marking
         return eval_guard(expr, self.sigma, marking, time, self._history())
 
-    def change_points(self) -> list[int]:
-        """All instants at which anything changed, plus 0 and the horizon."""
-        return list(self._points())
-
-    def instants(self, start: int, end: int) -> list[int]:
-        """The instants start..end at which the trace may change, from
-        start itself; none when start > end."""
+    def changes(self, expr: GuardExpr, start: int, end: int) -> list[int]:
+        """``start``, then the predicate's change points in (start, end]:
+        at every tick of start..end it holds as at the last listed instant
+        at or before the tick; none when start > end."""
         if start > end:
             return []
-        points = _between(self._points(), self._points(), start, end)
-        return points if points[:1] == [start] else [start] + points
+        points = self._changes(expr)
+        return [start, *points[bisect_right(points, start):bisect_right(points, end)]]
 
     def predicate_intervals(self, expr: GuardExpr) -> list[tuple[int, int, bool]]:
         """Maximal intervals [start, end) where the predicate holds;

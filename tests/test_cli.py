@@ -253,12 +253,17 @@ def test_simulate_malformed_formula_is_input_error(tmp_path, capsys, formula):
         {"net": {"builder": {"config": {"theta": True}}}},
         {"net": {"builder": {"config": {"delta_s": True}}}},
         {"net": {"builder": {"config": {"hysteresis": {"enabled": "yes"}}}}},
+        {"script": [[1, "U", "nan"]]},
+        {"script": [[1, "U", "inf"]]},
+        {"script": [[1, "U", 10**400]]},
+        {"derive_agreement": "no"},
     ],
     ids=["non-boolean-script-value", "two-values-at-one-tick", "negative-deadline", "unclosed-guard",
          "unknown-proposition", "non-integer-horizon", "unknown-hysteresis-key", "unknown-policy",
          "non-string-name", "name-with-path-separator", "non-string-condition", "non-string-u_risk",
          "non-string-trigger-expr", "string-theta", "boolean-theta", "boolean-deadline",
-         "string-hysteresis-enabled"],
+         "string-hysteresis-enabled", "nan-real-value", "inf-real-value", "huge-integer-real-value",
+         "string-derive-agreement"],
 )
 def test_simulate_malformed_scenario_is_input_error(tmp_path, capsys, change):
     scenario = {
@@ -296,6 +301,7 @@ TRACE_DEFECTS = {
     "list-signal-kinds": lambda records: records[0].update(signal_kinds=[0]),
     "string-initial-signals": lambda records: records[0].update(initial_signals="x"),
     "list-real-initial-value": lambda records: records[0]["initial_signals"].update(U=[0]),
+    "nan-real-initial-value": lambda records: records[0]["initial_signals"].update(U=float("nan")),
 }
 
 

@@ -7,6 +7,7 @@ over ``trace.events``, the stored-trace round trip, and that a caller
 changing a returned list does not change the next answer.
 """
 
+import dataclasses
 import os
 import tempfile
 
@@ -122,6 +123,23 @@ def naive_intervals(trace, expr):
     return intervals
 
 
+def naive_holds(trace, expr, t):
+    return eval_guard(expr, trace.sigma, naive_marking_at(trace, t), t, naive_markings(trace))
+
+
+def check_changes(trace, expr):
+    """changes(expr, a, b) starts at a, and at every tick of a..b the
+    predicate holds as at the last listed instant at or before the tick."""
+    h = trace.horizon
+    assert trace.changes(expr, 2, 1) == []
+    for a, b in ((0, h), (1, h // 2), (h // 3, h), (h // 2, h // 2)):
+        ticks = trace.changes(expr, a, b)
+        assert ticks[0] == a and ticks == sorted(set(ticks)) and ticks[-1] <= b
+        for t in range(a, b + 1):
+            last = max(p for p in ticks if p <= t)
+            assert naive_holds(trace, expr, t) == naive_holds(trace, expr, last), (expr, a, b, t)
+
+
 def check_views(trace):
     smart = trace.smart
     for t in range(trace.horizon + 1):
@@ -148,6 +166,7 @@ def check_views(trace):
                 holding = trace.interval_at(expr, t)
                 assert (holding is not None) == trace.eval_at(expr, t)
                 assert holding is None or holding[0] <= t
+            check_changes(trace, expr)
 
 
 @settings(max_examples=30, deadline=None)
@@ -178,12 +197,11 @@ def test_changing_a_returned_list_leaves_the_view_intact(doc):
     agent = trace.smart.agents[0]
     views = [
         trace.firings,
-        trace.change_points,
+        lambda: trace.changes(agent.invalid, 0, trace.horizon),
         lambda: trace.mode_timeline(agent),
         lambda: trace.mode_residences(agent, "M"),
         lambda: trace.predicate_intervals(agent.invalid),
         lambda: trace.events_between(0, trace.horizon),
-        lambda: trace.instants(0, trace.horizon),
         lambda: trace.mode_timeline_between(agent, 0, trace.horizon),
     ]
     for view in views:
@@ -218,18 +236,21 @@ def hysteresis_docs(draw):
     return doc
 
 
+def agent_risk(trace, agent, triggers):
+    return Or((agent.invalid, agent.unrecoverable)) if len(trace.smart.agents) > 1 else triggers.u_risk
+
+
 def naive_blocked_returns(trace, triggers):
     """The P_M residences with a low-risk tick, none of which enables
     t_MS, tick by tick."""
-    history, out = naive_markings(trace), []
-    holds = lambda expr, t: eval_guard(expr, trace.sigma, naive_marking_at(trace, t), t, history)
+    out = []
     for agent in trace.smart.agents:
-        risk = Or((agent.invalid, agent.unrecoverable)) if len(trace.smart.agents) > 1 else triggers.u_risk
+        risk = agent_risk(trace, agent, triggers)
         guard = trace.smart.net.transitions[agent.switch("t_MS")].guard
         for entry, exit_time, _ in naive_residences(trace, agent, "M"):
             end = trace.horizon if exit_time is None else exit_time
-            low = [t for t in range(entry, end + 1) if not holds(risk, t)]
-            if low and not any(holds(guard, t) for t in low):
+            low = [t for t in range(entry, end + 1) if not naive_holds(trace, risk, t)]
+            if low and not any(naive_holds(trace, guard, t) for t in low):
                 out.append({"trace": trace.meta["scenario"], "agent": agent.agent_id or "default",
                             "blocked_return": [entry, end]})
     return out
@@ -242,6 +263,29 @@ def test_blocked_returns_equal_a_tick_by_tick_fold(doc):
     trace, _ = run(scenario)
     found = [v for v in check_trigger_set([trace], scenario.triggers).soundness if "blocked_return" in v]
     assert found == naive_blocked_returns(trace, scenario.triggers)
+
+
+def naive_envelope(trace, triggers):
+    """Per agent and risk interval at least the dwell long, the first tick
+    from the dwell on that holds the stable token, tick by tick."""
+    out = []
+    for agent in trace.smart.agents:
+        for start, end, _ in naive_intervals(trace, agent_risk(trace, agent, triggers)):
+            stable = [t for t in range(start + triggers.dwell, end)
+                      if naive_marking_at(trace, t)[agent.place("S")] >= 1]
+            if stable:
+                out.append({"trace": trace.meta["scenario"], "agent": agent.agent_id or "default",
+                            "time": stable[0], "risk_since": start})
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(scenario_docs(), hysteresis_docs()), st.integers(0, 3))
+def test_envelope_entries_equal_a_tick_by_tick_fold(doc, dwell):
+    scenario = parse_scenario(doc)
+    trace, _ = run(scenario)
+    triggers = dataclasses.replace(scenario.triggers, dwell=dwell)
+    assert check_trigger_set([trace], triggers).envelope == naive_envelope(trace, triggers)
 
 
 def place_predicates(smart, duration):
@@ -267,6 +311,7 @@ def test_place_reading_intervals_equal_a_tick_by_tick_fold(doc, duration):
     trace, _ = run(parse_scenario(doc))
     for expr in place_predicates(trace.smart, duration):
         assert trace.predicate_intervals(expr) == naive_intervals(trace, expr), expr
+        check_changes(trace, expr)
 
 
 class TestHeldForWindows:
