@@ -18,18 +18,20 @@ Expression grammar (infix, case-sensitive)::
              | "(" expr ")"
 
 ``held_for(e, d)`` at time ``t`` is true iff ``t >= d`` and ``e`` holds at
-every instant of ``[t - d, t]``. With piecewise-constant signals this is
-decided exactly by checking the window start plus every change-point
-inside the window. Nested ``held_for`` is rejected at validation: it
-would make guard flip times depend on non-recorded instants.
+every instant of ``[t - d, t]``: iff e's current run started at or before
+``t - d``. With piecewise-constant signals ``_run_start`` finds that run
+start exactly from the change points inside the window; the evaluator and
+the kernel's wake-up time both read it. Nested ``held_for`` is rejected at
+validation: it would make guard flip times depend on non-recorded instants.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 
 from .signals import SignalState, UndeclaredSignal
@@ -194,6 +196,12 @@ class _Parser:
         self.pos += 1
         return token
 
+    def take_integer(self, what: str) -> int:
+        token = self.take()
+        if not token.isdecimal():
+            raise GuardError(f"{what} must be an integer, found {token!r}")
+        return int(token)
+
     def parse(self) -> GuardExpr:
         expr = self.parse_or()
         if self.peek() is not None:
@@ -236,14 +244,14 @@ class _Parser:
             count = 1
             if self.peek() == ",":
                 self.take()
-                count = int(float(self.take()))
+                count = self.take_integer("marked count")
             self.take(")")
             return Marked(place, count)
         if token == "held_for":
             self.take("(")
             inner = self.parse_or()
             self.take(",")
-            duration = int(float(self.take()))
+            duration = self.take_integer("held_for duration")
             self.take(")")
             return HeldFor(inner, duration)
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", token):
@@ -415,70 +423,55 @@ def _compile(expr: GuardExpr) -> Compiled:
 
         return disjunction
     if isinstance(expr, HeldFor):
-        body, duration, reads = expr.child.holds, expr.duration, expr._window_reads
+        body, duration = expr.child.holds, expr.duration
 
         def held(ctx: EvalContext, time: int) -> bool:
-            # An incomplete window cannot witness "held continuously".
-            if time < duration:
-                return False
-            start = time - duration
-            if not body(ctx, start):
-                return False
-            for point in _held_change_points(reads, ctx, start, time):
-                if not body(ctx, point):
-                    return False
-            return True
+            # an incomplete window cannot witness "held continuously"
+            return (time >= duration and body(ctx, time - duration)
+                    and _run_start(expr, ctx, time, time - duration) == time - duration)
 
         return held
     raise GuardError(f"unknown expression node {expr!r}")
 
 
-def _held_change_points(reads: tuple[set[str], bool], ctx: EvalContext, start: int, end: int) -> list[int]:
-    """Change-points within (start, end] of what a held_for body reads."""
-    names, reads_marking = reads
-    points = set(ctx.sigma.change_points(names, start, end))
-    if reads_marking and ctx.marking_history:
-        for t, _ in ctx.marking_history:
-            if start < t <= end:
-                points.add(t)
-    return sorted(points)
+def _run_start(term: HeldFor, ctx: EvalContext, time: int, floor: int) -> int | None:
+    """The earliest of ``floor`` and the change points in (floor, time] of
+    what the body reads from which the body holds through ``time``; None if
+    it fails at ``time``. The body is constant between change points, so
+    the walk reads them from ``time`` back and stops at the first failure.
+
+    This is held_for's one rule: ``held_for(e, d)`` holds at t iff t >= d
+    and e's current run started at or before t - d."""
+    body = term.child.holds
+    if not body(ctx, time):
+        return None
+    names, reads_marking = term._window_reads
+    # a change at ``time`` itself starts no run earlier than ``time``
+    points = ctx.sigma.change_points(names, floor, time - 1)
+    history = ctx.marking_history
+    if reads_marking and history:
+        lo = bisect_right(history, floor, key=itemgetter(0))
+        hi = bisect_left(history, time, lo, key=itemgetter(0))
+        points = sorted({*points, *(t for t, _ in history[lo:hi])})
+    start = time
+    for point in reversed(points):
+        if not body(ctx, point):
+            return start
+        start = point
+    return floor if body(ctx, floor) else start
 
 
 def next_held_flip(expr: GuardExpr, ctx: EvalContext) -> int | None:
-    """Earliest time > now at which a held_for subterm of ``expr`` can flip
-    true by pure time passage (its body already true and the window still
-    filling). Atom changes are events and are handled elsewhere; bodies
-    currently false cannot flip without one.
-    """
-    candidates: list[int] = []
+    """Earliest time > now at which a held_for subterm of ``expr`` flips
+    true by time passing alone: d ticks after its body's current run
+    started. Atom changes are events and are handled elsewhere; a body
+    failing now cannot flip without one."""
+    flips = []
     for term in expr._held_terms:
-        if not term.child.holds(ctx, ctx.now):
-            continue
-        if term.holds(ctx, ctx.now):
-            continue  # already true; flips back only on an atom change
-        start = _true_run_start(term, ctx)
-        flip = max(start + term.duration, term.duration)
-        if flip > ctx.now:
-            candidates.append(flip)
-    return min(candidates) if candidates else None
-
-
-def _true_run_start(term: HeldFor, ctx: EvalContext) -> int:
-    """Start of the contiguous interval over which the body has held.
-
-    The body is piecewise constant, so the run start is the earliest
-    change-point from which every later change-point up to now evaluates
-    true. Assumes the body is true at now.
-    """
-    body = term.child.holds
-    points = [0] + _held_change_points(term._window_reads, ctx, 0, ctx.now)
-    start = ctx.now
-    for point in reversed(points):
-        if body(ctx, point):
-            start = point
-        else:
-            break
-    return start
+        start = _run_start(term, ctx, ctx.now, max(ctx.now - term.duration, 0))
+        if start is not None and start + term.duration > ctx.now:
+            flips.append(start + term.duration)
+    return min(flips, default=None)
 
 
 # --- named predicate library -----------------------------------------------

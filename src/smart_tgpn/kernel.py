@@ -3,7 +3,9 @@
 Time is an integer tick count. Guards are re-evaluated only at event
 boundaries (signal changes, firings, and held-for window completions);
 signals are piecewise constant, so enabledness is constant between
-boundaries and "continuously enabled" is decided exactly.
+boundaries and "continuously enabled" is decided exactly. A
+``held_for(e, d)`` window completes d ticks after e's current run started
+(``guards.next_held_flip``), found from the window's change points alone.
 
 Each transition has a clock that runs while the transition is enabled
 (structurally and by guard) and resets whenever it becomes enabled after

@@ -411,17 +411,14 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
     while state.now <= scenario.horizon:
         if scenario.derive_agreement:
             _derive_agreement(smart, sigma, state.now)
-        progressed = False
         for name, value in clock.timeouts(state.now).items():
             if value and not bool(sigma.value_at(name, state.now)):
                 sigma.record(name, True, state.now)
-                progressed = True
         while deposits and deposits[0][0] == state.now:
             _, place = deposits.popleft()
             state.marking[place] = state.marking.get(place, 0) + 1
             state.marking_history.append((state.now, dict(state.marking)))
             events.append(TraceEvent(state.now, DEPOSIT, place, post_marking=dict(state.marking)))
-            progressed = True
 
         injections = [t for t in (_next_timeout(clock, sigma, state.now),) if t is not None]
         if deposits:
@@ -440,7 +437,7 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
 
         for event in fired:
             events.append(TraceEvent(event.time, FIRE, event.transition, post_marking=dict(event.post_marking)))
-        if fired or progressed:
+        if fired:
             # a timeout stays true after its place is left, until the next
             # entry; an entry in the instant it turned true cancels it
             for name in clock.observe(state.marking, state.now):

@@ -124,9 +124,9 @@ class SignalState:
             history = self.histories.get(name)
             if history is None:
                 raise UndeclaredSignal(f"signal {name!r} is not declared")
-            for t, _ in history:
-                if start < t <= end:
-                    points.add(t)
+            lo = bisect.bisect_right(history, (start, math.inf))
+            hi = bisect.bisect_right(history, (end, math.inf), lo)
+            points.update(t for t, _ in history[lo:hi])
         return sorted(points)
 
     def clone(self) -> "SignalState":

@@ -213,9 +213,10 @@ def test_explore_alphabet_wider_than_twenty_signals_is_input_error(tmp_path, cap
         {"kind": "never-while", "condition": "UR"},
         {"kind": "bogus-kind", "condition": "invalid"},
         {"condition": "invalid", "place": "P_M", "within": 2},
+        {"kind": "bounded-response", "condition": "held_for(anom, 1.5)", "place": "P_M", "within": 2},
     ],
     ids=["bounded-response-without-within", "reach-with-string-within", "never-while-without-place",
-         "unknown-kind", "no-kind"],
+         "unknown-kind", "no-kind", "fractional-held-for-duration"],
 )
 def test_simulate_malformed_formula_is_input_error(tmp_path, capsys, formula):
     scenario = {

@@ -22,6 +22,7 @@ from smart_tgpn.guards import (
     check_no_nested_held,
     eval_guard,
     guard_to_string,
+    next_held_flip,
     parse_guard,
     place_names,
     signal_names,
@@ -65,6 +66,13 @@ class TestParsing:
         for text in ["a &&", "marked(", "held_for(a)", "a or"]:
             with pytest.raises(GuardError):
                 parse_guard(text)
+
+    @pytest.mark.parametrize("text", ["held_for(anom, .9)", "held_for(anom, 1.5)", "held_for(anom, x)",
+                                      "marked(P_S, 0.5)", "marked(P_S, 2.0)", "marked(P_S, n)"])
+    def test_a_duration_or_count_that_is_not_an_integer_literal_is_rejected(self, text):
+        # truncated, held_for(anom, .9) would read as anom and marked(P_S, 0.5) as always true
+        with pytest.raises(GuardError, match="must be an integer"):
+            parse_guard(text)
 
     def test_nested_held_rejected_by_validation(self):
         expr = parse_guard("held_for(held_for(anom, 1), 2)")
@@ -212,15 +220,32 @@ def reference_eval(expr, ctx, time):
 
 
 def reference_held(expr, ctx, time):
+    """held_for by its definition: the body holds at the window's start, at
+    its end, and at every change point inside it, read from the end back,
+    so that a body which raises at one instant and fails at another raises
+    or fails as the compiled rule does."""
     if time < expr.duration:
         return False
     start = time - expr.duration
-    if not reference_eval(expr.child, ctx, start):
+    if not (reference_eval(expr.child, ctx, start) and reference_eval(expr.child, ctx, time)):
         return False
-    points = set(ctx.sigma.change_points(signal_names(expr.child), start, time))
+    # a constant view has no change points
+    points = set() if isinstance(ctx.sigma, ConstantSignals) else set(
+        scanned_change_points(ctx.sigma, signal_names(expr.child), start, time))
     if place_names(expr.child) and ctx.marking_history:
         points.update(t for t, _ in ctx.marking_history if start < t <= time)
-    return all(reference_eval(expr.child, ctx, point) for point in sorted(points))
+    return all(reference_eval(expr.child, ctx, point) for point in sorted(points, reverse=True))
+
+
+def scanned_change_points(sigma, names, start, end):
+    """The change points in (start, end] of the named signals, by a scan of
+    their whole histories."""
+    points = set()
+    for name in names:
+        if name not in sigma.histories:
+            raise UndeclaredSignal(f"signal {name!r} is not declared")
+        points.update(t for t, _ in sigma.histories[name] if start < t <= end)
+    return sorted(points)
 
 
 BOOLS, REALS, PLACES = ["b0", "b1", "b2"], ["r0"], ["p0", "p1"]
@@ -345,6 +370,42 @@ def test_compiled_guard_matches_the_tree_walk_over_histories(expr, state):
         got = outcome(eval_guard, expr, sigma, marking, now, so_far)
         want = outcome(reference_eval, expr, EvalContext(sigma, marking, now, so_far), now)
         assert got == want, now
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(state=histories(), names=st.lists(st.sampled_from(BOOLS + REALS), unique=True))
+def test_change_points_equal_a_scan_of_the_whole_histories(state, names):
+    """Every window of the drawn histories: empty ones, and ones reaching
+    past either end."""
+    sigma, _ = state
+    for start in range(-1, 12):
+        for end in range(start - 1, 12):
+            assert sigma.change_points(names, start, end) == scanned_change_points(sigma, names, start, end)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(term=HELD, state=histories())
+def test_next_held_flip_is_the_first_tick_the_window_fills(term, state):
+    """At every ``now`` from the last change on, nothing changes any more,
+    so held_for flips true at the first tick of (now, now + d] whose window
+    its body holds throughout; none if it already holds at now or its body
+    fails now."""
+    sigma, history = state
+    last = max(history[-1][0], *(t for name in BOOLS + REALS for t, _ in sigma.histories[name]))
+    marking = history[-1][1]
+
+    def held_at(time):
+        return reference_held(term, EvalContext(sigma, marking, time, history), time)
+
+    def first_flip(now):
+        if held_at(now):
+            return None
+        return next((t for t in range(now + 1, now + term.duration + 1) if held_at(t)), None)
+
+    for now in range(last, last + term.duration + 2):
+        want = outcome(first_flip, now)
+        assume(not isinstance(want, tuple))  # an undeclared atom read
+        assert next_held_flip(term, EvalContext(sigma, marking, now, history)) == want, now
 
 
 # --- the compiled form is invisible from outside ----------------------------
