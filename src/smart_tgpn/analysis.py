@@ -518,7 +518,7 @@ class _Explorer:
                 if marking.get(agent.want_place, 0) == 0:
                     marking[agent.want_place] = 1
         state = KernelState(marking=marking, timers={tid: -elapsed for tid, elapsed in key.timers},
-                            marking_history=[(0, dict(marking))])
+                            marking_history=[(0, marking)])
         return state, self.clock_of(key), frozenset(p for p, c in marking.items() if c > 0)
 
     def clock_of(self, key: StateKey) -> ResidenceClock:

@@ -28,10 +28,9 @@ validation: it would make guard flip times depend on non-recorded instants.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 
 from .signals import SignalState, UndeclaredSignal
@@ -322,7 +321,8 @@ class EvalContext:
     def marking_at(self, time: int) -> Mapping[str, int]:
         if time >= self.now or not self.marking_history:
             return self.marking
-        index = bisect_right(self.marking_history, time, key=lambda entry: entry[0])
+        # ticks are integers: (time + 1,) sorts after every entry at time
+        index = bisect_left(self.marking_history, (time + 1,))
         return self.marking_history[max(index - 1, 0)][1]
 
 
@@ -450,8 +450,8 @@ def _run_start(term: HeldFor, ctx: EvalContext, time: int, floor: int) -> int | 
     points = ctx.sigma.change_points(names, floor, time - 1)
     history = ctx.marking_history
     if reads_marking and history:
-        lo = bisect_right(history, floor, key=itemgetter(0))
-        hi = bisect_left(history, time, lo, key=itemgetter(0))
+        lo = bisect_left(history, (floor + 1,))
+        hi = bisect_left(history, (time,), lo)
         points = sorted({*points, *(t for t, _ in history[lo:hi])})
     start = time
     for point in reversed(points):

@@ -90,7 +90,9 @@ class KernelState:
 
     ``timers`` maps enabled transition ids to the tick at which they were
     last (re-)enabled. ``marking_history`` records post-firing markings so
-    held-for guards over marking atoms can look back in time.
+    held-for guards over marking atoms can look back in time. A marking is
+    never changed in place: each step builds a new one, so the history, a
+    firing event and a clone share the dicts.
     """
 
     marking: Marking
@@ -102,11 +104,11 @@ class KernelState:
     @classmethod
     def initial(cls, net: Net) -> "KernelState":
         marking = net.marking0()
-        return cls(marking=marking, marking_history=[(0, dict(marking))])
+        return cls(marking=marking, marking_history=[(0, marking)])
 
     def clone(self) -> "KernelState":
         return KernelState(
-            marking=dict(self.marking),
+            marking=self.marking,
             timers=dict(self.timers),
             now=self.now,
             marking_history=list(self.marking_history),
@@ -207,10 +209,10 @@ def fire(net: Net, state: KernelState, tid: str, sigma: SignalState) -> tuple[Ke
             raise DeadlineViolation(f"{tid} fired at clock {elapsed} after beta={record.beta}")
         raise NotEnabled(f"{tid} fired at clock {elapsed} outside [{record.alpha}, {record.beta}]")
 
-    pre_marking = dict(state.marking)
-    state.marking = apply_firing(state.marking, net.pre(tid), net.post(tid))
-    state.marking_history.append((state.now, dict(state.marking)))
-    event = FiringEvent(state.now, tid, pre_marking, dict(state.marking))
+    pre_marking = state.marking
+    state.marking = apply_firing(pre_marking, net.pre(tid), net.post(tid))
+    state.marking_history.append((state.now, state.marking))
+    event = FiringEvent(state.now, tid, pre_marking, state.marking)
 
     state.events_at_now += 1
     # the fired transition's own clock restarts if it is still enabled

@@ -113,7 +113,7 @@ def _obligations(trace: Trace, intervals: list[tuple[int, int, bool]], within: i
 
 def _marks(event: TraceEvent, place: str) -> bool:
     """Whether the marking an event leaves holds a token in ``place``."""
-    return event.post_marking is not None and event.post_marking.get(place, 0) >= 1
+    return event.post_marking.get(place, 0) >= 1
 
 
 def _require_smart(trace: Trace) -> SmartNet:
@@ -422,7 +422,7 @@ def check_trigger_set(traces: list[Trace], triggers: TriggerSet) -> TriggerVerdi
             for entry, exit_time, _ in trace.mode_residences(agent, "M"):
                 span_end = exit_time if exit_time is not None else trace.horizon
                 ticks = trace.changes(low_risk_return, entry, span_end)
-                low = [t for t in ticks if not trace.eval_at(risk_expr, t)]
+                low = [t for t in ticks if trace.interval_at(risk_expr, t) is None]
                 if low and not any(trace.eval_at(guard, t) for t in low):
                     verdict.soundness.append(
                         {

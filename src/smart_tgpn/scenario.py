@@ -49,7 +49,7 @@ from .monitor import (
 from .net import validate_net
 from .netio import NetDocumentError, config_from_document, load_smart
 from .signals import SignalState
-from .trace import DEPOSIT, FIRE, SIGNAL, Trace, TraceEvent, net_digest
+from .trace import DEPOSIT, FIRE, Trace, TraceEvent, net_digest
 
 SEED_ENV_VAR = "SMART_TGPN_SEED"
 
@@ -414,11 +414,12 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
         for name, value in clock.timeouts(state.now).items():
             if value and not bool(sigma.value_at(name, state.now)):
                 sigma.record(name, True, state.now)
+        # events come in time order, deposits first at an instant: the kernel stops short of a deposit tick
         while deposits and deposits[0][0] == state.now:
             _, place = deposits.popleft()
-            state.marking[place] = state.marking.get(place, 0) + 1
-            state.marking_history.append((state.now, dict(state.marking)))
-            events.append(TraceEvent(state.now, DEPOSIT, place, post_marking=dict(state.marking)))
+            state.marking = {**state.marking, place: state.marking.get(place, 0) + 1}
+            state.marking_history.append((state.now, state.marking))
+            events.append(TraceEvent(state.now, DEPOSIT, place, post_marking=state.marking))
 
         injections = [t for t in (_next_timeout(clock, sigma, state.now),) if t is not None]
         if deposits:
@@ -436,7 +437,7 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
         state, fired = advance_to_next_event(net, state, sigma, policy, limit)
 
         for event in fired:
-            events.append(TraceEvent(event.time, FIRE, event.transition, post_marking=dict(event.post_marking)))
+            events.append(TraceEvent(event.time, FIRE, event.transition, post_marking=event.post_marking))
         if fired:
             # a timeout stays true after its place is left, until the next
             # entry; an entry in the instant it turned true cancels it
@@ -452,24 +453,14 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
     quiesced_at: int | None = None
     if not deposits and _next_timeout(clock, sigma, state.now) is None:
         if _next_candidate(net, state, sigma, policy) is None:
-            last_activity = max((e.time for e in events), default=0)
+            last_activity = events[-1].time if events else 0
             if last_activity < scenario.horizon:
                 quiesced_at = last_activity
 
-    # signal events come from the recorded histories: scripted changes,
-    # derived timeouts, and agreement updates alike (t=0 values are the
-    # header's initials, not events)
-    for name in sorted(sigma.histories):
-        for t, value in sigma.histories[name]:
-            if 0 < t <= scenario.horizon:
-                events.append(TraceEvent(t, SIGNAL, name, value=value))
-
-    order = {SIGNAL: 0, DEPOSIT: 1, FIRE: 2}
-    events.sort(key=lambda e: (e.time, order[e.kind]))
     trace = Trace(
         events=events,
         sigma=sigma,
-        initial_marking=net.marking0(),
+        initial_marking=state.marking_history[0][1],
         horizon=scenario.horizon,
         quiesced_at=quiesced_at,
         meta={

@@ -1,10 +1,11 @@
 """Timed execution traces and their on-disk form.
 
-A trace is the ordered record of one run: transition firings (with the
-marking they produced), signal changes (scripted, derived, or agreement
-updates), and output-attempt deposits, over a known horizon. Stored
-traces are JSON lines, one event per line, preceded by a header record;
-field order is fixed so identical runs produce byte-identical files.
+A trace records one run over a known horizon: the transition firings and
+output-attempt deposits, each with the marking it leaves, as its events,
+and every signal change (scripted, derived, or agreement update) only in
+its signal histories. Stored traces are JSON lines: a header record, then
+the signal changes and events in time order, signal changes first at each
+instant. Field order is fixed so identical runs produce identical files.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .builder import SmartNet
@@ -28,24 +30,16 @@ DEPOSIT = "deposit"
 
 @dataclass
 class TraceEvent:
+    """A firing or a deposit, with the marking it leaves."""
+
     time: int
     kind: str
     name: str
-    value: bool | float | None = None
-    post_marking: Marking | None = None
+    post_marking: Marking
 
     def to_record(self) -> dict:
-        record: dict = {"time": self.time, "kind": self.kind}
-        if self.kind == FIRE:
-            record["transition"] = self.name
-            record["marking"] = marking_digest(self.post_marking or {})
-        elif self.kind == SIGNAL:
-            record["signal"] = self.name
-            record["value"] = self.value
-        else:
-            record["place"] = self.name
-            record["marking"] = marking_digest(self.post_marking or {})
-        return record
+        return {"time": self.time, "kind": self.kind, "transition" if self.kind == FIRE else "place": self.name,
+                "marking": marking_digest(self.post_marking)}
 
 
 def _between(times: list[int], items: Sequence, start: int, end: int) -> list:
@@ -62,13 +56,15 @@ def parse_marking_digest(digest: str) -> Marking:
     if digest:
         for part in digest.split(","):
             place, count = part.rsplit(":", 1)
+            if not count.isdecimal() or int(count) < 1:
+                raise ValueError(f"marking count {count!r} of {place!r} is not a positive integer")
             marking[place] = int(count)
     return marking
 
 
 @dataclass
 class Trace:
-    """One run's events in time order, fixed once built.
+    """One run's firings and deposits in time order, and its signal histories, fixed once built.
 
     Every derived view (markings, mode timelines, a predicate's change
     points and intervals, firings by name set) is computed once, on first
@@ -103,33 +99,25 @@ class Trace:
         """Indices of the events at instants start..end."""
         return range(bisect_left(self._times, start), bisect_right(self._times, end))
 
-    def _markings(self) -> list[Marking]:
-        """Entry i is the marking before event i; the last, after them all.
-        Once the trace is bound to its net, a place a stored marking digest
-        omits reads as 0 tokens."""
+    def _history(self) -> list[tuple[int, Marking]]:
+        """The marking history held_for reads: (0, initial marking), then
+        (time, marking it leaves) for each event, so entry i holds the
+        marking before event i. Once the trace is bound to its net, a place
+        a stored marking digest omits reads as 0 tokens."""
         def build():
             empty = dict.fromkeys(self.smart.net.places, 0) if self.smart is not None else {}
             full = lambda marking: marking if empty.keys() <= marking.keys() else {**empty, **marking}
-            markings = [full(self.initial_marking)]
-            for e in self.events:
-                markings.append(markings[-1] if e.post_marking is None else full(e.post_marking))
-            return markings
-        return self._view("markings" if self.smart is None else "bound markings", build)
-
-    def _history(self) -> list[tuple[int, Marking]]:
-        """(time, marking after it) pairs, the marking history held_for reads."""
-        return self._view("history" if self.smart is None else "bound history",
-                          lambda: list(zip([0, *self._times], self._markings())))
+            return [(0, full(self.initial_marking)), *((e.time, full(e.post_marking)) for e in self.events)]
+        return self._view("history" if self.smart is None else "bound history", build)
 
     def _modes(self, agent) -> tuple[list[int], list[tuple[int, str | None]]]:
         """The times of the agent's mode timeline, and the timeline."""
         def build():
             timeline = [(0, agent.mode_in(self.initial_marking))]
             for e in self.events:
-                if e.post_marking is not None:
-                    mode = agent.mode_in(e.post_marking)
-                    if mode != timeline[-1][1]:
-                        timeline.append((e.time, mode))
+                mode = agent.mode_in(e.post_marking)
+                if mode != timeline[-1][1]:
+                    timeline.append((e.time, mode))
             return [t for t, _ in timeline], timeline
         # keyed by what mode_in reads, so rebinding ``smart`` cannot go stale
         return self._view(("modes", tuple(agent.mode_places.items())), build)
@@ -145,7 +133,7 @@ class Trace:
             for name in signal_names(expr):
                 points.update(t for t, _ in self.sigma.histories.get(name, ()) if t <= self.horizon)
             if place_names(expr):
-                points.update(e.time for e in self.events if e.post_marking is not None)
+                points.update(self._times)
             durations = {term.duration for term in held_terms(expr)}
             points.update([p + d for p in points for d in durations if p + d <= self.horizon])
             return sorted(points)
@@ -183,16 +171,16 @@ class Trace:
         return _between(self._times, self.events, start, end)
 
     def marking_before(self, event: TraceEvent) -> Marking:
-        """Marking immediately before a firing event (end of the previous
-        marking-changing event, or the initial marking)."""
+        """Marking immediately before an event: the one the previous event
+        left, or the initial marking."""
         for i in self._window(event.time, event.time):
             if self.events[i] is event:
-                return self._markings()[i]
+                return self._history()[i][1]
         raise ValueError("event does not belong to this trace")
 
     def marking_at(self, time: int) -> Marking:
         """Marking at the end of the given instant."""
-        return self._markings()[bisect_right(self._times, time)]
+        return self._history()[bisect_right(self._times, time)][1]
 
     def mode_timeline(self, agent) -> list[tuple[int, str | None]]:
         """Per-agent sequence of (time, mode key) changes, end-of-instant
@@ -219,7 +207,7 @@ class Trace:
         """Maximal residences in one mode place: (entry, exit, exit
         transition id); exit None when the trace ends inside the mode."""
         timeline = self._modes(agent)[1]
-        markings = self._markings()
+        history = self._history()
         place = agent.mode_places[key]
         residences = []
         for index, (start, mode) in enumerate(timeline):
@@ -232,8 +220,8 @@ class Trace:
             exit_tid = next((
                 self.events[i].name for i in self._window(end, end)
                 if self.events[i].kind == FIRE
-                and markings[i].get(place, 0) >= 1
-                and (self.events[i].post_marking or {}).get(place, 0) == 0
+                and history[i][1].get(place, 0) >= 1
+                and self.events[i].post_marking.get(place, 0) == 0
             ), None)
             residences.append((start, end, exit_tid))
         return residences
@@ -266,9 +254,15 @@ class Trace:
             return intervals[index]
         return None
 
+    def _signal_changes(self) -> list[tuple[int, str, bool | float]]:
+        """(time, signal, value) of each signal change in (0, horizon], by
+        time and then by name; the values at 0 are the initial ones."""
+        return sorted((t, name, value) for name, history in self.sigma.histories.items()
+                      for t, value in history if 0 < t <= self.horizon)
+
     def stats(self) -> dict:
-        """Mode residence totals, escalation counts, governance entries."""
-        out: dict = {"events": len(self.events), "horizon": self.horizon}
+        """Event count, signal changes included, mode residence totals, escalations, governance entries."""
+        out: dict = {"events": len(self._signal_changes()) + len(self.events), "horizon": self.horizon}
         if self.smart is None:
             return out
         per_agent = {}
@@ -317,9 +311,11 @@ def trace_lines(trace: Trace) -> Iterable[str]:
     }
     header.update(trace.meta)
     yield json.dumps(header, sort_keys=True)
-    for event in trace.events:
-        # field order fixed as (time, kind, name, payload) for diffability
-        yield json.dumps(event.to_record())
+    # field order fixed as (time, kind, name, payload) for diffability; the
+    # sort is stable, so at each instant the signal changes go first
+    records = [{"time": t, "kind": SIGNAL, "signal": name, "value": v} for t, name, v in trace._signal_changes()]
+    for record in sorted(records + [e.to_record() for e in trace.events], key=itemgetter("time")):
+        yield json.dumps(record)
 
 
 def _field(record: dict, name: str, kind: type, line: int | None = None):
@@ -342,6 +338,12 @@ def read_trace(path: str) -> Trace:
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValueError(f"{path}: first line is not a trace header")
 
+    horizon = _field(header, "horizon", int)
+    if horizon < 0:
+        raise ValueError(f"{path}: negative horizon {horizon}")
+    quiesced_at = header.get("quiesced_at")
+    if quiesced_at is not None and (type(quiesced_at) is not int or not 0 <= quiesced_at < horizon):
+        raise ValueError(f"{path}: quiesced_at must be null or an integer in [0, {horizon}), got {quiesced_at!r}")
     kinds = _field({"signal_kinds": {}, **header}, "signal_kinds", dict)
     sigma = SignalState.declare(
         booleans=[n for n, k in kinds.items() if k == BOOL],
@@ -349,32 +351,33 @@ def read_trace(path: str) -> Trace:
         initial=_field({"initial_signals": {}, **header}, "initial_signals", dict),
     )
     events: list[TraceEvent] = []
+    last = 0
     for number, line in enumerate(lines[1:], 2):
         record = json.loads(line)
         if not isinstance(record, dict):
             raise ValueError(f"{path}: line {number} is not an object")
         kind, time = record["kind"], _field(record, "time", int, number)
+        if kind not in (SIGNAL, FIRE, DEPOSIT):
+            raise ValueError(f"{path}: unknown event kind {kind!r}")
+        # records in time order, in [0, horizon]; a signal value at 0 is an initial one
+        low = max(last, 1 if kind == SIGNAL else 0)
+        if not low <= time <= horizon:
+            raise ValueError(f"{path}: line {number}: {kind} at t={time}, out of time order or of [{low}, {horizon}]")
+        last = time
         if kind == SIGNAL:
-            name = _field(record, "signal", str, number)
-            events.append(TraceEvent(time, SIGNAL, name, value=record["value"]))
-            sigma.record(name, record["value"], time)
-        elif kind in (FIRE, DEPOSIT):
+            sigma.record(_field(record, "signal", str, number), record["value"], time)
+        else:
             name = _field(record, "transition" if kind == FIRE else "place", str, number)
             marking = parse_marking_digest(_field(record, "marking", str, number))
             events.append(TraceEvent(time, kind, name, post_marking=marking))
-        else:
-            raise ValueError(f"{path}: unknown event kind {kind!r}")
 
-    meta = {
-        k: v
-        for k, v in header.items()
-        if k not in ("kind", "horizon", "quiesced_at", "initial_marking", "initial_signals", "signal_kinds")
-    }
+    meta = {k: v for k, v in header.items()
+            if k not in ("kind", "horizon", "quiesced_at", "initial_marking", "initial_signals", "signal_kinds")}
     return Trace(
         events=events,
         sigma=sigma,
         initial_marking=parse_marking_digest(_field(header, "initial_marking", str)),
-        horizon=_field(header, "horizon", int),
-        quiesced_at=header.get("quiesced_at"),
+        horizon=horizon,
+        quiesced_at=quiesced_at,
         meta=meta,
     )

@@ -287,6 +287,13 @@ def _first(records, kind):
     return next(r for r in records[1:] if r["kind"] == kind)
 
 
+def _move_after_a_later_firing(records, signal, time):
+    """Move ``signal``'s record at ``time`` after the first firing at time + 1."""
+    moved = records.pop(next(i for i, r in enumerate(records) if r.get("signal") == signal and r["time"] == time))
+    later = next(i for i, r in enumerate(records) if r["kind"] == "fire" and r["time"] == time + 1)
+    records.insert(later + 1, moved)
+
+
 # name -> a defect of a stored trace, given as its records, header first
 TRACE_DEFECTS = {
     "unknown-event-kind": lambda records: records[1].update(kind="bogus"),
@@ -303,6 +310,18 @@ TRACE_DEFECTS = {
     "string-initial-signals": lambda records: records[0].update(initial_signals="x"),
     "list-real-initial-value": lambda records: records[0]["initial_signals"].update(U=[0]),
     "nan-real-initial-value": lambda records: records[0]["initial_signals"].update(U=float("nan")),
+    "negative-horizon": lambda records: records[0].update(horizon=-3),
+    "horizon-before-the-records": lambda records: records[0].update(horizon=2),
+    "fire-after-the-horizon": lambda records: records[-1].update(time=31),
+    "negative-fire-time": lambda records: _first(records, "fire").update(time=-1),
+    "signal-at-tick-0": lambda records: _first(records, "signal").update(time=0),
+    "signal-after-the-horizon": lambda records: records.append(
+        {"time": 31, "kind": "signal", "signal": "anom", "value": True}),
+    "string-quiesced-at": lambda records: records[0].update(quiesced_at="x"),
+    "quiesced-at-the-horizon": lambda records: records[0].update(quiesced_at=30),
+    "negative-marking-count": lambda records: _first(records, "fire").update(marking="P_M:-2"),
+    "zero-marking-count": lambda records: _first(records, "deposit").update(marking="P_M:1,P_want:0"),
+    "signal-after-a-later-firing": lambda records: _move_after_a_later_firing(records, "timeout_M", 6),
 }
 
 
