@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .builder import AGENT_DERIVED_SIGNALS, ResidenceClock, SmartNet
+from .builder import WANT_OUTPUT as WANT_DRIVER, ResidenceClock, SmartNet
 from .guards import (
     And,
     EvalContext,
@@ -89,8 +89,6 @@ def mode_indicator(smart: SmartNet) -> dict[str, int]:
 
 BRANCH_EARLIEST = "earliest-only"
 BRANCH_ALL = "all"
-
-WANT_DRIVER = "want_output"
 
 
 @dataclass
@@ -264,7 +262,7 @@ class _Explorer:
         # per-agent namespaced signals of every agent in lockstep
         self.drivers: list[tuple[str, list[str]]] = []
         driven: dict[str, str] = {}  # signal -> the alphabet entry that drives it
-        derived = {agent.signal(name) for agent in self.agents for name in AGENT_DERIVED_SIGNALS}
+        derived = {name for agent in self.agents for name in agent.timeouts.values()}
         for name in cfg.alphabet:
             if name == WANT_DRIVER:
                 continue
@@ -519,11 +517,13 @@ class _Explorer:
                     marking[agent.want_place] = 1
         state = KernelState(marking=marking, timers={tid: -elapsed for tid, elapsed in key.timers},
                             marking_history=[(0, marking)])
-        return state, self.clock_of(key), frozenset(p for p, c in marking.items() if c > 0)
+        return state, self.clock_of(key, marking), frozenset(p for p, c in marking.items() if c > 0)
 
-    def clock_of(self, key: StateKey) -> ResidenceClock:
-        """The key's residence clock at tick 0 of its next step."""
-        return ResidenceClock.at(self.agents, dict(key.marking), [-elapsed for _, elapsed in key.residence])
+    def clock_of(self, key: StateKey, marking: Mapping[str, int] | None = None) -> ResidenceClock:
+        """The key's residence clock at tick 0 of its next step; ``marking``,
+        if given, holds the key's marking (the clock reads its mode places)."""
+        marking = dict(key.marking) if marking is None else marking
+        return ResidenceClock.at(self.agents, marking, [-elapsed for _, elapsed in key.residence])
 
     def _cascade(self, state: KernelState, sigma: ConstantSignals, clock: ResidenceClock, vector: int,
                  bits: int) -> tuple[list[tuple[KernelState, ResidenceClock, tuple[str, ...]]], int]:
@@ -702,7 +702,7 @@ def replay_witness(graph: ReachGraph, witness: list[dict]) -> list[tuple[int, li
             # the explorer's output attempt for each agent whose want place is
             # empty as the tick begins; the step's firings give the next key
             marking = graph.marking_of(key_id)
-            script += [(step["tick"], WANT_DRIVER + agent.suffix, True)
+            script += [(step["tick"], agent.want_signal, True)
                        for agent in explorer.agents if not marking.get(agent.want_place, 0)]
             vector = sum(1 << i for i, (name, _) in enumerate(explorer.drivers) if step["signals"].get(name))
             key_id = next((explorer.intern(r.key) for r in explorer.evolve(key_id, vector)
@@ -798,8 +798,9 @@ def _condition_test(graph: ReachGraph, condition: GuardExpr) -> _Lowest:
         truth = by_key.get(key_id)
         if truth is None:
             key = explorer.key_table[key_id]
-            values = {**explorer.base_values, **explorer.clock_of(key).timeouts(0)}
-            ctx = EvalContext(ConstantSignals(values), dict(key.marking), 0)
+            marking = dict(key.marking)
+            values = {**explorer.base_values, **explorer.clock_of(key, marking).timeouts(0)}
+            ctx = EvalContext(ConstantSignals(values), marking, 0)
             truth = by_key[key_id] = truth_bits(condition, explorer.atom_bits(ctx), explorer.every_vector)
         bits &= truth
         return _lowest(bits) if bits else None

@@ -66,8 +66,9 @@ COORDINATION_PLACES = ["P_Aentry", "P_claim", "P_check", "P_agree", "P_conflict"
 
 AGENT_BOOL_SIGNALS = ["anom", "evidence", "safe", "hardware_fault", "assist", "ext_auth"]
 AGENT_REAL_SIGNALS = ["U"]
-AGENT_DERIVED_SIGNALS = ["timeout_M", "timeout_A"]
 SHARED_BOOL_SIGNALS = ["disagree", "agree"]
+# an agent's output attempt: a script pseudo-signal and an explorer driver
+WANT_OUTPUT = "want_output"
 
 
 class SmartConfigError(ValueError):
@@ -141,7 +142,8 @@ class AgentSpec:
 
 @dataclass
 class AgentView:
-    """Per-agent name bindings and derived predicates of a built net."""
+    """Per-agent name bindings and derived predicates of a built net: each
+    name and predicate of one agent is built here once, by ``agent_view``."""
 
     agent_id: str | None
     suffix: str
@@ -150,8 +152,13 @@ class AgentView:
     mode_switches: dict[str, str]
     outputs: list[str]
     want_place: str
+    want_signal: str  # its script entries and explorer driver deposit into want_place
+    timeouts: dict[str, str]  # "M" / "A" -> its derived timeout signal
+    claim: str  # the real signal derived agreement compares
     invalid: GuardExpr
     unrecoverable: GuardExpr
+    premise: GuardExpr  # invalid and not UR: escalation is owed
+    risk: GuardExpr  # invalid or UR
 
     def signal(self, base: str) -> str:
         return base + self.suffix
@@ -170,7 +177,7 @@ class AgentView:
         return None
 
     def bool_signals(self) -> list[str]:
-        return [s + self.suffix for s in AGENT_BOOL_SIGNALS + AGENT_DERIVED_SIGNALS]
+        return [s + self.suffix for s in AGENT_BOOL_SIGNALS] + list(self.timeouts.values())
 
     def real_signals(self) -> list[str]:
         return [s + self.suffix for s in AGENT_REAL_SIGNALS]
@@ -188,17 +195,13 @@ class ResidenceClock:
     agents: list[AgentView]
     modes: list[str | None]
     entered: list[int]
-    # per agent, its timeout signal of each of "M" and "A": built once by
-    # ``at`` and shared by every copy
-    names: list[dict[str, str]]
 
     @classmethod
     def at(cls, agents: list[AgentView], marking: Mapping[str, int], entered: list[int]) -> "ResidenceClock":
-        names = [{key: f"timeout_{key}{agent.suffix}" for key in "MA"} for agent in agents]
-        return cls(agents, [agent.mode_in(marking) for agent in agents], list(entered), names)
+        return cls(agents, [agent.mode_in(marking) for agent in agents], list(entered))
 
     def copy(self) -> "ResidenceClock":
-        return ResidenceClock(self.agents, list(self.modes), list(self.entered), self.names)
+        return ResidenceClock(self.agents, list(self.modes), list(self.entered))
 
     def observe(self, marking: Mapping[str, int], now: int) -> list[str]:
         """Restart the clock of each agent whose token changed mode place;
@@ -209,23 +212,23 @@ class ResidenceClock:
             if mode != self.modes[index]:
                 self.modes[index], self.entered[index] = mode, now
                 if mode in ("M", "A"):
-                    restarted.append(self.names[index][mode])
+                    restarted.append(agent.timeouts[mode])
         return restarted
 
     def deadlines(self) -> list[tuple[str, int]]:
         """(timeout signal, tick it holds from) of each agent in P_M or P_A."""
         return [
-            (names[mode], entered + (agent.config.budget_m if mode == "M" else agent.config.budget_a))
-            for agent, names, mode, entered in zip(self.agents, self.names, self.modes, self.entered)
+            (agent.timeouts[mode], entered + (agent.config.budget_m if mode == "M" else agent.config.budget_a))
+            for agent, mode, entered in zip(self.agents, self.modes, self.entered)
             if mode in ("M", "A")
         ]
 
     def timeouts(self, now: int) -> dict[str, bool]:
         """Every agent's ``timeout_M`` / ``timeout_A`` at ``now``."""
         values = {}
-        for agent, names, mode, entered in zip(self.agents, self.names, self.modes, self.entered):
-            values[names["M"]] = mode == "M" and now >= entered + agent.config.budget_m
-            values[names["A"]] = mode == "A" and now >= entered + agent.config.budget_a
+        for agent, mode, entered in zip(self.agents, self.modes, self.entered):
+            values[agent.timeouts["M"]] = mode == "M" and now >= entered + agent.config.budget_m
+            values[agent.timeouts["A"]] = mode == "A" and now >= entered + agent.config.budget_a
         return values
 
     def residence(self, now: int) -> tuple[tuple[str, int], ...]:
@@ -367,10 +370,10 @@ def _macro_parts(view: AgentView, entry: str | None):
         "t_SM": And((escalate, Not(ur))),
         "t_SR": ur,
         "t_MS": And((settle, Not(ur))),
-        "t_MA": And((invalid, sig("timeout_M"), Not(ur), sig("assist"))),
-        "t_MR": Or((ur, And((invalid, sig("timeout_M"), Not(sig("assist")))))),
+        "t_MA": And((invalid, Sig(view.timeouts["M"]), Not(ur), sig("assist"))),
+        "t_MR": Or((ur, And((invalid, Sig(view.timeouts["M"]), Not(sig("assist")))))),
         "t_AS": And((Not(Sig("disagree")), Sig("agree"), Not(invalid), Not(ur))),
-        "t_AR": Or((ur, And((Sig("disagree"), sig("timeout_A"))))),
+        "t_AR": Or((ur, And((Sig("disagree"), Sig(view.timeouts["A"]))))),
         "t_RS": And((sig("ext_auth"), Not(ur))),
     }
 
@@ -437,6 +440,7 @@ def _coordination_parts(mode_a_places: list[str], consensus_guards: dict[str, Gu
 
 def agent_view(cfg: SmartConfig, agent_id: str | None, suffix: str) -> AgentView:
     """The name bindings of one agent of a built net, given its namespace suffix."""
+    invalid, unrecoverable = invalid_expr(cfg.theta, suffix), unrecoverable_expr(suffix)
     return AgentView(
         agent_id=agent_id,
         suffix=suffix,
@@ -448,8 +452,13 @@ def agent_view(cfg: SmartConfig, agent_id: str | None, suffix: str) -> AgentView
         },
         outputs=[f"t_out{suffix}"],
         want_place=f"P_want{suffix}",
-        invalid=invalid_expr(cfg.theta, suffix),
-        unrecoverable=unrecoverable_expr(suffix),
+        want_signal=WANT_OUTPUT + suffix,
+        timeouts={key: f"timeout_{key}{suffix}" for key in "MA"},
+        claim=f"claim{suffix}",
+        invalid=invalid,
+        unrecoverable=unrecoverable,
+        premise=And((invalid, Not(unrecoverable))),
+        risk=Or((invalid, unrecoverable)),
     )
 
 
@@ -466,7 +475,8 @@ def build_single_agent(cfg: SmartConfig) -> SmartNet:
     transitions["t_AS"] = transitions["t_AS"].with_guard(
         And((Marked("P_agree"), Not(Sig("disagree")), Not(view.invalid), Not(ur)))
     )
-    transitions["t_AR"] = transitions["t_AR"].with_guard(Or((ur, And((Marked("P_conflict"), Sig("timeout_A"))))))
+    timeout_a = Sig(view.timeouts["A"])
+    transitions["t_AR"] = transitions["t_AR"].with_guard(Or((ur, And((Marked("P_conflict"), timeout_a)))))
     arcs.insert(-1, Arc("P_agree", "t_AS"))
 
     c_places, c_transitions, c_arcs = _coordination_parts(
@@ -563,7 +573,7 @@ def default_trigger_set(smart: SmartNet) -> TriggerSet:
                 trigger = trigger_for(key)
                 if trigger is not None:
                     tier.append(trigger)
-        risk_terms.append(Or((agent.invalid, agent.unrecoverable)))
+        risk_terms.append(agent.risk)
     u_risk = risk_terms[0] if len(risk_terms) == 1 else Or(tuple(risk_terms))
     return TriggerSet(t_m, t_a, t_rt, u_risk, dwell=1)
 

@@ -44,7 +44,7 @@ from typing import Callable, Iterator
 
 from .analysis import FormulaVerdict, HOLDS, INCONCLUSIVE, VACUOUS, VIOLATED, resolve_forbidden
 from .builder import GATING_GUARDED, SmartNet, TriggerSet
-from .guards import And, GuardExpr, Marked, Not, Or, Sig
+from .guards import And, Marked, Not, Sig
 from .trace import FIRE, Trace, TraceEvent
 
 PASS = "pass"
@@ -150,8 +150,7 @@ def check_bounded_autonomy(trace: Trace) -> Verdict:
     smart = _require_smart(trace)
     verdict = Verdict("P1 bounded autonomy", VACUOUS)
     for agent in smart.agents:
-        condition = And((agent.invalid, Not(agent.unrecoverable)))
-        intervals = [i for i in trace.predicate_intervals(condition) if trace.mode_before(agent, i[0]) == "S"]
+        intervals = [i for i in trace.predicate_intervals(agent.premise) if trace.mode_before(agent, i[0]) == "S"]
         if intervals:
             verdict.record(PASS)
         left_s = lambda start, end, deadline: any(
@@ -210,7 +209,7 @@ def _within_pre_escalation_window(trace: Trace, agent, time: int) -> bool:
     debounced escalation the window extends by the escalate debounce."""
     debounce = agent.config.hysteresis.debounce_up if agent.config.hysteresis.enabled else 0
     window = agent.config.delta_s + debounce
-    interval = trace.interval_at(And((agent.invalid, Not(agent.unrecoverable))), time)
+    interval = trace.interval_at(agent.premise, time)
     if interval is not None:
         return time - interval[0] <= window
     # invalid with UR alongside: the stable exit is the governance one
@@ -304,8 +303,10 @@ def check_distributed_soundness(trace: Trace) -> Verdict:
     disagree = trace.sigma
     for agent in smart.agents:
         t_as, t_ar = agent.switch("t_AS"), agent.switch("t_AR")
-        # what a legitimate return from A needs at an instant
-        permitted = And((Not(Sig("disagree")), Sig("agree"), Not(agent.invalid), Not(agent.unrecoverable)))
+        # what a legitimate return from A needs at an instant: the agent's
+        # t_AS guard, and a token in each coordination place it consumes
+        consensus = [Marked(p) for p in smart.net.pre_sets.get(t_as, {}) if p in smart.coordination_places]
+        permitted = And((*consensus, Not(Sig("disagree")), Sig("agree"), Not(agent.risk)))
         for event in trace.firings([t_as]):
             verdict.record(PASS)
             if bool(disagree.value_at("disagree", event.time)):
@@ -413,9 +414,7 @@ def check_trigger_set(traces: list[Trace], triggers: TriggerSet) -> TriggerVerdi
                 )
 
         for agent in smart.agents:
-            risk_expr = (
-                _agent_risk(agent) if len(smart.agents) > 1 else triggers.u_risk
-            )
+            risk_expr = agent.risk if len(smart.agents) > 1 else triggers.u_risk
             # return not blocked during low-risk local recovery
             guard = smart.net.transitions[agent.switch("t_MS")].guard
             low_risk_return = And((Not(risk_expr), guard))
@@ -460,10 +459,6 @@ def check_trigger_set(traces: list[Trace], triggers: TriggerSet) -> TriggerVerdi
                         }
                     )
     return verdict
-
-
-def _agent_risk(agent) -> GuardExpr:
-    return Or((agent.invalid, agent.unrecoverable))
 
 
 # --- trace-level formula checking --------------------------------------------

@@ -2,16 +2,19 @@
 
 A scenario binds a net (builder configuration or net file), a signal
 script, a horizon, a firing policy and seed, plus the checks to run.
-The loop drives the kernel, interleaving three injections the kernel
-itself does not know about:
+The script is resolved before the run, into what the run reads:
 
-- output attempts: script entries for the pseudo-signal ``want_output``
-  deposit a token into the agent's want place;
-- derived timeouts: ``timeout_M`` / ``timeout_A`` are recorded true when
-  the agent's ``ResidenceClock`` says they hold, and reset on the next
-  entry to their place;
-- derived agreement (opt-in): ``disagree`` / ``agree`` are recomputed
-  from the per-agent ``claim_*`` signals after every event.
+- signal histories (``Scenario.signal_state``): the initial values and
+  the scripted changes; with ``derive_agreement``, also ``disagree`` /
+  ``agree``, decided from the per-agent ``claim_*`` signals at tick 0
+  and at each claim change, which depend on nothing the run decides;
+- output attempts (``Scenario.deposits``): each true script entry for an
+  agent's ``want_signal`` deposits a token into its want place.
+
+The loop drives the kernel and handles only what the run itself
+decides: the deposit instants, and the derived timeouts ``timeout_M`` /
+``timeout_A``, recorded true when the agent's ``ResidenceClock`` says
+they hold and reset on the next entry to their place.
 
 A run ends at the horizon. When nothing can ever happen after its last
 event, the trace also records that instant (absorbing quiescence).
@@ -27,6 +30,7 @@ from typing import Any
 
 from .analysis import Formula, FormulaVerdict, resolve_forbidden
 from .builder import (
+    SHARED_BOOL_SIGNALS,
     AgentSpec,
     ResidenceClock,
     SmartNet,
@@ -48,12 +52,10 @@ from .monitor import (
 )
 from .net import validate_net
 from .netio import NetDocumentError, config_from_document, load_smart
-from .signals import SignalState
+from .signals import SignalState, as_bool
 from .trace import DEPOSIT, FIRE, Trace, TraceEvent, net_digest
 
 SEED_ENV_VAR = "SMART_TGPN_SEED"
-
-WANT_PREFIX = "want_output"
 
 
 class ScenarioError(ValueError):
@@ -79,33 +81,31 @@ class Scenario:
     warnings: list[str] = field(default_factory=list)
 
     def signal_state(self) -> SignalState:
+        """The run's signal histories: initial values, the script's signal
+        entries and, with ``derive_agreement``, ``disagree`` / ``agree``
+        (some two claims differ) at tick 0 and at each claim change."""
         booleans = self.smart.bool_signals() + list(self.extra_booleans)
         reals = self.smart.real_signals() + list(self.extra_reals)
-        if self.derive_agreement:
-            reals += [f"claim{a.suffix}" for a in self.smart.agents]
+        claims = [a.claim for a in self.smart.agents] if self.derive_agreement else []
         initial = dict(self.smart.default_initial_signals())
         initial.update(self.initial_signals)
-        sigma = SignalState.declare(booleans, sorted(set(reals)), initial)
+        sigma = SignalState.declare(booleans, sorted(set(reals + claims)), initial)
+        wants = {a.want_signal for a in self.smart.agents}
         for time, name, value in self.script:
-            if name.startswith(WANT_PREFIX):
-                continue
-            sigma.record(name, value, time)
+            if name not in wants:
+                sigma.record(name, value, time)
+        for time in [0, *sigma.change_points(claims, 0, self.horizon)] if claims else []:
+            disagree = len({sigma.value_at(claim, time) for claim in claims}) > 1
+            sigma.record("disagree", disagree, time)
+            sigma.record("agree", not disagree, time)
         return sigma
 
     def deposits(self) -> list[tuple[int, str]]:
-        """(time, want place) for every scripted output attempt."""
-        out = []
-        for time, name, _ in self.script:
-            if not name.startswith(WANT_PREFIX):
-                continue
-            suffix = name[len(WANT_PREFIX):]
-            for agent in self.smart.agents:
-                if agent.suffix == suffix:
-                    out.append((time, agent.want_place))
-                    break
-            else:
-                raise ScenarioError(f"{name!r} matches no agent")
-        return sorted(out)
+        """(time, want place) for every scripted output attempt: each entry
+        of an agent's ``want_signal`` whose value is true."""
+        places = {a.want_signal: a.want_place for a in self.smart.agents}
+        return sorted((time, places[name]) for time, name, value in self.script
+                      if name in places and as_bool(name, value))
 
 
 def _object(value, where: str) -> dict:
@@ -266,7 +266,7 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
     if type(derive_agreement) is not bool:
         raise ScenarioError(f"derive_agreement must be true or false, got {derive_agreement!r}")
     if derive_agreement:
-        known |= {f"claim{a.suffix}" for a in smart.agents}
+        known |= {a.claim for a in smart.agents}
     if "file" in doc["net"]:  # a builder net reads only the signals it declares
         errors = validate_net(smart.net, known).errors
         if errors:
@@ -281,6 +281,7 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
             warnings.append(f"real signal {name!r} has no initial value; defaulting to 0")
 
     script: list[tuple[int, str, Any]] = []
+    wants = {a.want_signal for a in smart.agents}
     for index, entry in enumerate(doc.get("script", [])):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ScenarioError(f"script[{index}]: expected [time, signal, value]")
@@ -289,7 +290,9 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
             raise ScenarioError(f"script[{index}]: time must be an integer, got {time!r}")
         if time < 0 or time > horizon:
             raise ScenarioError(f"script[{index}]: time {time} outside [0, {horizon}]")
-        if not name.startswith(WANT_PREFIX) and name not in known:
+        if derive_agreement and name in SHARED_BOOL_SIGNALS:
+            raise ScenarioError(f"script[{index}]: {name!r} is derived from the claims under derive_agreement")
+        if name not in known and name not in wants:
             raise ScenarioError(f"script[{index}]: undeclared signal {name!r}")
         script.append((time, name, value))
     script.sort(key=lambda e: (e[0], e[1]))
@@ -325,6 +328,7 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
         warnings=warnings,
     )
     scenario.signal_state()  # rejects bad script values and clashing entries before any run
+    scenario.deposits()  # rejects an output attempt that is neither true nor false
     return scenario
 
 
@@ -389,14 +393,6 @@ def _next_timeout(clock: ResidenceClock, sigma: SignalState, now: int) -> int | 
     return min((due for name, due in clock.deadlines() if due >= now and not sigma.value_at(name, now)), default=None)
 
 
-def _derive_agreement(smart: SmartNet, sigma: SignalState, now: int) -> None:
-    claims = [float(sigma.value_at(f"claim{a.suffix}", now)) for a in smart.agents]
-    disagree = any(a != b for a, b in zip(claims, claims[1:]))
-    for name, value in (("disagree", disagree), ("agree", not disagree)):
-        if bool(sigma.value_at(name, now)) != value:
-            sigma.record(name, value, now)
-
-
 def run(scenario: Scenario) -> tuple[Trace, RunReport]:
     """Execute a scenario and evaluate its requested checks."""
     smart = scenario.smart
@@ -409,8 +405,6 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
     events: list[TraceEvent] = []
 
     while state.now <= scenario.horizon:
-        if scenario.derive_agreement:
-            _derive_agreement(smart, sigma, state.now)
         for name, value in clock.timeouts(state.now).items():
             if value and not bool(sigma.value_at(name, state.now)):
                 sigma.record(name, True, state.now)
@@ -421,16 +415,8 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
             state.marking_history.append((state.now, state.marking))
             events.append(TraceEvent(state.now, DEPOSIT, place, post_marking=state.marking))
 
-        injections = [t for t in (_next_timeout(clock, sigma, state.now),) if t is not None]
-        if deposits:
-            injections.append(deposits[0][0])
-        if scenario.derive_agreement:
-            # agreement is recomputed from claims, so the kernel must not
-            # fire past a scripted change before the derivation catches up
-            nxt = sigma.next_change_after(state.now)
-            if nxt is not None:
-                injections.append(nxt)
-        limit = min(min(injections) if injections else scenario.horizon + 1, scenario.horizon + 1)
+        injections = (_next_timeout(clock, sigma, state.now), deposits[0][0] if deposits else None)
+        limit = min([scenario.horizon + 1, *(t for t in injections if t is not None)])
         if limit <= state.now:
             raise RuntimeError(f"scheduler stalled at t={state.now}")  # injections are always ahead
 

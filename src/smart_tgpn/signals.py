@@ -31,6 +31,13 @@ class UndeclaredSignal(SignalError):
     """A guard or recording referenced a signal that was never declared."""
 
 
+def as_bool(name: str, value) -> bool:
+    """The boolean-signal rule: true, false, 1 or 0; else a SignalError."""
+    if isinstance(value, bool) or value in (0, 1):
+        return bool(value)
+    raise SignalError(f"boolean signal {name!r} given non-boolean value {value!r}")
+
+
 @dataclass
 class SignalState:
     """Append-only signal histories keyed by signal name.
@@ -67,9 +74,7 @@ class SignalState:
         if kind is None:
             raise UndeclaredSignal(f"signal {name!r} is not declared")
         if kind == BOOL:
-            if isinstance(value, bool) or value in (0, 1):
-                return bool(value)
-            raise SignalError(f"boolean signal {name!r} given non-boolean value {value!r}")
+            return as_bool(name, value)
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise SignalError(f"real signal {name!r} given non-numeric value {value!r}")
         try:
@@ -128,11 +133,6 @@ class SignalState:
             hi = bisect.bisect_right(history, (end, math.inf), lo)
             points.update(t for t, _ in history[lo:hi])
         return sorted(points)
-
-    def clone(self) -> "SignalState":
-        copy = SignalState(dict(self.declarations), {})
-        copy.histories = {name: list(h) for name, h in self.histories.items()}
-        return copy
 
 
 class ConstantSignals:

@@ -557,6 +557,31 @@ def test_simulate_malformed_dwell_or_agents_is_input_error(tmp_path, capsys, cha
     _assert_one_line_input_error(code, capsys, names)
 
 
+TWO_AGENTS = {"net": {"builder": {"agents": ["a1", "a2"], "config": {}}}, "signals": {}}
+
+
+@pytest.mark.parametrize(
+    "command, change, names",
+    [
+        ("simulate", {**TWO_AGENTS, "derive_agreement": True, "script": [[2, "claim_a1", 1.0], [5, "disagree", 1]]},
+         "script[1]: 'disagree' is derived from the claims under derive_agreement"),
+        ("simulate", {"derive_agreement": True, "script": [[3, "agree", 0]]}, "'agree' is derived from the claims"),
+        ("simulate", {"script": [[2, "want_output", "x"]]}, "boolean signal 'want_output' given non-boolean value 'x'"),
+        ("simulate", {"script": [[2, "want_output", 0.5]]}, "boolean signal 'want_output' given non-boolean value 0.5"),
+        ("simulate", {"script": [[2, "want_output_zz", 1]]}, "script[0]: undeclared signal 'want_output_zz'"),
+        ("explore", {"script": [[2, "want_output_zz", 1]], "exploration": EXPLORATION},
+         "script[0]: undeclared signal 'want_output_zz'"),
+        ("simulate", {**TWO_AGENTS, "script": [[2, "want_output", 1]]}, "undeclared signal 'want_output'"),
+    ],
+    ids=["scripted-disagree-under-derive-agreement", "scripted-agree-under-derive-agreement",
+         "string-output-attempt", "fractional-output-attempt", "simulate-attempt-naming-no-agent",
+         "explore-attempt-naming-no-agent", "unsuffixed-attempt-on-two-agents"],
+)
+def test_script_entry_the_run_cannot_resolve_is_input_error(tmp_path, capsys, command, change, names):
+    code = _run_escalation(tmp_path, command, change)
+    _assert_one_line_input_error(code, capsys, names)
+
+
 def test_a_stored_trace_reads_an_omitted_place_as_empty(tmp_path, capsys):
     """Stored marking digests omit empty places; bound to its net, a stored
     trace reads them as 0 tokens, so verify agrees with the inline run."""

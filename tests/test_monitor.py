@@ -195,6 +195,15 @@ class TestDistributedSoundness:
         assert verdict.status == "violation"
         assert any("t_AS_a1" in v for v in verdict.violations)
 
+    def test_single_agent_return_waits_for_the_consensus_token(self):
+        # t_agree marks P_agree at 12 and t_AS, which consumes it, fires at
+        # 14: the return was owed from 12, not from the resolution at 10
+        trace, _ = run_doc(base_doc("p5-single", policy="latest", signals={"assist": 1, "agree": 1},
+                                    script=[[1, "anom", 1], [10, "anom", 0]]))
+        assert [(e.time, e.name) for e in trace.firings(["t_agree", "t_AS"])] == [(12, "t_agree"), (14, "t_AS")]
+        verdict = check_distributed_soundness(trace)
+        assert verdict.status == "pass", verdict.violations
+
 
 class TestTriggerSet:
     def suite_traces(self):

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smart_tgpn.scenario import ScenarioError, parse_scenario, run, verify
 from smart_tgpn.trace import read_trace, trace_lines, write_trace
@@ -42,6 +44,11 @@ class TestParsing:
         assert any("drift" in w for w in scenario.warnings)
         sigma = scenario.signal_state()
         assert sigma.value_at("drift", 0) == 0.0
+
+    def test_a_false_output_attempt_schedules_no_deposit(self):
+        script = [[2, "want_output", 0], [4, "want_output", False], [6, "want_output", 1], [6, "want_output", True]]
+        scenario = parse_scenario(base_doc(script=script))
+        assert scenario.deposits() == [(6, "P_want"), (6, "P_want")]
 
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("SMART_TGPN_SEED", "41")
@@ -112,6 +119,39 @@ class TestRunLoop:
         trace, report = run(parse_scenario(doc))
         assert trace.firings(["t_SM_a1", "t_SM_a2"]) == []
         assert report.status == "pass"
+
+
+CLAIMS = [0.0, 1.0, 2.5]
+
+
+@st.composite
+def claim_scenarios(draw):
+    """A two- or three-agent scenario with derived agreement and a random
+    claim script, and each agent's claim per tick as the script sets it."""
+    agents = ["a1", "a2", "a3"][:draw(st.integers(2, 3))]
+    horizon = 10
+    initial = {f"claim_{a}": draw(st.sampled_from(CLAIMS)) for a in agents}
+    initial["disagree"] = draw(st.booleans())  # overwritten at tick 0
+    script, claims = [], {}
+    for a in agents:
+        value = initial[f"claim_{a}"]
+        changes = dict(draw(st.lists(st.tuples(st.integers(1, horizon), st.sampled_from(CLAIMS)), max_size=4)))
+        script += [[t, f"claim_{a}", v] for t, v in changes.items()]
+        claims[a] = [value := changes.get(tick, value) for tick in range(horizon + 1)]
+    doc = {"name": "claims", "net": {"builder": {"agents": agents, "config": {}}}, "horizon": horizon,
+           "derive_agreement": True, "signals": initial, "script": script}
+    return doc, claims
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(claim_scenarios())
+def test_derived_agreement_is_whether_two_claims_differ(case):
+    doc, claims = case
+    trace, _ = run(parse_scenario(doc))
+    for tick in range(doc["horizon"] + 1):
+        differ = len({values[tick] for values in claims.values()}) > 1
+        assert trace.sigma.value_at("disagree", tick) is differ
+        assert trace.sigma.value_at("agree", tick) is not differ
 
 
 class TestReplayFidelity:

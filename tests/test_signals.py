@@ -63,14 +63,6 @@ def test_next_change_after_scans_all_histories():
     assert sigma.next_change_after(7) is None
 
 
-def test_clone_is_independent():
-    sigma = make_state()
-    copy = sigma.clone()
-    copy.record("anom", True, 1)
-    assert sigma.value_at("anom", 1) is False
-    assert copy.value_at("anom", 1) is True
-
-
 @given(
     changes=st.lists(st.booleans(), min_size=1, max_size=8),
     gaps=st.lists(st.integers(min_value=1, max_value=5), min_size=8, max_size=8),
