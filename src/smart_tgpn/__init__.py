@@ -40,7 +40,6 @@ from .analysis import (
     mode_indicator,
 )
 from .monitor import (
-    PropositionSpec,
     Verdict,
     check_bounded_autonomy,
     check_distributed_soundness,

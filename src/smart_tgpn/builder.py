@@ -438,8 +438,11 @@ def _coordination_parts(mode_a_places: list[str], consensus_guards: dict[str, Gu
     return places, transitions, arcs
 
 
-def agent_view(cfg: SmartConfig, agent_id: str | None, suffix: str) -> AgentView:
-    """The name bindings of one agent of a built net, given its namespace suffix."""
+def agent_view(cfg: SmartConfig, agent_id: str | None) -> AgentView:
+    """The name bindings of one agent of a built net. The agent's id decides
+    its namespace: a lone agent (id None) has the bare names, any other
+    agent the suffix ``_<id>``."""
+    suffix = "" if agent_id is None else f"_{agent_id}"
     invalid, unrecoverable = invalid_expr(cfg.theta, suffix), unrecoverable_expr(suffix)
     return AgentView(
         agent_id=agent_id,
@@ -469,7 +472,7 @@ def build_single_agent(cfg: SmartConfig) -> SmartNet:
     signals: the return-to-S switch consumes both the mode token and the
     consensus token in P_agree, so a legitimate return requires recorded
     consensus, and the abort exit reads P_conflict."""
-    view = agent_view(cfg, None, "")
+    view = agent_view(cfg, None)
     places, transitions, arcs = _macro_parts(view, entry="P_Aentry")
     ur = view.unrecoverable
     transitions["t_AS"] = transitions["t_AS"].with_guard(
@@ -493,7 +496,7 @@ def build_single_agent(cfg: SmartConfig) -> SmartNet:
 def build_macro_only(cfg: SmartConfig) -> SmartNet:
     """Single-agent macro level with P_A left refinable: the assisted
     state is opaque and its return guard is signal-only."""
-    view = agent_view(cfg, None, "")
+    view = agent_view(cfg, None)
     net = Net(*_macro_parts(view, entry=None), {"P_S": 1}, refinable={"P_A"})
     return SmartNet(net, cfg, [view], [], cfg.gating_mode)
 
@@ -512,7 +515,7 @@ def build_multi_agent(agents: list[AgentSpec], base_config: SmartConfig | None =
         raise SmartConfigError(f"duplicate agent ids in {ids}")
 
     base = base_config or SmartConfig()
-    views = [agent_view(spec.config or base, spec.agent_id, f"_{spec.agent_id}") for spec in agents]
+    views = [agent_view(spec.config or base, spec.agent_id) for spec in agents]
     places: list[str] = []
     transitions: dict[str, TransitionRecord] = {}
     arcs: list[Arc] = []
@@ -533,11 +536,10 @@ def build_multi_agent(agents: list[AgentSpec], base_config: SmartConfig | None =
 
 @dataclass(frozen=True)
 class Trigger:
-    """A named escalation probe; when the name matches a transition id the
-    trigger is considered to fire when that transition fires."""
+    """An escalation probe: the transition it names. It fires when that
+    transition fires, and its condition is that transition's guard."""
 
     name: str
-    expr: GuardExpr
 
 
 @dataclass
@@ -558,21 +560,14 @@ class TriggerSet:
 
 
 def default_trigger_set(smart: SmartNet) -> TriggerSet:
-    """Mirror the built net's own escalation guards as the trigger set.
+    """The built net's own escalation transitions as the trigger set.
     Transitions absent from the net (mutation fixtures) contribute no
     trigger."""
     t_m, t_a, t_rt = [], [], []
     risk_terms: list[GuardExpr] = []
     for agent in smart.agents:
-        def trigger_for(key: str) -> Trigger | None:
-            record = smart.net.transitions.get(agent.switch(key))
-            return Trigger(agent.switch(key), record.guard) if record else None
-
         for tier, keys in ((t_m, ("t_SM",)), (t_a, ("t_MA",)), (t_rt, ("t_SR", "t_MR", "t_AR"))):
-            for key in keys:
-                trigger = trigger_for(key)
-                if trigger is not None:
-                    tier.append(trigger)
+            tier.extend(Trigger(agent.switch(key)) for key in keys if agent.switch(key) in smart.net.transitions)
         risk_terms.append(agent.risk)
     u_risk = risk_terms[0] if len(risk_terms) == 1 else Or(tuple(risk_terms))
     return TriggerSet(t_m, t_a, t_rt, u_risk, dwell=1)
@@ -610,6 +605,9 @@ def validate_smart(smart: SmartNet) -> CheckReport:
     gate = CheckResult("output-gating")
     for agent in smart.agents:
         for tid in agent.outputs:
+            if tid not in net.transitions:
+                gate.witnesses.append(f"missing transition {tid}")
+                continue
             pre = net.pre(tid)
             if pre.get(agent.place("S"), 0) < 1:
                 gate.witnesses.append(f"{tid}: {agent.place('S')} is not a preplace")

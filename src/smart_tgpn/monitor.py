@@ -44,7 +44,7 @@ from typing import Callable, Iterator
 
 from .analysis import FormulaVerdict, HOLDS, INCONCLUSIVE, VACUOUS, VIOLATED, resolve_forbidden
 from .builder import GATING_GUARDED, SmartNet, TriggerSet
-from .guards import And, Marked, Not, Sig
+from .guards import FALSE, And, Marked, Not, Sig
 from .trace import FIRE, Trace, TraceEvent
 
 PASS = "pass"
@@ -122,23 +122,18 @@ def _require_smart(trace: Trace) -> SmartNet:
     return trace.smart
 
 
-@dataclass(frozen=True)
-class PropositionSpec:
-    """Which proposition to check; every bound comes from each agent's
-    configuration."""
-
-    prop: str  # one of PROPOSITIONS
-
-    def run(self, trace: Trace) -> Verdict:
-        # built per call, so a checker rebound on this module (a tracing wrapper) is the one run
-        checker = {
-            "P1": check_bounded_autonomy,
-            "P2": check_output_gating,
-            "P3": check_mandatory_escalation,
-            "P4": check_governance_reachability,
-            "P5": check_distributed_soundness,
-        }[self.prop]
-        return checker(trace)
+def check_proposition(name: str, trace: Trace) -> Verdict:
+    """The verdict of proposition ``name``, one of PROPOSITIONS, on a trace;
+    every bound comes from each agent's configuration."""
+    # looked up per call, so a checker rebound on this module (a tracing wrapper) is the one run
+    checker = {
+        "P1": check_bounded_autonomy,
+        "P2": check_output_gating,
+        "P3": check_mandatory_escalation,
+        "P4": check_governance_reachability,
+        "P5": check_distributed_soundness,
+    }[name]
+    return checker(trace)
 
 
 # --- P1 ------------------------------------------------------------------
@@ -415,8 +410,9 @@ def check_trigger_set(traces: list[Trace], triggers: TriggerSet) -> TriggerVerdi
 
         for agent in smart.agents:
             risk_expr = agent.risk if len(smart.agents) > 1 else triggers.u_risk
-            # return not blocked during low-risk local recovery
-            guard = smart.net.transitions[agent.switch("t_MS")].guard
+            # return not blocked during low-risk local recovery; a net without it never returns
+            record = smart.net.transitions.get(agent.switch("t_MS"))
+            guard = record.guard if record else FALSE
             low_risk_return = And((Not(risk_expr), guard))
             for entry, exit_time, _ in trace.mode_residences(agent, "M"):
                 span_end = exit_time if exit_time is not None else trace.horizon

@@ -4,9 +4,9 @@ Top-level keys: places[], transitions[] (id, guard expression string,
 interval [alpha, beta] with an "inf" sentinel, timing, role, optional
 priority), arcs[] (from, to, weight), initial_marking{}, refinable[].
 Optional sections: subnets[] (hierarchical fragments with entry / exit /
-success_exit places and interface transition names) and smart{} (role
-annotations a builder wrote, letting a loaded net drive the SMART
-monitors and structure checks).
+success_exit places and interface transition names) and smart{} (the
+base config and each agent's id and config, which a builder wrote,
+letting a loaded net drive the SMART monitors and structure checks).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, fields
 from typing import Any
 
-from .builder import Hysteresis, SmartConfig, SmartNet, agent_view
+from .builder import COORDINATION_PLACES, Hysteresis, SmartConfig, SmartNet, agent_view
 from .guards import guard_to_string, parse_guard
 from .hierarchy import InterfaceSpec, Subnet
 from .net import Arc, INF, Net, PriorityClass, TransitionRecord
@@ -129,13 +129,18 @@ def subnet_from_document(doc: dict) -> tuple[str, Subnet, InterfaceSpec]:
     return doc.get("name", "subnet"), Subnet(net=net_from_document(doc), **places), InterfaceSpec(**transitions)
 
 
+def _refuse_unknown(section: dict, known: set[str], where: str) -> None:
+    """Refuse a key of ``section`` that its reader does not read."""
+    unknown = sorted(set(section) - known)
+    if unknown:
+        raise NetDocumentError(f"unknown {where} keys: {unknown}")
+
+
 def config_from_document(doc: dict) -> SmartConfig:
     """The config a document describes; an invalid one raises SmartConfigError."""
     hyst = doc.get("hysteresis", {})
-    unknown = set(doc) - {f.name for f in fields(SmartConfig)}
-    unknown |= {f"hysteresis.{k}" for k in set(hyst) - {f.name for f in fields(Hysteresis)}}
-    if unknown:
-        raise NetDocumentError(f"unknown config keys: {sorted(unknown)}")
+    _refuse_unknown(doc, {f.name for f in fields(SmartConfig)}, "config")
+    _refuse_unknown(hyst, {f.name for f in fields(Hysteresis)}, "config.hysteresis")
     config = SmartConfig(
         **{k: v for k, v in doc.items() if k != "hysteresis"},
         hysteresis=Hysteresis(**hyst) if hyst else Hysteresis(),
@@ -148,23 +153,19 @@ def smart_to_document(smart: SmartNet) -> dict:
     doc = net_to_document(smart.net)
     doc["smart"] = {
         "config": asdict(smart.config),
-        "gating_mode": smart.gating_mode,
-        "coordination_places": list(smart.coordination_places),
-        "agents": [
-            {
-                "id": view.agent_id,
-                "suffix": view.suffix,
-                "config": asdict(view.config),
-            }
-            for view in smart.agents
-        ],
+        "agents": [{"id": view.agent_id, "config": asdict(view.config)} for view in smart.agents],
     }
     return doc
 
 
 def smart_from_document(doc: dict) -> SmartNet:
-    """The SMART net a document describes. A missing or wrong-typed
-    field, in the net or in its smart{} section, raises NetDocumentError."""
+    """The SMART net a document describes. Its smart{} section states the
+    base config and each agent's id and config, nothing derived: an
+    agent's names follow from its id (``agent_view``), the gating mode
+    from the base config and the coordination places from the net's
+    places. A missing, wrong-typed or unknown field, in the net or in its
+    smart{} section, or an agent whose places the net lacks, raises
+    NetDocumentError."""
     net = net_from_document(doc)
     meta = doc.get("smart")
     if meta is None:
@@ -172,18 +173,23 @@ def smart_from_document(doc: dict) -> SmartNet:
     with _reading("smart section"):
         agents = []
         for raw in meta["agents"]:
-            config, agent_id, suffix = config_from_document(raw["config"]), raw.get("id"), raw.get("suffix", "")
-            if not (agent_id is None or isinstance(agent_id, str)) or not isinstance(suffix, str):
-                raise NetDocumentError(f"agent id and suffix must be strings, got {agent_id!r} and {suffix!r}")
-            agents.append(agent_view(config, agent_id, suffix))
+            config, agent_id = config_from_document(raw["config"]), raw.get("id")
+            _refuse_unknown(raw, {"id", "config"}, "smart agent")
+            if not (agent_id is None or isinstance(agent_id, str)):
+                raise NetDocumentError(f"agent id must be a string or null, got {agent_id!r}")
+            if any(agent.agent_id == agent_id for agent in agents):
+                raise NetDocumentError(f"agent id {agent_id!r} repeats")
+            view = agent_view(config, agent_id)
+            missing = [p for p in [*view.mode_places.values(), view.want_place] if p not in net.places]
+            if missing:
+                raise NetDocumentError(f"agent {agent_id!r}: the net lacks its places {missing}")
+            agents.append(view)
         config = config_from_document(meta["config"])
-        return SmartNet(
-            net,
-            config,
-            agents,
-            list(meta.get("coordination_places", [])),
-            meta.get("gating_mode", "structural+guarded"),
-        )
+        _refuse_unknown(meta, {"config", "agents"}, "smart")
+        if not agents:
+            raise NetDocumentError("smart section lists no agents")
+        return SmartNet(net, config, agents, [p for p in COORDINATION_PLACES if p in net.places],
+                        config.gating_mode)
 
 
 def load_smart(path: str) -> SmartNet:

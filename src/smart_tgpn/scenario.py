@@ -44,10 +44,10 @@ from .guards import GuardExpr, parse_guard, place_names, signal_names
 from .kernel import EARLIEST, LATEST, RANDOM, FiringPolicy, KernelState, _next_candidate, advance_to_next_event
 from .monitor import (
     PROPOSITIONS,
-    PropositionSpec,
     TriggerVerdict,
     Verdict,
     check_formula_on_trace,
+    check_proposition,
     check_trigger_set,
 )
 from .net import validate_net
@@ -73,7 +73,7 @@ class Scenario:
     initial_signals: dict[str, Any] = field(default_factory=dict)
     extra_booleans: list[str] = field(default_factory=list)
     extra_reals: list[str] = field(default_factory=list)
-    propositions: list[PropositionSpec] = field(default_factory=list)
+    propositions: list[str] = field(default_factory=list)
     formulas: list[Formula] = field(default_factory=list)
     triggers: TriggerSet | None = None
     derive_agreement: bool = False
@@ -198,16 +198,14 @@ def _parse_triggers(raw, smart: SmartNet, known: set[str]) -> TriggerSet:
     if raw in (None, "default"):
         return default_trigger_set(smart)
     raw = _object(raw, "triggers")
-    library = smart.predicates()
-
-    def condition(text, where: str) -> GuardExpr:
-        return _declared(library.expand(parse_guard(text)), known, smart, where)
 
     def tier(entries) -> list[Trigger]:
         for entry in entries:
             if not isinstance(entry["name"], str):
                 raise ScenarioError(f"trigger name must be a string, got {entry['name']!r}")
-        return [Trigger(e["name"], condition(e.get("expr", "true"), f"trigger {e['name']!r}")) for e in entries]
+            if set(entry) != {"name"}:  # its condition is the guard of the transition it names
+                raise ScenarioError(f"trigger {entry['name']!r}: unknown fields {sorted(set(entry) - {'name'})}")
+        return [Trigger(entry["name"]) for entry in entries]
 
     dwell = raw.get("dwell", 1)
     if type(dwell) is not int or dwell < 0:
@@ -216,7 +214,7 @@ def _parse_triggers(raw, smart: SmartNet, known: set[str]) -> TriggerSet:
         t_m=tier(raw.get("t_m", [])),
         t_a=tier(raw.get("t_a", [])),
         t_rt=tier(raw.get("t_rt", [])),
-        u_risk=condition(raw["u_risk"], "triggers.u_risk"),
+        u_risk=_declared(smart.predicates().expand(parse_guard(raw["u_risk"])), known, smart, "triggers.u_risk"),
         dwell=dwell,
     )
 
@@ -320,7 +318,7 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
         initial_signals=initial,
         extra_booleans=extra_booleans,
         extra_reals=extra_reals,
-        propositions=[PropositionSpec(p) for p in propositions],
+        propositions=list(propositions),
         formulas=[_parse_formula(raw, smart, known) for raw in doc.get("formulas", [])],
         triggers=_parse_triggers(doc.get("triggers"), smart, known) if "triggers" in doc else None,
         derive_agreement=derive_agreement,
@@ -468,8 +466,8 @@ def verify(trace: Trace, scenario: Scenario) -> RunReport:
         trace.smart = scenario.smart
     report = RunReport(scenario.name, warnings=list(scenario.warnings))
     report.quiesced_at = trace.quiesced_at
-    for spec in scenario.propositions:
-        report.verdicts.append(spec.run(trace))
+    for name in scenario.propositions:
+        report.verdicts.append(check_proposition(name, trace))
     for formula in scenario.formulas:
         report.formula_verdicts.append(check_formula_on_trace(trace, formula))
     if scenario.triggers is not None:

@@ -3,10 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from smart_tgpn.builder import SmartConfig, build_single_agent
+from smart_tgpn.builder import AgentSpec, SmartConfig, SmartNet, build_macro_only, build_multi_agent, build_single_agent
 from smart_tgpn.cli import _build_parser, main
-from smart_tgpn.netio import load_smart, net_to_document, save_net, save_smart, smart_to_document
-from smart_tgpn.net import Arc, Net, TransitionRecord
+from smart_tgpn.netio import load_smart, net_to_document, save_net, save_smart, smart_from_document, smart_to_document
+from smart_tgpn.net import Arc, Net, TransitionRecord, drop_transition
 
 
 @pytest.fixture()
@@ -38,6 +38,55 @@ def test_net_file_round_trip(smart_net_file):
         assert smart.net.transitions[tid].guard == rebuilt.net.transitions[tid].guard
         assert smart.net.transitions[tid].interval == rebuilt.net.transitions[tid].interval
     assert smart.net.initial_marking == rebuilt.net.initial_marking
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_single_agent(SmartConfig()), lambda: build_macro_only(SmartConfig(gating_mode="structural-only")),
+     lambda: build_multi_agent([AgentSpec("a1"), AgentSpec("a2", SmartConfig(budget_a=2))], SmartConfig(theta=0.6))],
+    ids=["single", "macro-only", "two-agent"],
+)
+def test_a_loaded_net_derives_what_its_builder_bound(build):
+    """A saved net states each agent's id and config only; loading it
+    derives the names, the gating mode and the coordination places."""
+    smart = build()
+    doc = json.loads(json.dumps(smart_to_document(smart)))
+    assert set(doc["smart"]) == {"config", "agents"}
+    assert all(set(agent) == {"id", "config"} for agent in doc["smart"]["agents"])
+    loaded = smart_from_document(doc)
+    assert loaded.agents == smart.agents
+    assert (loaded.coordination_places, loaded.gating_mode) == (smart.coordination_places, smart.gating_mode)
+
+
+def _saved_without(tmp_path, tid: str) -> Path:
+    """The single-agent net, ``tid`` dropped, saved as a net file."""
+    smart = build_single_agent(SmartConfig())
+    path = tmp_path / f"no-{tid}.net.json"
+    save_smart(SmartNet(drop_transition(smart.net, tid), smart.config, smart.agents,
+                        smart.coordination_places, smart.gating_mode), str(path))
+    return path
+
+
+def test_validate_reports_a_missing_output_as_a_witness(tmp_path, capsys):
+    assert main(["validate", str(_saved_without(tmp_path, "t_out"))]) == 1
+    out = capsys.readouterr().out
+    assert "output-gating: FAIL\n  missing transition t_out\n" in out
+
+
+@pytest.mark.parametrize("script, blocked", [([[2, "anom", 1]], []), ([[2, "anom", 1], [4, "anom", 0]], [[2, 12]])],
+                         ids=["persistent-risk", "retracted-risk"])
+def test_triggers_read_a_missing_return_as_never_enabled(tmp_path, script, blocked):
+    """Without t_MS no local recovery returns: under persistent risk none
+    is owed, and once the risk is retracted the check reports the
+    blocked return."""
+    path = tmp_path / "no-return.scenario.json"
+    path.write_text(json.dumps({"name": "no-return", "net": {"file": _saved_without(tmp_path, "t_MS").name},
+                                "horizon": 12, "script": script, "propositions": ["P1", "P2", "P3"],
+                                "triggers": "default"}))
+    code = main(["simulate", str(path), "--out", str(tmp_path / "runs")])
+    report = json.loads((tmp_path / "runs" / "no-return.report.json").read_text())
+    assert [item["blocked_return"] for item in report["triggers"]["soundness_violations"]] == blocked
+    assert code == (1 if blocked else 0)
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys):
@@ -359,12 +408,13 @@ def _assert_one_line_input_error(code, capsys, names):
     [
         ({"triggers": {"t_m": [{"name": "t_SM"}]}}, "'u_risk'"),
         ({"triggers": {"t_m": [{"expr": "anom"}], "u_risk": "anom"}}, "'name'"),
+        ({"triggers": {"t_m": [{"name": "t_SM", "expr": "anom"}], "u_risk": "anom"}}, "['expr']"),
         ({"triggers": 5}, "triggers"),
         ({"net": {"builder": 3}}, "builder"),
         ({"declare": 3}, "declare"),
     ],
-    ids=["triggers-without-u_risk", "trigger-without-name", "non-object-triggers", "non-object-builder",
-         "non-object-declare"],
+    ids=["triggers-without-u_risk", "trigger-without-name", "trigger-with-expr", "non-object-triggers",
+         "non-object-builder", "non-object-declare"],
 )
 def test_simulate_malformed_section_is_input_error(tmp_path, capsys, change, names):
     path = tmp_path / "x.scenario.json"

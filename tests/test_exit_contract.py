@@ -7,7 +7,9 @@ value by one of another JSON type, and runs the result through the
 subcommands that read that document, in process. The documents are every
 `scenarios/*.scenario.json`, one scenario with an `exploration` section,
 the single- and two-agent net documents, and the stored traces of two
-scenarios, each verified against its own scenario.
+scenarios, each verified against its own scenario. A second property
+keeps each field's type and replaces its value by an edge value of that
+type, in the two net documents, through validate, simulate and explore.
 """
 
 import contextlib
@@ -50,7 +52,7 @@ def _documents() -> dict[str, object]:
         docs[f"net:{name}"] = smart_to_document(build())
     with tempfile.TemporaryDirectory() as out:
         for name in TRACES:
-            assert _run(["simulate", str(SCENARIOS / f"{name}.scenario.json"), "--out", out]) == 0
+            assert _run(["simulate", str(SCENARIOS / f"{name}.scenario.json"), "--out", out])[0] == 0
             lines = (Path(out) / f"{name}.trace.jsonl").read_text().splitlines()
             docs[f"trace:{name}"] = [json.loads(line) for line in lines]  # header first
     return docs
@@ -64,9 +66,11 @@ def _fields(node, path=()):
         yield from _fields(child, path + (key,))
 
 
-def _run(argv: list[str]) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+def _run(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stderr) of one in-process command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
 
 
 def _commands(name: str, doc, tmp: Path) -> list[list[str]]:
@@ -80,8 +84,10 @@ def _commands(name: str, doc, tmp: Path) -> list[list[str]]:
     if kind == "net":
         (tmp / "x.net.json").write_text(json.dumps(doc))
         (tmp / "x.scenario.json").write_text(json.dumps(
-            {"name": "net", "net": {"file": "x.net.json"}, "horizon": 8, "script": [[1, NETS[which][1], 1]]}))
-        return [["validate", str(tmp / "x.net.json")], ["simulate", str(tmp / "x.scenario.json"), *out]]
+            {"name": "net", "net": {"file": "x.net.json"}, "horizon": 8, "script": [[1, NETS[which][1], 1]],
+             "exploration": {"horizon": 3, "alphabet": ["anom"]}}))
+        return [["validate", str(tmp / "x.net.json")], ["simulate", str(tmp / "x.scenario.json"), *out],
+                ["explore", str(tmp / "x.scenario.json")]]
     path = tmp / "x.scenario.json"
     path.write_text(json.dumps(doc))
     if name == "exploration":
@@ -113,7 +119,81 @@ def test_a_single_field_type_mutation_exits_by_the_contract(mutation):
     name, doc = mutation
     with tempfile.TemporaryDirectory() as tmp:
         for argv in _commands(name, doc, Path(tmp)):
-            assert _run(argv) in (0, 1, 2, 3), argv
+            assert _run(argv)[0] in (0, 1, 2, 3), argv
+
+
+def _type_keeping(key, value) -> list:
+    """The replacements of one field's value that keep its JSON type: an
+    agent id naming no agent of the net, a flipped bool, 0 and -1, "" and
+    " ", an empty and a repeated list, an empty object."""
+    if key == "id":
+        return ["zz", "", " "]
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, (int, float)):
+        return [type(value)(0), type(value)(-1)]
+    if isinstance(value, str):
+        return ["", " "]
+    if isinstance(value, list):
+        return [[], value + value]
+    return [{}] if isinstance(value, dict) else []
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _type_keeping_mutations() -> list[tuple[str, tuple, object]]:
+    """(net document name, field path, new value) of every type-keeping
+    mutation of the net documents, but only every 8th of those in
+    ``transitions`` and ``arcs``, whose entries repeat one shape."""
+    found = []
+    for name in NETS:
+        doc = _documents()[f"net:{name}"]
+        found += [(name, path, value) for path in _fields(doc) for value in _type_keeping(path[-1], _at(doc, path))]
+    return [m for i, m in enumerate(found) if m[1][0] not in ("transitions", "arcs") or i % 8 == 0]
+
+
+def test_a_type_keeping_net_mutation_exits_by_the_contract(tmp_path):
+    """Each mutation runs through validate, simulate (as the scenario's
+    net.file) and explore. Each run ends with a documented exit code,
+    never a traceback, and writes at most one line to stderr, an 'error: '
+    line (validate reports a structural error on stdout)."""
+    failures = []
+    for name, path, value in _type_keeping_mutations():
+        doc = copy.deepcopy(_documents()[f"net:{name}"])
+        _at(doc, path[:-1])[path[-1]] = value
+        for argv in _commands(f"net:{name}", doc, tmp_path):
+            code, err = _run(argv)
+            if code not in (0, 1, 2, 3) or err.count("\n") > 1 or err and not err.startswith("error: "):
+                failures.append((name, path, value, argv[0], code, err))
+    assert failures == []
+
+
+# a smart{} section of the two-agent document that the loader cannot bind: a
+# key older documents carried (an agent's suffix, the net's gating mode and
+# coordination places), an id naming no agent of the net, no agent, or each agent twice
+UNBOUND = {
+    "suffix-empty": lambda smart: smart["agents"][0].update(suffix=""),
+    "suffix-zz": lambda smart: smart["agents"][0].update(suffix="_zz"),
+    "suffix-as-derived": lambda smart: smart["agents"][0].update(suffix="_a1"),
+    "gating_mode": lambda smart: smart.update(gating_mode="structural+guarded"),
+    "coordination_places": lambda smart: smart.update(coordination_places=[]),
+    "agent-id-zz": lambda smart: smart["agents"][0].update(id="zz"),
+    "no-agents": lambda smart: smart.update(agents=[]),
+    "agents-repeated": lambda smart: smart.update(agents=smart["agents"] * 2),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(UNBOUND))
+def test_a_smart_section_the_loader_cannot_bind_is_input_error(tmp_path, defect):
+    doc = copy.deepcopy(_documents()["net:two-agent"])
+    UNBOUND[defect](doc["smart"])
+    for argv in _commands("net:two-agent", doc, tmp_path):
+        code, err = _run(argv)
+        assert code == 3 and err.startswith("error: ") and err.count("\n") == 1, (argv[0], code, err)
 
 
 # name -> (a defect of the single-agent net document that validates the
