@@ -2,12 +2,12 @@
 
 A scenario binds a net (builder configuration or net file), a signal
 script, a horizon, a firing policy and seed, plus the checks to run.
-The script is resolved before the run, into what the run reads:
+The script is resolved once, as the scenario is built, into what runs read:
 
-- signal histories (``Scenario.signal_state``): the initial values and
-  the scripted changes; with ``derive_agreement``, also ``disagree`` /
-  ``agree``, decided from the per-agent ``claim_*`` signals at tick 0
-  and at each claim change, which depend on nothing the run decides;
+- signal histories (``Scenario.signal_state``, a copy per run): the
+  initial values and the scripted changes; with ``derive_agreement``, also
+  ``disagree`` / ``agree``, decided from the per-agent ``claim_*`` signals
+  at tick 0 and at each claim change, which depend on nothing a run decides;
 - output attempts (``Scenario.deposits``): each true script entry for an
   agent's ``want_signal`` deposits a token into its want place.
 
@@ -80,32 +80,33 @@ class Scenario:
     exploration: dict | None = None
     warnings: list[str] = field(default_factory=list)
 
-    def signal_state(self) -> SignalState:
-        """The run's signal histories: initial values, the script's signal
-        entries and, with ``derive_agreement``, ``disagree`` / ``agree``
-        (some two claims differ) at tick 0 and at each claim change."""
+    def __post_init__(self) -> None:
+        """Resolve the script once (see the module docstring): a changed
+        field needs a new scenario, as ``dataclasses.replace`` builds."""
         booleans = self.smart.bool_signals() + list(self.extra_booleans)
         reals = self.smart.real_signals() + list(self.extra_reals)
         claims = [a.claim for a in self.smart.agents] if self.derive_agreement else []
-        initial = dict(self.smart.default_initial_signals())
-        initial.update(self.initial_signals)
+        initial = {**self.smart.default_initial_signals(), **self.initial_signals}
         sigma = SignalState.declare(booleans, sorted(set(reals + claims)), initial)
-        wants = {a.want_signal for a in self.smart.agents}
+        places = {a.want_signal: a.want_place for a in self.smart.agents}
         for time, name, value in self.script:
-            if name not in wants:
+            if name not in places:
                 sigma.record(name, value, time)
         for time in [0, *sigma.change_points(claims, 0, self.horizon)] if claims else []:
             disagree = len({sigma.value_at(claim, time) for claim in claims}) > 1
             sigma.record("disagree", disagree, time)
             sigma.record("agree", not disagree, time)
-        return sigma
+        self._sigma = sigma
+        self._deposits = sorted((time, places[name]) for time, name, value in self.script
+                                if name in places and as_bool(name, value))
+
+    def signal_state(self) -> SignalState:
+        """A copy of the resolved histories, for one run's derived timeouts."""
+        return self._sigma.copy()
 
     def deposits(self) -> list[tuple[int, str]]:
-        """(time, want place) for every scripted output attempt: each entry
-        of an agent's ``want_signal`` whose value is true."""
-        places = {a.want_signal: a.want_place for a in self.smart.agents}
-        return sorted((time, places[name]) for time, name, value in self.script
-                      if name in places and as_bool(name, value))
+        """(time, want place) of every scripted output attempt."""
+        return list(self._deposits)
 
 
 def _object(value, where: str) -> dict:
@@ -270,10 +271,7 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
         if errors:
             raise ScenarioError(f"net file {doc['net']['file']}: {'; '.join(errors)}")
 
-    initial = dict(doc.get("signals", {}))
-    for name in initial:
-        if name not in known:
-            raise ScenarioError(f"initial value for undeclared signal {name!r}")
+    initial = dict(doc.get("signals", {}))  # resolving the script refuses a value for an undeclared signal
     for name in extra_reals:
         if name not in initial:
             warnings.append(f"real signal {name!r} has no initial value; defaulting to 0")
@@ -308,7 +306,7 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
     if unknown:
         raise ScenarioError(f"unknown propositions {unknown} (known: {list(PROPOSITIONS)})")
 
-    scenario = Scenario(
+    return Scenario(
         name=doc["name"],
         smart=smart,
         horizon=horizon,
@@ -324,10 +322,7 @@ def _parse_document(doc: dict, base_dir: str) -> Scenario:
         derive_agreement=derive_agreement,
         exploration=None if doc.get("exploration") is None else _parse_exploration(doc["exploration"]),
         warnings=warnings,
-    )
-    scenario.signal_state()  # rejects bad script values and clashing entries before any run
-    scenario.deposits()  # rejects an output attempt that is neither true nor false
-    return scenario
+    )  # resolving the script rejects bad values, clashing entries and output attempts neither true nor false
 
 
 @dataclass
@@ -426,11 +421,7 @@ def run(scenario: Scenario) -> tuple[Trace, RunReport]:
             # a timeout stays true after its place is left, until the next
             # entry; an entry in the instant it turned true cancels it
             for name in clock.observe(state.marking, state.now):
-                history = sigma.histories[name]
-                if 0 < state.now == history[-1][0] and history[-1][1]:
-                    history.pop()
-                elif bool(sigma.value_at(name, state.now)):
-                    sigma.record(name, False, state.now)
+                sigma.reset(name, state.now)
 
     # absorbing quiescence: nothing happened after the last event and
     # nothing ever can (no kernel candidate, pending deposit, or timeout)

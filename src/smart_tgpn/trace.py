@@ -21,7 +21,7 @@ from .builder import SmartNet
 from .guards import GuardExpr, eval_guard, held_terms, place_names, signal_names
 from .net import Marking
 from .netio import net_to_document
-from .signals import BOOL, SignalState
+from .signals import BOOL, REAL, SignalState
 
 FIRE = "fire"
 SIGNAL = "signal"
@@ -131,7 +131,8 @@ class Trace:
         def build():
             points = {0}
             for name in signal_names(expr):
-                points.update(t for t, _ in self.sigma.histories.get(name, ()) if t <= self.horizon)
+                times = self.sigma.times.get(name, ())
+                points.update(times[:bisect_right(times, self.horizon)])
             if place_names(expr):
                 points.update(self._times)
             durations = {term.duration for term in held_terms(expr)}
@@ -257,8 +258,8 @@ class Trace:
     def _signal_changes(self) -> list[tuple[int, str, bool | float]]:
         """(time, signal, value) of each signal change in (0, horizon], by
         time and then by name; the values at 0 are the initial ones."""
-        return sorted((t, name, value) for name, history in self.sigma.histories.items()
-                      for t, value in history if 0 < t <= self.horizon)
+        return sorted((t, name, value) for name, times in self.sigma.times.items()
+                      for t, value in zip(times, self.sigma.values[name]) if 0 < t <= self.horizon)
 
     def stats(self) -> dict:
         """Event count, signal changes included, mode residence totals, escalations, governance entries."""
@@ -304,9 +305,7 @@ def trace_lines(trace: Trace) -> Iterable[str]:
         "horizon": trace.horizon,
         "quiesced_at": trace.quiesced_at,
         "initial_marking": marking_digest(trace.initial_marking),
-        "initial_signals": {
-            name: history[0][1] for name, history in sorted(trace.sigma.histories.items())
-        },
+        "initial_signals": {name: values[0] for name, values in sorted(trace.sigma.values.items())},
         "signal_kinds": dict(sorted(trace.sigma.declarations.items())),
     }
     header.update(trace.meta)
@@ -345,11 +344,14 @@ def read_trace(path: str) -> Trace:
     if quiesced_at is not None and (type(quiesced_at) is not int or not 0 <= quiesced_at < horizon):
         raise ValueError(f"{path}: quiesced_at must be null or an integer in [0, {horizon}), got {quiesced_at!r}")
     kinds = _field({"signal_kinds": {}, **header}, "signal_kinds", dict)
-    sigma = SignalState.declare(
-        booleans=[n for n, k in kinds.items() if k == BOOL],
-        reals=[n for n, k in kinds.items() if k != BOOL],
-        initial=_field({"initial_signals": {}, **header}, "initial_signals", dict),
-    )
+    initial = _field({"initial_signals": {}, **header}, "initial_signals", dict)
+    for name, kind in kinds.items():  # a run writes a kind and an initial value for every signal
+        if kind not in (BOOL, REAL):
+            raise ValueError(f"{path}: signal {name!r} has kind {kind!r}, not 'bool' or 'real'")
+        if name not in initial:
+            raise ValueError(f"{path}: declared signal {name!r} has no initial value")
+    sigma = SignalState.declare([n for n, k in kinds.items() if k == BOOL],
+                                [n for n, k in kinds.items() if k == REAL], initial)
     events: list[TraceEvent] = []
     last = 0
     for number, line in enumerate(lines[1:], 2):

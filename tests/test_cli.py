@@ -371,6 +371,10 @@ TRACE_DEFECTS = {
     "negative-marking-count": lambda records: _first(records, "fire").update(marking="P_M:-2"),
     "zero-marking-count": lambda records: _first(records, "deposit").update(marking="P_M:1,P_want:0"),
     "signal-after-a-later-firing": lambda records: _move_after_a_later_firing(records, "timeout_M", 6),
+    # a run writes a kind, bool or real, and an initial value for every signal it declares
+    "unknown-signal-kind": lambda records: records[0]["signal_kinds"].update(U="banana"),
+    "declared-signal-without-initial-value": lambda records: records[0]["initial_signals"].pop("anom"),
+    "initial-value-of-an-undeclared-signal": lambda records: records[0]["initial_signals"].update(ghost=True),
 }
 
 

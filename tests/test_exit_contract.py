@@ -9,7 +9,8 @@ subcommands that read that document, in process. The documents are every
 the single- and two-agent net documents, and the stored traces of two
 scenarios, each verified against its own scenario. A second property
 keeps each field's type and replaces its value by an edge value of that
-type, in the two net documents, through validate, simulate and explore.
+type, in the two net documents, through validate, simulate and explore,
+and in the two stored traces, through verify and report.
 """
 
 import contextlib
@@ -161,15 +162,33 @@ def test_a_type_keeping_net_mutation_exits_by_the_contract(tmp_path):
     net.file) and explore. Each run ends with a documented exit code,
     never a traceback, and writes at most one line to stderr, an 'error: '
     line (validate reports a structural error on stdout)."""
+    assert [f for name, path, value in _type_keeping_mutations()
+            for f in _contract_breaches(f"net:{name}", path, value, tmp_path)] == []
+
+
+def _contract_breaches(name: str, path: tuple, value, tmp: Path) -> list[tuple]:
+    """Each run of the document with the field at ``path`` set to ``value``
+    that ends with an undocumented exit code, a traceback, or more on
+    stderr than one 'error: ' line (validate reports a structural error on
+    stdout); none when all runs keep the contract."""
+    doc = copy.deepcopy(_documents()[name])
+    _at(doc, path[:-1])[path[-1]] = value
     failures = []
-    for name, path, value in _type_keeping_mutations():
-        doc = copy.deepcopy(_documents()[f"net:{name}"])
-        _at(doc, path[:-1])[path[-1]] = value
-        for argv in _commands(f"net:{name}", doc, tmp_path):
-            code, err = _run(argv)
-            if code not in (0, 1, 2, 3) or err.count("\n") > 1 or err and not err.startswith("error: "):
-                failures.append((name, path, value, argv[0], code, err))
-    assert failures == []
+    for argv in _commands(name, doc, tmp):
+        code, err = _run(argv)
+        if code not in (0, 1, 2, 3) or err.count("\n") > 1 or err and not err.startswith("error: "):
+            failures.append((name, path, value, argv[0], code, err))
+    return failures
+
+
+@pytest.mark.parametrize("trace", TRACES)
+def test_a_type_keeping_trace_mutation_exits_by_the_contract(tmp_path, trace):
+    """Every type-keeping mutation of a stored trace, its header and each
+    record, through verify --trace (against its own scenario) and report."""
+    doc = _documents()[f"trace:{trace}"]
+    mutations = [(path, value) for path in _fields(doc) for value in _type_keeping(path[-1], _at(doc, path))]
+    assert {path[0] for path, _ in mutations} == set(range(len(doc)))
+    assert [f for path, value in mutations for f in _contract_breaches(f"trace:{trace}", path, value, tmp_path)] == []
 
 
 # a smart{} section of the two-agent document that the loader cannot bind: a

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from smart_tgpn.analysis import Formula
@@ -189,7 +191,7 @@ class TestDistributedSoundness:
             [record.with_guard(And((Not(agent.invalid), Not(agent.unrecoverable))))]
         )
         doc_script_clears_anom = [[9, "anom_a1", 0]]
-        scenario.script = scenario.script + [(9, "anom_a1", 0)]
+        scenario = dataclasses.replace(scenario, script=scenario.script + [(9, "anom_a1", 0)])
         trace, _ = run(scenario)
         verdict = check_distributed_soundness(trace)
         assert verdict.status == "violation"

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from smart_tgpn.scenario import ScenarioError, parse_scenario, run, verify
 from smart_tgpn.trace import read_trace, trace_lines, write_trace
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def base_doc(**extra):
@@ -172,6 +175,19 @@ class TestReplayFidelity:
         first = "\n".join(trace_lines(run(parse_scenario(doc))[0]))
         second = "\n".join(trace_lines(run(parse_scenario(doc))[0]))
         assert first == second
+
+    @pytest.mark.parametrize("source", [*sorted(p.name for p in SCENARIOS.glob("*.scenario.json")), "reentry"])
+    def test_one_parsed_scenario_runs_twice_alike(self, source):
+        """A run records its derived timeouts into its own copy of the
+        histories resolved at parse, so a parsed scenario reruns unchanged."""
+        # the re-entry case raises and withdraws timeout_M at one instant
+        doc = (base_doc(horizon=14, script=[[2, "anom", 1], [3, "ext_auth", 1]]) if source == "reentry"
+               else str(SCENARIOS / source))
+        scenario = parse_scenario(doc)
+        (first, first_report), (second, second_report) = run(scenario), run(scenario)
+        assert list(trace_lines(first)) == list(trace_lines(second))
+        assert first_report.to_record() == second_report.to_record()
+        assert scenario.signal_state() == parse_scenario(doc).signal_state()
 
     def test_round_trip_preserves_events(self, tmp_path):
         trace, _ = run(parse_scenario(base_doc()))
