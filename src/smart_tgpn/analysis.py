@@ -917,70 +917,65 @@ def _check_safety(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> Formu
     return FormulaVerdict(formula, HOLDS)
 
 
-class _Search:
-    """The memoized depth-first search of ``_check_deadline`` over the
-    condition-persistent steps. Methods, not closures that call themselves:
-    that is a reference cycle, which leaves each check's memo to the GC."""
-
-    def __init__(self, graph: ReachGraph, formula: Formula, lowest: _Lowest):
-        self.graph, self.formula, self.lowest = graph, formula, lowest
-        self.budgeted = graph.config.flip_budget is not None
-        self.touch = formula.kind == "never-while"
-        # (key id, vector under a flip budget, steps) -> the first persistent
-        # step (target, next vector, result) of the run found from there, or None
-        self.memo: dict[tuple, tuple[int, int, EvolveResult] | None] = {}
-
-    def run(self, key_id: int, vector: int, steps: int) -> bool:
-        """True if some condition-persistent run of ``steps`` ticks from this
-        state keeps the place out of every step's ``touched``, or, for
-        never-while, touches it at some step, where the run ends. A step's
-        ``touched`` holds every place marked at its end, so the states of a
-        run need no marking test."""
-        if steps == 0:
-            return not self.touch
-        memo_key = (key_id, vector if self.budgeted else None, steps)
-        if memo_key not in self.memo:
-            place = self.formula.place
-            self.memo[memo_key] = next(
-                (step for step in _persistent_steps(self.graph, self.lowest, key_id, vector)
-                 if (self.touch if place in step[2].touched else self.run(step[0], step[1], steps - 1))), None)
-        return self.memo[memo_key] is not None
-
-    def suffix(self, key_id: int, vector: int, steps: int, tick: int) -> list[dict]:
-        """The run ``run`` found from this state, for counterexample replay:
-        the stored first step at each remaining length, up to the step that
-        touches the place."""
-        path: list[dict] = []
-        while steps and (step := self.memo.get((key_id, vector if self.budgeted else None, steps))):
-            key_id, vector, result = step
-            steps, tick = steps - 1, tick + 1
-            path.append({"tick": tick, "signals": self.graph.vector_to_named(vector), "firings": list(result.firings)})
-            if self.formula.place in result.touched:
-                break
-        return path
-
-
 def _check_deadline(graph: ReachGraph, formula: Formula, lowest: _Lowest) -> FormulaVerdict:
     """Bounded-response and reach: an anchor whose place is not marked is
     violated by a persistent run of ``within`` ticks that never touches it,
     and left open by one that lasts to the horizon first. Never-while: an
     anchor (``Formula.anchors_at``) is violated by a persistent run that
-    touches the place before the horizon, its deadline."""
-    search, place = _Search(graph, formula, lowest), formula.place
-    anchors = _anchors(graph, lowest, formula.anchors_at if search.touch else lambda marking: True)
+    touches the place before the horizon, its deadline.
+
+    Runs go forward from the anchors through the stored layers, to the last;
+    one backward pass labels each state with the most ticks a run keeps the
+    place out, or for never-while the fewest until one touches it (INF:
+    never). A witness takes the first step whose label allows the ticks left."""
+    touch, place = formula.kind == "never-while", formula.place
+    anchors = _anchors(graph, lowest, formula.anchors_at if touch else lambda marking: True)
     if not anchors:
-        return FormulaVerdict(formula, VACUOUS, detail="no anchored states" if search.touch else "premise never held")
+        return FormulaVerdict(formula, VACUOUS, detail="no anchored states" if touch else "premise never held")
+    anchors = [anchor for anchor in anchors if graph.marking_of(anchor[0]).get(place, 0) < 1]
+    budgeted = graph.config.flip_budget is not None
+    # configuration -> (the configuration it leads to, None if it touches the place, next vector, result)
+    # of each step; a configuration's vector is None without a flip budget, where no vector steers its steps
+    steps: dict[tuple[int, int | None], list[tuple[tuple | None, int, EvolveResult]]] = {}
+    layers: list[set] = [set() for _ in graph.layers]  # tick -> the configurations runs reach
+    for key_id, vector, _, tick in anchors:
+        layers[tick].add((key_id, vector if budgeted else None))
+    for layer, after in zip(layers, layers[1:]):
+        for config in layer:
+            if config not in steps:
+                steps[config] = [(None if place in result.touched else (target, nxt if budgeted else None), nxt, result)
+                                 for target, nxt, result in _persistent_steps(graph, lowest, config[0], config[1] or 0)]
+            after.update(to for to, _, _ in steps[config] if to)
+
+    def ticks(to: tuple | None, after: dict) -> float:  # a step's label, by ``after``, the next layer's labels
+        return after[to] + 1 if to else int(touch)
+
+    def allows(label: float, left: int) -> bool:
+        return label <= left if touch else label >= left
+
+    best, last = (min, INF) if touch else (max, 0)
+    labels = [dict.fromkeys(layers[-1], last)]  # backward from the last tick: configuration -> label
+    for layer in reversed(layers[:-1]):
+        labels.append({config: best((ticks(to, labels[-1]) for to, _, _ in steps[config]), default=last)
+                       for config in layer})
+    labels.reverse()
     worst = HOLDS
     for key_id, vector, slack, tick in anchors:
-        within = slack if search.touch else formula.within
-        if graph.marking_of(key_id).get(place, 0) >= 1 or not search.run(key_id, vector, min(within, slack)):
+        config, within = (key_id, vector if budgeted else None), slack if touch else formula.within
+        if not allows(labels[tick][config], min(within, slack)):
             continue
         if within > slack:
             worst = INCONCLUSIVE
             continue
-        witness = graph.witness_path(tick, key_id, vector) + search.suffix(key_id, vector, within, tick)
-        detail = (f"{place} reached under a persistent condition from tick {tick}" if search.touch
+        detail = (f"{place} reached under a persistent condition from tick {tick}" if touch
                   else f"{place} not reached within {within} ticks of a persistent premise at tick {tick}")
+        witness = graph.witness_path(tick, key_id, vector)
+        for left in range(within, 0, -1):
+            tick += 1
+            config, nxt, result = next(step for step in steps[config] if allows(ticks(step[0], labels[tick]), left))
+            witness.append({"tick": tick, "signals": graph.vector_to_named(nxt), "firings": list(result.firings)})
+            if config is None:
+                break
         return FormulaVerdict(formula, VIOLATED, witness, detail)
     if worst == INCONCLUSIVE:
         return FormulaVerdict(formula, INCONCLUSIVE, detail="horizon ends inside an open obligation")

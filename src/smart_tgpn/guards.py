@@ -159,7 +159,7 @@ def check_no_nested_held(expr: GuardExpr) -> None:
 # --- parsing ---------------------------------------------------------------
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d+|\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_.]*)"
+    r"\s*(?:(?P<num>[-+]?(?:\d+\.\d+|\.\d+|\d+)(?:[eE][-+]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_.]*)"
     r"|(?P<op>>=|<=|\(|\)|,))"
 )
 
@@ -278,7 +278,8 @@ def guard_to_string(expr: GuardExpr) -> str:
     if isinstance(expr, Sig):
         return expr.name
     if isinstance(expr, Cmp):
-        return f"{expr.name} {expr.op} {expr.threshold:g}"
+        text = f"{expr.threshold:g}"  # where :g loses digits, repr: the shortest text that reads back
+        return f"{expr.name} {expr.op} {text if float(text) == expr.threshold else repr(expr.threshold)}"
     if isinstance(expr, Marked):
         return f"marked({expr.place}, {expr.count})"
     if isinstance(expr, Not):

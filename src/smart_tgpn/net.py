@@ -69,8 +69,8 @@ class TransitionRecord:
     priority: PriorityClass | None = None
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.alpha > self.beta:
-            raise NetStructureError(f"{self.id}: interval requires 0 <= alpha <= beta")
+        if self.alpha < 0 or self.alpha > self.beta or (self.beta != INF and self.beta % 1):
+            raise NetStructureError(f"{self.id}: interval requires 0 <= alpha <= beta, beta an integer or inf")
         if self.timing not in (WEAK, STRONG):
             raise NetStructureError(f"{self.id}: timing must be weak or strong")
         if self.priority is None:

@@ -44,12 +44,16 @@ def _interval_out(alpha: int, beta: float) -> list:
     return [alpha, "inf" if beta == INF else int(beta)]
 
 
+def _integer(value: Any, what: str) -> int:
+    if type(value) is not int:  # a float, a bool or a string is refused, not rounded
+        raise NetDocumentError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _interval_in(raw: Any, where: str) -> tuple[int, float]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise NetDocumentError(f"{where}: interval must be [alpha, beta]")
-    alpha = int(raw[0])
-    beta = INF if raw[1] in ("inf", None) else float(raw[1])
-    return alpha, beta
+    return _integer(raw[0], f"{where}: alpha"), INF if raw[1] == "inf" else _integer(raw[1], f"{where}: beta")
 
 
 def net_to_document(net: Net) -> dict:
@@ -98,12 +102,12 @@ def net_from_document(doc: dict) -> Net:
                 raw.get("role", "internal"),
                 priority,
             )
-        arcs = [Arc(raw["from"], raw["to"], int(raw.get("weight", 1))) for raw in doc["arcs"]]
+        arcs = [Arc(raw["from"], raw["to"], _integer(raw.get("weight", 1), "arc weight")) for raw in doc["arcs"]]
         return Net(
             places,
             transitions,
             arcs,
-            {p: int(c) for p, c in doc.get("initial_marking", {}).items()},
+            {p: _integer(c, f"initial marking of {p}") for p, c in doc.get("initial_marking", {}).items()},
             set(doc.get("refinable", [])),
         )
 

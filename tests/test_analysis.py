@@ -213,6 +213,18 @@ class TestFormulas:
         formula = Formula("never-while", condition, place="P_S_a1", from_places=("P_A_a1",))
         assert check_formula(graph, formula).status == "violated"
 
+    def test_a_thousand_tick_run_is_decided(self):
+        """Persistent runs as long as the horizon: without ext_auth nothing
+        leaves P_R, and anomaly with unsafety from tick 0 takes the token to
+        P_R, so P_M is never marked."""
+        smart = single()
+        graph = explore(smart, ExplorationConfig(horizon=1000, alphabet=["anom", "safe", "ext_auth"]))
+        absorbing = Formula("never-while", Not(Sig("ext_auth")), place="P_S", from_places=("P_R",))
+        assert check_formula(graph, absorbing).status == "holds"
+        verdict = check_formula(graph, Formula("bounded-response", smart.agents[0].invalid, place="P_M", within=1000))
+        assert (verdict.status, len(verdict.witness)) == ("violated", 1001)
+        assert replay_witness(graph, verdict.witness) == [(step["tick"], step["firings"]) for step in verdict.witness]
+
     def test_a_check_leaves_no_cyclic_garbage(self):
         # its searches and their memo are freed when the check returns,
         # not at the next collection

@@ -2,8 +2,17 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from smart_tgpn.builder import AgentSpec, SmartConfig, SmartNet, build_macro_only, build_multi_agent, build_single_agent
+from smart_tgpn.builder import (
+    AgentSpec,
+    Hysteresis,
+    SmartConfig,
+    SmartNet,
+    build_macro_only,
+    build_multi_agent,
+    build_single_agent,
+)
 from smart_tgpn.cli import _build_parser, main
 from smart_tgpn.netio import load_smart, net_to_document, save_net, save_smart, smart_from_document, smart_to_document
 from smart_tgpn.net import Arc, Net, TransitionRecord, drop_transition
@@ -56,6 +65,21 @@ def test_a_loaded_net_derives_what_its_builder_bound(build):
     loaded = smart_from_document(doc)
     assert loaded.agents == smart.agents
     assert (loaded.coordination_places, loaded.gating_mode) == (smart.coordination_places, smart.gating_mode)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(theta=FINITE, bounds=st.lists(FINITE, min_size=2, max_size=2, unique=True).map(sorted))
+def test_a_saved_threshold_reads_back_as_saved(theta, bounds):
+    """Every guard of a saved and loaded net equals the built one, for any
+    finite thresholds: a threshold is written as text that reads back as it."""
+    hysteresis = Hysteresis(True, theta_up=bounds[1], theta_down=bounds[0])
+    smart = build_single_agent(SmartConfig(theta=theta, hysteresis=hysteresis))
+    loaded = smart_from_document(json.loads(json.dumps(smart_to_document(smart))))
+    assert {tid: r.guard for tid, r in loaded.net.transitions.items()} == {
+        tid: r.guard for tid, r in smart.net.transitions.items()}
+    assert loaded.agents[0].config == smart.config
 
 
 def _saved_without(tmp_path, tid: str) -> Path:
@@ -440,6 +464,18 @@ NET_DEFECTS = {
     "agent-id-not-a-string": (lambda doc: doc["smart"]["agents"][0].update(id=["x"]), "agent id"),
     "non-integer-agent-budget": (lambda doc: doc["smart"]["agents"][0]["config"].update(budget_m="x"), "budget_m"),
     "string-theta": (lambda doc: doc["smart"]["config"].update(theta="x"), "theta"),
+    # each read as some integer before, rounded, truncated or converted
+    "fractional-interval": (lambda doc: doc["transitions"][0].update(interval=[0.5, 2.7]),
+                            "t_AR: alpha must be an integer, got 0.5"),
+    "fractional-beta": (lambda doc: doc["transitions"][0].update(interval=[0, 2.7]),
+                        "t_AR: beta must be an integer, got 2.7"),
+    "null-beta": (lambda doc: doc["transitions"][11].update(interval=[0, None]), "t_out: beta must be an integer"),
+    "boolean-alpha": (lambda doc: doc["transitions"][0].update(interval=[False, 1]), "alpha must be an integer"),
+    "fractional-weight": (lambda doc: doc["arcs"][0].update(weight=1.9), "arc weight must be an integer, got 1.9"),
+    "boolean-weight": (lambda doc: doc["arcs"][0].update(weight=True), "arc weight must be an integer, got True"),
+    "fractional-count": (lambda doc: doc["initial_marking"].update(P_S=1.6),
+                         "initial marking of P_S must be an integer, got 1.6"),
+    "string-count": (lambda doc: doc["initial_marking"].update(P_S="1"), "must be an integer, got '1'"),
 }
 
 
@@ -680,6 +716,29 @@ def test_a_capped_exploration_is_inconclusive_not_a_pass(tmp_path, capsys):
     assert main(["explore", str(path), "--cap", "40"]) == 2
     out = capsys.readouterr().out
     assert "(incomplete: state cap hit)" in out and "inconclusive  holds through tick 1" in out
+
+
+def test_explore_refuses_held_for_over_a_marking_atom(tmp_path, capsys):
+    """An explorer state keeps no marking history, so such a term has no
+    run length to count."""
+    doc = smart_to_document(build_single_agent(SmartConfig()))
+    t_ms = next(raw for raw in doc["transitions"] if raw["id"] == "t_MS")
+    t_ms["guard"] = f"held_for(not marked(P_S), 2) and ({t_ms['guard']})"
+    (tmp_path / "held.net.json").write_text(json.dumps(doc))
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps({**PROBE_SCENARIO, "net": {"file": "held.net.json"}, "exploration": EXPLORATION}))
+    _assert_one_line_input_error(main(["explore", str(path)]), capsys,
+                                 "explore: t_MS: held_for over marking atoms is not explorable")
+
+
+def test_explore_decides_a_never_while_at_horizon_600(tmp_path, capsys):
+    """A never-while decided over 600 stored layers exits 0."""
+    formula = {"kind": "never-while", "condition": "not ext_auth", "place": "P_S", "from_places": ["P_R"]}
+    path = tmp_path / "x.scenario.json"
+    path.write_text(json.dumps({**PROBE_SCENARIO, "formulas": [formula],
+                                "exploration": {"horizon": 600, "alphabet": ["anom", "safe", "ext_auth"]}}))
+    assert main(["explore", str(path)]) == 0
+    assert "holds" in capsys.readouterr().out
 
 
 def test_explore_exit_a_violation_outranks_an_inconclusive_verdict(tmp_path, capsys):

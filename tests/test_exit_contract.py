@@ -10,7 +10,8 @@ the single- and two-agent net documents, and the stored traces of two
 scenarios, each verified against its own scenario. A second property
 keeps each field's type and replaces its value by an edge value of that
 type, in the two net documents, through validate, simulate and explore,
-and in the two stored traces, through verify and report.
+in the two stored traces, through verify and report, and in the scenario
+files and the exploration document, through the commands that read them.
 """
 
 import contextlib
@@ -31,6 +32,10 @@ from smart_tgpn.netio import smart_to_document
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 ESCALATION = SCENARIOS / "robot-escalation.scenario.json"
 EXPLORATION = {"horizon": 3, "alphabet": ["anom", "evidence"], "flip_budget": 1, "cap": 100_000}
+# one formula of each deadline kind; P_R is absorbing, so the never-while's runs last to the horizon
+FORMULAS = [{"kind": "bounded-response", "condition": "invalid and not UR", "place": "P_M", "within": 2},
+            {"kind": "reach", "condition": "anom", "place": "P_R", "within": 8},
+            {"kind": "never-while", "condition": "not ext_auth", "place": "P_S", "from_places": ["P_R"]}]
 # net document name -> (its net, the signal its scenario scripts)
 NETS = {
     "single": (lambda: build_single_agent(SmartConfig()), "anom"),
@@ -48,7 +53,7 @@ def _documents() -> dict[str, object]:
     """name -> a known-good document; the name says which commands read it."""
     docs: dict[str, object] = {f"scenario:{p.name}": json.loads(p.read_text())
                                for p in sorted(SCENARIOS.glob("*.scenario.json"))}
-    docs["exploration"] = {**json.loads(ESCALATION.read_text()), "exploration": EXPLORATION}
+    docs["exploration"] = {**json.loads(ESCALATION.read_text()), "exploration": EXPLORATION, "formulas": FORMULAS}
     for name, (build, _) in NETS.items():
         docs[f"net:{name}"] = smart_to_document(build())
     with tempfile.TemporaryDirectory() as out:
@@ -125,14 +130,15 @@ def test_a_single_field_type_mutation_exits_by_the_contract(mutation):
 
 def _type_keeping(key, value) -> list:
     """The replacements of one field's value that keep its JSON type: an
-    agent id naming no agent of the net, a flipped bool, 0 and -1, "" and
-    " ", an empty and a repeated list, an empty object."""
+    agent id naming no agent of the net, a flipped bool, 0, -1 and 2**63
+    (one past the largest 64-bit integer), "" and " ", an empty and a
+    repeated list, an empty object."""
     if key == "id":
         return ["zz", "", " "]
     if isinstance(value, bool):
         return [not value]
     if isinstance(value, (int, float)):
-        return [type(value)(0), type(value)(-1)]
+        return [type(value)(0), type(value)(-1), type(value)(2**63)]
     if isinstance(value, str):
         return ["", " "]
     if isinstance(value, list):
@@ -146,15 +152,15 @@ def _at(doc, path):
     return doc
 
 
-def _type_keeping_mutations() -> list[tuple[str, tuple, object]]:
-    """(net document name, field path, new value) of every type-keeping
-    mutation of the net documents, but only every 8th of those in
-    ``transitions`` and ``arcs``, whose entries repeat one shape."""
+def _type_keeping_mutations(names: list[str], repeated: tuple[str, ...]) -> list[tuple[str, tuple, object]]:
+    """(document name, field path, new value) of every type-keeping
+    mutation of the named documents, but only every 8th of those in the
+    ``repeated`` lists, whose entries repeat one shape."""
     found = []
-    for name in NETS:
-        doc = _documents()[f"net:{name}"]
+    for name in names:
+        doc = _documents()[name]
         found += [(name, path, value) for path in _fields(doc) for value in _type_keeping(path[-1], _at(doc, path))]
-    return [m for i, m in enumerate(found) if m[1][0] not in ("transitions", "arcs") or i % 8 == 0]
+    return [m for i, m in enumerate(found) if m[1][0] not in repeated or i % 8 == 0]
 
 
 def test_a_type_keeping_net_mutation_exits_by_the_contract(tmp_path):
@@ -162,8 +168,17 @@ def test_a_type_keeping_net_mutation_exits_by_the_contract(tmp_path):
     net.file) and explore. Each run ends with a documented exit code,
     never a traceback, and writes at most one line to stderr, an 'error: '
     line (validate reports a structural error on stdout)."""
-    assert [f for name, path, value in _type_keeping_mutations()
-            for f in _contract_breaches(f"net:{name}", path, value, tmp_path)] == []
+    mutations = _type_keeping_mutations([f"net:{name}" for name in NETS], ("transitions", "arcs"))
+    assert [f for name, path, value in mutations for f in _contract_breaches(name, path, value, tmp_path)] == []
+
+
+def test_a_type_keeping_scenario_mutation_exits_by_the_contract(tmp_path):
+    """Each mutation of a scenario file runs through simulate and verify,
+    and of the exploration document through explore, whose formulas reach
+    the deadline search at each mutated horizon."""
+    names = [name for name in _documents() if name.startswith("scenario:")] + ["exploration"]
+    mutations = _type_keeping_mutations(names, ("script",))
+    assert [f for name, path, value in mutations for f in _contract_breaches(name, path, value, tmp_path)] == []
 
 
 def _contract_breaches(name: str, path: tuple, value, tmp: Path) -> list[tuple]:

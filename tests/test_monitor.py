@@ -3,8 +3,16 @@ import dataclasses
 import pytest
 
 from smart_tgpn.analysis import Formula
-from smart_tgpn.builder import AgentSpec, SmartConfig, SmartNet, build_multi_agent, default_trigger_set
-from smart_tgpn.guards import parse_guard
+from smart_tgpn.builder import (
+    AgentSpec,
+    SmartConfig,
+    SmartNet,
+    Trigger,
+    TriggerSet,
+    build_multi_agent,
+    default_trigger_set,
+)
+from smart_tgpn.guards import Sig, parse_guard
 from smart_tgpn.monitor import (
     check_bounded_autonomy,
     check_distributed_soundness,
@@ -104,6 +112,28 @@ class TestOutputGating:
         assert verdict.status == "pass", verdict.violations
         assert any("pre-escalation window" in n for n in verdict.notes)
 
+    @staticmethod
+    def structural_trace(script, dropped):
+        scenario = parse_scenario({"name": "p2-structural", "horizon": 12, "script": script,
+                                   "net": {"builder": {"config": {"gating_mode": "structural-only"}}}})
+        scenario.smart = mutate(scenario.smart, dropped)
+        return run(scenario)[0]
+
+    def test_structural_output_past_the_window_violates(self):
+        # invalid from 1 with no t_SM: the token stays in P_S past delta_s
+        trace = self.structural_trace([[1, "anom", 1], [5, "want_output", 1]], "t_SM")
+        verdict = check_output_gating(trace)
+        assert verdict.violations == ["t_out fired at 5 under invalidity outside the bounded window"]
+
+    def test_structural_window_under_unsafety_is_measured_from_invalidity(self):
+        # UR and invalid from 1 with no t_SR: no premise interval, so the
+        # window runs from the onset of invalidity
+        trace = self.structural_trace(
+            [[1, "hardware_fault", 1], [1, "anom", 1], [2, "want_output", 1], [8, "want_output", 1]], "t_SR")
+        verdict = check_output_gating(trace)
+        assert verdict.notes == ["t_out fired at 2 inside the bounded pre-escalation window (structural gating)"]
+        assert verdict.violations == ["t_out fired at 8 under invalidity outside the bounded window"]
+
 
 class TestMandatoryEscalation:
     def test_assisted_branch(self):
@@ -130,6 +160,15 @@ class TestMandatoryEscalation:
         trace, _ = run(scenario)
         verdict = check_mandatory_escalation(trace)
         assert verdict.status == "violation"
+
+    def test_governance_exit_taken_while_assisted_and_safe_violates(self):
+        # t_MR reads t_MA's guard, and t_MA is gone
+        scenario = parse_scenario(base_doc("p3-wrong-exit", signals={"assist": 1}, script=[[1, "anom", 1]]))
+        net = scenario.smart.net
+        scenario.smart.net = drop_transition(
+            net.with_transitions([net.transitions["t_MR"].with_guard(net.transitions["t_MA"].guard)]), "t_MA")
+        trace, _ = run(scenario)
+        assert check_mandatory_escalation(trace).violations == ["t_MR at 6 but assist=True, UR=False"]
 
 
 class TestGovernanceReachability:
@@ -161,6 +200,18 @@ class TestGovernanceReachability:
         verdict = check_governance_reachability(trace)
         assert verdict.status == "violation"
         assert any("without authorization" in v for v in verdict.violations)
+
+    def test_authorized_exit_while_unsafe_violates(self):
+        # t_RS reads ext_auth alone; t_SR waits while ext_auth holds, so the
+        # token stays in P_S after the exit
+        scenario = parse_scenario(base_doc("p4-unsafe-exit", script=[[2, "hardware_fault", 1], [6, "ext_auth", 1]]))
+        net = scenario.smart.net
+        scenario.smart.net = net.with_transitions([
+            net.transitions["t_RS"].with_guard(Sig("ext_auth")),
+            net.transitions["t_SR"].with_guard(parse_guard("(not safe or hardware_fault) and not ext_auth")),
+        ])
+        trace, _ = run(scenario)
+        assert check_governance_reachability(trace).violations == ["t_RS left P_R at 6 while unsafe"]
 
 
 class TestDistributedSoundness:
@@ -205,6 +256,17 @@ class TestDistributedSoundness:
         assert [(e.time, e.name) for e in trace.firings(["t_agree", "t_AS"])] == [(12, "t_agree"), (14, "t_AS")]
         verdict = check_distributed_soundness(trace)
         assert verdict.status == "pass", verdict.violations
+
+    @pytest.mark.parametrize("lapse, violations", [
+        ([], ["agent default: resolution at 10 did not produce t_AS by 12"]),
+        ([[11, "anom", 1]], []),  # the return was owed only while the resolution lasted
+    ])
+    def test_a_resolution_that_lapses_before_its_deadline_owes_no_return(self, lapse, violations):
+        scenario = parse_scenario(base_doc("p5-lapse", signals={"assist": 1},
+                                           script=[[1, "anom", 1], [10, "anom", 0], [10, "agree", 1], *lapse]))
+        scenario.smart = mutate(scenario.smart, "t_AS")
+        trace, _ = run(scenario)
+        assert check_distributed_soundness(trace).violations == violations
 
 
 class TestTriggerSet:
@@ -267,6 +329,14 @@ class TestTriggerSet:
         verdict = check_trigger_set([trace], triggers)
         assert verdict.ok
         assert verdict.completeness == [] and verdict.soundness == []
+
+    def test_a_governance_trigger_outside_the_risk_is_unsound(self):
+        # a set that counts t_SM as a governance trigger, with unsafety as
+        # its risk: t_SM fires at 3 on anom alone
+        trace, _ = run_doc(base_doc("unsound", script=[[3, "anom", 1]]))
+        triggers = TriggerSet([], [], [Trigger("t_SM")], trace.smart.agents[0].unrecoverable)
+        soundness = check_trigger_set([trace], triggers).soundness
+        assert {"trace": "unsound", "trigger": "t_SM", "time": 3} in soundness
 
 
 class TestTraceFormulas:

@@ -63,6 +63,10 @@ def test_sourceless_transition_is_informational():
 def test_interval_invariant():
     with pytest.raises(NetStructureError):
         TransitionRecord("t", alpha=3, beta=1)
+    # ticks are integers: a fractional latest time is refused, an integral float kept
+    with pytest.raises(NetStructureError, match="beta an integer or inf"):
+        TransitionRecord("t", alpha=0, beta=2.7)
+    assert TransitionRecord("t", alpha=0, beta=2.0).beta == 2
 
 
 def test_drop_transition_removes_arcs():
