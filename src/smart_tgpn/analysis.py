@@ -255,7 +255,7 @@ class _Explorer:
                 for tid in base_net.transition_ids()
                 for name in signal_names(base_net.transitions[tid].guard)
             }
-        self.net, self.held_specs = self._strip_held(base_net)
+        self.net, self.held_specs, memos = self._prepared(base_net)
         self.deposit_driver = WANT_DRIVER in cfg.alphabet and self.smart is not None
         self.agents = self.smart.agents if self.smart is not None else []
         # one driver bit per alphabet entry; an unnamespaced name drives the
@@ -300,9 +300,15 @@ class _Explorer:
         self.driver_patterns = {t: self.bit_patterns[i] for i, (_, targets) in enumerate(self.drivers) for t in targets}
         # the values a guard reads that neither a driver bit nor the base values fix
         self.varying = sorted(derived) + [name for _, name in self.held_specs]
-        # (marking, varying values) -> {transition id: truth bits} of every
-        # covered transition, in ascending id; see _refresh
-        self.truth_memo: dict[tuple, dict[str, int]] = {}
+        # a truth bitset reads only the drivers, the base values and the varying values, so
+        # explorations alike in the first two and the varying names share the held bodies'
+        # truths and the guard-truth memo: (marking, varying values) -> {id: truth bits} of each covered transition
+        signature = (tuple((n, tuple(t)) for n, t in self.drivers), tuple(sorted(self.base_values.items())),
+                     tuple(self.varying))
+        if signature not in memos:  # held bodies read no places (_strip_held rejects them)
+            atom_bits = self.atom_bits(EvalContext(ConstantSignals(self.base_values), {}, 0))
+            memos[signature] = ({}, [truth_bits(t.child, atom_bits, self.every_vector) for t, _ in self.held_specs])
+        self.truth_memo, self.held_truths = memos[signature]
         self.counts = {"evolve_calls": 0, "memo_hits": 0, "class_hits": 0, "evaluations": 0}
         # output id -> its agent's stable place (the first agent that lists it)
         self.output_stable = {tid: a.place("S") for a in reversed(self.agents) for tid in a.outputs}
@@ -314,6 +320,16 @@ class _Explorer:
         }
 
     # -- net transformation ----------------------------------------------
+
+    def _prepared(self, net: Net) -> tuple[Net, list[tuple[HeldFor, str]], dict]:
+        """The stripped net, its held specs and its memos by signature, kept on
+        the net while it holds the same record objects: a replaced one takes effect."""
+        records = tuple(net.transitions.values())
+        store = net.explore_store
+        if not (store and len(store[0]) == len(records) and all(a is b for a, b in zip(store[0], records))):
+            stripped, specs = self._strip_held(net)  # an unchanged net is not kept, or it would be cyclic
+            store = net.explore_store = (records, None if stripped is net else stripped, specs, {})
+        return store[1] or net, *store[2:]
 
     def _strip_held(self, net: Net) -> tuple[Net, list[tuple[HeldFor, str]]]:
         """Replace held_for terms with virtual boolean signals whose truth
@@ -486,14 +502,11 @@ class _Explorer:
         state, clock = state.clone(), clock.copy()
         values = self.vector_values(vector)
         sigma = ConstantSignals(values)
-        every = bits = self.every_vector
+        bits = self.every_vector
 
-        # advance held-for run lengths under the new assignment; held
-        # bodies read no places (_strip_held rejects them)
-        atom_bits = self.atom_bits(EvalContext(sigma, {}, 0))
+        # advance held-for run lengths under the new assignment
         held_runs = []
-        for (term, name), prev in zip(self.held_specs, key.held_runs):
-            truth = truth_bits(term.child, atom_bits, every)
+        for (term, name), truth, prev in zip(self.held_specs, self.held_truths, key.held_runs):
             body_true = truth >> vector & 1 == 1
             bits &= truth if body_true else ~truth
             run = (0 if prev < 0 else min(prev + 1, term.duration)) if body_true else -1

@@ -655,10 +655,12 @@ def validate_smart(smart: SmartNet) -> CheckReport:
                 )
     checks.append(timing)
 
-    # (e) mode switches conserve the mode token
+    # (e) each agent starts with one mode token, and mode switches conserve it
     conserve = CheckResult("mode-token-flow")
     for agent in smart.agents:
         agent_modes = set(agent.mode_places.values())
+        if (tokens := sum(net.initial_marking.get(p, 0) for p in agent_modes)) != 1:
+            conserve.witnesses.append(f"initial marking: {tokens} mode tokens for agent {agent.agent_id or 'default'}")
         for tid in agent.mode_switches.values():
             if tid not in net.transitions:
                 continue

@@ -168,8 +168,8 @@ def smart_from_document(doc: dict) -> SmartNet:
     agent's names follow from its id (``agent_view``), the gating mode
     from the base config and the coordination places from the net's
     places. A missing, wrong-typed or unknown field, in the net or in its
-    smart{} section, or an agent whose places the net lacks, raises
-    NetDocumentError."""
+    smart{} section, an agent whose places the net lacks, or one whose mode
+    places do not hold one token between them, raises NetDocumentError."""
     net = net_from_document(doc)
     meta = doc.get("smart")
     if meta is None:
@@ -187,6 +187,8 @@ def smart_from_document(doc: dict) -> SmartNet:
             missing = [p for p in [*view.mode_places.values(), view.want_place] if p not in net.places]
             if missing:
                 raise NetDocumentError(f"agent {agent_id!r}: the net lacks its places {missing}")
+            if (tokens := sum(net.initial_marking[p] for p in view.mode_places.values())) != 1:
+                raise NetDocumentError(f"agent {agent_id!r}: its mode places hold {tokens} tokens, not one")
             agents.append(view)
         config = config_from_document(meta["config"])
         _refuse_unknown(meta, {"config", "agents"}, "smart")

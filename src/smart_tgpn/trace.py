@@ -14,6 +14,7 @@ import hashlib
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -161,11 +162,16 @@ class Trace:
         return self._view(("intervals", expr), build)
 
     def firings(self, names: Iterable[str] | None = None) -> list[TraceEvent]:
-        wanted = frozenset(names) if names is not None else None
-        return list(self._view(("firings", wanted), lambda: [
-            e for e in self.events
-            if e.kind == FIRE and (wanted is None or e.name in wanted)
-        ]))
+        """The firings of the named transitions, or of all, in trace order."""
+        def build():  # transition -> the positions of its firings, one pass
+            index: dict[str, list[int]] = {}
+            for i, e in enumerate(self.events):
+                if e.kind == FIRE:
+                    index.setdefault(e.name, []).append(i)
+            return index
+        index = self._view("firings", build)
+        runs = index.values() if names is None else [index.get(n, ()) for n in set(names)]
+        return [self.events[i] for i in sorted(chain.from_iterable(runs))]
 
     def events_between(self, start: int, end: int) -> list[TraceEvent]:
         """Events at instants start..end, both included, in trace order."""

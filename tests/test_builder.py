@@ -206,6 +206,14 @@ class TestValidateSmart:
         report = validate_smart(smart)
         assert not report.check("mode-token-flow").passed
 
+    @pytest.mark.parametrize("marking, tokens", [({"P_S": 2}, 2), ({"P_S": 0}, 0), ({"P_M": 1}, 2)])
+    def test_initial_mode_tokens_other_than_one_flagged(self, marking, tokens):
+        smart = build_single_agent(SmartConfig())
+        smart.net = Net(smart.net.places, dict(smart.net.transitions), list(smart.net.arcs),
+                        {**smart.net.initial_marking, **marking})
+        check = validate_smart(smart).check("mode-token-flow")
+        assert check.witnesses == [f"initial marking: {tokens} mode tokens for agent default"]
+
 
 def test_default_trigger_set_mirrors_guards():
     smart = build_single_agent(SmartConfig())

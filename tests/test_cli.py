@@ -476,6 +476,11 @@ NET_DEFECTS = {
     "fractional-count": (lambda doc: doc["initial_marking"].update(P_S=1.6),
                          "initial marking of P_S must be an integer, got 1.6"),
     "string-count": (lambda doc: doc["initial_marking"].update(P_S="1"), "must be an integer, got '1'"),
+    # an agent's mode places hold one token between them
+    "two-mode-tokens": (lambda doc: doc["initial_marking"].update(P_S=2),
+                        "agent None: its mode places hold 2 tokens, not one"),
+    "no-mode-token": (lambda doc: doc["initial_marking"].update(P_S=0),
+                      "agent None: its mode places hold 0 tokens, not one"),
 }
 
 

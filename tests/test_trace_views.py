@@ -151,6 +151,10 @@ def check_views(trace):
     assert trace.firings() == [e for e in trace.events if e.kind == FIRE]
     switches = [t for a in smart.agents for t in a.mode_switches.values()]
     assert trace.firings(switches) == [e for e in trace.events if e.kind == FIRE and e.name in switches]
+    # a one-pass iterable of names, repeated, unknown or none, answers from the same index
+    fired = sorted({e.name for e in trace.events if e.kind == FIRE})
+    for names in ([], ["no_such"], fired[:1], fired[::2] + fired[:1] + ["no_such"]):
+        assert trace.firings(iter(names)) == [e for e in trace.events if e.kind == FIRE and e.name in names]
     for agent in smart.agents:
         assert trace.mode_timeline(agent) == naive_timeline(trace, agent)
         for t in range(trace.horizon + 1):
@@ -197,6 +201,7 @@ def test_changing_a_returned_list_leaves_the_view_intact(doc):
     agent = trace.smart.agents[0]
     views = [
         trace.firings,
+        lambda: trace.firings(agent.mode_switches.values()),
         lambda: trace.changes(agent.invalid, 0, trace.horizon),
         lambda: trace.mode_timeline(agent),
         lambda: trace.mode_residences(agent, "M"),
