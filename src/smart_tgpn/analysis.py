@@ -255,7 +255,7 @@ class _Explorer:
                 for tid in base_net.transition_ids()
                 for name in signal_names(base_net.transitions[tid].guard)
             }
-        self.net, self.held_specs, memos = self._prepared(base_net)
+        self.net, self.held_specs = self._strip_held(base_net)
         self.deposit_driver = WANT_DRIVER in cfg.alphabet and self.smart is not None
         self.agents = self.smart.agents if self.smart is not None else []
         # one driver bit per alphabet entry; an unnamespaced name drives the
@@ -300,15 +300,18 @@ class _Explorer:
         self.driver_patterns = {t: self.bit_patterns[i] for i, (_, targets) in enumerate(self.drivers) for t in targets}
         # the values a guard reads that neither a driver bit nor the base values fix
         self.varying = sorted(derived) + [name for _, name in self.held_specs]
-        # a truth bitset reads only the drivers, the base values and the varying values, so
-        # explorations alike in the first two and the varying names share the held bodies'
-        # truths and the guard-truth memo: (marking, varying values) -> {id: truth bits} of each covered transition
-        signature = (tuple((n, tuple(t)) for n, t in self.drivers), tuple(sorted(self.base_values.items())),
-                     tuple(self.varying))
-        if signature not in memos:  # held bodies read no places (_strip_held rejects them)
-            atom_bits = self.atom_bits(EvalContext(ConstantSignals(self.base_values), {}, 0))
-            memos[signature] = ({}, [truth_bits(t.child, atom_bits, self.every_vector) for t, _ in self.held_specs])
-        self.truth_memo, self.held_truths = memos[signature]
+        # (marking, varying values) -> {transition id: truth bits} of every
+        # covered transition, in ascending id; see _refresh
+        self.truth_memo: dict[tuple, dict[str, int]] = {}
+        # a guard's truth bits follow from the places and varying values it reads, the
+        # drivers and base values fixing the rest: transition id -> (those places, those
+        # names), and (transition id, their counts and values) -> truth bits
+        self.guard_reads = {tid: (sorted(place_names(r.guard)), [n for n in self.varying if n in reads])
+                            for tid, r in self.net.transitions.items() for reads in [signal_names(r.guard)]}
+        self.guard_truths: dict[tuple, int] = {}
+        # each held-for body's truth bits, under the drivers and base values (_strip_held rejects places)
+        atom_bits = self.atom_bits(EvalContext(ConstantSignals(self.base_values), {}, 0))
+        self.held_truths = [truth_bits(term.child, atom_bits, self.every_vector) for term, _ in self.held_specs]
         self.counts = {"evolve_calls": 0, "memo_hits": 0, "class_hits": 0, "evaluations": 0}
         # output id -> its agent's stable place (the first agent that lists it)
         self.output_stable = {tid: a.place("S") for a in reversed(self.agents) for tid in a.outputs}
@@ -320,16 +323,6 @@ class _Explorer:
         }
 
     # -- net transformation ----------------------------------------------
-
-    def _prepared(self, net: Net) -> tuple[Net, list[tuple[HeldFor, str]], dict]:
-        """The stripped net, its held specs and its memos by signature, kept on
-        the net while it holds the same record objects: a replaced one takes effect."""
-        records = tuple(net.transitions.values())
-        store = net.explore_store
-        if not (store and len(store[0]) == len(records) and all(a is b for a, b in zip(store[0], records))):
-            stripped, specs = self._strip_held(net)  # an unchanged net is not kept, or it would be cyclic
-            store = net.explore_store = (records, None if stripped is net else stripped, specs, {})
-        return store[1] or net, *store[2:]
 
     def _strip_held(self, net: Net) -> tuple[Net, list[tuple[HeldFor, str]]]:
         """Replace held_for terms with virtual boolean signals whose truth
@@ -343,10 +336,10 @@ class _Explorer:
 
         for tid in net.transition_ids():
             record = net.transitions[tid]
-            check_no_nested_held(record.guard)
             terms = held_terms(record.guard)
             if not terms:
                 continue
+            check_no_nested_held(record.guard)
             for term in terms:
                 if place_names(term.child):
                     raise ValueError(
@@ -595,9 +588,13 @@ class _Explorer:
         truths = self.truth_memo.get(memo_key)
         if truths is None:
             atom_bits, every = self.atom_bits(state.eval_context(sigma)), self.every_vector
-            truths = self.truth_memo[memo_key] = {
-                tid: truth_bits(self.net.transitions[tid].guard, atom_bits, every)
-                for tid in _covered(self.net, state.marking)}
+            truths = self.truth_memo[memo_key] = {}
+            for tid in _covered(self.net, state.marking):
+                places, names = self.guard_reads[tid]
+                guard_key = (tid, *[state.marking.get(p, 0) for p in places], *[sigma.values[n] for n in names])
+                if (truth := self.guard_truths.get(guard_key)) is None:
+                    truth = self.guard_truths[guard_key] = truth_bits(self.net.transitions[tid].guard, atom_bits, every)
+                truths[tid] = truth
         timers = state.timers
         for tid, truth in truths.items():
             if truth >> vector & 1:

@@ -192,11 +192,14 @@ def _check_deadlines(net: Net, state: KernelState) -> None:
             raise DeadlineViolation(f"{tid} enabled since {since}, now {state.now}, beta {record.beta}")
 
 
-def fire(net: Net, state: KernelState, tid: str, sigma: SignalState) -> tuple[KernelState, FiringEvent]:
+def fire(net: Net, state: KernelState, tid: str, sigma: SignalState,
+         refreshed: bool = False) -> tuple[KernelState, FiringEvent]:
     """Fire one transition now. Requires enabledness and alpha <= clock;
     a strong transition past beta raises DeadlineViolation. The other clocks
-    are left to the next step, which refreshes them before it reads them."""
-    if not enabled(net, state, sigma, tid):
+    are left to the next step, which refreshes them before it reads them.
+    ``refreshed``: the clocks were refreshed in this state, so a running
+    clock shows its transition enabled and the enabling test is skipped."""
+    if not (refreshed and tid in state.timers) and not enabled(net, state, sigma, tid):
         raise NotEnabled(f"{tid} is not enabled at t={state.now}")
     if tid not in state.timers:
         refresh_timers(net, state, sigma)
@@ -245,8 +248,9 @@ def _due_transition(net: Net, state: KernelState, policy: FiringPolicy) -> tuple
 
 
 def _fire_now(net: Net, state: KernelState, tid: str, sigma: SignalState, policy: FiringPolicy) -> FiringEvent:
-    """Fire ``tid`` within the current instant and check the Zeno limit."""
-    _, event = fire(net, state, tid, sigma)
+    """Fire ``tid``, picked from the clocks just refreshed in ``state``,
+    within the current instant and check the Zeno limit."""
+    _, event = fire(net, state, tid, sigma, refreshed=True)
     if state.events_at_now > policy.zeno_limit:
         raise ZenoViolation(f"Zeno net: {state.events_at_now} events at t={state.now}, limit {policy.zeno_limit}")
     return event

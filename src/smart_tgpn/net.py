@@ -129,7 +129,6 @@ class Net:
         # key clips token counts at the largest pre-set weight
         self.pre_weight_cap = max((w for pre in self.pre_sets.values() for w in pre.values()), default=1)
         self.covered_memo: dict[tuple, tuple[str, ...]] = {}
-        self.explore_store: tuple | None = None  # the explorer's preparation, ``analysis._Explorer._prepared``
 
     def pre(self, tid: str) -> dict[str, int]:
         """Input places of a transition with consumed weights."""

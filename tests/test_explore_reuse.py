@@ -1,11 +1,11 @@
-"""The explorer prepares each net once, and a shared preparation changes nothing.
+"""An exploration keeps nothing on the net it explores.
 
-A net keeps the explorer's stripped net and held specs, and per exploration
-signature (drivers in alphabet order, base values, varying names) the
-guard-truth memo and the held-body truths. Every exploration of a net that
-has been explored before must read as one of a freshly built net: the same
-graph export, engine counters and formula verdicts. The store is valid only
-while the net holds the same transition record objects.
+Each exploration prepares the net afresh: it strips the held_for terms, computes
+each held-for body's truth bits once, and fills its own guard-truth memos, one
+by the marking and varying values and one per guard by what that guard reads.
+So every exploration of a net explored before must read as one of a freshly
+built net: the same graph export, engine counters and formula verdicts, and a
+record replaced in place takes effect at the next exploration.
 """
 
 import pytest
@@ -48,16 +48,14 @@ def cfg(alphabet, horizon=5):
 
 
 # name -> (net factory, the explorations of one net in turn, each (subject
-# of the built net, config), and whether the last one shares the guard-truth
-# memo of the first)
+# of the built net, config))
 SEQUENCES = {
-    "repeated": (single, [(wrapped, cfg(ALPHABET)), (wrapped, cfg(ALPHABET))], True),
-    "reordered": (single, [(wrapped, cfg(ALPHABET)), (wrapped, cfg(REORDERED))], False),
-    "bare-then-wrapped": (single, [(bare, cfg(ALPHABET)), (wrapped, cfg(ALPHABET))], False),
-    "wrapped-then-bare": (single, [(wrapped, cfg(ALPHABET)), (bare, cfg(ALPHABET))], False),
-    "other-horizon": (single, [(wrapped, cfg(ALPHABET, 3)), (wrapped, cfg(ALPHABET, 6))], True),
-    "hysteresis": (hysteresis, [(wrapped, cfg(ALPHABET)), (wrapped, cfg(REORDERED)), (wrapped, cfg(ALPHABET))],
-                   True),
+    "repeated": (single, [(wrapped, cfg(ALPHABET)), (wrapped, cfg(ALPHABET))]),
+    "reordered": (single, [(wrapped, cfg(ALPHABET)), (wrapped, cfg(REORDERED))]),
+    "bare-then-wrapped": (single, [(bare, cfg(ALPHABET)), (wrapped, cfg(ALPHABET))]),
+    "wrapped-then-bare": (single, [(wrapped, cfg(ALPHABET)), (bare, cfg(ALPHABET))]),
+    "other-horizon": (single, [(wrapped, cfg(ALPHABET, 3)), (wrapped, cfg(ALPHABET, 6))]),
+    "hysteresis": (hysteresis, [(wrapped, cfg(ALPHABET)), (wrapped, cfg(REORDERED)), (wrapped, cfg(ALPHABET))]),
 }
 
 
@@ -70,26 +68,31 @@ def reading(subject, config):
 
 @pytest.mark.parametrize("name", sorted(SEQUENCES))
 def test_each_exploration_of_a_reused_net_reads_as_one_of_a_fresh_net(name):
-    factory, explorations, shared = SEQUENCES[name]
+    factory, explorations = SEQUENCES[name]
     smart = factory()
-    explorers = []
+    fields = set(vars(smart.net))
     for subject, config in explorations:
-        *seen, explorer = reading(subject(smart), config)
+        *seen, _ = reading(subject(smart), config)
         *fresh, _ = reading(subject(factory()), config)
         assert seen == fresh, (subject.__name__, config.alphabet)
-        explorers.append(explorer)
-    first, last = explorers[0], explorers[-1]
-    assert first.net is last.net  # the stripped net is made once
-    assert (first.truth_memo is last.truth_memo) is shared
-    assert first.truth_memo  # the memo is filled, or sharing it checks nothing
+    assert set(vars(smart.net)) == fields  # the explorer adds nothing to the net
 
 
-def test_the_hysteresis_net_is_stripped_once_and_its_held_truths_shared():
-    smart = hysteresis()
-    first, second = (explore(smart, cfg(ALPHABET))._explorer for _ in range(2))
-    assert first.held_specs and first.net is not smart.net and first.net is second.net
-    assert first.held_truths is second.held_truths
-    assert 0 < min(first.held_truths) and max(first.held_truths) < first.every_vector
+def test_a_guard_truth_is_computed_once_per_value_of_what_the_guard_reads():
+    explorer = explore(single(), cfg(["anom", "evidence", "safe", "assist", "disagree", "agree"]))._explorer
+    assert explorer.guard_reads["t_SM"] == ([], [])
+    assert explorer.guard_reads["t_AR"] == (["P_conflict"], ["timeout_A"])
+    computed = [key[0] for key in explorer.guard_truths]
+    assert computed.count("t_SM") == 1  # reads only drivers and base values
+    assert computed.count("t_MA") == 2  # timeout_M false, then true
+    assert 1 < computed.count("t_AR") <= 4  # P_conflict marked or not, timeout_A true or false
+    assert len(explorer.guard_truths) < sum(len(truths) for truths in explorer.truth_memo.values())
+
+
+def test_the_held_body_truths_are_computed_once_and_depend_on_the_vector():
+    explorer = explore(hysteresis(), cfg(ALPHABET))._explorer
+    assert explorer.held_specs and len(explorer.held_truths) == len(explorer.held_specs)
+    assert 0 < min(explorer.held_truths) and max(explorer.held_truths) < explorer.every_vector
 
 
 @pytest.mark.parametrize("factory", [single, hysteresis])
@@ -106,13 +109,12 @@ def test_a_record_replaced_in_place_takes_effect_at_the_next_exploration(factory
     assert seen == [*reading(fresh, cfg(ALPHABET))[:3]]
 
 
-def test_a_net_the_explorer_refuses_keeps_no_store():
+def test_a_net_the_explorer_refused_explores_as_fresh_once_mended():
     smart = single()
     record = smart.net.transitions["t_MS"]
     smart.net.transitions["t_MS"] = record.with_guard(And((parse_guard("held_for(not marked(P_S), 2)"), record.guard)))
     for _ in range(2):
         with pytest.raises(ValueError, match="t_MS: held_for over marking atoms is not explorable"):
             explore(smart, cfg(ALPHABET))
-    assert smart.net.explore_store is None
     smart.net.transitions["t_MS"] = record
-    assert explore(smart, cfg(ALPHABET)).stats == explore(single(), cfg(ALPHABET)).stats
+    assert reading(smart, cfg(ALPHABET))[:3] == reading(single(), cfg(ALPHABET))[:3]

@@ -113,6 +113,18 @@ class TestFire:
         with pytest.raises(NotEnabled):
             fire(net, state, "t_SM", sigma)
 
+    def test_refreshed_firing_skips_only_the_test_a_running_clock_answers(self):
+        net = escalation_net()
+        state = KernelState.initial(net)
+        with pytest.raises(NotEnabled):  # no running clock: the enabling test runs
+            fire(net, state, "t_SM", escalation_sigma(), refreshed=True)
+        net = Net(places=["p", "q"], transitions={"t": TransitionRecord("t")},
+                  arcs=[Arc("p", "t"), Arc("t", "q")], initial_marking={"p": 1})
+        state, sigma = KernelState.initial(net), SignalState.declare()
+        refresh_timers(net, state, sigma)
+        state, event = fire(net, state, "t", sigma, refreshed=True)
+        assert state.marking == {"p": 0, "q": 1} and event.transition == "t" and state.timers == {}
+
     def test_firing_before_alpha_rejected(self):
         net = Net(
             places=["p", "q"],
